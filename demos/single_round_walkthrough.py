@@ -40,7 +40,7 @@ def main() -> None:
     print("pulse polarization along the ring:")
     for snap in record.trace:
         print(
-            f"  {snap.stage:<16} mean photons {snap.mean_photons:6.3f}"
+            f"  {snap.stage:<16} photons {snap.photons:3d}"
             f"  polarization {degrees(snap.polarization)}"
         )
     print()

@@ -1,112 +1,27 @@
 """Simulator and security-analysis toolkit for single-pulse ring-topology
 quantum secret sharing with coherent pulses."""
 
-from .adversary import (
-    EveState,
-    EveSummary,
-    Impersonate,
-    NoAttack,
-    PnsSplit,
-    TagPhoton,
-    eve_mean_photons,
-    impersonate_round,
-    usd_success,
-)
-from .analysis import (
-    ErrorCurvePoint,
-    McEstimate,
-    error_curve,
-    monte_carlo_p_error,
-    p_e_closed_form,
-    p_error_closed_form,
-    poisson_pmf,
-)
-from .channel import FiberLink, Topology, attenuate, thin_batch, transmission
-from .config import ConfigError, SimConfig, load_config, parse_config, serialize_config
-from .optics import (
-    CoherentPulse,
-    DecisionAngle,
-    MeasurementBasis,
-    MeasurementOutcome,
-    PhotonBatch,
-    PolarizationAngle,
-    basis_of,
-    beam_split,
-    pbs_measure,
-    rotate,
-    sample_photon_count,
-)
-from .protocol import (
-    ProtocolRestart,
-    RoundRecord,
-    SessionResult,
-    SiftStatus,
-    Verdict,
-    VerdictKind,
-    angle_to_bit,
-    cooperative_decode,
-    decode_table,
-    encode_map,
-    integrity_check,
-    key_digest,
-    reconcile_and_amplify,
-    run_session,
-    sift,
-)
+from .adversary import eve_mean_photons
+from .analysis import error_curve, monte_carlo_p_error, p_error_closed_form
+from .channel import FiberLink, transmission
+from .config import SimConfig
+from .optics import DecisionAngle
+from .protocol import SiftStatus, VerdictKind, decode_table, key_digest, run_session
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoherentPulse",
-    "ConfigError",
     "DecisionAngle",
-    "ErrorCurvePoint",
-    "EveState",
-    "EveSummary",
     "FiberLink",
-    "Impersonate",
-    "McEstimate",
-    "MeasurementBasis",
-    "MeasurementOutcome",
-    "NoAttack",
-    "PhotonBatch",
-    "PnsSplit",
-    "PolarizationAngle",
-    "ProtocolRestart",
-    "RoundRecord",
-    "SessionResult",
     "SiftStatus",
     "SimConfig",
-    "TagPhoton",
-    "Topology",
-    "Verdict",
     "VerdictKind",
-    "angle_to_bit",
-    "attenuate",
-    "basis_of",
-    "beam_split",
-    "cooperative_decode",
     "decode_table",
-    "encode_map",
     "error_curve",
     "eve_mean_photons",
-    "impersonate_round",
-    "integrity_check",
     "key_digest",
-    "load_config",
     "monte_carlo_p_error",
-    "p_e_closed_form",
     "p_error_closed_form",
-    "parse_config",
-    "pbs_measure",
-    "poisson_pmf",
-    "reconcile_and_amplify",
-    "rotate",
     "run_session",
-    "sample_photon_count",
-    "serialize_config",
-    "sift",
-    "thin_batch",
     "transmission",
-    "usd_success",
 ]

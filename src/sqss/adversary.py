@@ -13,20 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
-from .optics import (
-    CoherentPulse,
-    DecisionAngle,
-    MeasurementBasis,
-    PhotonBatch,
-    PolarizationAngle,
-    pbs_measure,
-)
-
-Estimator = Callable[[PolarizationAngle | None, int, np.random.Generator], int]
+from .optics import DecisionAngle, MeasurementBasis, PhotonBatch, PolarizationAngle, pbs_measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +30,6 @@ class PnsSplit:
     """Tap the given channel (travel-order hop index) with a QND counter."""
 
     channel_index: int = 1
-    estimator: Estimator | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,25 +98,19 @@ def usd_success(n: int) -> float:
 
 
 def pns_intercept(
-    light: CoherentPulse | PhotonBatch,
-    rng: np.random.Generator,
-    state: EveState | None,
-    round_index: int,
-) -> CoherentPulse | PhotonBatch:
+    batch: PhotonBatch, state: EveState | None, round_index: int
+) -> PhotonBatch:
     """QND-count the pulse at the tapped hop and skim one photon when possible.
 
     A count of two or more lets Eve keep one photon in quantum memory
     and forward the remainder; otherwise the pulse passes untouched.
+    Either way the count she read is the one later hops carry on.
     """
-    if isinstance(light, CoherentPulse):
-        n = int(rng.poisson(light.mean_photons))
-    else:
-        n = light.count
-    if n < 2:
-        return light
+    if batch.count < 2:
+        return batch
     if state is not None:
-        state.stored_photons[round_index] = light.polarization
-    return PhotonBatch(n - 1, light.polarization)
+        state.stored_photons[round_index] = batch.polarization
+    return PhotonBatch(batch.count - 1, batch.polarization)
 
 
 def tag_attack_round(
@@ -151,73 +135,38 @@ def tag_attack_round(
     return result
 
 
-def impersonate_guess(
-    true_key_angle: DecisionAngle,
-    usd_mean: float,
-    rng: np.random.Generator,
-    state: EveState | None,
-) -> DecisionAngle:
-    """Eve's re-encoded angle after attempting discrimination.
+def intercepted_mean(mu: float, bs_ratio: float, hop_t: Sequence[float]) -> float:
+    """Mean photon number of the encoded pulse where the impersonator catches it.
 
-    She samples the photon number of the intercepted pulse, succeeds
-    with the n-dependent discrimination probability, and falls back to a
-    uniform guess among the four angles when discrimination fails.
+    Alice's pulse leaves her storage splitter (transmitted ratio
+    ``bs_ratio``) and Eve takes it after the first backward hop, the
+    one from Alice toward Rec-N, which is hop N+2 in travel order.
     """
-    n = int(rng.poisson(usd_mean))
-    success = bool(rng.random() < usd_success(n))
-    if state is not None:
-        state.usd_successes.append(success)
-    if success:
-        return true_key_angle
-    return DecisionAngle(int(rng.integers(4)))
+    return mu * bs_ratio * hop_t[len(hop_t) // 2 + 1]
 
 
-def impersonate_error_given_count(
-    n: int, rng: np.random.Generator, state: EveState | None = None
-) -> bool:
-    """Error event of one impersonation round with a known photon count.
+def impersonate_round(n: int, rng: np.random.Generator, state: EveState | None = None) -> int:
+    """Eve's guess of the key angle from an n-photon pulse, as an offset.
 
-    Eve's guess error relative to the true angle is what matters: offset
-    zero is silent, the orthogonal offset always flips the bit, and the
-    two diagonal offsets land in the wrong basis where the measured bit
-    is a fair coin.
+    She attempts unambiguous discrimination, which succeeds with the
+    n-dependent probability and then hits the true angle; on failure she
+    guesses uniformly among the four angles. Returns the offset of her
+    guess from the true angle in quarter turns: 0 is silent, 2 flips the
+    receivers' bit, and the odd offsets land in the wrong basis where the
+    bit they measure is a fair coin.
     """
     success = bool(rng.random() < usd_success(n))
     if state is not None:
         state.usd_successes.append(success)
     if success:
-        return False
-    offset = int(rng.integers(4))
-    if offset == 0:
-        return False
-    if offset == 2:
-        return True
-    return bool(rng.random() < 0.5)
-
-
-def impersonate_round(
-    mu: float,
-    transmission: float,
-    rng: np.random.Generator,
-    state: EveState | None = None,
-) -> bool:
-    """Simulate one impersonation round; True when the sifted bit is flipped.
-
-    The intercepted pulse's photon number is Poisson with mean mu times
-    the transmission of the single hop separating Eve from the sender.
-    """
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    if not 0.0 < transmission <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {transmission}")
-    n = int(rng.poisson(mu * transmission))
-    return impersonate_error_given_count(n, rng, state)
+        return 0
+    return int(rng.integers(4))
 
 
 def ml_single_photon_estimator(
     stored: PolarizationAngle | None, basis_choice: int, rng: np.random.Generator
 ) -> int:
-    """Default PNS estimator: measure the stored photon in the announced basis.
+    """Eve's PNS bit guess: measure the stored photon in the announced basis.
 
     With no stored photon the guess is a fair coin. One photon always
     produces a definite click, whose angle maps to a bit the same way

@@ -118,15 +118,23 @@ def monte_carlo_p_error(
 ) -> McEstimate:
     """Estimate the impersonation error rate from independent rounds.
 
-    Runs single impersonation rounds and reports the sample mean with
-    its standard error, so a caller can express the gap to the closed
-    form in sigma units.
+    Each trial draws the intercepted photon number and Eve's guess; the
+    sifted bit is flipped when her guess is off by half a turn, and with
+    probability 1/2 when it lands in the wrong basis. Reports the sample
+    mean with its standard error, so a caller can express the gap to the
+    closed form in sigma units.
     """
     if trials < 10_000:
         raise ValueError(f"at least 10000 trials are required, got {trials}")
+    if mu < 0.0:
+        raise ValueError(f"mean photon number must be >= 0, got {mu}")
+    if not 0.0 < transmission <= 1.0:
+        raise ValueError(f"transmission must be in (0, 1], got {transmission}")
+    lam = mu * transmission
     errors = 0
     for _ in range(trials):
-        if impersonate_round(mu, transmission, rng, state):
+        offset = impersonate_round(int(rng.poisson(lam)), rng, state)
+        if offset == 2 or (offset & 1 and rng.random() < 0.5):
             errors += 1
     mean = errors / trials
     variance = mean * (1.0 - mean) * trials / (trials - 1)

@@ -1,8 +1,9 @@
 """Lossy fiber links and the ring topology connecting the parties.
 
-Loss acts on intensity only: a link of length l km with attenuation
-alpha dB/km transmits the fraction T = 10^(-alpha*l/10) of the mean
-photon number. Polarization is never affected.
+Loss acts on the photon count only: a link of length l km with
+attenuation alpha dB/km passes each photon with probability
+T = 10^(-alpha*l/10), which scales the mean photon number by T.
+Polarization is never affected.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import CoherentPulse, PhotonBatch
+from .optics import PhotonBatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,19 +33,8 @@ def transmission(link: FiberLink) -> float:
     return 10.0 ** (-(link.loss_db_per_km * link.length_km) / 10.0)
 
 
-def attenuate(pulse: CoherentPulse, t: float) -> CoherentPulse:
-    """Scale the mean photon number by a transmission factor t in (0, 1]."""
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {t}")
-    return CoherentPulse(pulse.mean_photons * t, pulse.polarization)
-
-
 def thin_batch(batch: PhotonBatch, t: float, rng: np.random.Generator) -> PhotonBatch:
-    """Lossy propagation of an already-resolved photon count.
-
-    Each photon independently survives with probability t, which is the
-    count-level counterpart of scaling a mean by t.
-    """
+    """Lossy propagation: each photon independently survives with probability t."""
     if not 0.0 < t <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {t}")
     if t == 1.0 or batch.count == 0:

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, protocol
+from .adversary import intercepted_mean
 from .config import ConfigError, SimConfig, apply_overrides, load_config
 from .optics import DecisionAngle, MeasurementOutcome, OutcomeKind
 
@@ -74,7 +75,7 @@ def round_records_to_csv(records: Sequence[protocol.RoundRecord]) -> str:
         trace = ""
         if r.trace is not None:
             trace = "|".join(
-                f"{s.stage}:{_fmt(s.mean_photons)}:{_fmt(s.polarization)}" for s in r.trace
+                f"{s.stage}:{s.photons}:{_fmt(s.polarization)}" for s in r.trace
             )
         lines.append(
             ",".join(
@@ -110,8 +111,8 @@ def round_records_from_csv(text: str) -> list[protocol.RoundRecord]:
         snapshots = None
         if trace:
             snapshots = tuple(
-                protocol.PulseSnapshot(stage, float(mean), float(pol))
-                for stage, mean, pol in (part.split(":") for part in trace.split("|"))
+                protocol.PulseSnapshot(stage, int(photons), float(pol))
+                for stage, photons, pol in (part.split(":") for part in trace.split("|"))
             )
         records.append(
             protocol.RoundRecord(
@@ -268,10 +269,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.strategy == "impersonate":
         if args.trials:
             config.rounds = args.trials
-        hop_t = config.hop_transmissions()
-        mu_eff = config.mean_photons * config.bs_ratio
-        estimate = analysis.monte_carlo_p_error(mu_eff, hop_t[0], config.rounds, rng)
-        reference = analysis.p_error_closed_form(mu_eff, hop_t[0])
+        usd_mean = intercepted_mean(
+            config.mean_photons, config.bs_ratio, config.hop_transmissions()
+        )
+        estimate = analysis.monte_carlo_p_error(usd_mean, 1.0, config.rounds, rng)
+        reference = analysis.p_error_closed_form(usd_mean, 1.0)
         summary = AttackSummary(
             strategy="impersonate",
             trials=estimate.trials,

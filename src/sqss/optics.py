@@ -3,9 +3,13 @@
 The physical model is deliberately minimal: a pulse is classically
 polarized light with Poisson photon statistics. Polarization lives on
 the half-circle [0, pi) because every protocol state and both
-measurement bases are invariant under a pi shift. Photon counts are
-resolved only when something actually looks at the pulse (a detector or
-an adversary); propagation just scales the mean photon number.
+measurement bases are invariant under a pi shift. The photon number is
+drawn once, at the source, and every later element only acts on that
+count: a lossy hop or a beam splitter passes each photon independently
+(binomial thinning), and a Poisson count thinned binomially is again
+Poisson with the product of the transmissions, so this is exact for
+coherent light. A count read by an eavesdropper (photon-number
+splitting) therefore carries on to every later hop.
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
@@ -108,20 +112,8 @@ class DecisionAngle:
 
 
 @dataclass(frozen=True, slots=True)
-class CoherentPulse:
-    """Classically polarized pulse with mean photon number ``mean_photons``."""
-
-    mean_photons: float
-    polarization: PolarizationAngle
-
-    def __post_init__(self) -> None:
-        if self.mean_photons < 0:
-            raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
-
-
-@dataclass(frozen=True, slots=True)
 class PhotonBatch:
-    """A resolved photon count sharing one polarization."""
+    """A pulse: its photon count, all photons sharing one polarization."""
 
     count: int
     polarization: PolarizationAngle
@@ -187,12 +179,8 @@ class MeasurementOutcome:
         return self.kind is OutcomeKind.ANGLE
 
 
-def rotate(pulse: CoherentPulse, delta: PolarizationAngle | float) -> CoherentPulse:
-    """Rotate the pulse polarization by ``delta``; intensity is untouched."""
-    return CoherentPulse(pulse.mean_photons, pulse.polarization + delta)
-
-
 def rotate_batch(batch: PhotonBatch, delta: PolarizationAngle | float) -> PhotonBatch:
+    """Rotate the polarization by ``delta``; the photon count is untouched."""
     return PhotonBatch(batch.count, batch.polarization + delta)
 
 
@@ -201,35 +189,11 @@ def decision_add(a: DecisionAngle, b: DecisionAngle) -> DecisionAngle:
     return DecisionAngle((a.quarter_turns + b.quarter_turns) % 4)
 
 
-def sample_photon_count(pulse: CoherentPulse, rng: np.random.Generator) -> PhotonBatch:
-    """Resolve the pulse into a definite Poisson-distributed photon count."""
-    return PhotonBatch(int(rng.poisson(pulse.mean_photons)), pulse.polarization)
-
-
-def beam_split(pulse: CoherentPulse, ratio: float) -> tuple[CoherentPulse, CoherentPulse]:
-    """Split a pulse on a beam splitter with the given transmitted ratio.
-
-    Returns (transmitted, reflected) with mean photon numbers
-    (mu * ratio, mu * (1 - ratio)), computed so that the two outputs
-    sum to the input mean exactly. Polarization is shared.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"split ratio must be in [0, 1], got {ratio}")
-    # Double complement: whichever output lies above mu/2 makes its
-    # subtraction exact, so the pair always sums to mu bit-for-bit.
-    first = pulse.mean_photons * ratio
-    second = pulse.mean_photons - first
-    first = pulse.mean_photons - second
-    return (
-        CoherentPulse(first, pulse.polarization),
-        CoherentPulse(second, pulse.polarization),
-    )
-
-
 def split_batch(
     batch: PhotonBatch, ratio: float, rng: np.random.Generator
 ) -> tuple[PhotonBatch, PhotonBatch]:
-    """Split a resolved batch: each photon independently takes the first port."""
+    """Split a batch on a beam splitter: each photon independently takes the
+    first port with probability ``ratio``. Polarization is shared."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"split ratio must be in [0, 1], got {ratio}")
     first = int(rng.binomial(batch.count, ratio)) if batch.count else 0

@@ -20,31 +20,26 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import adversary as adv
-from .channel import attenuate, thin_batch
-from .config import SimConfig
+from .channel import thin_batch
+from .config import ConfigError, SimConfig
 from .optics import (
-    CoherentPulse,
+    QUARTER_TURN,
     DecisionAngle,
     MeasurementBasis,
     MeasurementOutcome,
     PhotonBatch,
     PolarizationAngle,
-    beam_split,
     pbs_measure,
-    rotate,
     rotate_batch,
-    sample_photon_count,
     split_batch,
 )
-
-Light = CoherentPulse | PhotonBatch
 
 # Fraction of surviving bits kept by privacy amplification; public constant.
 PA_COMPRESSION = 0.5
@@ -83,31 +78,28 @@ class Verdict:
 
 @dataclass(slots=True)
 class SenderState:
-    """Alice's per-round secrets and accumulated key material."""
+    """Alice's source settings and the current round's secrets."""
 
     mean_photons: float
     bs_ratio: float = 1.0
-    thetas: list[float] = field(default_factory=list)
-    basis_choices: list[int] = field(default_factory=list)
-    key_bits: list[int] = field(default_factory=list)
-    key_angles: list[DecisionAngle] = field(default_factory=list)
+    theta: float = 0.0
+    basis_choice: int = 1
+    key_angle: DecisionAngle = DecisionAngle(0)
 
 
 @dataclass(slots=True)
 class ReceiverState:
-    """Receiver i's per-round secrets; only Rec-1 stores outcomes."""
+    """Receiver i's secrets for the current round."""
 
     index: int
-    hide_angles: list[float] = field(default_factory=list)
-    shuffle_angles: list[DecisionAngle] = field(default_factory=list)
-    stored_outcomes: list[tuple[MeasurementOutcome, MeasurementOutcome]] = field(default_factory=list)
-    decision_angles: list[DecisionAngle] = field(default_factory=list)
+    hide_angle: float = 0.0
+    shuffle: DecisionAngle = DecisionAngle(0)
 
 
 @dataclass(frozen=True, slots=True)
 class PulseSnapshot:
     stage: str
-    mean_photons: float
+    photons: int
     polarization: float
 
 
@@ -189,63 +181,54 @@ def decode_table(order: tuple[int, int, int, int] = (0, 2, 1, 3)) -> list[list[D
     ]
 
 
-def alice_prepare(state: SenderState, rng: np.random.Generator) -> CoherentPulse:
-    """Emit a fresh pulse hidden behind a uniformly random angle theta."""
-    theta = rng.random() * math.pi
-    state.thetas.append(theta)
-    return CoherentPulse(state.mean_photons, PolarizationAngle(theta))
+def alice_prepare(state: SenderState, rng: np.random.Generator) -> PhotonBatch:
+    """Emit a fresh coherent pulse hidden behind a uniformly random angle theta.
+
+    Its photon number is drawn here, Poisson with the configured mean;
+    everything downstream only thins or reads that count.
+    """
+    state.theta = rng.random() * math.pi
+    return PhotonBatch(int(rng.poisson(state.mean_photons)), PolarizationAngle(state.theta))
 
 
-def receiver_forward(state: ReceiverState, light: Light, rng: np.random.Generator) -> Light:
+def receiver_forward(
+    state: ReceiverState, light: PhotonBatch, rng: np.random.Generator
+) -> PhotonBatch:
     """Stack this receiver's hiding angle phi_i and secret shuffle s_i."""
-    phi = rng.random() * math.pi
-    shuffle = DecisionAngle(int(rng.integers(4)))
-    state.hide_angles.append(phi)
-    state.shuffle_angles.append(shuffle)
-    return _rotate_light(light, phi + shuffle.radians)
+    state.hide_angle = rng.random() * math.pi
+    state.shuffle = DecisionAngle(int(rng.integers(4)))
+    return rotate_batch(light, state.hide_angle + state.shuffle.radians)
 
 
 def alice_encode(
-    state: SenderState, light: Light, bit: int, rng: np.random.Generator
-) -> Light:
+    state: SenderState, light: PhotonBatch, bit: int, rng: np.random.Generator
+) -> PhotonBatch:
     """Encode the key bit in a random basis family and strip theta.
 
     The net rotation is (k - theta). When the counter-tagging beam
-    splitter is configured (ratio < 1) only the transmitted fraction of
-    the pulse leaves the box.
+    splitter is configured (ratio < 1) only the transmitted part of the
+    pulse leaves the box.
     """
-    j = int(rng.integers(1, 3))
-    k = encode_map(bit, j)
-    state.basis_choices.append(j)
-    state.key_bits.append(bit)
-    state.key_angles.append(k)
-    light = _rotate_light(light, k.radians - state.thetas[-1])
+    state.basis_choice = int(rng.integers(1, 3))
+    state.key_angle = encode_map(bit, state.basis_choice)
+    light = rotate_batch(light, state.key_angle.radians - state.theta)
     if state.bs_ratio < 1.0:
-        if isinstance(light, CoherentPulse):
-            light, _ = beam_split(light, state.bs_ratio)
-        else:
-            light, _ = split_batch(light, state.bs_ratio, rng)
+        light, _ = split_batch(light, state.bs_ratio, rng)
     return light
 
 
-def receiver_backward(state: ReceiverState, light: Light) -> Light:
+def receiver_backward(state: ReceiverState, light: PhotonBatch) -> PhotonBatch:
     """Compensate this receiver's hiding angle; the shuffle stays in."""
-    return _rotate_light(light, -state.hide_angles[-1])
+    return rotate_batch(light, -state.hide_angle)
 
 
 def rec1_measure(
-    state: ReceiverState, light: Light, rng: np.random.Generator
+    light: PhotonBatch, rng: np.random.Generator
 ) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """Split 50:50 and measure one arm per basis, storing both outcomes."""
-    if isinstance(light, CoherentPulse):
-        rect_pulse, diag_pulse = beam_split(light, 0.5)
-        rect_batch = sample_photon_count(rect_pulse, rng)
-        diag_batch = sample_photon_count(diag_pulse, rng)
-    else:
-        rect_batch, diag_batch = split_batch(light, 0.5, rng)
+    """Split 50:50 and measure one arm per basis."""
+    rect_batch, diag_batch = split_batch(light, 0.5, rng)
     rect = pbs_measure(rect_batch, MeasurementBasis.RECTILINEAR, rng)
     diag = pbs_measure(diag_batch, MeasurementBasis.DIAGONAL, rng)
-    state.stored_outcomes.append((rect, diag))
     return rect, diag
 
 
@@ -261,23 +244,22 @@ def sift(records: Sequence[RoundRecord], announced_bases: Sequence[int]) -> list
         raise ValueError("one announced basis per round is required")
     kept = []
     for record, j in zip(records, announced_bases):
-        _sift_one(record, j)
-        if record.status is SiftStatus.KEPT:
+        outcome = _sifted_outcome(record, j)
+        if outcome.is_vacuum:
+            record.status = SiftStatus.VACUUM_DISCARD
+        elif outcome.is_ambiguous:
+            record.status = SiftStatus.AMBIGUOUS_DISCARD
+        else:
+            record.status = SiftStatus.KEPT
+            record.measured_angle = outcome.angle.quarter_turns
             kept.append(record)
     return kept
 
 
-def _sift_one(record: RoundRecord, j: int) -> None:
+def _sifted_outcome(record: RoundRecord, j: int) -> MeasurementOutcome:
+    """Outcome of the arm whose basis matches the measured angle's, given family j."""
     parity = (0 if j == 1 else 1) + sum(record.shuffles)
-    basis = MeasurementBasis.RECTILINEAR if parity % 2 == 0 else MeasurementBasis.DIAGONAL
-    outcome = record.rect_outcome if basis is MeasurementBasis.RECTILINEAR else record.diag_outcome
-    if outcome.is_vacuum:
-        record.status = SiftStatus.VACUUM_DISCARD
-    elif outcome.is_ambiguous:
-        record.status = SiftStatus.AMBIGUOUS_DISCARD
-    else:
-        record.status = SiftStatus.KEPT
-        record.measured_angle = outcome.angle.quarter_turns
+    return record.rect_outcome if parity % 2 == 0 else record.diag_outcome
 
 
 def toeplitz_compress(bits: Sequence[int], out_len: int, hash_seed: int) -> list[int]:
@@ -321,24 +303,24 @@ def reconcile_and_amplify(
     key_b: Sequence[int],
     block_size: int,
     hash_seed: int = 0,
-) -> tuple[list[int], list[int]]:
+    keys: Sequence[Sequence[int]] | None = None,
+) -> list[list[int]]:
     """Block-parity reconciliation followed by Toeplitz privacy amplification.
 
-    Blocks whose public parities disagree are discarded on both sides;
-    the survivors are compressed to half length by a shared, publicly
-    seeded 2-universal hash. Raises ProtocolRestart when too few bits
-    survive to produce any key at all.
+    Blocks whose public parities disagree between ``key_a`` and ``key_b``
+    are discarded; the surviving positions of every key in ``keys``
+    (default: the two compared keys) are compressed to half length by a
+    shared, publicly seeded 2-universal hash. Raises ProtocolRestart when
+    too few bits survive to produce any key at all.
     """
     survivors = parity_survivor_indices(key_a, key_b, block_size)
     out_len = int(len(survivors) * PA_COMPRESSION)
     if out_len == 0:
         raise ProtocolRestart("no usable bits survived reconciliation")
-    kept_a = [key_a[i] for i in survivors]
-    kept_b = [key_b[i] for i in survivors]
-    return (
-        toeplitz_compress(kept_a, out_len, hash_seed),
-        toeplitz_compress(kept_b, out_len, hash_seed),
-    )
+    return [
+        toeplitz_compress([key[i] for i in survivors], out_len, hash_seed)
+        for key in (keys if keys is not None else (key_a, key_b))
+    ]
 
 
 def key_digest(bits: Sequence[int]) -> str:
@@ -362,24 +344,6 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
     return Verdict(VerdictKind.ABORT_RETRY)
 
 
-def _rotate_light(light: Light, delta: float) -> Light:
-    if isinstance(light, CoherentPulse):
-        return rotate(light, delta)
-    return rotate_batch(light, delta)
-
-
-def _propagate(light: Light, t: float, rng: np.random.Generator) -> Light:
-    if t == 1.0:
-        return light
-    if isinstance(light, CoherentPulse):
-        return attenuate(light, t)
-    return thin_batch(light, t, rng)
-
-
-def _mean_of(light: Light) -> float:
-    return light.mean_photons if isinstance(light, CoherentPulse) else float(light.count)
-
-
 def _run_round(
     index: int,
     sender: SenderState,
@@ -394,24 +358,22 @@ def _run_round(
     pns_hop = strategy.channel_index if isinstance(strategy, adv.PnsSplit) else 0
     trace: list[PulseSnapshot] = []
 
-    def snap(stage: str, light: Light) -> None:
+    def snap(stage: str, light: PhotonBatch) -> None:
         if want_trace:
-            trace.append(PulseSnapshot(stage, _mean_of(light), light.polarization.radians))
+            trace.append(PulseSnapshot(stage, light.count, light.polarization.radians))
 
-    light: Light = alice_prepare(sender, rng)
-    snap("alice_out", light)
-    hop = 0
-    for i in range(1, n + 1):  # forward hops 1..N: into each receiver
-        hop += 1
-        light = _propagate(light, hop_t[hop - 1], rng)
+    def hop_to(hop: int, light: PhotonBatch) -> PhotonBatch:
+        light = thin_batch(light, hop_t[hop - 1], rng)
         if hop == pns_hop:
-            light = adv.pns_intercept(light, rng, eve_state, index)
-        light = receiver_forward(receivers[i - 1], light, rng)
+            light = adv.pns_intercept(light, eve_state, index)
+        return light
+
+    light = alice_prepare(sender, rng)
+    snap("alice_out", light)
+    for i in range(1, n + 1):  # forward hops 1..N: into each receiver
+        light = receiver_forward(receivers[i - 1], hop_to(i, light), rng)
         snap(f"rec{i}_forward", light)
-    hop += 1  # hop N+1: Rec-N back to Alice
-    light = _propagate(light, hop_t[hop - 1], rng)
-    if hop == pns_hop:
-        light = adv.pns_intercept(light, rng, eve_state, index)
+    light = hop_to(n + 1, light)  # hop N+1: Rec-N back to Alice
 
     bit = int(rng.integers(2))
     light = alice_encode(sender, light, bit, rng)
@@ -419,40 +381,36 @@ def _run_round(
 
     if isinstance(strategy, adv.TagPhoton):
         adv.tag_attack_round(
-            sender.key_angles[-1],
+            sender.key_angle,
             rng,
             eve_state,
             alice_uses_bs=sender.bs_ratio < 1.0,
             alice_bs_ratio=sender.bs_ratio,
         )
     if isinstance(strategy, adv.Impersonate):
-        # Eve discriminates the encoded angle one hop out from Alice (her
-        # interception point), then re-encodes her result onto the
-        # substitute pulse the receivers actually processed. In angle
-        # bookkeeping that amounts to shifting the key angle by her
-        # guess error; the intensity profile stays the honest one.
-        usd_mean = sender.mean_photons * sender.bs_ratio * hop_t[hop]
-        guess = adv.impersonate_guess(sender.key_angles[-1], usd_mean, rng, eve_state)
-        light = _rotate_light(light, (guess - sender.key_angles[-1]).radians)
+        # Eve keeps Alice's encoded pulse and discriminates it, then
+        # re-encodes her result onto the substitute pulse the receivers
+        # actually process. Her pulse is independent of the substitute,
+        # so its count is a draw of its own; in angle bookkeeping the
+        # substitute is the honest pulse shifted by her guess error.
+        usd_mean = adv.intercepted_mean(sender.mean_photons, sender.bs_ratio, hop_t)
+        offset = adv.impersonate_round(int(rng.poisson(usd_mean)), rng, eve_state)
+        light = rotate_batch(light, offset * QUARTER_TURN)
         snap("eve_reencoded", light)
 
     for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
-        hop += 1
-        light = _propagate(light, hop_t[hop - 1], rng)
-        if hop == pns_hop:
-            light = adv.pns_intercept(light, rng, eve_state, index)
-        light = receiver_backward(receivers[i - 1], light)
+        light = receiver_backward(receivers[i - 1], hop_to(2 * n + 2 - i, light))
         snap(f"rec{i}_backward", light)
-    rect, diag = rec1_measure(receivers[0], light, rng)
+    rect, diag = rec1_measure(light, rng)
 
     return RoundRecord(
         index=index,
-        theta=sender.thetas[-1],
-        phis=tuple(r.hide_angles[-1] for r in receivers),
-        shuffles=tuple(r.shuffle_angles[-1].quarter_turns for r in receivers),
-        basis_choice=sender.basis_choices[-1],
+        theta=sender.theta,
+        phis=tuple(r.hide_angle for r in receivers),
+        shuffles=tuple(r.shuffle.quarter_turns for r in receivers),
+        basis_choice=sender.basis_choice,
         bit=bit,
-        key_angle=sender.key_angles[-1].quarter_turns,
+        key_angle=sender.key_angle.quarter_turns,
         rect_outcome=rect,
         diag_outcome=diag,
         trace=tuple(trace) if want_trace else None,
@@ -461,17 +419,16 @@ def _run_round(
 
 def _decode_phase(
     kept: list[RoundRecord],
-    receivers: list[ReceiverState],
+    n: int,
     dishonest: int | None,
     rng: np.random.Generator,
 ) -> tuple[list[int], list[list[int]]]:
     """Exchange decision angles and decode; a dishonest receiver corrupts its report.
 
-    Returns the publicly exchanged (consensus) decode plus each
-    receiver's private decode. A liar announces a corrupted angle but
+    Returns the publicly exchanged (consensus) decode plus each of the n
+    receivers' private decodes. A liar announces a corrupted angle but
     uses its true one, so only the victims end up with a wrong key.
     """
-    n = len(receivers)
     consensus_bits: list[int] = []
     private_bits: list[list[int]] = [[] for _ in range(n)]
     for record in kept:
@@ -490,9 +447,6 @@ def _decode_phase(
             view = list(reported)
             view[m] = true_decisions[m]
             private_bits[m].append(angle_to_bit(cooperative_decode(view[0], view[1:])))
-        receivers[0].decision_angles.append(true_decisions[0])
-        for m in range(1, n):
-            receivers[m].decision_angles.append(true_decisions[m])
     return consensus_bits, private_bits
 
 
@@ -505,13 +459,26 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     Fully deterministic for a given seed and configuration.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
-    sifted bits exist; otherwise exactly ``rounds`` rounds run.
+    sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
+    that even the honest keep rate cannot reach within the round cap is
+    rejected before the first round.
     """
     config.validate()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n = config.receivers
     hop_t = config.hop_transmissions()
+    target = config.target_key_bits
+    # Sifting keeps a round when the selected arm, which holds half of
+    # the surviving photons, is not empty. No attack raises that rate.
+    mu_final = config.mean_photons * config.bs_ratio * math.prod(hop_t)
+    reachable = _MAX_TARGET_ROUNDS * -math.expm1(-mu_final / 2.0)
+    if target > reachable:
+        raise ConfigError(
+            "key_bits",
+            f"{target} sifted bits need more than {_MAX_TARGET_ROUNDS} rounds"
+            f" at the expected keep rate (about {reachable:.3g} bits reachable)",
+        )
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     strategy = config.strategy()
     eve_state = None if isinstance(strategy, adv.NoAttack) else adv.EveState()
 
@@ -520,7 +487,6 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
 
     records: list[RoundRecord] = []
     kept_count = 0
-    target = config.target_key_bits
     while True:
         if target > 0:
             if kept_count >= target:
@@ -535,55 +501,42 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             len(records), sender, receivers, hop_t, strategy, eve_state, rng, config.trace
         )
         records.append(record)
-        if target > 0:
-            # The simulator may pre-count keepable rounds; parties only
-            # learn sift status after the basis announcement.
-            probe = RoundRecord(**{f: getattr(record, f) for f in (
-                "index", "theta", "phis", "shuffles", "basis_choice", "bit",
-                "key_angle", "rect_outcome", "diag_outcome")})
-            _sift_one(probe, record.basis_choice)
-            if probe.status is SiftStatus.KEPT:
-                kept_count += 1
+        # The simulator may pre-count keepable rounds; parties only
+        # learn sift status after the basis announcement.
+        if target > 0 and _sifted_outcome(record, record.basis_choice).is_angle:
+            kept_count += 1
 
     announced = [record.basis_choice for record in records]
     kept = sift(records, announced)
     dishonest = config.dishonest_receiver if config.dishonest_receiver else None
-    consensus_bits, private_bits = _decode_phase(kept, receivers, dishonest, rng)
+    consensus_bits, private_bits = _decode_phase(kept, n, dishonest, rng)
 
     alice_bits = [record.bit for record in kept]
     mismatches = sum(1 for a, b in zip(alice_bits, consensus_bits) if a != b)
     qber = mismatches / len(kept) if kept else 0.0
     discard_fraction = 1.0 - len(kept) / len(records) if records else 0.0
 
-    pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
-    aborted = False
+    verdict = None
+    alice_final = list(alice_bits)
+    receiver_finals = [list(bits) for bits in private_bits]
     if config.parity_block > 0 and kept:
-        survivors = parity_survivor_indices(alice_bits, consensus_bits, config.parity_block)
-        out_len = int(len(survivors) * PA_COMPRESSION)
-        if out_len == 0:
-            aborted = True
-            alice_final: list[int] = []
-            receiver_finals: list[list[int]] = [[] for _ in range(n)]
-        else:
-            alice_final = toeplitz_compress([alice_bits[i] for i in survivors], out_len, pa_seed)
-            receiver_finals = [
-                toeplitz_compress([bits[i] for i in survivors], out_len, pa_seed)
-                for bits in private_bits
-            ]
-    else:
-        alice_final = list(alice_bits)
-        receiver_finals = [list(bits) for bits in private_bits]
-
-    if aborted:
-        verdict = Verdict(VerdictKind.ABORT_RETRY)
-    else:
+        pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
+        try:
+            alice_final, *receiver_finals = reconcile_and_amplify(
+                alice_bits, consensus_bits, config.parity_block, pa_seed,
+                keys=[alice_bits, *private_bits],
+            )
+        except ProtocolRestart:
+            alice_final, receiver_finals = [], [[] for _ in range(n)]
+            verdict = Verdict(VerdictKind.ABORT_RETRY)
+    if verdict is None:
         verdict = integrity_check(
             key_digest(alice_final), [key_digest(k) for k in receiver_finals]
         )
 
     eve_summary = None
     if eve_state is not None:
-        eve_summary = _score_eve(strategy, eve_state, records, kept, sender, rng)
+        eve_summary = _score_eve(strategy, eve_state, records, kept, rng)
 
     return SessionResult(
         rounds_executed=len(records),
@@ -605,7 +558,6 @@ def _score_eve(
     eve_state: adv.EveState,
     records: list[RoundRecord],
     kept: list[RoundRecord],
-    sender: SenderState,
     rng: np.random.Generator,
 ) -> adv.EveSummary:
     """Grant Eve the public announcements and score what she extracted."""
@@ -624,11 +576,10 @@ def _score_eve(
             recovery_rate=rate,
         )
     if isinstance(strategy, adv.PnsSplit):
-        estimator = strategy.estimator or adv.ml_single_photon_estimator
         correct = 0
         for record in records:
             stored = eve_state.stored_photons.get(record.index)
-            guess = estimator(stored, record.basis_choice, rng)
+            guess = adv.ml_single_photon_estimator(stored, record.basis_choice, rng)
             eve_state.guesses.append(guess)
             if guess == record.bit:
                 correct += 1

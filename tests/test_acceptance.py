@@ -25,6 +25,7 @@ from sqss import (
     p_error_closed_form,
     run_session,
 )
+from sqss.analysis import poisson_pmf
 
 # Decode table as conventionally printed, expressed in quarter turns
 # with rows and columns ordered (0, pi/2, pi/4, -pi/4). Our table holds
@@ -37,8 +38,9 @@ CONVENTIONAL_TABLE = [
 ]
 
 
-def _report(num: int, ok: bool, detail: str) -> bool:
-    print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'}: {detail}")
+def _report(num: int | str, ok: bool, detail: str) -> bool:
+    label = f"{num:02d}" if isinstance(num, int) else num
+    print(f"[criterion {label}] {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
 
 
@@ -277,6 +279,49 @@ def test_09_discard_fraction_matches_vacuum_oracle():
         ok,
         f"discard fraction vs exp(-mu_final/2) at mu_final in"
         f" (0.5, 2, 4), 10^5 rounds: worst {worst:.2f} sigma (<= 3)",
+    )
+
+
+def _pns_discard_oracle(mu: float, hop_t: list[float], channel: int) -> float:
+    """Vacuum-discard fraction when Eve's photon count carries on.
+
+    The pulse reaching the tapped hop holds n ~ Poisson(lam) photons and
+    Eve keeps one when n >= 2. Each photon she forwards reaches Rec-1
+    with probability q and the sifted arm with probability 1/2, so that
+    arm is empty with probability (1 - q/2)**m for the m she forwards.
+    """
+    lam = mu * math.prod(hop_t[:channel])
+    q = math.prod(hop_t[channel:])
+    cutoff = int(lam + 20.0 * math.sqrt(lam) + 20.0)
+    return sum(
+        poisson_pmf(n, lam) * (1.0 - q / 2.0) ** (n - 1 if n >= 2 else n)
+        for n in range(cutoff + 1)
+    )
+
+
+def test_09b_pns_discard_fraction_matches_count_oracle():
+    worst = 0.0
+    for idx, channel in enumerate((1, 3)):
+        config = SimConfig(
+            receivers=2,
+            mean_photons=6.0,
+            transmission=0.5,
+            rounds=50_000,
+            adversary="pns",
+            pns_channel=channel,
+            parity_block=0,
+            seed=310 + idx,
+        )
+        result = run_session(config)
+        expected = _pns_discard_oracle(6.0, config.hop_transmissions(), channel)
+        sigma = math.sqrt(expected * (1.0 - expected) / result.rounds_executed)
+        worst = max(worst, abs(result.discard_fraction - expected) / sigma)
+    ok = worst <= 3.0
+    assert _report(
+        "09b",
+        ok,
+        f"pns discard fraction vs the carried-count oracle at N=2, mu=6,"
+        f" T=0.5, channels (1, 3), 5x10^4 rounds: worst {worst:.2f} sigma (<= 3)",
     )
 
 

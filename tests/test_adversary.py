@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from sqss.adversary import (
     EveState,
     eve_mean_photons,
-    impersonate_error_given_count,
     impersonate_round,
+    intercepted_mean,
     ml_single_photon_estimator,
     pns_intercept,
     tag_attack_round,
     usd_success,
 )
-from sqss.optics import CoherentPulse, DecisionAngle, PhotonBatch, PolarizationAngle
+from sqss.analysis import monte_carlo_p_error
+from sqss.optics import DecisionAngle, PhotonBatch, PolarizationAngle
+from sqss.protocol import SenderState, alice_prepare
 
 
 class TestUsdSuccess:
@@ -75,34 +77,31 @@ class TestEveMeanPhotons:
 
 class TestPnsIntercept:
     def test_single_photon_passes_untouched(self):
-        rng = np.random.default_rng(0)
         state = EveState()
         batch = PhotonBatch(1, PolarizationAngle(0.4))
-        out = pns_intercept(batch, rng, state, round_index=0)
+        out = pns_intercept(batch, state, round_index=0)
         assert out is batch
         assert not state.stored_photons
 
     def test_five_photons_split(self):
-        rng = np.random.default_rng(0)
         state = EveState()
         batch = PhotonBatch(5, PolarizationAngle(0.4))
-        out = pns_intercept(batch, rng, state, round_index=3)
+        out = pns_intercept(batch, state, round_index=3)
         assert isinstance(out, PhotonBatch) and out.count == 4
         assert state.stored_photons[3].radians == pytest.approx(0.4)
 
     def test_coherent_pulse_is_counted_first(self):
+        # Eve counts the photons the source drew; she does not draw her own.
         rng = np.random.default_rng(1)
         state = EveState()
-        pulse = CoherentPulse(40.0, PolarizationAngle(0.1))
-        out = pns_intercept(pulse, rng, state, round_index=0)
+        pulse = alice_prepare(SenderState(mean_photons=40.0), rng)
+        out = pns_intercept(pulse, state, round_index=0)
         # mean 40 makes n >= 2 essentially certain
-        assert isinstance(out, PhotonBatch)
-        assert out.count >= 1
+        assert out.count == pulse.count - 1
         assert 0 in state.stored_photons
 
     def test_works_without_state(self):
-        rng = np.random.default_rng(2)
-        out = pns_intercept(PhotonBatch(3, PolarizationAngle(0)), rng, None, 0)
+        out = pns_intercept(PhotonBatch(3, PolarizationAngle(0)), None, 0)
         assert out.count == 2
 
 
@@ -132,20 +131,25 @@ class TestTagAttack:
         assert abs(survived / n - 0.5) < 3 * sigma
 
 
+def _flips_bit(offset, rng):
+    """Whether a guess off by ``offset`` quarter turns flips the sifted bit."""
+    return offset == 2 or (offset % 2 == 1 and rng.random() < 0.5)
+
+
 class TestImpersonation:
     def test_forced_zero_photons_is_a_pure_guess(self):
         # Discrimination never works on vacuum, so the error rate is the
         # wrong-guess average: 1/4 silent + 1/4 flip + 1/2 coin = 1/2.
         rng = np.random.default_rng(21)
         n_trials = 100000
-        errors = sum(impersonate_error_given_count(0, rng) for _ in range(n_trials))
+        errors = sum(_flips_bit(impersonate_round(0, rng), rng) for _ in range(n_trials))
         sigma = math.sqrt(0.25 / n_trials)
         assert abs(errors / n_trials - 0.5) < 3 * sigma
 
     def test_forced_ten_photons_rarely_errs(self):
         rng = np.random.default_rng(22)
         n_trials = 100000
-        errors = sum(impersonate_error_given_count(10, rng) for _ in range(n_trials))
+        errors = sum(_flips_bit(impersonate_round(10, rng), rng) for _ in range(n_trials))
         expected = (1.0 - usd_success(10)) / 2.0
         sigma = math.sqrt(expected * (1 - expected) / n_trials)
         assert abs(errors / n_trials - expected) < 3 * sigma
@@ -155,7 +159,11 @@ class TestImpersonation:
 
         rng = np.random.default_rng(23)
         n_trials = 50000
-        errors = sum(impersonate_round(6.0, 0.5, rng) for _ in range(n_trials))
+        usd_mean = intercepted_mean(6.0, 1.0, [0.5] * 5)
+        errors = sum(
+            _flips_bit(impersonate_round(int(rng.poisson(usd_mean)), rng), rng)
+            for _ in range(n_trials)
+        )
         expected = p_error_closed_form(6.0, 0.5)
         sigma = math.sqrt(expected * (1 - expected) / n_trials)
         assert abs(errors / n_trials - expected) < 3 * sigma
@@ -164,15 +172,22 @@ class TestImpersonation:
         rng = np.random.default_rng(24)
         state = EveState()
         for _ in range(10):
-            impersonate_round(6.0, 0.5, rng, state)
+            impersonate_round(3, rng, state)
         assert len(state.usd_successes) == 10
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            impersonate_round(-1.0, 0.5, rng)
+            impersonate_round(-1, rng)
         with pytest.raises(ValueError):
-            impersonate_round(6.0, 0.0, rng)
+            monte_carlo_p_error(-1.0, 0.5, 10000, rng)
+        with pytest.raises(ValueError):
+            monte_carlo_p_error(6.0, 0.0, 10000, rng)
+
+    def test_intercepted_hop_is_the_first_backward_hop(self):
+        # travel order for N=2: three forward hops, then Alice -> Rec-2
+        hops = [0.9, 0.8, 0.7, 0.5, 0.6]
+        assert intercepted_mean(6.0, 0.5, hops) == 6.0 * 0.5 * 0.5
 
 
 class TestMlEstimator:

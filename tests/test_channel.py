@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from sqss.channel import (
     FiberLink,
     Topology,
-    attenuate,
     solve_loss_budget,
     thin_batch,
     transmission,
     uniform_hop_transmissions,
 )
-from sqss.optics import CoherentPulse, PhotonBatch, PolarizationAngle
+from sqss.optics import PhotonBatch, PolarizationAngle
 
 
 def test_transmission_zero_length():
@@ -60,29 +59,39 @@ def test_negative_parameters_rejected():
 
 
 def test_attenuate_scales_mean_only():
-    pulse = CoherentPulse(6.0, PolarizationAngle(0.8))
-    out = attenuate(pulse, 0.5)
-    assert out.mean_photons == pytest.approx(3.0)
+    # Thinning a Poisson count leaves a Poisson count of mean mu * t:
+    # the vacuum probability and the mean both follow the scaled mean.
+    rng = np.random.default_rng(11)
+    n = 10000
+    counts = np.array([
+        thin_batch(PhotonBatch(int(rng.poisson(6.0)), PolarizationAngle(0.8)), 0.5, rng).count
+        for _ in range(n)
+    ])
+    p0 = np.mean(counts == 0)
+    sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
+    assert abs(p0 - math.exp(-3.0)) < 3 * sigma0
+    assert abs(counts.mean() - 3.0) < 3 * math.sqrt(3.0 / n)
+    out = thin_batch(PhotonBatch(6, PolarizationAngle(0.8)), 0.5, rng)
     assert out.polarization.radians == pytest.approx(0.8)
 
 
-def test_attenuate_lossless_identity():
-    pulse = CoherentPulse(2.0, PolarizationAngle(0.1))
-    assert attenuate(pulse, 1.0).mean_photons == 2.0
-
-
 def test_attenuate_is_multiplicative():
-    pulse = CoherentPulse(5.0, PolarizationAngle(0.0))
-    twice = attenuate(attenuate(pulse, 0.7), 0.7)
-    once = attenuate(pulse, 0.49)
-    assert twice.mean_photons == pytest.approx(once.mean_photons)
+    # Two hops of 0.7 lose photons exactly like one hop of 0.49.
+    rng = np.random.default_rng(5)
+    n = 10000
+    batch = PhotonBatch(5, PolarizationAngle(0.0))
+    twice = sum(thin_batch(thin_batch(batch, 0.7, rng), 0.7, rng).count for _ in range(n))
+    once = sum(thin_batch(batch, 0.49, rng).count for _ in range(n))
+    sigma = math.sqrt(2 * 5 * 0.49 * 0.51 / n)
+    assert abs(twice / n - once / n) < 3 * sigma
 
 
 def test_attenuate_rejects_bad_transmission():
-    pulse = CoherentPulse(1.0, PolarizationAngle(0.0))
+    batch = PhotonBatch(1, PolarizationAngle(0.0))
+    rng = np.random.default_rng(0)
     for t in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            attenuate(pulse, t)
+            thin_batch(batch, t, rng)
 
 
 def test_thin_batch_statistics():

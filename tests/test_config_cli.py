@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from sqss import cli
@@ -232,6 +238,24 @@ class TestCliSimulate:
         assert code == cli.EXIT_CONFIG
         assert "mu" in captured.err
         assert captured.out == ""  # no partial report
+
+    def test_unreachable_key_bits_target_fails_fast(self):
+        # The honest keep rate bounds every strategy, so a target it cannot
+        # reach within the round cap is a configuration error up front.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqss", "simulate",
+             "--override", "key_bits=10", "--override", "transmission=1e-6"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "key_bits" in proc.stderr
+        assert proc.stdout == ""
+        assert elapsed < 5.0
 
     def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([

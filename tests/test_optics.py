@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqss.optics import (
-    CoherentPulse,
     DecisionAngle,
     MeasurementBasis,
     MeasurementOutcome,
@@ -14,14 +13,12 @@ from sqss.optics import (
     PhotonBatch,
     PolarizationAngle,
     basis_of,
-    beam_split,
     decision_add,
     pbs_measure,
-    rotate,
     rotate_batch,
-    sample_photon_count,
     split_batch,
 )
+from sqss.protocol import SenderState, alice_prepare
 
 QT = math.pi / 4
 
@@ -131,24 +128,23 @@ class TestBasis:
 
 class TestPulses:
     def test_negative_mean_rejected(self):
+        # the source draws Poisson(mu), which has no negative mean
         with pytest.raises(ValueError):
-            CoherentPulse(-0.1, PolarizationAngle(0.0))
+            alice_prepare(SenderState(mean_photons=-0.1), np.random.default_rng(0))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             PhotonBatch(-1, PolarizationAngle(0.0))
 
     def test_rotate_known_cases(self):
-        p = CoherentPulse(2.0, PolarizationAngle(0.0))
-        assert rotate(p, math.pi / 2).polarization.radians == pytest.approx(math.pi / 2)
-        p = CoherentPulse(2.0, PolarizationAngle(3 * math.pi / 4))
-        assert rotate(p, math.pi / 2).polarization.radians == pytest.approx(math.pi / 4)
-        p = CoherentPulse(2.0, PolarizationAngle(0.3))
-        assert rotate(p, -0.3).polarization.radians == pytest.approx(0.0)
+        p = PhotonBatch(2, PolarizationAngle(0.0))
+        assert rotate_batch(p, math.pi / 2).polarization.radians == pytest.approx(math.pi / 2)
+        p = PhotonBatch(2, PolarizationAngle(3 * math.pi / 4))
+        assert rotate_batch(p, math.pi / 2).polarization.radians == pytest.approx(math.pi / 4)
+        p = PhotonBatch(2, PolarizationAngle(0.3))
+        assert rotate_batch(p, -0.3).polarization.radians == pytest.approx(0.0)
 
     def test_rotate_preserves_mean(self):
-        p = CoherentPulse(5.5, PolarizationAngle(1.0))
-        assert rotate(p, 0.7).mean_photons == 5.5
         batch = PhotonBatch(4, PolarizationAngle(1.0))
         assert rotate_batch(batch, 0.7).count == 4
 
@@ -159,23 +155,25 @@ class TestPulses:
     )
     @settings(max_examples=200)
     def test_rotate_composes(self, a, b, start):
-        p = CoherentPulse(1.0, PolarizationAngle(start))
-        stepwise = rotate(rotate(p, a), b)
-        direct = rotate(p, a + b)
+        p = PhotonBatch(1, PolarizationAngle(start))
+        stepwise = rotate_batch(rotate_batch(p, a), b)
+        direct = rotate_batch(p, a + b)
         assert stepwise.polarization.is_close(direct.polarization, tol=1e-12)
 
 
 class TestSampling:
+    """The source draws the photon number of each pulse."""
+
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
-        pulse = CoherentPulse(0.0, PolarizationAngle(0.2))
-        assert all(sample_photon_count(pulse, rng).count == 0 for _ in range(100))
+        state = SenderState(mean_photons=0.0)
+        assert all(alice_prepare(state, rng).count == 0 for _ in range(100))
 
     def test_poisson_statistics(self):
         rng = np.random.default_rng(123)
-        pulse = CoherentPulse(3.0, PolarizationAngle(0.0))
+        state = SenderState(mean_photons=3.0)
         n = 10**6
-        counts = np.array([sample_photon_count(pulse, rng).count for _ in range(n)])
+        counts = np.array([alice_prepare(state, rng).count for _ in range(n)])
         p0 = np.mean(counts == 0)
         sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
         assert abs(p0 - math.exp(-3.0)) < 3 * sigma0
@@ -184,38 +182,34 @@ class TestSampling:
 
     def test_polarization_carried_over(self):
         rng = np.random.default_rng(5)
-        pulse = CoherentPulse(2.0, PolarizationAngle(0.9))
-        assert sample_photon_count(pulse, rng).polarization.radians == pytest.approx(0.9)
+        state = SenderState(mean_photons=2.0)
+        pulse = alice_prepare(state, rng)
+        assert pulse.polarization.radians == pytest.approx(state.theta)
 
 
 class TestBeamSplit:
     def test_reference_ratios(self):
-        p = CoherentPulse(6.0, PolarizationAngle(0.4))
-        t, r = beam_split(p, 0.5)
-        assert (t.mean_photons, r.mean_photons) == (3.0, 3.0)
-        t, r = beam_split(p, 1.0)
-        assert (t.mean_photons, r.mean_photons) == (6.0, 0.0)
-        t, r = beam_split(CoherentPulse(4.0, PolarizationAngle(0.4)), 0.25)
-        assert (t.mean_photons, r.mean_photons) == (1.0, 3.0)
-
-    def test_exact_conservation_on_random_inputs(self):
-        rng = np.random.default_rng(77)
-        for _ in range(500):
-            mu = float(rng.random() * 20)
-            ratio = float(rng.random())
-            t, r = beam_split(CoherentPulse(mu, PolarizationAngle(0.0)), ratio)
-            assert t.mean_photons + r.mean_photons == mu
+        rng = np.random.default_rng(0)
+        p = PhotonBatch(6, PolarizationAngle(0.4))
+        t, r = split_batch(p, 1.0, rng)
+        assert (t.count, r.count) == (6, 0)
+        t, r = split_batch(p, 0.0, rng)
+        assert (t.count, r.count) == (0, 6)
+        t, r = split_batch(PhotonBatch(0, PolarizationAngle(0.4)), 0.25, rng)
+        assert (t.count, r.count) == (0, 0)
 
     def test_polarization_shared_by_both_arms(self):
-        t, r = beam_split(CoherentPulse(2.0, PolarizationAngle(1.1)), 0.3)
+        rng = np.random.default_rng(0)
+        t, r = split_batch(PhotonBatch(2, PolarizationAngle(1.1)), 0.3, rng)
         assert t.polarization.radians == r.polarization.radians == pytest.approx(1.1)
 
     def test_ratio_out_of_range(self):
-        p = CoherentPulse(1.0, PolarizationAngle(0.0))
+        rng = np.random.default_rng(0)
+        p = PhotonBatch(1, PolarizationAngle(0.0))
         with pytest.raises(ValueError):
-            beam_split(p, -0.01)
+            split_batch(p, -0.01, rng)
         with pytest.raises(ValueError):
-            beam_split(p, 1.01)
+            split_batch(p, 1.01, rng)
 
     @given(st.integers(0, 200), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_split_batch_conserves_photons(self, count, ratio):

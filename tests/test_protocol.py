@@ -8,10 +8,10 @@ from scipy import stats
 
 from sqss.config import SimConfig
 from sqss.optics import (
-    CoherentPulse,
     DecisionAngle,
     MeasurementBasis,
     MeasurementOutcome,
+    PhotonBatch,
     PolarizationAngle,
 )
 from sqss.protocol import (
@@ -57,6 +57,10 @@ class ZeroRng:
 
     def random(self):
         return 0.0
+
+    def poisson(self, lam):
+        self.lam = lam
+        return 5
 
 
 class TestEncodeMap:
@@ -121,112 +125,116 @@ class TestCooperativeDecode:
 class TestSenderOps:
     def test_prepare_with_theta_forced_to_zero(self):
         state = SenderState(mean_photons=6.0)
-        pulse = alice_prepare(state, ZeroRng())
+        rng = ZeroRng()
+        pulse = alice_prepare(state, rng)
         assert pulse.polarization.radians == 0.0
-        assert pulse.mean_photons == 6.0
+        # the count is one Poisson draw at the configured mean
+        assert rng.lam == 6.0
+        assert pulse.count == 5
 
     def test_theta_uniform_on_half_circle(self):
         state = SenderState(mean_photons=6.0)
         rng = np.random.default_rng(8)
+        thetas = []
         for _ in range(100000):
             alice_prepare(state, rng)
-        result = stats.kstest(np.array(state.thetas) / math.pi, "uniform")
+            thetas.append(state.theta)
+        result = stats.kstest(np.array(thetas) / math.pi, "uniform")
         assert result.pvalue > 0.01
 
     def test_encode_net_rotation(self):
         # bit=0 in family 1 is the zero angle, so encoding just removes theta.
-        state = SenderState(mean_photons=6.0)
-        state.thetas.append(0.7)
-        pulse = CoherentPulse(6.0, PolarizationAngle(0.7))
+        state = SenderState(mean_photons=6.0, theta=0.7)
+        pulse = PhotonBatch(6, PolarizationAngle(0.7))
         rng = np.random.default_rng(0)
         out = alice_encode(state, pulse, 0, rng)
-        if state.key_angles[-1] == DecisionAngle(0):
+        if state.key_angle == DecisionAngle(0):
             assert out.polarization.radians == pytest.approx(0.0, abs=1e-12)
         else:
             assert out.polarization.radians == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_encode_applies_full_state_rotation(self):
         # Incoming theta + sum(phi_i + s_i) must leave as k + sum(phi_i + s_i).
-        state = SenderState(mean_photons=6.0)
-        state.thetas.append(0.4)
+        state = SenderState(mean_photons=6.0, theta=0.4)
         accumulated = 0.4 + 1.234  # theta plus the receivers' rotations
-        pulse = CoherentPulse(6.0, PolarizationAngle(accumulated))
+        pulse = PhotonBatch(6, PolarizationAngle(accumulated))
         out = alice_encode(state, pulse, 1, np.random.default_rng(3))
-        k = state.key_angles[-1]
+        k = state.key_angle
         expected = PolarizationAngle(k.radians + 1.234)
         assert out.polarization.is_close(expected, tol=1e-12)
 
     def test_basis_family_choice_is_balanced(self):
         state = SenderState(mean_photons=6.0)
         rng = np.random.default_rng(9)
-        pulse = CoherentPulse(6.0, PolarizationAngle(0.0))
+        pulse = PhotonBatch(6, PolarizationAngle(0.0))
         n = 100000
+        ones = 0
         for _ in range(n):
-            state.thetas.append(0.0)
             alice_encode(state, pulse, 0, rng)
-        ones = sum(1 for j in state.basis_choices if j == 1)
+            ones += state.basis_choice == 1
         assert stats.binomtest(ones, n, 0.5).pvalue > 0.01
 
     def test_countermeasure_splits_the_pulse(self):
+        # Each photon leaves the storage splitter with the transmitted ratio.
         state = SenderState(mean_photons=6.0, bs_ratio=0.5)
-        state.thetas.append(0.0)
-        pulse = CoherentPulse(6.0, PolarizationAngle(0.0))
-        out = alice_encode(state, pulse, 0, np.random.default_rng(0))
-        assert out.mean_photons == pytest.approx(3.0)
+        pulse = PhotonBatch(6, PolarizationAngle(0.0))
+        rng = np.random.default_rng(0)
+        n_trials = 20000
+        kept = sum(alice_encode(state, pulse, 0, rng).count for _ in range(n_trials))
+        sigma = math.sqrt(6 * 0.5 * 0.5 / n_trials)
+        assert abs(kept / n_trials - 3.0) < 3 * sigma
 
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
         state = ReceiverState(index=1)
-        pulse = CoherentPulse(6.0, PolarizationAngle(0.5))
+        pulse = PhotonBatch(6, PolarizationAngle(0.5))
         out = receiver_forward(state, pulse, np.random.default_rng(4))
-        phi = state.hide_angles[-1]
-        s = state.shuffle_angles[-1]
+        phi = state.hide_angle
+        s = state.shuffle
         assert out.polarization.is_close(PolarizationAngle(0.5 + phi + s.radians), tol=1e-12)
 
     def test_shuffles_uniform_over_four_values(self):
         state = ReceiverState(index=1)
         rng = np.random.default_rng(10)
-        pulse = CoherentPulse(6.0, PolarizationAngle(0.0))
+        pulse = PhotonBatch(6, PolarizationAngle(0.0))
+        shuffles = []
         for _ in range(100000):
             receiver_forward(state, pulse, rng)
-        counts = np.bincount([s.quarter_turns for s in state.shuffle_angles], minlength=4)
+            shuffles.append(state.shuffle.quarter_turns)
+        counts = np.bincount(shuffles, minlength=4)
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_backward_removes_only_the_hide_angle(self):
         state = ReceiverState(index=1)
-        pulse = CoherentPulse(6.0, PolarizationAngle(0.2))
+        pulse = PhotonBatch(6, PolarizationAngle(0.2))
         forwarded = receiver_forward(state, pulse, np.random.default_rng(6))
         back = receiver_backward(state, forwarded)
-        s = state.shuffle_angles[-1]
+        s = state.shuffle
         assert back.polarization.is_close(PolarizationAngle(0.2 + s.radians), tol=1e-12)
 
 
 class TestRec1Measure:
     def test_aligned_rect_arm_is_deterministic(self):
-        state = ReceiverState(index=1)
         rng = np.random.default_rng(12)
-        pulse = CoherentPulse(400.0, DecisionAngle(2).to_polarization())
-        rect, diag = rec1_measure(state, pulse, rng)
+        pulse = PhotonBatch(400, DecisionAngle(2).to_polarization())
+        rect, diag = rec1_measure(pulse, rng)
         assert rect.is_angle and rect.angle == DecisionAngle(2)
-        assert state.stored_outcomes[-1] == (rect, diag)
 
     def test_vacuum_pulse_gives_vacuum_arms(self):
-        state = ReceiverState(index=1)
         rng = np.random.default_rng(13)
-        rect, diag = rec1_measure(state, CoherentPulse(0.0, PolarizationAngle(0.1)), rng)
+        rect, diag = rec1_measure(PhotonBatch(0, PolarizationAngle(0.1)), rng)
         assert rect.is_vacuum and diag.is_vacuum
 
     def test_arm_vacuum_frequency(self):
-        # Each arm sees a Poisson count with half the final mean.
-        state = ReceiverState(index=1)
+        # Each arm of a Poisson pulse sees a Poisson count with half the final mean.
+        source = SenderState(mean_photons=2.0)
         rng = np.random.default_rng(14)
         mu_final = 2.0
-        pulse = CoherentPulse(mu_final, PolarizationAngle(0.0))
         n = 100000
         vacuums = 0
         for _ in range(n):
-            rect, _ = rec1_measure(state, pulse, rng)
+            rect, _ = rec1_measure(alice_prepare(source, rng), rng)
             vacuums += rect.is_vacuum
         expected = math.exp(-mu_final / 2.0)
         sigma = math.sqrt(expected * (1 - expected) / n)
@@ -350,6 +358,15 @@ class TestReconcile:
         a, b = reconcile_and_amplify(key, list(key), 8)
         assert a == b
         assert len(a) == 16
+
+    def test_every_key_shares_the_survivors(self):
+        key_a = [0] * 32
+        key_b = [0] * 32
+        key_b[11] = 1
+        other = [1] * 32
+        a, c = reconcile_and_amplify(key_a, key_b, 8, hash_seed=5, keys=[key_a, other])
+        assert a == toeplitz_compress([0] * 24, 12, 5)
+        assert c == toeplitz_compress([1] * 24, 12, 5)
 
     def test_single_flip_drops_one_block(self):
         key_a = [0] * 32
@@ -524,7 +541,9 @@ class TestRunSession:
             "alice_out", "rec1_forward", "rec2_forward",
             "alice_encoded", "rec2_backward", "rec1_backward",
         ]
-        assert res.records[0].trace[0].mean_photons == 6.0
+        # a lossless ring carries the count drawn at the source to Rec-1
+        counts = {s.photons for s in res.records[0].trace}
+        assert len(counts) == 1 and isinstance(counts.pop(), int)
 
     def test_trace_disabled_by_default(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0, seed=51)
