@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import DecisionAngle, MeasurementBasis, PhotonBatch, PolarizationAngle, pbs_measure
+from .optics import MeasurementBasis, PhotonBatch, pbs_measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,12 +47,9 @@ EveStrategy = NoAttack | PnsSplit | TagPhoton | Impersonate
 
 @dataclass(slots=True)
 class EveState:
-    """Everything Eve accumulates across a session."""
+    """Outcomes of the single-round USD event, for a caller that asks for them."""
 
-    stored_photons: dict[int, PolarizationAngle] = field(default_factory=dict)
-    tag_results: list[DecisionAngle | None] = field(default_factory=list)
     usd_successes: list[bool] = field(default_factory=list)
-    guesses: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,42 +94,27 @@ def usd_success(n: int) -> float:
     return min(1.0 - 0.5 ** ((n - 1) // 2), math.nextafter(1.0, 0.0))
 
 
-def pns_intercept(
-    batch: PhotonBatch, state: EveState | None, round_index: int
-) -> PhotonBatch:
-    """QND-count the pulse at the tapped hop and skim one photon when possible.
+def pns_intercept(batch: PhotonBatch) -> tuple[PhotonBatch, np.ndarray]:
+    """QND-count every pulse at the tapped hop and skim one photon where possible.
 
     A count of two or more lets Eve keep one photon in quantum memory
     and forward the remainder; otherwise the pulse passes untouched.
     Either way the count she read is the one later hops carry on.
+    Returns the forwarded pulses and the mask of rounds where she kept a
+    photon, which shares the pulse's polarization.
     """
-    if batch.count < 2:
-        return batch
-    if state is not None:
-        state.stored_photons[round_index] = batch.polarization
-    return PhotonBatch(batch.count - 1, batch.polarization)
+    stored = batch.count >= 2
+    return PhotonBatch(batch.count - stored, batch.polarization), stored
 
 
-def tag_attack_round(
-    key_angle: DecisionAngle,
-    rng: np.random.Generator,
-    state: EveState | None,
-    alice_uses_bs: bool,
-    alice_bs_ratio: float,
-) -> DecisionAngle | None:
-    """One round of the idealized tagging attack.
+def tag_attack_rounds(size: int, bs_ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """The idealized tagging attack on a chunk of rounds: where the tag survives.
 
-    The tagged photon always reveals the key angle once the basis is
-    public, unless the sender's countermeasure beam splitter deflects it
-    first (survival probability equal to the transmitted ratio).
+    A surviving tag reveals the key angle once the basis is public. The
+    sender's countermeasure beam splitter (ratio < 1) passes it with
+    probability equal to the ratio.
     """
-    survived = True
-    if alice_uses_bs:
-        survived = bool(rng.random() < alice_bs_ratio)
-    result = key_angle if survived else None
-    if state is not None:
-        state.tag_results.append(result)
-    return result
+    return rng.random(size) < bs_ratio if bs_ratio < 1.0 else np.ones(size, dtype=bool)
 
 
 def intercepted_mean(mu: float, bs_ratio: float, hop_t: Sequence[float]) -> float:
@@ -163,17 +145,33 @@ def impersonate_round(n: int, rng: np.random.Generator, state: EveState | None =
     return int(rng.integers(4))
 
 
-def ml_single_photon_estimator(
-    stored: PolarizationAngle | None, basis_choice: int, rng: np.random.Generator
-) -> int:
-    """Eve's PNS bit guess: measure the stored photon in the announced basis.
+def impersonate_rounds(
+    counts: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``impersonate_round`` on a chunk of intercepted pulses with these photon counts.
 
-    With no stored photon the guess is a fair coin. One photon always
-    produces a definite click, whose angle maps to a bit the same way
-    the receivers map theirs.
+    Returns Eve's guess offsets in quarter turns and the mask of rounds
+    where her discrimination succeeded. The success probability of each
+    count is read from a table of ``usd_success``.
     """
-    if stored is None:
-        return int(rng.integers(2))
-    basis = MeasurementBasis.RECTILINEAR if basis_choice == 1 else MeasurementBasis.DIAGONAL
-    outcome = pbs_measure(PhotonBatch(1, stored), basis, rng)
-    return outcome.angle.quarter_turns // 2
+    success_of = np.array([usd_success(n) for n in range(int(counts.max(initial=0)) + 1)])
+    success = rng.random(len(counts)) < success_of[counts]
+    return np.where(success, 0, rng.integers(4, size=len(counts))), success
+
+
+def ml_single_photon_estimator(
+    stored: PhotonBatch, basis_choice: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Eve's PNS bit guesses: measure each stored photon in the announced basis.
+
+    ``stored`` holds one photon in the rounds where she kept one and none
+    elsewhere; there the guess is a fair coin. One photon always produces
+    a definite click, whose angle maps to a bit the same way the
+    receivers map theirs.
+    """
+    guesses = rng.integers(2, size=len(basis_choice))
+    for j, basis in ((1, MeasurementBasis.RECTILINEAR), (2, MeasurementBasis.DIAGONAL)):
+        rows = np.flatnonzero((basis_choice == j) & (stored.count > 0))
+        codes = pbs_measure(PhotonBatch(stored.count[rows], stored.polarization[rows]), basis, rng)
+        guesses[rows] = codes // 2
+    return guesses

@@ -37,9 +37,9 @@ def thin_batch(batch: PhotonBatch, t: float, rng: np.random.Generator) -> Photon
     """Lossy propagation: each photon independently survives with probability t."""
     if not 0.0 < t <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {t}")
-    if t == 1.0 or batch.count == 0:
+    if t == 1.0:
         return batch
-    return PhotonBatch(int(rng.binomial(batch.count, t)), batch.polarization)
+    return PhotonBatch(rng.binomial(batch.count, t), batch.polarization)
 
 
 @dataclass(frozen=True)

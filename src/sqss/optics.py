@@ -113,14 +113,15 @@ class DecisionAngle:
 
 @dataclass(frozen=True, slots=True)
 class PhotonBatch:
-    """A pulse: its photon count, all photons sharing one polarization."""
+    """The pulses of a chunk of rounds, one entry per round: each pulse's
+    photon count, all of its photons sharing one polarization in [0, pi)."""
 
-    count: int
-    polarization: PolarizationAngle
+    count: np.ndarray
+    polarization: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
+        if np.any(self.count < 0):
+            raise ValueError(f"counts must be >= 0, got {np.min(self.count)}")
 
 
 class MeasurementBasis(Enum):
@@ -141,6 +142,11 @@ def basis_of(angle: DecisionAngle) -> MeasurementBasis:
     return MeasurementBasis.RECTILINEAR if angle.quarter_turns % 2 == 0 else MeasurementBasis.DIAGONAL
 
 
+# Codes of an array of measurement outcomes: 0..3 read that angle in quarter turns.
+VACUUM = 4
+AMBIGUOUS = 5
+
+
 class OutcomeKind(Enum):
     ANGLE = "angle"
     VACUUM = "vacuum"
@@ -149,7 +155,7 @@ class OutcomeKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class MeasurementOutcome:
-    """Result of a polarizing-beam-splitter measurement on one batch."""
+    """Result of a polarizing-beam-splitter measurement on one pulse."""
 
     kind: OutcomeKind
     angle: DecisionAngle | None = None
@@ -166,22 +172,20 @@ class MeasurementOutcome:
     def of_angle(cls, angle: DecisionAngle) -> "MeasurementOutcome":
         return cls(OutcomeKind.ANGLE, angle)
 
-    @property
-    def is_vacuum(self) -> bool:
-        return self.kind is OutcomeKind.VACUUM
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return self.kind is OutcomeKind.AMBIGUOUS
-
-    @property
-    def is_angle(self) -> bool:
-        return self.kind is OutcomeKind.ANGLE
+    @classmethod
+    def from_code(cls, code: int) -> "MeasurementOutcome":
+        """The outcome one entry of a ``pbs_measure`` code array stands for."""
+        if code < VACUUM:
+            return cls.of_angle(DecisionAngle(code))
+        return cls(OutcomeKind.VACUUM if code == VACUUM else OutcomeKind.AMBIGUOUS)
 
 
-def rotate_batch(batch: PhotonBatch, delta: PolarizationAngle | float) -> PhotonBatch:
-    """Rotate the polarization by ``delta``; the photon count is untouched."""
-    return PhotonBatch(batch.count, batch.polarization + delta)
+def rotate_batch(batch: PhotonBatch, delta: np.ndarray | float) -> PhotonBatch:
+    """Rotate each polarization by ``delta`` (one angle, or one per pulse);
+    the photon counts are untouched."""
+    turned = np.mod(batch.polarization + delta, math.pi)
+    # a tiny negative sum can round up to exactly pi
+    return PhotonBatch(batch.count, np.where(turned < math.pi, turned, 0.0))
 
 
 def decision_add(a: DecisionAngle, b: DecisionAngle) -> DecisionAngle:
@@ -192,11 +196,11 @@ def decision_add(a: DecisionAngle, b: DecisionAngle) -> DecisionAngle:
 def split_batch(
     batch: PhotonBatch, ratio: float, rng: np.random.Generator
 ) -> tuple[PhotonBatch, PhotonBatch]:
-    """Split a batch on a beam splitter: each photon independently takes the
-    first port with probability ``ratio``. Polarization is shared."""
+    """Split every pulse on a beam splitter: each photon independently takes
+    the first port with probability ``ratio``. Polarization is shared."""
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"split ratio must be in [0, 1], got {ratio}")
-    first = int(rng.binomial(batch.count, ratio)) if batch.count else 0
+    first = rng.binomial(batch.count, ratio)
     return (
         PhotonBatch(first, batch.polarization),
         PhotonBatch(batch.count - first, batch.polarization),
@@ -205,22 +209,21 @@ def split_batch(
 
 def pbs_measure(
     batch: PhotonBatch, basis: MeasurementBasis, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Measure a batch on a polarizing beam splitter in the given basis.
+) -> np.ndarray:
+    """Measure every pulse on a polarizing beam splitter in the given basis.
 
     Every photon clicks the aligned detector with probability
-    cos^2(theta - beta) and the orthogonal one otherwise. A batch whose
-    clicks all land on one detector reads out that detector's angle;
-    clicks on both detectors are an ambiguous event; an empty batch is
-    vacuum.
+    cos^2(theta - beta) and the orthogonal one otherwise, so the aligned
+    click count is binomial. A pulse whose clicks all land on one
+    detector reads out that detector's angle; clicks on both detectors
+    are an ambiguous event; an empty pulse is vacuum. Returns one
+    outcome code per pulse (quarter turns, VACUUM or AMBIGUOUS).
     """
-    if batch.count == 0:
-        return MeasurementOutcome.vacuum()
-    beta = basis.aligned.radians
-    p_aligned = math.cos(batch.polarization.radians - beta) ** 2
-    aligned_clicks = int(np.count_nonzero(rng.random(batch.count) < p_aligned))
-    if aligned_clicks == batch.count:
-        return MeasurementOutcome.of_angle(basis.aligned)
-    if aligned_clicks == 0:
-        return MeasurementOutcome.of_angle(basis.orthogonal)
-    return MeasurementOutcome.ambiguous()
+    aligned = basis.aligned.quarter_turns
+    p_aligned = np.cos(batch.polarization - aligned * QUARTER_TURN) ** 2
+    clicks = rng.binomial(batch.count, p_aligned)
+    codes = np.full(len(clicks), AMBIGUOUS, dtype=np.int8)
+    codes[clicks == 0] = basis.orthogonal.quarter_turns
+    codes[clicks == batch.count] = aligned
+    codes[batch.count == 0] = VACUUM
+    return codes

@@ -1,4 +1,4 @@
-"""Party state machines and session orchestration for the ring protocol.
+"""Party operations and session orchestration for the ring protocol.
 
 One round walks a single pulse around the ring twice. Forward, the
 sender hides the polarization behind a fresh continuous angle theta and
@@ -13,29 +13,32 @@ Measurement happens blind to the final basis, so the first receiver
 splits the pulse 50:50 and measures one arm in each basis, keeping both
 results until the sender announces which basis family j was used per
 round. Rounds whose basis-matching arm saw vacuum (or conflicting
-detector clicks) are discarded during sifting.
+detector clicks) are discarded during sifting. Rounds are independent,
+so every operation acts on a chunk of them, one array entry per round.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import adversary as adv
 from .channel import thin_batch
 from .config import ConfigError, SimConfig
 from .optics import (
+    AMBIGUOUS,
     QUARTER_TURN,
+    VACUUM,
     DecisionAngle,
     MeasurementBasis,
     MeasurementOutcome,
     PhotonBatch,
-    PolarizationAngle,
     pbs_measure,
     rotate_batch,
     split_batch,
@@ -48,6 +51,8 @@ _PA_SEED_SALT = 0x9E3779B97F4A7C15
 
 # Hard cap on rounds when running to a target key length.
 _MAX_TARGET_ROUNDS = 10_000_000
+# Rounds simulated per chunk: bounds the engine's working memory.
+_CHUNK_ROUNDS = 1 << 16
 
 
 class ProtocolRestart(RuntimeError):
@@ -74,26 +79,6 @@ class Verdict:
     @property
     def accepted(self) -> bool:
         return self.kind is VerdictKind.ACCEPT
-
-
-@dataclass(slots=True)
-class SenderState:
-    """Alice's source settings and the current round's secrets."""
-
-    mean_photons: float
-    bs_ratio: float = 1.0
-    theta: float = 0.0
-    basis_choice: int = 1
-    key_angle: DecisionAngle = DecisionAngle(0)
-
-
-@dataclass(slots=True)
-class ReceiverState:
-    """Receiver i's secrets for the current round."""
-
-    index: int
-    hide_angle: float = 0.0
-    shuffle: DecisionAngle = DecisionAngle(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +109,63 @@ class RoundRecord:
 
 
 @dataclass(slots=True)
+class RoundTable:
+    """Every round of a session, one array per field with one entry per round.
+
+    Indexing or iterating builds ``RoundRecord`` rows on demand, so a
+    session nobody inspects pays nothing for them. The arms hold
+    ``pbs_measure`` outcome codes; sifting fills in ``sifted``, the chosen
+    arm's code, and decoding ``decoded``, the consensus key angle or -1.
+    """
+
+    theta: np.ndarray
+    phis: np.ndarray  # (rounds, receivers)
+    shuffles: np.ndarray  # (rounds, receivers), quarter turns
+    basis_choice: np.ndarray
+    bit: np.ndarray
+    rect: np.ndarray
+    diag: np.ndarray
+    eve_event: np.ndarray | None = None  # photon stored, tag survived or USD success
+    eve_polarization: np.ndarray | None = None  # of the pulse Eve counted (pns)
+    trace_photons: np.ndarray | None = None  # (rounds, stages)
+    trace_polarization: np.ndarray | None = None
+    trace_stages: tuple[str, ...] = ()
+    sifted: np.ndarray | None = None
+    decoded: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, i: int) -> RoundRecord:
+        i = range(len(self))[i]  # also ends iteration with IndexError
+        j, bit = int(self.basis_choice[i]), int(self.bit[i])
+        sifted = None if self.sifted is None else int(self.sifted[i])
+        decoded = -1 if self.decoded is None else int(self.decoded[i])
+        trace = tuple(map(PulseSnapshot, self.trace_stages, self.trace_photons[i].tolist(),
+                          self.trace_polarization[i].tolist())) if self.trace_stages else None
+        return RoundRecord(
+            i, float(self.theta[i]), tuple(self.phis[i].tolist()), tuple(self.shuffles[i].tolist()),
+            j, bit, encode_map(bit, j).quarter_turns,
+            MeasurementOutcome.from_code(int(self.rect[i])),
+            MeasurementOutcome.from_code(int(self.diag[i])),
+            status=None if sifted is None else _SIFT_STATUS.get(sifted, SiftStatus.KEPT),
+            measured_angle=sifted if sifted is not None and sifted < VACUUM else None,
+            decoded_angle=decoded if decoded >= 0 else None,
+            decoded_bit=decoded // 2 if decoded >= 0 else None,
+            trace=trace,
+        )
+
+
+_SIFT_STATUS = {VACUUM: SiftStatus.VACUUM_DISCARD, AMBIGUOUS: SiftStatus.AMBIGUOUS_DISCARD}
+
+
+def _columnwise(tables: Sequence[RoundTable], join) -> RoundTable:
+    """The table whose array columns are ``join`` of the tables' columns."""
+    columns = zip(*([getattr(t, f.name) for f in fields(RoundTable)] for t in tables))
+    return RoundTable(*(join(c) if isinstance(c[0], np.ndarray) else c[0] for c in columns))
+
+
+@dataclass(slots=True)
 class SessionResult:
     rounds_executed: int
     kept_rounds: int
@@ -134,7 +176,7 @@ class SessionResult:
     alice_final_key: list[int]
     receiver_final_keys: list[list[int]]
     verdict: Verdict
-    records: list[RoundRecord]
+    records: RoundTable
     eve_summary: adv.EveSummary | None = None
 
 
@@ -144,9 +186,7 @@ def encode_map(bit: int, j: int) -> DecisionAngle:
         raise ValueError(f"bit must be 0 or 1, got {bit}")
     if j not in (1, 2):
         raise ValueError(f"basis family must be 1 or 2, got {j}")
-    if j == 1:
-        return DecisionAngle(0 if bit == 0 else 2)
-    return DecisionAngle(1 if bit == 0 else 3)
+    return DecisionAngle(2 * bit + j - 1)
 
 
 def angle_to_bit(k: DecisionAngle) -> int:
@@ -181,129 +221,117 @@ def decode_table(order: tuple[int, int, int, int] = (0, 2, 1, 3)) -> list[list[D
     ]
 
 
-def alice_prepare(state: SenderState, rng: np.random.Generator) -> PhotonBatch:
-    """Emit a fresh coherent pulse hidden behind a uniformly random angle theta.
+def alice_prepare(
+    mean_photons: float, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, PhotonBatch]:
+    """Emit ``size`` fresh coherent pulses, each hidden behind a uniformly
+    random angle theta; returns the thetas and the pulses.
 
-    Its photon number is drawn here, Poisson with the configured mean;
-    everything downstream only thins or reads that count.
+    Photon numbers are drawn here, Poisson with the configured mean;
+    everything downstream only thins or reads those counts.
     """
-    state.theta = rng.random() * math.pi
-    return PhotonBatch(int(rng.poisson(state.mean_photons)), PolarizationAngle(state.theta))
+    theta = rng.random(size) * math.pi
+    return theta, PhotonBatch(rng.poisson(mean_photons, size), theta)
 
 
 def receiver_forward(
-    state: ReceiverState, light: PhotonBatch, rng: np.random.Generator
-) -> PhotonBatch:
-    """Stack this receiver's hiding angle phi_i and secret shuffle s_i."""
-    state.hide_angle = rng.random() * math.pi
-    state.shuffle = DecisionAngle(int(rng.integers(4)))
-    return rotate_batch(light, state.hide_angle + state.shuffle.radians)
+    light: PhotonBatch, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, PhotonBatch]:
+    """Stack this receiver's hiding angle phi_i and secret shuffle s_i on
+    every pulse; returns the hiding angles, the shuffles (quarter turns)
+    and the rotated pulses."""
+    phi = rng.random(len(light.count)) * math.pi
+    shuffle = rng.integers(4, size=len(phi), dtype=np.int8)
+    return phi, shuffle, rotate_batch(light, phi + shuffle * QUARTER_TURN)
 
 
 def alice_encode(
-    state: SenderState, light: PhotonBatch, bit: int, rng: np.random.Generator
-) -> PhotonBatch:
-    """Encode the key bit in a random basis family and strip theta.
+    light: PhotonBatch, theta: np.ndarray, bit: np.ndarray, bs_ratio: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, PhotonBatch]:
+    """Encode each key bit in a random basis family j and strip theta.
 
     The net rotation is (k - theta). When the counter-tagging beam
-    splitter is configured (ratio < 1) only the transmitted part of the
-    pulse leaves the box.
+    splitter is configured (ratio < 1) only the transmitted part of each
+    pulse leaves the box. Returns the basis families and the pulses.
     """
-    state.basis_choice = int(rng.integers(1, 3))
-    state.key_angle = encode_map(bit, state.basis_choice)
-    light = rotate_batch(light, state.key_angle.radians - state.theta)
-    if state.bs_ratio < 1.0:
-        light, _ = split_batch(light, state.bs_ratio, rng)
-    return light
+    basis = rng.integers(1, 3, size=len(bit), dtype=np.int8)
+    key = 2 * bit + basis - 1  # encode_map, round by round
+    light = rotate_batch(light, key * QUARTER_TURN - theta)
+    if bs_ratio < 1.0:
+        light, _ = split_batch(light, bs_ratio, rng)
+    return basis, light
 
 
-def receiver_backward(state: ReceiverState, light: PhotonBatch) -> PhotonBatch:
-    """Compensate this receiver's hiding angle; the shuffle stays in."""
-    return rotate_batch(light, -state.hide_angle)
+def receiver_backward(light: PhotonBatch, phi: np.ndarray) -> PhotonBatch:
+    """Compensate this receiver's hiding angles; the shuffles stay in."""
+    return rotate_batch(light, -phi)
 
 
-def rec1_measure(
-    light: PhotonBatch, rng: np.random.Generator
-) -> tuple[MeasurementOutcome, MeasurementOutcome]:
-    """Split 50:50 and measure one arm per basis."""
+def rec1_measure(light: PhotonBatch, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Split 50:50 and measure one arm per basis; returns both arms' outcome codes."""
     rect_batch, diag_batch = split_batch(light, 0.5, rng)
     rect = pbs_measure(rect_batch, MeasurementBasis.RECTILINEAR, rng)
     diag = pbs_measure(diag_batch, MeasurementBasis.DIAGONAL, rng)
     return rect, diag
 
 
-def sift(records: Sequence[RoundRecord], announced_bases: Sequence[int]) -> list[RoundRecord]:
+def sift(table: RoundTable, announced_bases: np.ndarray) -> np.ndarray:
     """Select the basis-matching arm per round and drop unusable rounds.
 
     The actual basis of the measured angle follows from the announced
     family j and the parity of the shuffle sum. Rounds whose selected
-    arm reported vacuum or conflicting clicks are discarded; kept rounds
-    gain their measured discrete angle.
+    arm reported vacuum or conflicting clicks are discarded. Stores the
+    selected arm's outcome in ``table.sifted`` (the measured angle of a
+    kept round) and returns the indices of the kept rounds.
     """
-    if len(records) != len(announced_bases):
+    if len(table) != len(announced_bases):
         raise ValueError("one announced basis per round is required")
-    kept = []
-    for record, j in zip(records, announced_bases):
-        outcome = _sifted_outcome(record, j)
-        if outcome.is_vacuum:
-            record.status = SiftStatus.VACUUM_DISCARD
-        elif outcome.is_ambiguous:
-            record.status = SiftStatus.AMBIGUOUS_DISCARD
-        else:
-            record.status = SiftStatus.KEPT
-            record.measured_angle = outcome.angle.quarter_turns
-            kept.append(record)
-    return kept
+    table.sifted = _sifted_outcome(table, announced_bases)
+    return np.flatnonzero(table.sifted < VACUUM)
 
 
-def _sifted_outcome(record: RoundRecord, j: int) -> MeasurementOutcome:
-    """Outcome of the arm whose basis matches the measured angle's, given family j."""
-    parity = (0 if j == 1 else 1) + sum(record.shuffles)
-    return record.rect_outcome if parity % 2 == 0 else record.diag_outcome
+def _sifted_outcome(table: RoundTable, j: np.ndarray) -> np.ndarray:
+    """Outcome codes of the arm whose basis matches the measured angle's, given families j."""
+    parity = (j - 1 + table.shuffles.sum(axis=1)) % 2
+    return np.where(parity == 0, table.rect, table.diag)
 
 
-def toeplitz_compress(bits: Sequence[int], out_len: int, hash_seed: int) -> list[int]:
-    """2-universal compression: multiply by a seeded random Toeplitz matrix over GF(2)."""
-    n = len(bits)
+def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarray:
+    """2-universal compression: multiply by a seeded random Toeplitz matrix over GF(2).
+
+    ``bits`` is one key of n bits, or an (n, keys) array whose columns are
+    keys hashed by the same matrix. The product is a slice of the FFT
+    convolution of the matrix's diagonal with each key.
+    """
+    x = np.asarray(bits, dtype=np.float64)
+    n = len(x)
     if out_len < 0 or out_len > n:
         raise ValueError(f"output length must be in [0, {n}], got {out_len}")
     if out_len == 0:
-        return []
+        return np.zeros((0, *x.shape[1:]), dtype=np.uint8)
     diag = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1)
-    x = np.asarray(bits, dtype=np.int64)
-    if n * out_len <= 1 << 22:
-        conv = np.convolve(diag, x)
-    else:
-        from scipy.signal import fftconvolve
-
-        conv = np.rint(fftconvolve(diag.astype(float), x.astype(float))).astype(np.int64)
-    return [int(v) & 1 for v in conv[n - 1 : n - 1 + out_len]]
+    # a circular convolution this long leaves the wanted outputs free of wrap-around
+    size = 1 << (n + out_len - 2).bit_length()  # a power of two >= n + out_len - 1
+    spectrum = np.fft.rfft(x.T, size) * np.fft.rfft(diag, size)
+    conv = np.fft.irfft(spectrum, size)[..., n - 1 : n - 1 + out_len].T
+    return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
 
 
-def parity_survivor_indices(
-    key_a: Sequence[int], key_b: Sequence[int], block_size: int
-) -> list[int]:
+def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int) -> np.ndarray:
     """Indices of bits in blocks whose parity agrees between the two keys."""
     if len(key_a) != len(key_b):
         raise ValueError("keys must have equal length")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    survivors: list[int] = []
-    for start in range(0, len(key_a), block_size):
-        stop = min(start + block_size, len(key_a))
-        pa = sum(key_a[start:stop]) & 1
-        pb = sum(key_b[start:stop]) & 1
-        if pa == pb:
-            survivors.extend(range(start, stop))
-    return survivors
+    block = np.arange(len(key_a)) // block_size
+    flips = np.bincount(block, weights=np.not_equal(key_a, key_b))
+    return np.flatnonzero(flips[block] % 2 == 0)
 
 
 def reconcile_and_amplify(
-    key_a: Sequence[int],
-    key_b: Sequence[int],
-    block_size: int,
-    hash_seed: int = 0,
-    keys: Sequence[Sequence[int]] | None = None,
+    key_a: ArrayLike, key_b: ArrayLike, block_size: int, hash_seed: int = 0,
+    keys: ArrayLike | None = None,
 ) -> list[list[int]]:
     """Block-parity reconciliation followed by Toeplitz privacy amplification.
 
@@ -317,15 +345,13 @@ def reconcile_and_amplify(
     out_len = int(len(survivors) * PA_COMPRESSION)
     if out_len == 0:
         raise ProtocolRestart("no usable bits survived reconciliation")
-    return [
-        toeplitz_compress([key[i] for i in survivors], out_len, hash_seed)
-        for key in (keys if keys is not None else (key_a, key_b))
-    ]
+    rows = np.asarray(keys if keys is not None else (key_a, key_b), dtype=np.uint8)
+    return toeplitz_compress(rows[:, survivors].T, out_len, hash_seed).T.tolist()
 
 
-def key_digest(bits: Sequence[int]) -> str:
+def key_digest(bits: ArrayLike) -> str:
     """Public integrity digest: SHA-256 over the ASCII bit string."""
-    return hashlib.sha256("".join(str(b) for b in bits).encode("ascii")).hexdigest()
+    return hashlib.sha256((np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes()).hexdigest()
 
 
 def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
@@ -345,118 +371,100 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
 
 
 def _run_round(
-    index: int,
-    sender: SenderState,
-    receivers: list[ReceiverState],
-    hop_t: list[float],
-    strategy: adv.EveStrategy,
-    eve_state: adv.EveState | None,
+    size: int, config: SimConfig, hop_t: list[float], strategy: adv.EveStrategy,
     rng: np.random.Generator,
-    want_trace: bool,
-) -> RoundRecord:
-    n = len(receivers)
+) -> RoundTable:
+    """Simulate ``size`` independent rounds at once, every stage on arrays."""
+    n = config.receivers
     pns_hop = strategy.channel_index if isinstance(strategy, adv.PnsSplit) else 0
-    trace: list[PulseSnapshot] = []
+    columns: dict[str, np.ndarray] = {}  # Eve's and the trace's, where present
+    snaps: dict[str, PhotonBatch] = {}
 
     def snap(stage: str, light: PhotonBatch) -> None:
-        if want_trace:
-            trace.append(PulseSnapshot(stage, light.count, light.polarization.radians))
+        if config.trace:
+            snaps[stage] = light
 
     def hop_to(hop: int, light: PhotonBatch) -> PhotonBatch:
         light = thin_batch(light, hop_t[hop - 1], rng)
         if hop == pns_hop:
-            light = adv.pns_intercept(light, eve_state, index)
+            columns["eve_polarization"] = light.polarization
+            light, columns["eve_event"] = adv.pns_intercept(light)
         return light
 
-    light = alice_prepare(sender, rng)
+    theta, light = alice_prepare(config.mean_photons, size, rng)
     snap("alice_out", light)
-    for i in range(1, n + 1):  # forward hops 1..N: into each receiver
-        light = receiver_forward(receivers[i - 1], hop_to(i, light), rng)
-        snap(f"rec{i}_forward", light)
+    phis = np.empty((size, n))
+    shuffles = np.empty((size, n), dtype=np.int8)
+    for i in range(n):  # forward hops 1..N: into each receiver
+        phis[:, i], shuffles[:, i], light = receiver_forward(hop_to(i + 1, light), rng)
+        snap(f"rec{i + 1}_forward", light)
     light = hop_to(n + 1, light)  # hop N+1: Rec-N back to Alice
 
-    bit = int(rng.integers(2))
-    light = alice_encode(sender, light, bit, rng)
+    bit = rng.integers(2, size=size, dtype=np.int8)
+    basis, light = alice_encode(light, theta, bit, config.bs_ratio, rng)
     snap("alice_encoded", light)
 
     if isinstance(strategy, adv.TagPhoton):
-        adv.tag_attack_round(
-            sender.key_angle,
-            rng,
-            eve_state,
-            alice_uses_bs=sender.bs_ratio < 1.0,
-            alice_bs_ratio=sender.bs_ratio,
-        )
+        columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
     if isinstance(strategy, adv.Impersonate):
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
         # actually process. Her pulse is independent of the substitute,
         # so its count is a draw of its own; in angle bookkeeping the
         # substitute is the honest pulse shifted by her guess error.
-        usd_mean = adv.intercepted_mean(sender.mean_photons, sender.bs_ratio, hop_t)
-        offset = adv.impersonate_round(int(rng.poisson(usd_mean)), rng, eve_state)
+        usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, hop_t)
+        offset, columns["eve_event"] = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
         light = rotate_batch(light, offset * QUARTER_TURN)
         snap("eve_reencoded", light)
 
     for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
-        light = receiver_backward(receivers[i - 1], hop_to(2 * n + 2 - i, light))
+        light = receiver_backward(hop_to(2 * n + 2 - i, light), phis[:, i - 1])
         snap(f"rec{i}_backward", light)
     rect, diag = rec1_measure(light, rng)
 
-    return RoundRecord(
-        index=index,
-        theta=sender.theta,
-        phis=tuple(r.hide_angle for r in receivers),
-        shuffles=tuple(r.shuffle.quarter_turns for r in receivers),
-        basis_choice=sender.basis_choice,
-        bit=bit,
-        key_angle=sender.key_angle.quarter_turns,
-        rect_outcome=rect,
-        diag_outcome=diag,
-        trace=tuple(trace) if want_trace else None,
-    )
+    if snaps:
+        columns["trace_photons"] = np.stack([s.count for s in snaps.values()], axis=1)
+        columns["trace_polarization"] = np.stack([s.polarization for s in snaps.values()], axis=1)
+    return RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,
+                      trace_stages=tuple(snaps))
+
+
+def _decode_rows(decisions: np.ndarray) -> np.ndarray:
+    """``cooperative_decode`` on every row of (Rec-1's decision, other shuffles...)."""
+    return (decisions[:, 0] - decisions[:, 1:].sum(axis=1)) % 4
 
 
 def _decode_phase(
-    kept: list[RoundRecord],
-    n: int,
-    dishonest: int | None,
-    rng: np.random.Generator,
-) -> tuple[list[int], list[list[int]]]:
+    table: RoundTable, kept: np.ndarray, n: int, dishonest: int | None, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Exchange decision angles and decode; a dishonest receiver corrupts its report.
 
-    Returns the publicly exchanged (consensus) decode plus each of the n
-    receivers' private decodes. A liar announces a corrupted angle but
-    uses its true one, so only the victims end up with a wrong key.
+    Returns the publicly exchanged (consensus) decoded bits plus an
+    (n, kept) array of the receivers' private decodes. A liar announces a
+    corrupted angle but uses its true one, so only the victims end up
+    with a wrong key: every other receiver's view is the public one.
     """
-    consensus_bits: list[int] = []
-    private_bits: list[list[int]] = [[] for _ in range(n)]
-    for record in kept:
-        measured = DecisionAngle(record.measured_angle)
-        shuffles = [DecisionAngle(q) for q in record.shuffles]
-        true_decisions = [measured - shuffles[0]] + shuffles[1:]
-        reported = list(true_decisions)
-        if dishonest is not None:
-            corruption = DecisionAngle(int(rng.integers(1, 4)))
-            reported[dishonest - 1] = reported[dishonest - 1] + corruption
-        consensus = cooperative_decode(reported[0], reported[1:])
-        record.decoded_angle = consensus.quarter_turns
-        record.decoded_bit = angle_to_bit(consensus)
-        consensus_bits.append(record.decoded_bit)
-        for m in range(n):
-            view = list(reported)
-            view[m] = true_decisions[m]
-            private_bits[m].append(angle_to_bit(cooperative_decode(view[0], view[1:])))
-    return consensus_bits, private_bits
+    true_decisions = table.shuffles[kept].astype(np.int64)
+    true_decisions[:, 0] = (table.sifted[kept] - true_decisions[:, 0]) % 4
+    reported = true_decisions.copy()
+    if dishonest is not None:
+        reported[:, dishonest - 1] += rng.integers(1, 4, size=len(kept))  # decoding reduces mod 4
+    consensus = _decode_rows(reported)
+    table.decoded = np.full(len(table), -1, dtype=np.int8)
+    table.decoded[kept] = consensus
+    private_bits = np.tile(consensus // 2, (n, 1))
+    if dishonest is not None:
+        private_bits[dishonest - 1] = _decode_rows(true_decisions) // 2
+    return consensus // 2, private_bits
 
 
 def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> SessionResult:
     """Run a full multi-round session and return keys plus statistics.
 
-    Executes every round through the ring (with the configured adversary
-    attached to its channel hops), then sifts, decodes cooperatively,
-    optionally reconciles and compresses, and cross-checks key digests.
-    Fully deterministic for a given seed and configuration.
+    Simulates the rounds through the ring in chunks (with the configured
+    adversary attached to its channel hops), then sifts, decodes
+    cooperatively, optionally reconciles and compresses, and cross-checks
+    key digests. Fully deterministic for a given seed and configuration.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
@@ -470,7 +478,8 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     # Sifting keeps a round when the selected arm, which holds half of
     # the surviving photons, is not empty. No attack raises that rate.
     mu_final = config.mean_photons * config.bs_ratio * math.prod(hop_t)
-    reachable = _MAX_TARGET_ROUNDS * -math.expm1(-mu_final / 2.0)
+    keep_rate = -math.expm1(-mu_final / 2.0)
+    reachable = _MAX_TARGET_ROUNDS * keep_rate
     if target > reachable:
         raise ConfigError(
             "key_bits",
@@ -480,122 +489,110 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     if rng is None:
         rng = np.random.default_rng(config.seed)
     strategy = config.strategy()
-    eve_state = None if isinstance(strategy, adv.NoAttack) else adv.EveState()
 
-    sender = SenderState(mean_photons=config.mean_photons, bs_ratio=config.bs_ratio)
-    receivers = [ReceiverState(index=i) for i in range(1, n + 1)]
-
-    records: list[RoundRecord] = []
-    kept_count = 0
-    while True:
-        if target > 0:
-            if kept_count >= target:
-                break
-            if len(records) >= _MAX_TARGET_ROUNDS:
+    chunks: list[RoundTable] = []
+    executed = keepable = 0
+    while keepable < target if target else executed < config.rounds:
+        size = config.rounds - executed
+        if target:
+            if executed >= _MAX_TARGET_ROUNDS:
                 raise RuntimeError(
                     f"target of {target} sifted bits unreachable within {_MAX_TARGET_ROUNDS} rounds"
                 )
-        elif len(records) >= config.rounds:
-            break
-        record = _run_round(
-            len(records), sender, receivers, hop_t, strategy, eve_state, rng, config.trace
-        )
-        records.append(record)
-        # The simulator may pre-count keepable rounds; parties only
-        # learn sift status after the basis announcement.
-        if target > 0 and _sifted_outcome(record, record.basis_choice).is_angle:
-            kept_count += 1
+            # the rounds expected to reach the rest of the target at the
+            # honest keep rate, plus four standard deviations
+            rest = target - keepable
+            size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
+            size = min(size, _MAX_TARGET_ROUNDS - executed)
+        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, strategy, rng)
+        if target:
+            # The simulator may pre-count keepable rounds; parties only
+            # learn sift status after the basis announcement. Rounds are
+            # i.i.d., so cutting the chunk where the target is reached is
+            # the same as stopping there.
+            counts = np.cumsum(_sifted_outcome(chunk, chunk.basis_choice) < VACUUM)
+            stop = int(np.searchsorted(counts, target - keepable)) + 1
+            chunk = _columnwise([chunk], lambda c: c[0][:stop])
+            keepable += int(counts[len(chunk) - 1])
+        chunks.append(chunk)
+        executed += len(chunk)
+    table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
 
-    announced = [record.basis_choice for record in records]
-    kept = sift(records, announced)
+    kept = sift(table, table.basis_choice)
     dishonest = config.dishonest_receiver if config.dishonest_receiver else None
-    consensus_bits, private_bits = _decode_phase(kept, n, dishonest, rng)
+    consensus_bits, private_bits = _decode_phase(table, kept, n, dishonest, rng)
 
-    alice_bits = [record.bit for record in kept]
-    mismatches = sum(1 for a, b in zip(alice_bits, consensus_bits) if a != b)
-    qber = mismatches / len(kept) if kept else 0.0
-    discard_fraction = 1.0 - len(kept) / len(records) if records else 0.0
+    alice_bits = table.bit[kept]
+    qber = np.count_nonzero(alice_bits != consensus_bits) / len(kept) if len(kept) else 0.0
+    discard_fraction = 1.0 - len(kept) / len(table)
 
+    alice_sifted, receiver_sifted = alice_bits.tolist(), private_bits.tolist()
     verdict = None
-    alice_final = list(alice_bits)
-    receiver_finals = [list(bits) for bits in private_bits]
-    if config.parity_block > 0 and kept:
+    alice_final, receiver_finals = list(alice_sifted), [list(bits) for bits in receiver_sifted]
+    if config.parity_block > 0 and len(kept):
         pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
         try:
             alice_final, *receiver_finals = reconcile_and_amplify(
                 alice_bits, consensus_bits, config.parity_block, pa_seed,
-                keys=[alice_bits, *private_bits],
+                keys=np.vstack([alice_bits, private_bits]),
             )
         except ProtocolRestart:
             alice_final, receiver_finals = [], [[] for _ in range(n)]
             verdict = Verdict(VerdictKind.ABORT_RETRY)
     if verdict is None:
-        verdict = integrity_check(
-            key_digest(alice_final), [key_digest(k) for k in receiver_finals]
-        )
+        verdict = integrity_check(key_digest(alice_final), [key_digest(k) for k in receiver_finals])
 
     eve_summary = None
-    if eve_state is not None:
-        eve_summary = _score_eve(strategy, eve_state, records, kept, rng)
+    if not isinstance(strategy, adv.NoAttack):
+        eve_summary = _score_eve(strategy, table, kept, rng)
 
     return SessionResult(
-        rounds_executed=len(records),
+        rounds_executed=len(table),
         kept_rounds=len(kept),
         discard_fraction=discard_fraction,
-        qber=qber,
-        alice_sifted_bits=alice_bits,
-        receiver_sifted_bits=private_bits,
+        qber=float(qber),
+        alice_sifted_bits=alice_sifted,
+        receiver_sifted_bits=receiver_sifted,
         alice_final_key=alice_final,
         receiver_final_keys=receiver_finals,
         verdict=verdict,
-        records=records,
+        records=table,
         eve_summary=eve_summary,
     )
 
 
 def _score_eve(
-    strategy: adv.EveStrategy,
-    eve_state: adv.EveState,
-    records: list[RoundRecord],
-    kept: list[RoundRecord],
-    rng: np.random.Generator,
+    strategy: adv.EveStrategy, table: RoundTable, kept: np.ndarray, rng: np.random.Generator
 ) -> adv.EveSummary:
     """Grant Eve the public announcements and score what she extracted."""
+    rounds, sifted = len(table), len(kept)
     if isinstance(strategy, adv.TagPhoton):
-        recovered = 0
-        for record in kept:
-            angle = eve_state.tag_results[record.index]
-            if angle is not None and angle_to_bit(angle) == record.bit:
-                recovered += 1
-        rate = recovered / len(kept) if kept else None
+        # a surviving tag reads the key angle, and with it the bit
+        recovered = int(np.count_nonzero(table.eve_event[kept]))
         return adv.EveSummary(
             strategy="tag",
-            rounds=len(records),
-            sifted_rounds=len(kept),
+            rounds=rounds,
+            sifted_rounds=sifted,
             recovered_bits=recovered,
-            recovery_rate=rate,
+            recovery_rate=recovered / sifted if sifted else None,
         )
     if isinstance(strategy, adv.PnsSplit):
-        correct = 0
-        for record in records:
-            stored = eve_state.stored_photons.get(record.index)
-            guess = adv.ml_single_photon_estimator(stored, record.basis_choice, rng)
-            eve_state.guesses.append(guess)
-            if guess == record.bit:
-                correct += 1
+        stored = PhotonBatch(table.eve_event.astype(np.int64), table.eve_polarization)
+        guesses = adv.ml_single_photon_estimator(stored, table.basis_choice, rng)
+        correct = int(np.count_nonzero(guesses == table.bit))
         return adv.EveSummary(
             strategy="pns",
-            rounds=len(records),
-            sifted_rounds=len(kept),
+            rounds=rounds,
+            sifted_rounds=sifted,
             recovered_bits=correct,
-            guess_accuracy=correct / len(records) if records else None,
-            stored_photons=len(eve_state.stored_photons),
+            guess_accuracy=correct / rounds,
+            stored_photons=int(np.count_nonzero(table.eve_event)),
         )
-    successes = sum(eve_state.usd_successes)
+    successes = int(np.count_nonzero(table.eve_event))
     return adv.EveSummary(
         strategy="impersonate",
-        rounds=len(records),
-        sifted_rounds=len(kept),
+        rounds=rounds,
+        sifted_rounds=sifted,
         recovered_bits=successes,
-        usd_success_rate=successes / len(records) if records else None,
+        usd_success_rate=successes / rounds,
     )

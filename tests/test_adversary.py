@@ -12,12 +12,12 @@ from sqss.adversary import (
     intercepted_mean,
     ml_single_photon_estimator,
     pns_intercept,
-    tag_attack_round,
+    tag_attack_rounds,
     usd_success,
 )
 from sqss.analysis import monte_carlo_p_error
-from sqss.optics import DecisionAngle, PhotonBatch, PolarizationAngle
-from sqss.protocol import SenderState, alice_prepare
+from sqss.optics import DecisionAngle, PhotonBatch
+from sqss.protocol import alice_prepare
 
 
 class TestUsdSuccess:
@@ -77,56 +77,49 @@ class TestEveMeanPhotons:
 
 class TestPnsIntercept:
     def test_single_photon_passes_untouched(self):
-        state = EveState()
-        batch = PhotonBatch(1, PolarizationAngle(0.4))
-        out = pns_intercept(batch, state, round_index=0)
-        assert out is batch
-        assert not state.stored_photons
+        batch = PhotonBatch(np.array([1]), np.array([0.4]))
+        out, stored = pns_intercept(batch)
+        assert out.count.tolist() == [1]
+        assert not stored.any()
 
     def test_five_photons_split(self):
-        state = EveState()
-        batch = PhotonBatch(5, PolarizationAngle(0.4))
-        out = pns_intercept(batch, state, round_index=3)
-        assert isinstance(out, PhotonBatch) and out.count == 4
-        assert state.stored_photons[3].radians == pytest.approx(0.4)
+        batch = PhotonBatch(np.array([5]), np.array([0.4]))
+        out, stored = pns_intercept(batch)
+        assert isinstance(out, PhotonBatch) and out.count.tolist() == [4]
+        assert stored.tolist() == [True]
+        assert out.polarization[0] == pytest.approx(0.4)
 
     def test_coherent_pulse_is_counted_first(self):
         # Eve counts the photons the source drew; she does not draw her own.
         rng = np.random.default_rng(1)
-        state = EveState()
-        pulse = alice_prepare(SenderState(mean_photons=40.0), rng)
-        out = pns_intercept(pulse, state, round_index=0)
+        _, pulse = alice_prepare(40.0, 1, rng)
+        out, stored = pns_intercept(pulse)
         # mean 40 makes n >= 2 essentially certain
-        assert out.count == pulse.count - 1
-        assert 0 in state.stored_photons
+        assert out.count.tolist() == (pulse.count - 1).tolist()
+        assert stored.tolist() == [True]
 
     def test_works_without_state(self):
-        out = pns_intercept(PhotonBatch(3, PolarizationAngle(0)), None, 0)
-        assert out.count == 2
+        # Eve keeps no state across calls: each chunk returns its own mask.
+        out, stored = pns_intercept(PhotonBatch(np.array([0, 1, 2, 3]), np.zeros(4)))
+        assert out.count.tolist() == [0, 1, 1, 2]
+        assert stored.tolist() == [False, False, True, True]
 
 
 class TestTagAttack:
     def test_no_countermeasure_always_succeeds(self):
         rng = np.random.default_rng(0)
-        state = EveState()
-        k = DecisionAngle(2)
-        for _ in range(50):
-            assert tag_attack_round(k, rng, state, alice_uses_bs=False, alice_bs_ratio=1.0) == k
-        assert state.tag_results == [k] * 50
+        assert tag_attack_rounds(50, 1.0, rng).tolist() == [True] * 50
+        # without the splitter there is nothing to draw
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_passthrough_splitter_always_succeeds(self):
         rng = np.random.default_rng(0)
-        k = DecisionAngle(1)
-        assert tag_attack_round(k, rng, None, alice_uses_bs=True, alice_bs_ratio=1.0) == k
+        assert tag_attack_rounds(1, 1.0, rng).tolist() == [True]
 
     def test_countermeasure_survival_is_bernoulli(self):
         rng = np.random.default_rng(314)
-        k = DecisionAngle(0)
         n = 100000
-        survived = sum(
-            tag_attack_round(k, rng, None, alice_uses_bs=True, alice_bs_ratio=0.5) is not None
-            for _ in range(n)
-        )
+        survived = np.count_nonzero(tag_attack_rounds(n, 0.5, rng))
         sigma = math.sqrt(0.25 / n)
         assert abs(survived / n - 0.5) < 3 * sigma
 
@@ -194,7 +187,8 @@ class TestMlEstimator:
     def test_no_photon_is_a_coin(self):
         rng = np.random.default_rng(30)
         n = 20000
-        ones = sum(ml_single_photon_estimator(None, 1, rng) for _ in range(n))
+        nothing = PhotonBatch(np.zeros(n, dtype=np.int64), np.zeros(n))
+        ones = ml_single_photon_estimator(nothing, np.ones(n, dtype=np.int8), rng).sum()
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3 * sigma
 
@@ -202,7 +196,7 @@ class TestMlEstimator:
         rng = np.random.default_rng(31)
         # A stored photon polarized exactly at a key angle is read
         # perfectly in the announced basis.
-        assert ml_single_photon_estimator(DecisionAngle(0).to_polarization(), 1, rng) == 0
-        assert ml_single_photon_estimator(DecisionAngle(2).to_polarization(), 1, rng) == 1
-        assert ml_single_photon_estimator(DecisionAngle(1).to_polarization(), 2, rng) == 0
-        assert ml_single_photon_estimator(DecisionAngle(3).to_polarization(), 2, rng) == 1
+        angles = np.array([DecisionAngle(q).radians for q in (0, 2, 1, 3)])
+        stored = PhotonBatch(np.ones(4, dtype=np.int64), angles)
+        guesses = ml_single_photon_estimator(stored, np.array([1, 1, 2, 2]), rng)
+        assert guesses.tolist() == [0, 1, 0, 1]

@@ -1,8 +1,9 @@
 """Smoke tests for the narrative scripts under ``demos/``.
 
 Importing every demo catches a name the package no longer exports; the
-two quick demos also run end to end. The remaining demos run long
-simulations and are left to be run by hand.
+session demos also run end to end, each in about a second.
+``error_rate_curve.py`` spends its time in the Monte Carlo estimator and
+is left to be run by hand.
 """
 
 import importlib.util
@@ -25,7 +26,9 @@ def test_demo_imports(path):
     assert callable(module.main)
 
 
-@pytest.mark.parametrize("name", ["single_round_walkthrough.py", "dishonest_receiver.py"])
+@pytest.mark.parametrize("name", [
+    "single_round_walkthrough.py", "dishonest_receiver.py", "lossy_ring.py", "attack_gallery.py",
+])
 def test_quick_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))

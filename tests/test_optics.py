@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqss.optics import (
+    AMBIGUOUS,
+    VACUUM,
     DecisionAngle,
     MeasurementBasis,
     MeasurementOutcome,
@@ -18,9 +20,14 @@ from sqss.optics import (
     rotate_batch,
     split_batch,
 )
-from sqss.protocol import SenderState, alice_prepare
+from sqss.protocol import alice_prepare
 
 QT = math.pi / 4
+
+
+def pulses(count, polarization, size=1):
+    """``size`` identical pulses of ``count`` photons at one polarization."""
+    return PhotonBatch(np.full(size, count), np.full(size, float(polarization)))
 
 
 class TestPolarizationAngle:
@@ -130,23 +137,20 @@ class TestPulses:
     def test_negative_mean_rejected(self):
         # the source draws Poisson(mu), which has no negative mean
         with pytest.raises(ValueError):
-            alice_prepare(SenderState(mean_photons=-0.1), np.random.default_rng(0))
+            alice_prepare(-0.1, 1, np.random.default_rng(0))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            PhotonBatch(-1, PolarizationAngle(0.0))
+            PhotonBatch(np.array([2, -1]), np.array([0.0, 0.0]))
 
     def test_rotate_known_cases(self):
-        p = PhotonBatch(2, PolarizationAngle(0.0))
-        assert rotate_batch(p, math.pi / 2).polarization.radians == pytest.approx(math.pi / 2)
-        p = PhotonBatch(2, PolarizationAngle(3 * math.pi / 4))
-        assert rotate_batch(p, math.pi / 2).polarization.radians == pytest.approx(math.pi / 4)
-        p = PhotonBatch(2, PolarizationAngle(0.3))
-        assert rotate_batch(p, -0.3).polarization.radians == pytest.approx(0.0)
+        p = PhotonBatch(np.array([2, 2, 2]), np.array([0.0, 3 * math.pi / 4, 0.3]))
+        out = rotate_batch(p, np.array([math.pi / 2, math.pi / 2, -0.3]))
+        assert out.polarization == pytest.approx([math.pi / 2, math.pi / 4, 0.0])
 
     def test_rotate_preserves_mean(self):
-        batch = PhotonBatch(4, PolarizationAngle(1.0))
-        assert rotate_batch(batch, 0.7).count == 4
+        batch = pulses(4, 1.0)
+        assert rotate_batch(batch, 0.7).count.tolist() == [4]
 
     @given(
         st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -155,10 +159,11 @@ class TestPulses:
     )
     @settings(max_examples=200)
     def test_rotate_composes(self, a, b, start):
-        p = PhotonBatch(1, PolarizationAngle(start))
-        stepwise = rotate_batch(rotate_batch(p, a), b)
-        direct = rotate_batch(p, a + b)
-        assert stepwise.polarization.is_close(direct.polarization, tol=1e-12)
+        p = pulses(1, PolarizationAngle(start).radians)
+        stepwise = rotate_batch(rotate_batch(p, a), b).polarization[0]
+        direct = rotate_batch(p, a + b).polarization[0]
+        assert 0.0 <= stepwise < math.pi
+        assert PolarizationAngle(stepwise).is_close(PolarizationAngle(direct), tol=1e-12)
 
 
 class TestSampling:
@@ -166,14 +171,13 @@ class TestSampling:
 
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
-        state = SenderState(mean_photons=0.0)
-        assert all(alice_prepare(state, rng).count == 0 for _ in range(100))
+        _, light = alice_prepare(0.0, 100, rng)
+        assert not light.count.any()
 
     def test_poisson_statistics(self):
         rng = np.random.default_rng(123)
-        state = SenderState(mean_photons=3.0)
         n = 10**6
-        counts = np.array([alice_prepare(state, rng).count for _ in range(n)])
+        counts = alice_prepare(3.0, n, rng)[1].count
         p0 = np.mean(counts == 0)
         sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
         assert abs(p0 - math.exp(-3.0)) < 3 * sigma0
@@ -182,30 +186,29 @@ class TestSampling:
 
     def test_polarization_carried_over(self):
         rng = np.random.default_rng(5)
-        state = SenderState(mean_photons=2.0)
-        pulse = alice_prepare(state, rng)
-        assert pulse.polarization.radians == pytest.approx(state.theta)
+        theta, pulse = alice_prepare(2.0, 10, rng)
+        assert pulse.polarization.tolist() == theta.tolist()
 
 
 class TestBeamSplit:
     def test_reference_ratios(self):
         rng = np.random.default_rng(0)
-        p = PhotonBatch(6, PolarizationAngle(0.4))
+        p = pulses(6, 0.4)
         t, r = split_batch(p, 1.0, rng)
-        assert (t.count, r.count) == (6, 0)
+        assert (t.count.tolist(), r.count.tolist()) == ([6], [0])
         t, r = split_batch(p, 0.0, rng)
-        assert (t.count, r.count) == (0, 6)
-        t, r = split_batch(PhotonBatch(0, PolarizationAngle(0.4)), 0.25, rng)
-        assert (t.count, r.count) == (0, 0)
+        assert (t.count.tolist(), r.count.tolist()) == ([0], [6])
+        t, r = split_batch(pulses(0, 0.4), 0.25, rng)
+        assert (t.count.tolist(), r.count.tolist()) == ([0], [0])
 
     def test_polarization_shared_by_both_arms(self):
         rng = np.random.default_rng(0)
-        t, r = split_batch(PhotonBatch(2, PolarizationAngle(1.1)), 0.3, rng)
-        assert t.polarization.radians == r.polarization.radians == pytest.approx(1.1)
+        t, r = split_batch(pulses(2, 1.1), 0.3, rng)
+        assert t.polarization[0] == r.polarization[0] == pytest.approx(1.1)
 
     def test_ratio_out_of_range(self):
         rng = np.random.default_rng(0)
-        p = PhotonBatch(1, PolarizationAngle(0.0))
+        p = pulses(1, 0.0)
         with pytest.raises(ValueError):
             split_batch(p, -0.01, rng)
         with pytest.raises(ValueError):
@@ -214,15 +217,13 @@ class TestBeamSplit:
     @given(st.integers(0, 200), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_split_batch_conserves_photons(self, count, ratio):
         rng = np.random.default_rng(count + 1)
-        batch = PhotonBatch(count, PolarizationAngle(0.5))
-        a, b = split_batch(batch, ratio, rng)
-        assert a.count + b.count == count
+        a, b = split_batch(pulses(count, 0.5), ratio, rng)
+        assert (a.count + b.count).tolist() == [count]
 
     def test_split_batch_is_binomial(self):
         rng = np.random.default_rng(42)
         n_trials = 20000
-        kept = sum(split_batch(PhotonBatch(10, PolarizationAngle(0)), 0.3, rng)[0].count
-                   for _ in range(n_trials))
+        kept = split_batch(pulses(10, 0.0, n_trials), 0.3, rng)[0].count.sum()
         mean = kept / n_trials
         sigma = math.sqrt(10 * 0.3 * 0.7 / n_trials)
         assert abs(mean - 3.0) < 3 * sigma
@@ -231,42 +232,36 @@ class TestBeamSplit:
 class TestPbsMeasure:
     def test_vacuum(self):
         rng = np.random.default_rng(0)
-        out = pbs_measure(PhotonBatch(0, PolarizationAngle(0.3)), MeasurementBasis.RECTILINEAR, rng)
-        assert out.is_vacuum
-        assert out.kind is OutcomeKind.VACUUM
+        out = pbs_measure(pulses(0, 0.3), MeasurementBasis.RECTILINEAR, rng)
+        assert out.tolist() == [VACUUM]
+        assert MeasurementOutcome.from_code(out[0]).kind is OutcomeKind.VACUUM
 
     def test_aligned_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
-        batch = PhotonBatch(5, DecisionAngle(0).to_polarization())
-        for _ in range(200):
-            out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
-            assert out.is_angle and out.angle == DecisionAngle(0)
+        batch = pulses(5, DecisionAngle(0).radians, 200)
+        out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
+        assert (out == 0).all()
 
     def test_orthogonal_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
-        batch = PhotonBatch(5, DecisionAngle(2).to_polarization())
-        for _ in range(200):
-            out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
-            assert out.is_angle and out.angle == DecisionAngle(2)
+        batch = pulses(5, DecisionAngle(2).radians, 200)
+        out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
+        assert (out == 2).all()
 
     def test_diagonal_basis_aligned(self):
         rng = np.random.default_rng(0)
-        batch = PhotonBatch(3, DecisionAngle(3).to_polarization())
+        batch = pulses(3, DecisionAngle(3).radians)
         out = pbs_measure(batch, MeasurementBasis.DIAGONAL, rng)
-        assert out.angle == DecisionAngle(3)
+        assert MeasurementOutcome.from_code(out[0]).angle == DecisionAngle(3)
 
     def test_single_photon_at_45_degrees_is_a_fair_coin(self):
         # Malus law: a photon at pi/4 meets a rectilinear splitter with
         # cos^2(pi/4) = 1/2 on each port.
         rng = np.random.default_rng(99)
-        batch = PhotonBatch(1, DecisionAngle(1).to_polarization())
         n = 10**6
-        zeros = 0
-        for _ in range(n):
-            out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
-            assert out.is_angle
-            if out.angle == DecisionAngle(0):
-                zeros += 1
+        out = pbs_measure(pulses(1, DecisionAngle(1).radians, n), MeasurementBasis.RECTILINEAR, rng)
+        assert np.isin(out, (0, 2)).all()
+        zeros = np.count_nonzero(out == 0)
         sigma = math.sqrt(0.25 / n)
         assert abs(zeros / n - 0.5) < 3 * sigma
 
@@ -274,17 +269,18 @@ class TestPbsMeasure:
         # n photons at 45 degrees land in the same port with
         # probability 2^(1-n); everything else is ambiguous.
         rng = np.random.default_rng(7)
-        batch = PhotonBatch(4, DecisionAngle(1).to_polarization())
         n = 20000
-        ambiguous = sum(
-            pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng).is_ambiguous for _ in range(n)
-        )
+        out = pbs_measure(pulses(4, DecisionAngle(1).radians, n), MeasurementBasis.RECTILINEAR, rng)
+        ambiguous = np.count_nonzero(out == AMBIGUOUS)
         expected = 1.0 - 2.0 ** (1 - 4)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ambiguous / n - expected) < 3 * sigma
 
     def test_outcome_constructors(self):
-        assert MeasurementOutcome.vacuum().is_vacuum
-        assert MeasurementOutcome.ambiguous().is_ambiguous
+        assert MeasurementOutcome.vacuum().kind is OutcomeKind.VACUUM
+        assert MeasurementOutcome.ambiguous().kind is OutcomeKind.AMBIGUOUS
         angle = MeasurementOutcome.of_angle(DecisionAngle(2))
-        assert angle.is_angle and angle.angle == DecisionAngle(2)
+        assert angle.kind is OutcomeKind.ANGLE and angle.angle == DecisionAngle(2)
+        assert MeasurementOutcome.from_code(2) == angle
+        assert MeasurementOutcome.from_code(VACUUM) == MeasurementOutcome.vacuum()
+        assert MeasurementOutcome.from_code(AMBIGUOUS) == MeasurementOutcome.ambiguous()
