@@ -12,7 +12,7 @@ pulse, and unambiguously discriminates the encoding on the real one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +43,6 @@ class Impersonate:
 
 
 EveStrategy = NoAttack | PnsSplit | TagPhoton | Impersonate
-
-
-@dataclass(slots=True)
-class EveState:
-    """Outcomes of the single-round USD event, for a caller that asks for them."""
-
-    usd_successes: list[bool] = field(default_factory=list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,28 +120,27 @@ def intercepted_mean(mu: float, bs_ratio: float, hop_t: Sequence[float]) -> floa
     return mu * bs_ratio * hop_t[len(hop_t) // 2 + 1]
 
 
-def impersonate_round(n: int, rng: np.random.Generator, state: EveState | None = None) -> int:
-    """Eve's guess of the key angle from an n-photon pulse, as an offset.
+def impersonate_round(n: int, pulses: int, rng: np.random.Generator) -> int:
+    """How many receivers' bits Eve flips over ``pulses`` rounds of n photons each.
 
-    She attempts unambiguous discrimination, which succeeds with the
-    n-dependent probability and then hits the true angle; on failure she
-    guesses uniformly among the four angles. Returns the offset of her
-    guess from the true angle in quarter turns: 0 is silent, 2 flips the
-    receivers' bit, and the odd offsets land in the wrong basis where the
-    bit they measure is a fair coin.
+    In each round she attempts unambiguous discrimination, which succeeds
+    with the n-dependent probability and then hits the true angle; on
+    failure she guesses uniformly among the four angles. A guess off by
+    half a turn flips the receivers' bit, and one off by an odd number of
+    quarter turns lands in the wrong basis, where the bit is a fair coin.
+    The rounds are i.i.d., so each outcome is counted with one binomial
+    draw over the whole class.
     """
-    success = bool(rng.random() < usd_success(n))
-    if state is not None:
-        state.usd_successes.append(success)
-    if success:
-        return 0
-    return int(rng.integers(4))
+    failed = pulses - int(rng.binomial(pulses, usd_success(n)))
+    flips = int(rng.binomial(failed, 0.25))
+    odd = int(rng.binomial(failed - flips, 2.0 / 3.0))
+    return flips + int(rng.binomial(odd, 0.5))
 
 
 def impersonate_rounds(
     counts: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``impersonate_round`` on a chunk of intercepted pulses with these photon counts.
+    """Eve's USD event on a chunk of intercepted pulses with these photon counts.
 
     Returns Eve's guess offsets in quarter turns and the mask of rounds
     where her discrimination succeeded. The success probability of each

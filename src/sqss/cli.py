@@ -265,10 +265,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
     config.adversary = args.strategy
     config.validate()
     rng = np.random.default_rng(config.seed)
+    if args.trials is not None:
+        config.rounds = args.trials
 
     if args.strategy == "impersonate":
-        if args.trials:
-            config.rounds = args.trials
+        if config.rounds < analysis.MIN_TRIALS:
+            raise ConfigError("trials", f"the Monte Carlo needs at least {analysis.MIN_TRIALS}"
+                              f" (--trials, or rounds in the config), got {config.rounds}")
         usd_mean = intercepted_mean(
             config.mean_photons, config.bs_ratio, config.hop_transmissions()
         )
@@ -283,8 +286,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
             reference=reference,
         )
     else:
-        if args.trials:
-            config.rounds = args.trials
         config.target_key_bits = 0
         result = protocol.run_session(config, rng=rng)
         s = result.eve_summary

@@ -297,6 +297,15 @@ def _sifted_outcome(table: RoundTable, j: np.ndarray) -> np.ndarray:
     return np.where(parity == 0, table.rect, table.diag)
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2**a * 3**b >= m, a length numpy's FFT transforms quickly."""
+    best, power3 = 1 << (m - 1).bit_length(), 3
+    while power3 < best:
+        best = min(best, power3 << (-(-m // power3) - 1).bit_length())
+        power3 *= 3
+    return best
+
+
 def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarray:
     """2-universal compression: multiply by a seeded random Toeplitz matrix over GF(2).
 
@@ -312,7 +321,7 @@ def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarr
         return np.zeros((0, *x.shape[1:]), dtype=np.uint8)
     diag = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1)
     # a circular convolution this long leaves the wanted outputs free of wrap-around
-    size = 1 << (n + out_len - 2).bit_length()  # a power of two >= n + out_len - 1
+    size = _fft_length(n + out_len - 1)
     spectrum = np.fft.rfft(x.T, size) * np.fft.rfft(diag, size)
     conv = np.fft.irfft(spectrum, size)[..., n - 1 : n - 1 + out_len].T
     return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)

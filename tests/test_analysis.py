@@ -1,10 +1,14 @@
 import math
+import random
+import time
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+from sqss.adversary import usd_success
 from sqss.analysis import (
     ErrorCurvePoint,
     McEstimate,
@@ -30,6 +34,30 @@ def brute_force_p_e(lam: float, terms: int = 500) -> float:
             pmf = mpmath.e ** (-lam_mp) * lam_mp**n / mpmath.factorial(n)
             total += p_ok * pmf
         return float(total)
+
+
+def reference_error_count(lam: float, trials: int, r: random.Random) -> int:
+    """Bits flipped over ``trials`` impersonated rounds simulated one at a time.
+
+    Each round draws the intercepted photon count (Knuth's product of
+    uniforms), attempts discrimination, and on failure guesses one of the
+    four angles uniformly: half a turn off flips the bit, a quarter turn
+    off flips it with a fair coin. Plain ``random.Random`` draws, so it
+    shares no stream and no code path with the class sampler.
+    """
+    limit = math.exp(-lam)
+    errors = 0
+    for _ in range(trials):
+        n, product = 0, r.random()
+        while product > limit:
+            n += 1
+            product *= r.random()
+        if r.random() < usd_success(n):
+            continue
+        offset = r.randrange(4)
+        if offset == 2 or (offset % 2 == 1 and r.random() < 0.5):
+            errors += 1
+    return errors
 
 
 class TestPoissonPmf:
@@ -155,3 +183,46 @@ class TestMonteCarlo:
         degenerate = McEstimate(mean=0.5, std_error=0.0, trials=10000)
         assert degenerate.sigma_distance(0.5) == 0.0
         assert degenerate.sigma_distance(0.4) == math.inf
+
+    def test_agrees_with_a_round_by_round_reference(self):
+        # two-proportion z test of the class sampler against the scalar loop
+        for i, lam in enumerate((0.5, 1.0, 3.0, 6.0)):
+            ref_trials, mc_trials = 100_000, 1_000_000
+            ref = reference_error_count(lam, ref_trials, random.Random(40 + i))
+            est = monte_carlo_p_error(lam, 1.0, mc_trials, np.random.default_rng(50 + i))
+            pooled = (ref + est.mean * mc_trials) / (ref_trials + mc_trials)
+            se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / ref_trials + 1.0 / mc_trials))
+            z = (ref / ref_trials - est.mean) / se
+            assert abs(z) < 3.0, f"mu*T={lam}: z={z:.2f}"
+
+    def test_billion_trials_match_closed_form(self):
+        rng = np.random.default_rng(1003)
+        for lam in (0.5, 1.0, 3.0, 6.0):
+            estimate = monte_carlo_p_error(lam, 1.0, 10**9, rng)
+            assert estimate.trials == 10**9
+            assert estimate.sigma_distance(p_error_closed_form(lam, 1.0)) < 3.0
+
+    def test_memory_and_time_do_not_grow_with_trials(self):
+        rng = np.random.default_rng(1004)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            start = time.perf_counter()
+            monte_carlo_p_error(6.0, 1.0, 10**9, rng)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, f"{peak} bytes"
+        assert elapsed < 1.0
+
+    def test_extreme_rates_terminate(self):
+        # mu*T = 0 puts every round in the vacuum class; at mu*T = 800 the
+        # pmf of every count up to 20 underflows to zero
+        rng = np.random.default_rng(1005)
+        vacuum = monte_carlo_p_error(0.0, 1.0, 10**9, rng)
+        assert vacuum.trials == 10**9
+        assert vacuum.sigma_distance(0.5) < 3.0
+        bright = monte_carlo_p_error(800.0, 1.0, 10**9, rng)
+        assert bright.trials == 10**9
+        assert 0.0 <= bright.mean <= 1e-6 and 0.0 <= bright.std_error <= 1e-6

@@ -1,8 +1,6 @@
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -242,14 +240,11 @@ class TestCliSimulate:
     def test_unreachable_key_bits_target_fails_fast(self):
         # The honest keep rate bounds every strategy, so a target it cannot
         # reach within the round cap is a configuration error up front.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "sqss", "simulate",
              "--override", "key_bits=10", "--override", "transmission=1e-6"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, timeout=60,
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == cli.EXIT_CONFIG
@@ -363,3 +358,17 @@ class TestCliAttack:
         se = float(report["std_error"])
         assert report["reference"] == repr(p_error_closed_form(6.0, 0.5))
         assert abs(value - p_error_closed_form(6.0, 0.5)) < 3 * se
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--trials", "5000"], ["--trials", "0"]], ids=["default", "5000", "0"]
+    )
+    def test_impersonate_too_few_trials_fails_fast(self, extra):
+        # The default config runs 1000 rounds, below the Monte Carlo's minimum.
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqss", "attack", "impersonate", *extra],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "trials" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""

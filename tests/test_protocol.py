@@ -23,6 +23,7 @@ from sqss.protocol import (
     RoundTable,
     SiftStatus,
     VerdictKind,
+    _fft_length,
     alice_encode,
     alice_prepare,
     angle_to_bit,
@@ -327,6 +328,18 @@ class TestToeplitz:
         assert toeplitz_compress(bits, out_len, 11).tolist() == self._reference_hash(
             bits, out_len, 11
         )
+
+    def test_fft_length_is_the_smallest_2_3_smooth_length(self):
+        def smooth(k):
+            for p in (2, 3):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        limit = 10**4
+        lengths = [k for k in range(1, 2 * limit + 1) if smooth(k)]
+        for m in range(1, limit + 1):
+            assert _fft_length(m) == next(k for k in lengths if k >= m), m
 
 
 class TestReconcile:
