@@ -228,10 +228,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    if args.step <= 0.0:
-        raise ConfigError("step", f"must be > 0, got {args.step}")
-    if args.stop < args.start or args.start < 0.0:
-        raise ConfigError("range", f"need 0 <= start <= stop, got [{args.start}, {args.stop}]")
+    if not 0.0 < args.step < math.inf:
+        raise ConfigError("step", f"must be finite and > 0, got {args.step}")
+    if not 0.0 <= args.start <= args.stop < math.inf:
+        raise ConfigError(
+            "range", f"need finite 0 <= start <= stop, got [{args.start}, {args.stop}]"
+        )
     count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
     # round away step-accumulation noise so grid values print cleanly
     values = [round(args.start + i * args.step, 10) for i in range(count)]

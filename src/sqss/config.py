@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .adversary import EveStrategy, Impersonate, NoAttack, PnsSplit, TagPhoton
-from .channel import Topology, uniform_hop_transmissions
+from .channel import FiberLink, transmission, uniform_hop_transmissions
 
 _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 
@@ -49,8 +50,8 @@ class SimConfig:
     def validate(self) -> None:
         if self.receivers < 1:
             raise ConfigError("receivers", f"must be >= 1, got {self.receivers}")
-        if self.mean_photons <= 0.0:
-            raise ConfigError("mu", f"must be > 0, got {self.mean_photons}")
+        if not 0.0 < self.mean_photons < math.inf:
+            raise ConfigError("mu", f"must be finite and > 0, got {self.mean_photons}")
         link_set = self.link_length_km is not None or self.link_loss_db_per_km is not None
         if self.transmission is not None and link_set:
             raise ConfigError(
@@ -60,14 +61,16 @@ class SimConfig:
             raise ConfigError(
                 "link.length_km", "link.length_km and link.loss_db_per_km must be set together"
             )
-        if self.transmission is not None and not 0.0 < self.transmission <= 1.0:
-            raise ConfigError("transmission", f"must be in (0, 1], got {self.transmission}")
         if self.link_length_km is not None and self.link_length_km < 0.0:
             raise ConfigError("link.length_km", f"must be >= 0, got {self.link_length_km}")
         if self.link_loss_db_per_km is not None and self.link_loss_db_per_km < 0.0:
             raise ConfigError(
                 "link.loss_db_per_km", f"must be >= 0, got {self.link_loss_db_per_km}"
             )
+        t = self._hop_transmission()
+        if not 0.0 < t <= 1.0:  # also a link whose loss underflows or is NaN
+            key = "link.length_km" if link_set else "transmission"
+            raise ConfigError(key, f"the hop transmission must be in (0, 1], got {t}")
         if self.rounds < 1:
             raise ConfigError("rounds", f"must be >= 1, got {self.rounds}")
         if self.target_key_bits < 0:
@@ -95,15 +98,15 @@ class SimConfig:
                 f"must be 0 or a receiver index in 1..{self.receivers}, got {self.dishonest_receiver}",
             )
 
+    def _hop_transmission(self) -> float:
+        """Transmission of every hop: the configured link's, else ``transmission`` (default 1)."""
+        if self.link_length_km is not None and self.link_loss_db_per_km is not None:
+            return transmission(FiberLink(self.link_length_km, self.link_loss_db_per_km))
+        return 1.0 if self.transmission is None else self.transmission
+
     def hop_transmissions(self) -> list[float]:
         """Per-hop transmissions in travel order (2N+1 hops)."""
-        if self.link_length_km is not None and self.link_loss_db_per_km is not None:
-            ring = Topology.equal_ring(
-                self.receivers, self.link_length_km, self.link_loss_db_per_km
-            )
-            return ring.hop_transmissions()
-        t = 1.0 if self.transmission is None else self.transmission
-        return uniform_hop_transmissions(self.receivers, t)
+        return uniform_hop_transmissions(self.receivers, self._hop_transmission())
 
     def strategy(self) -> EveStrategy:
         if self.adversary == "pns":

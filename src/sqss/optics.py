@@ -30,48 +30,12 @@ QUARTER_TURN = math.pi / 4
 _ANGLE_LABELS = ("0", "pi/4", "pi/2", "-pi/4")
 
 
-def _reduce_mod_pi(radians: float) -> float:
-    """Reduce an angle into the canonical range [0, pi)."""
-    r = math.fmod(radians, math.pi)
-    if r < 0.0:
-        r += math.pi
-    if r >= math.pi:  # guards the r = -epsilon + pi rounding edge
-        r = 0.0
-    return r
-
-
-@dataclass(frozen=True, slots=True)
-class PolarizationAngle:
-    """Continuous linear-polarization angle, stored reduced into [0, pi)."""
-
-    radians: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radians", _reduce_mod_pi(float(self.radians)))
-
-    def __add__(self, other: "PolarizationAngle | float") -> "PolarizationAngle":
-        delta = other.radians if isinstance(other, PolarizationAngle) else float(other)
-        return PolarizationAngle(self.radians + delta)
-
-    def __sub__(self, other: "PolarizationAngle | float") -> "PolarizationAngle":
-        delta = other.radians if isinstance(other, PolarizationAngle) else float(other)
-        return PolarizationAngle(self.radians - delta)
-
-    def distance_to(self, other: "PolarizationAngle") -> float:
-        """Circular distance on the half-circle (wraps at pi)."""
-        d = abs(self.radians - other.radians)
-        return min(d, math.pi - d)
-
-    def is_close(self, other: "PolarizationAngle", tol: float = 1e-9) -> bool:
-        return self.distance_to(other) <= tol
-
-
 @dataclass(frozen=True, slots=True)
 class DecisionAngle:
     """One of the four discrete protocol angles {0, pi/4, pi/2, -pi/4}.
 
-    Encoded as quarter turns of pi/4 so that angle arithmetic is exact
-    integer arithmetic in the cyclic group Z4.
+    Encoded as quarter turns of pi/4: angle arithmetic is integer
+    arithmetic mod 4, done on arrays of these counts by the round engine.
     """
 
     quarter_turns: int
@@ -80,19 +44,6 @@ class DecisionAngle:
         if self.quarter_turns not in (0, 1, 2, 3):
             raise ValueError(f"quarter_turns must be in 0..3, got {self.quarter_turns}")
 
-    @classmethod
-    def from_radians(cls, radians: float, tol: float = 1e-9) -> "DecisionAngle":
-        """Recover the discrete angle from a continuous one; exact-four-values only."""
-        reduced = _reduce_mod_pi(radians)
-        q = int(round(reduced / QUARTER_TURN)) % 4
-        candidate = cls(q)
-        if PolarizationAngle(reduced).distance_to(candidate.to_polarization()) > tol:
-            raise ValueError(f"{radians} rad is not one of the four protocol angles")
-        return candidate
-
-    def to_polarization(self) -> PolarizationAngle:
-        return PolarizationAngle(self.quarter_turns * QUARTER_TURN)
-
     @property
     def radians(self) -> float:
         return self.quarter_turns * QUARTER_TURN
@@ -100,12 +51,6 @@ class DecisionAngle:
     @property
     def label(self) -> str:
         return _ANGLE_LABELS[self.quarter_turns]
-
-    def __add__(self, other: "DecisionAngle") -> "DecisionAngle":
-        return decision_add(self, other)
-
-    def __sub__(self, other: "DecisionAngle") -> "DecisionAngle":
-        return DecisionAngle((self.quarter_turns - other.quarter_turns) % 4)
 
     def __neg__(self) -> "DecisionAngle":
         return DecisionAngle((-self.quarter_turns) % 4)
@@ -135,11 +80,6 @@ class MeasurementBasis(Enum):
     @property
     def orthogonal(self) -> DecisionAngle:
         return DecisionAngle(2) if self is MeasurementBasis.RECTILINEAR else DecisionAngle(3)
-
-
-def basis_of(angle: DecisionAngle) -> MeasurementBasis:
-    """Basis that distinguishes the given discrete angle."""
-    return MeasurementBasis.RECTILINEAR if angle.quarter_turns % 2 == 0 else MeasurementBasis.DIAGONAL
 
 
 # Codes of an array of measurement outcomes: 0..3 read that angle in quarter turns.
@@ -186,11 +126,6 @@ def rotate_batch(batch: PhotonBatch, delta: np.ndarray | float) -> PhotonBatch:
     turned = np.mod(batch.polarization + delta, math.pi)
     # a tiny negative sum can round up to exactly pi
     return PhotonBatch(batch.count, np.where(turned < math.pi, turned, 0.0))
-
-
-def decision_add(a: DecisionAngle, b: DecisionAngle) -> DecisionAngle:
-    """Add two discrete angles in Z4 (pi/4 steps, mod pi)."""
-    return DecisionAngle((a.quarter_turns + b.quarter_turns) % 4)
 
 
 def split_batch(

@@ -145,7 +145,7 @@ class RoundTable:
                           self.trace_polarization[i].tolist())) if self.trace_stages else None
         return RoundRecord(
             i, float(self.theta[i]), tuple(self.phis[i].tolist()), tuple(self.shuffles[i].tolist()),
-            j, bit, encode_map(bit, j).quarter_turns,
+            j, bit, _key_angle(bit, j),
             MeasurementOutcome.from_code(int(self.rect[i])),
             MeasurementOutcome.from_code(int(self.diag[i])),
             status=None if sifted is None else _SIFT_STATUS.get(sifted, SiftStatus.KEPT),
@@ -180,33 +180,24 @@ class SessionResult:
     eve_summary: adv.EveSummary | None = None
 
 
-def encode_map(bit: int, j: int) -> DecisionAngle:
-    """Key angle for a bit in basis family j: 0 -> {0, pi/4}, 1 -> {pi/2, -pi/4}."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if j not in (1, 2):
-        raise ValueError(f"basis family must be 1 or 2, got {j}")
-    return DecisionAngle(2 * bit + j - 1)
+def _key_angle(bit, basis):
+    """Key angle in quarter turns for a bit in basis family 1 or 2, on ints or arrays.
+
+    Family 1 encodes in the rectilinear pair and family 2 in the diagonal
+    one: bit 0 -> {0, pi/4}, bit 1 -> {pi/2, -pi/4}, so the bit reads
+    back as the angle // 2 and the basis as its parity.
+    """
+    return 2 * bit + basis - 1
 
 
-def angle_to_bit(k: DecisionAngle) -> int:
-    """Inverse of the bit convention: {0, pi/4} read as 0, {pi/2, -pi/4} as 1."""
-    return k.quarter_turns // 2
-
-
-def cooperative_decode(
-    rec1_decision: DecisionAngle, other_shuffles: Sequence[DecisionAngle]
-) -> DecisionAngle:
-    """Recover the key angle from Rec-1's decision angle and the other shuffles.
+def _decode_rows(decisions: np.ndarray) -> np.ndarray:
+    """Recover the key angle from each row of (Rec-1's decision angle, other shuffles...).
 
     The measured angle is k plus the sum of all shuffles, so k falls out
     of subtracting every shuffle: Rec-1 contributes (measured - s_1) and
     each remaining receiver contributes its own s_i.
     """
-    k = rec1_decision
-    for s in other_shuffles:
-        k = k - s
-    return k
+    return (decisions[:, 0] - decisions[:, 1:].sum(axis=1)) % 4
 
 
 def decode_table(order: tuple[int, int, int, int] = (0, 2, 1, 3)) -> list[list[DecisionAngle]]:
@@ -215,10 +206,8 @@ def decode_table(order: tuple[int, int, int, int] = (0, 2, 1, 3)) -> list[list[D
     The default ordering (0, pi/2, pi/4, -pi/4) follows the conventional
     presentation with the rectilinear pair first.
     """
-    return [
-        [cooperative_decode(DecisionAngle(col), [DecisionAngle(row)]) for col in order]
-        for row in order
-    ]
+    keys = _decode_rows(np.array([(col, row) for row in order for col in order])).reshape(4, 4)
+    return [[DecisionAngle(int(k)) for k in row] for row in keys]
 
 
 def alice_prepare(
@@ -256,8 +245,7 @@ def alice_encode(
     pulse leaves the box. Returns the basis families and the pulses.
     """
     basis = rng.integers(1, 3, size=len(bit), dtype=np.int8)
-    key = 2 * bit + basis - 1  # encode_map, round by round
-    light = rotate_batch(light, key * QUARTER_TURN - theta)
+    light = rotate_batch(light, _key_angle(bit, basis) * QUARTER_TURN - theta)
     if bs_ratio < 1.0:
         light, _ = split_batch(light, bs_ratio, rng)
     return basis, light
@@ -436,11 +424,6 @@ def _run_round(
         columns["trace_polarization"] = np.stack([s.polarization for s in snaps.values()], axis=1)
     return RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,
                       trace_stages=tuple(snaps))
-
-
-def _decode_rows(decisions: np.ndarray) -> np.ndarray:
-    """``cooperative_decode`` on every row of (Rec-1's decision, other shuffles...)."""
-    return (decisions[:, 0] - decisions[:, 1:].sum(axis=1)) % 4
 
 
 def _decode_phase(

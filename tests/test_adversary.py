@@ -15,8 +15,9 @@ from sqss.adversary import (
     usd_success,
 )
 from sqss.analysis import monte_carlo_p_error
+from sqss.config import SimConfig
 from sqss.optics import DecisionAngle, PhotonBatch
-from sqss.protocol import alice_prepare
+from sqss.protocol import alice_prepare, run_session
 
 
 class TestUsdSuccess:
@@ -72,6 +73,22 @@ class TestEveMeanPhotons:
     def test_total_tap_budget_below_mu(self, mu, t):
         total = sum(eve_mean_photons(mu, t, c) for c in (1, 3, 4))
         assert total < mu
+
+    @pytest.mark.parametrize("channel", (1, 3, 4))
+    @pytest.mark.parametrize("t", (0.5, 0.9))
+    def test_stored_photon_fraction_matches_the_simulation(self, channel, t):
+        # eve_mean_photons is the paper's tap budget, not a simulated
+        # statistic. The engine's counterpart: Eve stores one photon from
+        # every pulse of two or more at her hop, whose count is Poisson
+        # with the mean carried that far.
+        config = SimConfig(receivers=2, mean_photons=6.0, transmission=t, rounds=200_000,
+                           adversary="pns", pns_channel=channel, parity_block=0,
+                           seed=70 + channel + int(10 * t))
+        summary = run_session(config).eve_summary
+        lam = config.mean_photons * math.prod(config.hop_transmissions()[:channel])
+        expected = 1.0 - math.exp(-lam) * (1.0 + lam)
+        sigma = math.sqrt(expected * (1.0 - expected) / config.rounds)
+        assert abs(summary.stored_photons / config.rounds - expected) < 3 * sigma
 
 
 class TestPnsIntercept:

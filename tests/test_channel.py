@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqss.channel import (
-    FiberLink,
-    Topology,
-    solve_loss_budget,
-    thin_batch,
-    transmission,
-    uniform_hop_transmissions,
-)
+from sqss.channel import FiberLink, thin_batch, transmission, uniform_hop_transmissions
+from sqss.config import SimConfig
 from sqss.optics import PhotonBatch
 
 
@@ -33,12 +27,6 @@ def test_transmission_half():
     # ~3.0103 dB halves the mean photon number.
     link = FiberLink(1.0, 10.0 * math.log10(2.0))
     assert transmission(link) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_solve_loss_budget_round_trips():
-    for t in (0.9, 0.5, 0.1, 0.01):
-        delta = solve_loss_budget(t)
-        assert transmission(FiberLink(1.0, delta)) == pytest.approx(t, rel=1e-12)
 
 
 @given(
@@ -110,23 +98,14 @@ def test_thin_batch_lossless_keeps_every_photon():
 
 
 def test_equal_ring_shape():
-    ring = Topology.equal_ring(3, 10.0, 0.2)
-    assert len(ring.links) == 4
-    assert ring.receivers == 3
-
-
-def test_hop_transmissions_travel_order():
-    # Distinct per-link values expose the forward-then-backward ordering.
-    links = tuple(FiberLink(float(i + 1), 1.0) for i in range(3))  # N=2 receivers
-    ring = Topology(links)
-    t = [transmission(l) for l in links]
-    assert ring.hop_transmissions() == [t[0], t[1], t[2], t[2], t[1]]
+    hops = SimConfig(receivers=3, link_length_km=10.0, link_loss_db_per_km=0.2).hop_transmissions()
+    assert hops == [transmission(FiberLink(10.0, 0.2))] * 7
 
 
 def test_hop_count_is_2n_plus_1():
     for n in (1, 2, 5):
-        ring = Topology.equal_ring(n, 5.0, 0.2)
-        assert len(ring.hop_transmissions()) == 2 * n + 1
+        config = SimConfig(receivers=n, link_length_km=5.0, link_loss_db_per_km=0.2)
+        assert len(config.hop_transmissions()) == 2 * n + 1
 
 
 def test_uniform_hops():
@@ -136,7 +115,6 @@ def test_uniform_hops():
 
 
 def test_topology_rejects_too_few_links():
+    # a ring of one link has no receiver
     with pytest.raises(ValueError):
-        Topology(())
-    with pytest.raises(ValueError):
-        Topology((FiberLink(1.0, 0.2),))
+        uniform_hop_transmissions(0, 0.5)

@@ -101,6 +101,8 @@ class TestValidation:
         [
             ("receivers", 0, "receivers"),
             ("mean_photons", 0.0, "mu"),
+            ("mean_photons", float("nan"), "mu"),
+            ("mean_photons", float("inf"), "mu"),
             ("transmission", 1.5, "transmission"),
             ("transmission", 0.0, "transmission"),
             ("rounds", 0, "rounds"),
@@ -131,6 +133,16 @@ class TestValidation:
         cfg = SimConfig(link_length_km=10.0)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("length,loss", [(100_000.0, 0.2), (0.0, float("inf"))],
+                             ids=["underflow", "nan"])
+    def test_link_transmission_must_be_positive(self, length, loss):
+        # 20,000 dB of loss underflows to a transmission of 0.0; 0 km times
+        # an infinite loss is NaN
+        cfg = SimConfig(link_length_km=length, link_loss_db_per_km=loss)
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert err.value.key == "link.length_km"
 
     def test_pns_channel_must_fit_the_ring(self):
         cfg = SimConfig(receivers=1, adversary="pns", pns_channel=4)
@@ -252,6 +264,26 @@ class TestCliSimulate:
         assert proc.stdout == ""
         assert elapsed < 5.0
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["simulate", "--override", "mu=nan"], "mu"),
+            (["simulate", "--override", "mu=inf"], "mu"),
+            (["attack", "impersonate", "--override", "mu=nan"], "mu"),
+            (["simulate", "--override", "link.length_km=100000",
+              "--override", "link.loss_db_per_km=0.2"], "link.length_km"),
+        ],
+        ids=["mu-nan", "mu-inf", "attack-mu-nan", "link-underflow"],
+    )
+    def test_non_finite_light_settings_fail_fast(self, args, key):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqss", *args], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([
             "simulate", "--config", str(demo_config),
@@ -292,6 +324,16 @@ class TestCliCurve:
     def test_bad_step_rejected(self, capsys):
         assert cli.main(["curve", "--step", "0"]) == cli.EXIT_CONFIG
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [(["--stop", "inf"], "range"), (["--start", "nan"], "range"),
+         (["--stop", "nan"], "range"), (["--step", "nan"], "step"), (["--step", "inf"], "step")],
+        ids=["stop-inf", "start-nan", "stop-nan", "step-nan", "step-inf"],
+    )
+    def test_non_finite_grid_rejected(self, args, key, capsys):
+        assert cli.main(["curve", *args]) == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestCliTable:

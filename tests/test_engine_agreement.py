@@ -22,7 +22,7 @@ from scipy import stats
 from sqss.adversary import intercepted_mean, usd_success
 from sqss.config import SimConfig
 from sqss.optics import AMBIGUOUS, QUARTER_TURN, VACUUM
-from sqss.protocol import encode_map, run_session
+from sqss.protocol import run_session
 
 CATEGORIES = ("kept_correct", "kept_wrong", "vacuum", "ambiguous")
 
@@ -75,7 +75,7 @@ def reference_round(r: random.Random, config: SimConfig, hop_t: list[float]) -> 
     photons = hop_to(n + 1, photons)
 
     bit, j = r.randrange(2), r.randrange(1, 3)
-    polarization += encode_map(bit, j).radians - theta
+    polarization += (2 * bit + j - 1) * QUARTER_TURN - theta
     if config.bs_ratio < 1.0:
         photons = _binomial(r, photons, config.bs_ratio)
     if config.adversary == "tag":

@@ -14,22 +14,21 @@ from sqss.optics import (
     VACUUM,
     DecisionAngle,
     MeasurementBasis,
+    QUARTER_TURN,
     MeasurementOutcome,
     PhotonBatch,
-    PolarizationAngle,
 )
 from sqss.protocol import (
     ProtocolRestart,
     RoundTable,
     SiftStatus,
     VerdictKind,
+    _decode_rows,
     _fft_length,
+    _key_angle,
     alice_encode,
     alice_prepare,
-    angle_to_bit,
-    cooperative_decode,
     decode_table,
-    encode_map,
     integrity_check,
     key_digest,
     parity_survivor_indices,
@@ -71,50 +70,47 @@ def pulses(count, polarization, size=1):
     return PhotonBatch(np.full(size, count), np.full(size, float(polarization)))
 
 
+def circular_distance(a, b):
+    """Distance between two polarizations on the half-circle, which wraps at pi."""
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
 class TestEncodeMap:
     def test_four_angle_mapping(self):
-        assert encode_map(0, 1) == DecisionAngle(0)
-        assert encode_map(0, 2) == DecisionAngle(1)
-        assert encode_map(1, 1) == DecisionAngle(2)
-        assert encode_map(1, 2) == DecisionAngle(3)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            encode_map(2, 1)
-        with pytest.raises(ValueError):
-            encode_map(0, 3)
+        assert _key_angle(0, 1) == 0
+        assert _key_angle(0, 2) == 1
+        assert _key_angle(1, 1) == 2
+        assert _key_angle(1, 2) == 3
+        bits, families = np.array([0, 0, 1, 1], dtype=np.int8), np.array([1, 2, 1, 2], dtype=np.int8)
+        assert _key_angle(bits, families).tolist() == [0, 1, 2, 3]
 
     def test_angle_to_bit_inverts(self):
-        assert angle_to_bit(DecisionAngle(0)) == 0
-        assert angle_to_bit(DecisionAngle(3)) == 1
+        # a receiver reads the bit of a decoded key angle as angle // 2
         for bit in (0, 1):
             for j in (1, 2):
-                assert angle_to_bit(encode_map(bit, j)) == bit
+                assert _key_angle(bit, j) // 2 == bit
+        bits, families = np.array([0, 1, 0, 1], dtype=np.int8), np.array([1, 1, 2, 2], dtype=np.int8)
+        assert (_key_angle(bits, families) // 2).tolist() == bits.tolist()
 
     def test_family_fixes_the_basis(self):
-        from sqss.optics import basis_of
-
+        rect, diag = MeasurementBasis.RECTILINEAR, MeasurementBasis.DIAGONAL
         for bit in (0, 1):
-            assert basis_of(encode_map(bit, 1)) is MeasurementBasis.RECTILINEAR
-            assert basis_of(encode_map(bit, 2)) is MeasurementBasis.DIAGONAL
+            assert DecisionAngle(_key_angle(bit, 1)) in (rect.aligned, rect.orthogonal)
+            assert DecisionAngle(_key_angle(bit, 2)) in (diag.aligned, diag.orthogonal)
 
 
 class TestCooperativeDecode:
     def test_table_examples(self):
-        assert cooperative_decode(DecisionAngle(1), [DecisionAngle(1)]) == DecisionAngle(0)
-        assert cooperative_decode(DecisionAngle(0), [DecisionAngle(0)]) == DecisionAngle(0)
+        assert _decode_rows(np.array([[1, 1], [0, 0]])).tolist() == [0, 0]
 
     @given(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=0, max_size=6))
     def test_round_trip_identity(self, k_turns, shuffles):
         # Measured angle is k plus every shuffle; rec1's decision angle
         # removes its own shuffle and decode removes the rest.
-        k = DecisionAngle(k_turns)
-        ss = [DecisionAngle(s) for s in shuffles]
-        measured = k
-        for s in ss:
-            measured = measured + s
-        rec1_decision = measured - ss[0] if ss else measured
-        assert cooperative_decode(rec1_decision, ss[1:]) == k
+        measured = (k_turns + sum(shuffles)) % 4
+        rec1_decision = (measured - shuffles[0]) % 4 if shuffles else measured
+        assert _decode_rows(np.array([[rec1_decision, *shuffles[1:]]])).tolist() == [k_turns]
 
     def test_table_is_a_latin_square(self):
         table = decode_table()
@@ -161,9 +157,8 @@ class TestSenderOps:
         pulse = pulses(6, accumulated)
         basis, out = alice_encode(pulse, np.array([0.4]), np.array([1]), 1.0,
                                   np.random.default_rng(3))
-        k = encode_map(1, int(basis[0]))
-        expected = PolarizationAngle(k.radians + 1.234)
-        assert PolarizationAngle(out.polarization[0]).is_close(expected, tol=1e-12)
+        expected = _key_angle(1, int(basis[0])) * QUARTER_TURN + 1.234
+        assert circular_distance(out.polarization[0], expected) <= 1e-12
 
     def test_basis_family_choice_is_balanced(self):
         rng = np.random.default_rng(9)
@@ -187,8 +182,8 @@ class TestSenderOps:
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
         phi, s, out = receiver_forward(pulses(6, 0.5), np.random.default_rng(4))
-        expected = PolarizationAngle(0.5 + phi[0] + DecisionAngle(int(s[0])).radians)
-        assert PolarizationAngle(out.polarization[0]).is_close(expected, tol=1e-12)
+        expected = 0.5 + phi[0] + DecisionAngle(int(s[0])).radians
+        assert circular_distance(out.polarization[0], expected) <= 1e-12
 
     def test_shuffles_uniform_over_four_values(self):
         rng = np.random.default_rng(10)
@@ -200,8 +195,8 @@ class TestReceiverOps:
     def test_backward_removes_only_the_hide_angle(self):
         phi, s, forwarded = receiver_forward(pulses(6, 0.2), np.random.default_rng(6))
         back = receiver_backward(forwarded, phi)
-        expected = PolarizationAngle(0.2 + DecisionAngle(int(s[0])).radians)
-        assert PolarizationAngle(back.polarization[0]).is_close(expected, tol=1e-12)
+        expected = 0.2 + DecisionAngle(int(s[0])).radians
+        assert circular_distance(back.polarization[0], expected) <= 1e-12
 
 
 class TestRec1Measure:
@@ -472,8 +467,8 @@ class TestRunSession:
             for record in res.records:
                 final = next(s for s in record.trace if s.stage == "rec1_backward")
                 expected_turns = (record.key_angle + sum(record.shuffles)) % 4
-                expected = DecisionAngle(expected_turns).to_polarization()
-                assert PolarizationAngle(final.polarization).distance_to(expected) < 1e-9
+                expected = DecisionAngle(expected_turns).radians
+                assert circular_distance(final.polarization, expected) < 1e-9
 
     def test_discard_fraction_tracks_the_vacuum_oracle(self):
         cfg = SimConfig(receivers=2, mean_photons=4.0, rounds=20000, parity_block=0, seed=45)
