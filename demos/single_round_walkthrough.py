@@ -10,53 +10,58 @@ the cooperative decode.
 
 import math
 
-from sqss import DecisionAngle, SiftStatus, SimConfig, run_session
+from sqss import DecisionAngle, SimConfig, run_session
 
 
 def degrees(radians: float) -> str:
     return f"{math.degrees(radians):7.2f} deg"
 
 
+def outcome(code: int) -> str:
+    """An arm's outcome code in words: the angle it read, vacuum or ambiguous."""
+    return f"angle {DecisionAngle(code).label}" if code < 4 else ("vacuum", "ambiguous")[code - 4]
+
+
 def main() -> None:
     config = SimConfig(receivers=2, rounds=20, parity_block=0, seed=5, trace=True)
-    result = run_session(config)
-    record = next(r for r in result.records if r.status is SiftStatus.KEPT)
+    table = run_session(config).records
+    i = int((table.sifted < 4).argmax())  # codes 0..3 are angles: the kept rounds
+    bit, j = int(table.bit[i]), int(table.basis_choice[i])
 
-    print(f"round {record.index} of {config.rounds} (first kept round)")
+    print(f"round {i} of {config.rounds} (first kept round)")
     print()
     print("secrets drawn this round:")
-    print(f"  Alice hiding angle   theta = {degrees(record.theta)}")
-    for i, (phi, s) in enumerate(zip(record.phis, record.shuffles), start=1):
-        shuffle = DecisionAngle(s)
+    print(f"  Alice hiding angle   theta = {degrees(table.theta[i])}")
+    for r, (phi, s) in enumerate(zip(table.phis[i], table.shuffles[i]), start=1):
+        shuffle = DecisionAngle(int(s))
         print(
-            f"  Rec-{i} hiding angle  phi_{i} = {degrees(phi)},"
-            f"  shuffle s_{i} = {shuffle.label}"
+            f"  Rec-{r} hiding angle  phi_{r} = {degrees(phi)},"
+            f"  shuffle s_{r} = {shuffle.label}"
         )
-    key = DecisionAngle(record.key_angle)
-    print(f"  Alice's bit = {record.bit}, basis choice j = {record.basis_choice}")
+    key = DecisionAngle(2 * bit + j - 1)
+    print(f"  Alice's bit = {bit}, basis choice j = {j}")
     print(f"  encoded key angle k = {key.label}")
     print()
 
     print("pulse polarization along the ring:")
-    for snap in record.trace:
-        print(
-            f"  {snap.stage:<16} photons {snap.photons:3d}"
-            f"  polarization {degrees(snap.polarization)}"
-        )
+    for stage, photons, polarization in zip(
+        table.trace_stages, table.trace_photons[i], table.trace_polarization[i]
+    ):
+        print(f"  {stage:<16} photons {photons:3d}  polarization {degrees(polarization)}")
     print()
 
     print("measurement at Rec-1:")
-    print(f"  rectilinear arm: {record.rect_outcome}")
-    print(f"  diagonal arm:    {record.diag_outcome}")
-    measured = DecisionAngle(record.measured_angle)
+    print(f"  rectilinear arm: {outcome(table.rect[i])}")
+    print(f"  diagonal arm:    {outcome(table.diag[i])}")
+    measured = DecisionAngle(int(table.sifted[i]))
     print(f"  sifted arm reads l = {measured.label}")
     print()
 
-    decoded = DecisionAngle(record.decoded_angle)
+    decoded = DecisionAngle(int(table.decoded[i]))
     print("cooperative decode:")
     print(f"  Rec-1 announces d_1 = l - s_1, the others announce their shuffles")
     print(f"  recovered key angle = {decoded.label} (sent: {key.label})")
-    print(f"  recovered bit = {record.decoded_bit} (sent: {record.bit})")
+    print(f"  recovered bit = {decoded.quarter_turns // 2} (sent: {bit})")
 
 
 if __name__ == "__main__":

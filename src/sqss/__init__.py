@@ -6,14 +6,13 @@ from .analysis import error_curve, monte_carlo_p_error, p_error_closed_form
 from .channel import FiberLink, transmission
 from .config import SimConfig
 from .optics import DecisionAngle
-from .protocol import SiftStatus, VerdictKind, decode_table, key_digest, run_session
+from .protocol import VerdictKind, decode_table, key_digest, run_session
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DecisionAngle",
     "FiberLink",
-    "SiftStatus",
     "SimConfig",
     "VerdictKind",
     "decode_table",

@@ -17,32 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import MeasurementBasis, PhotonBatch, pbs_measure
-
-
-@dataclass(frozen=True, slots=True)
-class NoAttack:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PnsSplit:
-    """Tap the given channel (travel-order hop index) with a QND counter."""
-
-    channel_index: int = 1
-
-
-@dataclass(frozen=True, slots=True)
-class TagPhoton:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class Impersonate:
-    pass
-
-
-EveStrategy = NoAttack | PnsSplit | TagPhoton | Impersonate
+from .optics import PhotonBatch, pbs_measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,8 +137,8 @@ def ml_single_photon_estimator(
     receivers map theirs.
     """
     guesses = rng.integers(2, size=len(basis_choice))
-    for j, basis in ((1, MeasurementBasis.RECTILINEAR), (2, MeasurementBasis.DIAGONAL)):
+    for j in (1, 2):  # family j reads in RECTILINEAR (0) or DIAGONAL (1)
         rows = np.flatnonzero((basis_choice == j) & (stored.count > 0))
-        codes = pbs_measure(PhotonBatch(stored.count[rows], stored.polarization[rows]), basis, rng)
+        codes = pbs_measure(PhotonBatch(stored.count[rows], stored.polarization[rows]), j - 1, rng)
         guesses[rows] = codes // 2
     return guesses

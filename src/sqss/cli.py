@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, protocol
 from .adversary import intercepted_mean
 from .config import ConfigError, SimConfig, apply_overrides, load_config
-from .optics import DecisionAngle, MeasurementOutcome, OutcomeKind
+from .optics import VACUUM, DecisionAngle
 
 EXIT_ACCEPT = 0
 EXIT_ABORT_RETRY = 2
@@ -52,87 +52,35 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _encode_outcome(outcome: MeasurementOutcome) -> str:
-    if outcome.kind is OutcomeKind.ANGLE:
-        return f"angle:{outcome.angle.quarter_turns}"
-    return outcome.kind.value
+# Text of each outcome code; a discarded round's status appends "_discard".
+_OUTCOME_TEXT = ("angle:0", "angle:1", "angle:2", "angle:3", "vacuum", "ambiguous")
 
 
-def _decode_outcome(text: str) -> MeasurementOutcome:
-    if text.startswith("angle:"):
-        return MeasurementOutcome.of_angle(DecisionAngle(int(text.split(":", 1)[1])))
-    if text == OutcomeKind.VACUUM.value:
-        return MeasurementOutcome.vacuum()
-    if text == OutcomeKind.AMBIGUOUS.value:
-        return MeasurementOutcome.ambiguous()
-    raise ValueError(f"unknown outcome encoding '{text}'")
-
-
-def round_records_to_csv(records: Sequence[protocol.RoundRecord]) -> str:
-    """Render round records to CSV; every field survives a parse round trip."""
+def round_records_to_csv(table: protocol.RoundTable) -> str:
+    """Render every round of a session's sifted and decoded table to CSV, one row
+    per round (README: Per-round CSV)."""
+    traces = [""] * len(table)
+    if table.trace_stages:
+        traces = [
+            "|".join(f"{stage}:{n}:{_fmt(pol)}" for stage, n, pol in zip(table.trace_stages, *hops))
+            for hops in zip(table.trace_photons.tolist(), table.trace_polarization.tolist())
+        ]
     lines = [_ROUND_COLUMNS]
-    for r in records:
-        trace = ""
-        if r.trace is not None:
-            trace = "|".join(
-                f"{s.stage}:{s.photons}:{_fmt(s.polarization)}" for s in r.trace
-            )
-        lines.append(
-            ",".join(
-                (
-                    str(r.index),
-                    _fmt(r.theta),
-                    ";".join(_fmt(p) for p in r.phis),
-                    ";".join(str(s) for s in r.shuffles),
-                    str(r.basis_choice),
-                    str(r.bit),
-                    str(r.key_angle),
-                    _encode_outcome(r.rect_outcome),
-                    _encode_outcome(r.diag_outcome),
-                    r.status.value if r.status is not None else "",
-                    "" if r.measured_angle is None else str(r.measured_angle),
-                    "" if r.decoded_angle is None else str(r.decoded_angle),
-                    "" if r.decoded_bit is None else str(r.decoded_bit),
-                    trace,
-                )
-            )
-        )
+    for i, (theta, phis, shuffles, j, bit, key, rect, diag, code, dec, trace) in enumerate(zip(
+        table.theta.tolist(), table.phis.tolist(), table.shuffles.tolist(),
+        table.basis_choice.tolist(), table.bit.tolist(),
+        protocol._key_angle(table.bit, table.basis_choice).tolist(), table.rect.tolist(),
+        table.diag.tolist(), table.sifted.tolist(), table.decoded.tolist(), traces,
+    )):
+        kept = code < VACUUM
+        lines.append(",".join((
+            str(i), _fmt(theta), ";".join(map(_fmt, phis)), ";".join(map(str, shuffles)),
+            str(j), str(bit), str(key), _OUTCOME_TEXT[rect], _OUTCOME_TEXT[diag],
+            "kept" if kept else _OUTCOME_TEXT[code] + "_discard",
+            str(code) if kept else "", str(dec) if kept else "", str(dec // 2) if kept else "",
+            trace,
+        )))
     return "\n".join(lines) + "\n"
-
-
-def round_records_from_csv(text: str) -> list[protocol.RoundRecord]:
-    lines = text.strip().split("\n")
-    if lines[0] != _ROUND_COLUMNS:
-        raise ValueError("unrecognized round CSV header")
-    records = []
-    for line in lines[1:]:
-        (idx, theta, phis, shuffles, j, bit, key_angle, rect, diag, status,
-         measured, decoded, decoded_bit, trace) = line.split(",")
-        snapshots = None
-        if trace:
-            snapshots = tuple(
-                protocol.PulseSnapshot(stage, int(photons), float(pol))
-                for stage, photons, pol in (part.split(":") for part in trace.split("|"))
-            )
-        records.append(
-            protocol.RoundRecord(
-                index=int(idx),
-                theta=float(theta),
-                phis=tuple(float(p) for p in phis.split(";")) if phis else (),
-                shuffles=tuple(int(s) for s in shuffles.split(";")) if shuffles else (),
-                basis_choice=int(j),
-                bit=int(bit),
-                key_angle=int(key_angle),
-                rect_outcome=_decode_outcome(rect),
-                diag_outcome=_decode_outcome(diag),
-                status=protocol.SiftStatus(status) if status else None,
-                measured_angle=int(measured) if measured else None,
-                decoded_angle=int(decoded) if decoded else None,
-                decoded_bit=int(decoded_bit) if decoded_bit else None,
-                trace=snapshots,
-            )
-        )
-    return records
 
 
 def curve_points_to_csv(points: Sequence[analysis.ErrorCurvePoint]) -> str:
@@ -141,37 +89,11 @@ def curve_points_to_csv(points: Sequence[analysis.ErrorCurvePoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_points_from_csv(text: str) -> list[analysis.ErrorCurvePoint]:
-    lines = text.strip().split("\n")
-    if lines[0] != "mu_t,p_e,p_error":
-        raise ValueError("unrecognized curve CSV header")
-    points = []
-    for line in lines[1:]:
-        mu_t, p_e, p_error = (float(v) for v in line.split(","))
-        points.append(analysis.ErrorCurvePoint(mu_t=mu_t, p_e=p_e, p_error=p_error))
-    return points
-
-
 def attack_summary_to_csv(summary: AttackSummary) -> str:
     return (
         "strategy,trials,metric,value,std_error,reference\n"
         f"{summary.strategy},{summary.trials},{summary.metric},"
         f"{_fmt(summary.value)},{_fmt(summary.std_error)},{_fmt(summary.reference)}\n"
-    )
-
-
-def attack_summary_from_csv(text: str) -> AttackSummary:
-    lines = text.strip().split("\n")
-    if lines[0] != "strategy,trials,metric,value,std_error,reference":
-        raise ValueError("unrecognized attack CSV header")
-    strategy, trials, metric, value, std_error, reference = lines[1].split(",")
-    return AttackSummary(
-        strategy=strategy,
-        trials=int(trials),
-        metric=metric,
-        value=float(value),
-        std_error=float(std_error),
-        reference=float(reference),
     )
 
 
@@ -246,9 +168,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    order = (0, 2, 1, 3)
-    table = protocol.decode_table(order)
-    labels = [DecisionAngle(q).label for q in order]
+    table = protocol.decode_table()
+    labels = [DecisionAngle(q).label for q in protocol.DECODE_TABLE_ORDER]
     width = 6
     header = "rec2\\rec1".ljust(10) + "".join(lbl.rjust(width) for lbl in labels)
     print(header)

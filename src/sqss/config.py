@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .adversary import EveStrategy, Impersonate, NoAttack, PnsSplit, TagPhoton
 from .channel import FiberLink, transmission, uniform_hop_transmissions
 
 _ADVERSARIES = ("none", "pns", "tag", "impersonate")
+# The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
+_MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 
 
 class ConfigError(ValueError):
@@ -50,8 +50,10 @@ class SimConfig:
     def validate(self) -> None:
         if self.receivers < 1:
             raise ConfigError("receivers", f"must be >= 1, got {self.receivers}")
-        if not 0.0 < self.mean_photons < math.inf:
-            raise ConfigError("mu", f"must be finite and > 0, got {self.mean_photons}")
+        if not 0.0 < self.mean_photons <= _MAX_MEAN_PHOTONS:
+            raise ConfigError(
+                "mu", f"must be > 0 and at most {_MAX_MEAN_PHOTONS:.4g}, got {self.mean_photons}"
+            )
         link_set = self.link_length_km is not None or self.link_loss_db_per_km is not None
         if self.transmission is not None and link_set:
             raise ConfigError(
@@ -107,15 +109,6 @@ class SimConfig:
     def hop_transmissions(self) -> list[float]:
         """Per-hop transmissions in travel order (2N+1 hops)."""
         return uniform_hop_transmissions(self.receivers, self._hop_transmission())
-
-    def strategy(self) -> EveStrategy:
-        if self.adversary == "pns":
-            return PnsSplit(channel_index=self.pns_channel)
-        if self.adversary == "tag":
-            return TagPhoton()
-        if self.adversary == "impersonate":
-            return Impersonate()
-        return NoAttack()
 
 
 # key name in the file -> (attribute, parser)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -69,55 +68,14 @@ class PhotonBatch:
             raise ValueError(f"counts must be >= 0, got {np.min(self.count)}")
 
 
-class MeasurementBasis(Enum):
-    RECTILINEAR = "rectilinear"  # distinguishes {0, pi/2}
-    DIAGONAL = "diagonal"        # distinguishes {pi/4, -pi/4}
-
-    @property
-    def aligned(self) -> DecisionAngle:
-        return DecisionAngle(0) if self is MeasurementBasis.RECTILINEAR else DecisionAngle(1)
-
-    @property
-    def orthogonal(self) -> DecisionAngle:
-        return DecisionAngle(2) if self is MeasurementBasis.RECTILINEAR else DecisionAngle(3)
-
+# Each basis, named by the quarter turns of its aligned detector; the
+# orthogonal detector reads two quarter turns further on.
+RECTILINEAR = 0  # distinguishes {0, pi/2}
+DIAGONAL = 1     # distinguishes {pi/4, -pi/4}
 
 # Codes of an array of measurement outcomes: 0..3 read that angle in quarter turns.
 VACUUM = 4
 AMBIGUOUS = 5
-
-
-class OutcomeKind(Enum):
-    ANGLE = "angle"
-    VACUUM = "vacuum"
-    AMBIGUOUS = "ambiguous"
-
-
-@dataclass(frozen=True, slots=True)
-class MeasurementOutcome:
-    """Result of a polarizing-beam-splitter measurement on one pulse."""
-
-    kind: OutcomeKind
-    angle: DecisionAngle | None = None
-
-    @classmethod
-    def vacuum(cls) -> "MeasurementOutcome":
-        return cls(OutcomeKind.VACUUM)
-
-    @classmethod
-    def ambiguous(cls) -> "MeasurementOutcome":
-        return cls(OutcomeKind.AMBIGUOUS)
-
-    @classmethod
-    def of_angle(cls, angle: DecisionAngle) -> "MeasurementOutcome":
-        return cls(OutcomeKind.ANGLE, angle)
-
-    @classmethod
-    def from_code(cls, code: int) -> "MeasurementOutcome":
-        """The outcome one entry of a ``pbs_measure`` code array stands for."""
-        if code < VACUUM:
-            return cls.of_angle(DecisionAngle(code))
-        return cls(OutcomeKind.VACUUM if code == VACUUM else OutcomeKind.AMBIGUOUS)
 
 
 def rotate_batch(batch: PhotonBatch, delta: np.ndarray | float) -> PhotonBatch:
@@ -142,10 +100,9 @@ def split_batch(
     )
 
 
-def pbs_measure(
-    batch: PhotonBatch, basis: MeasurementBasis, rng: np.random.Generator
-) -> np.ndarray:
-    """Measure every pulse on a polarizing beam splitter in the given basis.
+def pbs_measure(batch: PhotonBatch, aligned: int, rng: np.random.Generator) -> np.ndarray:
+    """Measure every pulse on a polarizing beam splitter in the basis whose
+    aligned detector sits at ``aligned`` quarter turns (RECTILINEAR or DIAGONAL).
 
     Every photon clicks the aligned detector with probability
     cos^2(theta - beta) and the orthogonal one otherwise, so the aligned
@@ -154,11 +111,10 @@ def pbs_measure(
     are an ambiguous event; an empty pulse is vacuum. Returns one
     outcome code per pulse (quarter turns, VACUUM or AMBIGUOUS).
     """
-    aligned = basis.aligned.quarter_turns
     p_aligned = np.cos(batch.polarization - aligned * QUARTER_TURN) ** 2
     clicks = rng.binomial(batch.count, p_aligned)
     codes = np.full(len(clicks), AMBIGUOUS, dtype=np.int8)
-    codes[clicks == 0] = basis.orthogonal.quarter_turns
+    codes[clicks == 0] = aligned + 2
     codes[clicks == batch.count] = aligned
     codes[batch.count == 0] = VACUUM
     return codes

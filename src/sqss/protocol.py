@@ -32,12 +32,11 @@ from . import adversary as adv
 from .channel import thin_batch
 from .config import ConfigError, SimConfig
 from .optics import (
-    AMBIGUOUS,
+    DIAGONAL,
     QUARTER_TURN,
+    RECTILINEAR,
     VACUUM,
     DecisionAngle,
-    MeasurementBasis,
-    MeasurementOutcome,
     PhotonBatch,
     pbs_measure,
     rotate_batch,
@@ -59,12 +58,6 @@ class ProtocolRestart(RuntimeError):
     """Raised when reconciliation leaves nothing to build a key from."""
 
 
-class SiftStatus(Enum):
-    KEPT = "kept"
-    VACUUM_DISCARD = "vacuum_discard"
-    AMBIGUOUS_DISCARD = "ambiguous_discard"
-
-
 class VerdictKind(Enum):
     ACCEPT = "accept"
     ABORT_RETRY = "abort_retry"
@@ -81,41 +74,14 @@ class Verdict:
         return self.kind is VerdictKind.ACCEPT
 
 
-@dataclass(frozen=True, slots=True)
-class PulseSnapshot:
-    stage: str
-    photons: int
-    polarization: float
-
-
-@dataclass(slots=True)
-class RoundRecord:
-    """Audit trail of one round: every secret drawn plus what was observed."""
-
-    index: int
-    theta: float
-    phis: tuple[float, ...]
-    shuffles: tuple[int, ...]  # quarter turns per receiver
-    basis_choice: int
-    bit: int
-    key_angle: int  # quarter turns
-    rect_outcome: MeasurementOutcome
-    diag_outcome: MeasurementOutcome
-    status: SiftStatus | None = None
-    measured_angle: int | None = None  # quarter turns of the sifted arm reading
-    decoded_angle: int | None = None   # quarter turns recovered cooperatively
-    decoded_bit: int | None = None
-    trace: tuple[PulseSnapshot, ...] | None = None
-
-
 @dataclass(slots=True)
 class RoundTable:
     """Every round of a session, one array per field with one entry per round.
 
-    Indexing or iterating builds ``RoundRecord`` rows on demand, so a
-    session nobody inspects pays nothing for them. The arms hold
-    ``pbs_measure`` outcome codes; sifting fills in ``sifted``, the chosen
-    arm's code, and decoding ``decoded``, the consensus key angle or -1.
+    The arms hold ``pbs_measure`` outcome codes; sifting fills in
+    ``sifted``, the chosen arm's code, and decoding ``decoded``, the
+    consensus key angle or -1. With ``trace`` the pulse's photon count
+    and polarization after each of ``trace_stages`` are kept too.
     """
 
     theta: np.ndarray
@@ -135,28 +101,6 @@ class RoundTable:
 
     def __len__(self) -> int:
         return len(self.theta)
-
-    def __getitem__(self, i: int) -> RoundRecord:
-        i = range(len(self))[i]  # also ends iteration with IndexError
-        j, bit = int(self.basis_choice[i]), int(self.bit[i])
-        sifted = None if self.sifted is None else int(self.sifted[i])
-        decoded = -1 if self.decoded is None else int(self.decoded[i])
-        trace = tuple(map(PulseSnapshot, self.trace_stages, self.trace_photons[i].tolist(),
-                          self.trace_polarization[i].tolist())) if self.trace_stages else None
-        return RoundRecord(
-            i, float(self.theta[i]), tuple(self.phis[i].tolist()), tuple(self.shuffles[i].tolist()),
-            j, bit, _key_angle(bit, j),
-            MeasurementOutcome.from_code(int(self.rect[i])),
-            MeasurementOutcome.from_code(int(self.diag[i])),
-            status=None if sifted is None else _SIFT_STATUS.get(sifted, SiftStatus.KEPT),
-            measured_angle=sifted if sifted is not None and sifted < VACUUM else None,
-            decoded_angle=decoded if decoded >= 0 else None,
-            decoded_bit=decoded // 2 if decoded >= 0 else None,
-            trace=trace,
-        )
-
-
-_SIFT_STATUS = {VACUUM: SiftStatus.VACUUM_DISCARD, AMBIGUOUS: SiftStatus.AMBIGUOUS_DISCARD}
 
 
 def _columnwise(tables: Sequence[RoundTable], join) -> RoundTable:
@@ -200,12 +144,15 @@ def _decode_rows(decisions: np.ndarray) -> np.ndarray:
     return (decisions[:, 0] - decisions[:, 1:].sum(axis=1)) % 4
 
 
-def decode_table(order: tuple[int, int, int, int] = (0, 2, 1, 3)) -> list[list[DecisionAngle]]:
-    """4x4 key-angle table: rows are Rec-2's angle, columns Rec-1's.
+# Row and column order of the decode table, in quarter turns: (0, pi/2,
+# pi/4, -pi/4), the conventional presentation with the rectilinear pair first.
+DECODE_TABLE_ORDER = (0, 2, 1, 3)
 
-    The default ordering (0, pi/2, pi/4, -pi/4) follows the conventional
-    presentation with the rectilinear pair first.
-    """
+
+def decode_table() -> list[list[DecisionAngle]]:
+    """4x4 key-angle table: rows are Rec-2's angle, columns Rec-1's, both in
+    ``DECODE_TABLE_ORDER``."""
+    order = DECODE_TABLE_ORDER
     keys = _decode_rows(np.array([(col, row) for row in order for col in order])).reshape(4, 4)
     return [[DecisionAngle(int(k)) for k in row] for row in keys]
 
@@ -259,12 +206,12 @@ def receiver_backward(light: PhotonBatch, phi: np.ndarray) -> PhotonBatch:
 def rec1_measure(light: PhotonBatch, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Split 50:50 and measure one arm per basis; returns both arms' outcome codes."""
     rect_batch, diag_batch = split_batch(light, 0.5, rng)
-    rect = pbs_measure(rect_batch, MeasurementBasis.RECTILINEAR, rng)
-    diag = pbs_measure(diag_batch, MeasurementBasis.DIAGONAL, rng)
+    rect = pbs_measure(rect_batch, RECTILINEAR, rng)
+    diag = pbs_measure(diag_batch, DIAGONAL, rng)
     return rect, diag
 
 
-def sift(table: RoundTable, announced_bases: np.ndarray) -> np.ndarray:
+def sift(table: RoundTable) -> np.ndarray:
     """Select the basis-matching arm per round and drop unusable rounds.
 
     The actual basis of the measured angle follows from the announced
@@ -273,15 +220,14 @@ def sift(table: RoundTable, announced_bases: np.ndarray) -> np.ndarray:
     selected arm's outcome in ``table.sifted`` (the measured angle of a
     kept round) and returns the indices of the kept rounds.
     """
-    if len(table) != len(announced_bases):
-        raise ValueError("one announced basis per round is required")
-    table.sifted = _sifted_outcome(table, announced_bases)
+    table.sifted = _sifted_outcome(table)
     return np.flatnonzero(table.sifted < VACUUM)
 
 
-def _sifted_outcome(table: RoundTable, j: np.ndarray) -> np.ndarray:
-    """Outcome codes of the arm whose basis matches the measured angle's, given families j."""
-    parity = (j - 1 + table.shuffles.sum(axis=1)) % 2
+def _sifted_outcome(table: RoundTable) -> np.ndarray:
+    """Outcome codes of the arm whose basis matches the measured angle's, given the
+    announced families j."""
+    parity = (table.basis_choice - 1 + table.shuffles.sum(axis=1)) % 2
     return np.where(parity == 0, table.rect, table.diag)
 
 
@@ -368,12 +314,11 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
 
 
 def _run_round(
-    size: int, config: SimConfig, hop_t: list[float], strategy: adv.EveStrategy,
-    rng: np.random.Generator,
+    size: int, config: SimConfig, hop_t: list[float], rng: np.random.Generator
 ) -> RoundTable:
     """Simulate ``size`` independent rounds at once, every stage on arrays."""
     n = config.receivers
-    pns_hop = strategy.channel_index if isinstance(strategy, adv.PnsSplit) else 0
+    pns_hop = config.pns_channel if config.adversary == "pns" else 0
     columns: dict[str, np.ndarray] = {}  # Eve's and the trace's, where present
     snaps: dict[str, PhotonBatch] = {}
 
@@ -401,9 +346,9 @@ def _run_round(
     basis, light = alice_encode(light, theta, bit, config.bs_ratio, rng)
     snap("alice_encoded", light)
 
-    if isinstance(strategy, adv.TagPhoton):
+    if config.adversary == "tag":
         columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
-    if isinstance(strategy, adv.Impersonate):
+    if config.adversary == "impersonate":
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
         # actually process. Her pulse is independent of the substitute,
@@ -480,7 +425,6 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
         )
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    strategy = config.strategy()
 
     chunks: list[RoundTable] = []
     executed = keepable = 0
@@ -496,13 +440,13 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             rest = target - keepable
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, _MAX_TARGET_ROUNDS - executed)
-        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, strategy, rng)
+        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, rng)
         if target:
             # The simulator may pre-count keepable rounds; parties only
             # learn sift status after the basis announcement. Rounds are
             # i.i.d., so cutting the chunk where the target is reached is
             # the same as stopping there.
-            counts = np.cumsum(_sifted_outcome(chunk, chunk.basis_choice) < VACUUM)
+            counts = np.cumsum(_sifted_outcome(chunk) < VACUUM)
             stop = int(np.searchsorted(counts, target - keepable)) + 1
             chunk = _columnwise([chunk], lambda c: c[0][:stop])
             keepable += int(counts[len(chunk) - 1])
@@ -510,7 +454,7 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
         executed += len(chunk)
     table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
 
-    kept = sift(table, table.basis_choice)
+    kept = sift(table)
     dishonest = config.dishonest_receiver if config.dishonest_receiver else None
     consensus_bits, private_bits = _decode_phase(table, kept, n, dishonest, rng)
 
@@ -535,8 +479,8 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
         verdict = integrity_check(key_digest(alice_final), [key_digest(k) for k in receiver_finals])
 
     eve_summary = None
-    if not isinstance(strategy, adv.NoAttack):
-        eve_summary = _score_eve(strategy, table, kept, rng)
+    if config.adversary != "none":
+        eve_summary = _score_eve(config.adversary, table, kept, rng)
 
     return SessionResult(
         rounds_executed=len(table),
@@ -554,37 +498,24 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
 
 
 def _score_eve(
-    strategy: adv.EveStrategy, table: RoundTable, kept: np.ndarray, rng: np.random.Generator
+    adversary: str, table: RoundTable, kept: np.ndarray, rng: np.random.Generator
 ) -> adv.EveSummary:
     """Grant Eve the public announcements and score what she extracted."""
     rounds, sifted = len(table), len(kept)
-    if isinstance(strategy, adv.TagPhoton):
+    counts = dict(strategy=adversary, rounds=rounds, sifted_rounds=sifted)
+    if adversary == "tag":
         # a surviving tag reads the key angle, and with it the bit
         recovered = int(np.count_nonzero(table.eve_event[kept]))
         return adv.EveSummary(
-            strategy="tag",
-            rounds=rounds,
-            sifted_rounds=sifted,
-            recovered_bits=recovered,
-            recovery_rate=recovered / sifted if sifted else None,
+            **counts, recovered_bits=recovered, recovery_rate=recovered / sifted if sifted else None
         )
-    if isinstance(strategy, adv.PnsSplit):
+    if adversary == "pns":
         stored = PhotonBatch(table.eve_event.astype(np.int64), table.eve_polarization)
         guesses = adv.ml_single_photon_estimator(stored, table.basis_choice, rng)
         correct = int(np.count_nonzero(guesses == table.bit))
         return adv.EveSummary(
-            strategy="pns",
-            rounds=rounds,
-            sifted_rounds=sifted,
-            recovered_bits=correct,
-            guess_accuracy=correct / rounds,
+            **counts, recovered_bits=correct, guess_accuracy=correct / rounds,
             stored_photons=int(np.count_nonzero(table.eve_event)),
         )
     successes = int(np.count_nonzero(table.eve_event))
-    return adv.EveSummary(
-        strategy="impersonate",
-        rounds=rounds,
-        sifted_rounds=sifted,
-        recovered_bits=successes,
-        usd_success_rate=successes / rounds,
-    )
+    return adv.EveSummary(**counts, recovered_bits=successes, usd_success_rate=successes / rounds)

@@ -1,19 +1,25 @@
+import csv
+import io
+import math
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from sqss import cli
-from sqss.adversary import Impersonate, NoAttack, PnsSplit, TagPhoton
-from sqss.analysis import p_error_closed_form
+from sqss.analysis import error_curve, p_error_closed_form
 from sqss.config import (
+    _MAX_MEAN_PHOTONS,
     ConfigError,
     SimConfig,
     apply_overrides,
+    load_config,
     parse_config,
     serialize_config,
 )
+from sqss.protocol import alice_prepare, run_session
 
 FULL_CONFIG = """
 # full example
@@ -103,6 +109,7 @@ class TestValidation:
             ("mean_photons", 0.0, "mu"),
             ("mean_photons", float("nan"), "mu"),
             ("mean_photons", float("inf"), "mu"),
+            ("mean_photons", 1e20, "mu"),
             ("transmission", 1.5, "transmission"),
             ("transmission", 0.0, "transmission"),
             ("rounds", 0, "rounds"),
@@ -123,6 +130,16 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert err.value.key == key
+
+    def test_largest_poisson_mean_is_accepted(self):
+        # the bound on mu is exactly the largest mean the source can draw from
+        SimConfig(mean_photons=_MAX_MEAN_PHOTONS).validate()
+        alice_prepare(_MAX_MEAN_PHOTONS, 1, np.random.default_rng(0))
+        beyond = math.nextafter(_MAX_MEAN_PHOTONS, math.inf)
+        with pytest.raises(ConfigError):
+            SimConfig(mean_photons=beyond).validate()
+        with pytest.raises(ValueError):
+            alice_prepare(beyond, 1, np.random.default_rng(0))
 
     def test_loss_specifications_are_exclusive(self):
         cfg = SimConfig(transmission=0.5, link_length_km=10.0, link_loss_db_per_km=0.2)
@@ -150,13 +167,6 @@ class TestValidation:
             cfg.validate()
         SimConfig(receivers=2, adversary="pns", pns_channel=4).validate()
 
-    def test_strategy_mapping(self):
-        assert isinstance(SimConfig(adversary="none").strategy(), NoAttack)
-        assert isinstance(SimConfig(adversary="tag").strategy(), TagPhoton)
-        assert isinstance(SimConfig(adversary="impersonate").strategy(), Impersonate)
-        pns = SimConfig(adversary="pns", pns_channel=3).strategy()
-        assert isinstance(pns, PnsSplit) and pns.channel_index == 3
-
     def test_lossless_default_hops(self):
         assert SimConfig(receivers=2).hop_transmissions() == [1.0] * 5
 
@@ -174,6 +184,46 @@ class TestOverrides:
             apply_overrides(SimConfig(), ["rounds"])
         with pytest.raises(ConfigError):
             apply_overrides(SimConfig(), ["no_such=1"])
+
+
+ROUND_HEADER = [
+    "index", "theta", "phis", "shuffles", "basis_choice", "bit", "key_angle", "rect_outcome",
+    "diag_outcome", "status", "measured_angle", "decoded_angle", "decoded_bit", "trace",
+]
+OUTCOME_TEXT = {0: "angle:0", 1: "angle:1", 2: "angle:2", 3: "angle:3", 4: "vacuum", 5: "ambiguous"}
+DISCARD_STATUS = {4: "vacuum_discard", 5: "ambiguous_discard"}
+
+
+def assert_round_csv_matches(text, table):
+    """Every field of a per-round CSV equals its ``RoundTable`` source exactly;
+    returns the status column."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ROUND_HEADER
+    assert len(rows) == len(table) + 1
+    for i, row in enumerate(rows[1:]):
+        (index, theta, phis, shuffles, j, bit, key, rect, diag, status,
+         measured, decoded, decoded_bit, trace) = row
+        assert int(index) == i
+        assert float(theta) == table.theta[i]
+        assert [float(phi) for phi in phis.split(";")] == table.phis[i].tolist()
+        assert [int(s) for s in shuffles.split(";")] == table.shuffles[i].tolist()
+        assert int(j) == table.basis_choice[i] and int(bit) == table.bit[i]
+        assert int(key) == 2 * int(bit) + int(j) - 1
+        assert rect == OUTCOME_TEXT[table.rect[i]] and diag == OUTCOME_TEXT[table.diag[i]]
+        code = int(table.sifted[i])
+        if code < 4:
+            assert status == "kept" and int(measured) == code
+            assert int(decoded) == table.decoded[i] and int(decoded_bit) == table.decoded[i] // 2
+        else:
+            assert status == DISCARD_STATUS[code]
+            assert measured == decoded == decoded_bit == ""
+        hops = [hop.split(":") for hop in trace.split("|")] if trace else []
+        assert [stage for stage, _, _ in hops] == list(table.trace_stages)
+        assert [int(n) for _, n, _ in hops] == ([] if not hops else table.trace_photons[i].tolist())
+        assert [float(pol) for _, _, pol in hops] == (
+            [] if not hops else table.trace_polarization[i].tolist()
+        )
+    return [row[9] for row in rows[1:]]
 
 
 @pytest.fixture
@@ -205,13 +255,33 @@ class TestCliSimulate:
         assert text_a == text_b
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_round_csv_round_trips(self, demo_config, tmp_path):
-        out = tmp_path / "rounds.csv"
-        cli.main(["simulate", "--config", str(demo_config), "--out", str(out), "--trace"])
-        text = out.read_text(encoding="utf-8")
-        records = cli.round_records_from_csv(text)
-        assert cli.round_records_to_csv(records) == text
-        assert records[0].trace is not None
+    def test_round_csv_round_trips(self, demo_config, tmp_path, capsys):
+        sessions = [
+            (["--config", str(demo_config), "--trace"], load_config(demo_config)),
+            (["--override", "receivers=5", "--override", "transmission=0.9",
+              "--override", "adversary=pns", "--override", "rounds=2000", "--seed", "4",
+              "--trace"],
+             SimConfig(receivers=5, transmission=0.9, adversary="pns", rounds=2000, seed=4)),
+            (["--override", "dishonest_receiver=2", "--override", "receivers=3",
+              "--override", "rounds=1000", "--seed", "6"],
+             SimConfig(dishonest_receiver=2, receivers=3, rounds=1000, seed=6)),
+            # the only one of the four that reads ambiguous arms
+            (["--override", "adversary=impersonate", "--override", "rounds=1000",
+              "--seed", "8", "--trace"],
+             SimConfig(adversary="impersonate", rounds=1000, seed=8)),
+        ]
+        statuses = set()
+        for k, (args, config) in enumerate(sessions):
+            out = tmp_path / f"rounds{k}.csv"
+            cli.main(["simulate", *args, "--out", str(out)])
+            config.trace = "--trace" in args
+            table = run_session(config).records
+            stages = 2 * config.receivers + 2 + (config.adversary == "impersonate")
+            assert len(table.trace_stages) == (stages if config.trace else 0)
+            statuses |= set(assert_round_csv_matches(out.read_text(encoding="utf-8"), table))
+        capsys.readouterr()
+        # discarded rows, whose fields are blank, are covered
+        assert statuses == {"kept", "vacuum_discard", "ambiguous_discard"}
 
     def test_impersonation_reports_qber_near_the_criterion(self, capsys):
         code = cli.main([
@@ -269,11 +339,12 @@ class TestCliSimulate:
         [
             (["simulate", "--override", "mu=nan"], "mu"),
             (["simulate", "--override", "mu=inf"], "mu"),
+            (["simulate", "--override", "mu=1e20"], "mu"),
             (["attack", "impersonate", "--override", "mu=nan"], "mu"),
             (["simulate", "--override", "link.length_km=100000",
               "--override", "link.loss_db_per_km=0.2"], "link.length_km"),
         ],
-        ids=["mu-nan", "mu-inf", "attack-mu-nan", "link-underflow"],
+        ids=["mu-nan", "mu-inf", "mu-huge", "attack-mu-nan", "link-underflow"],
     )
     def test_non_finite_light_settings_fail_fast(self, args, key):
         proc = subprocess.run(
@@ -310,16 +381,19 @@ class TestCliCurve:
     def test_row_at_three_matches_the_working_point(self, tmp_path):
         out = tmp_path / "curve.csv"
         cli.main(["curve", "--out", str(out)])
-        points = cli.curve_points_from_csv(out.read_text(encoding="utf-8"))
-        at_three = next(p for p in points if p.mu_t == 3.0)
-        assert at_three.p_error == p_error_closed_form(6.0, 0.5)
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+        at_three = next(row for row in rows if float(row["mu_t"]) == 3.0)
+        assert float(at_three["p_error"]) == p_error_closed_form(6.0, 0.5)
 
     def test_csv_round_trips(self, tmp_path):
         out = tmp_path / "curve.csv"
         cli.main(["curve", "--start", "0", "--stop", "4", "--step", "0.25", "--out", str(out)])
-        text = out.read_text(encoding="utf-8")
-        points = cli.curve_points_from_csv(text)
-        assert cli.curve_points_to_csv(points) == text
+        rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert rows[0] == ["mu_t", "p_e", "p_error"]
+        points = error_curve([i * 0.25 for i in range(17)])
+        assert len(rows) == len(points) + 1
+        for row, point in zip(rows[1:], points):
+            assert [float(v) for v in row] == [point.mu_t, point.p_e, point.p_error]
 
     def test_bad_step_rejected(self, capsys):
         assert cli.main(["curve", "--step", "0"]) == cli.EXIT_CONFIG
@@ -367,11 +441,18 @@ class TestCliAttack:
             "--out", str(out),
         ])
         assert code == 0
-        summary = cli.attack_summary_from_csv(out.read_text(encoding="utf-8"))
-        assert summary.strategy == "tag"
-        assert summary.reference == 0.5
-        assert abs(summary.value - 0.5) < 3 * summary.std_error
-        assert cli.attack_summary_to_csv(summary) == out.read_text(encoding="utf-8")
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().split("\n"))
+        rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+        assert rows[0] == ["strategy", "trials", "metric", "value", "std_error", "reference"]
+        assert len(rows) == 2
+        strategy, trials, metric, value, std_error, reference = rows[1]
+        assert strategy == report["strategy"] == "tag"
+        assert int(trials) == int(report["trials"])
+        assert metric == "sifted_bit_recovery_rate"
+        assert float(value) == float(report[metric])
+        assert float(std_error) == float(report["std_error"])
+        assert float(reference) == float(report["reference"]) == 0.5
+        assert abs(float(value) - 0.5) < 3 * float(std_error)
 
     def test_pns_accuracy_is_a_coin(self, capsys):
         code = cli.main([

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from sqss.optics import (
     AMBIGUOUS,
+    DIAGONAL,
+    RECTILINEAR,
     VACUUM,
     DecisionAngle,
-    MeasurementBasis,
-    MeasurementOutcome,
-    OutcomeKind,
     PhotonBatch,
     pbs_measure,
     rotate_batch,
@@ -110,17 +109,17 @@ class TestBasis:
         # an angle's parity names the basis that reads it without error
         rng = np.random.default_rng(0)
         for q in range(4):
-            basis = (MeasurementBasis.RECTILINEAR, MeasurementBasis.DIAGONAL)[q % 2]
+            basis = (RECTILINEAR, DIAGONAL)[q % 2]
             out = pbs_measure(pulses(5, DecisionAngle(q).radians, 200), basis, rng)
             assert (out == q).all()
 
     def test_aligned_and_orthogonal(self):
-        rect = MeasurementBasis.RECTILINEAR
-        diag = MeasurementBasis.DIAGONAL
-        assert rect.aligned == DecisionAngle(0)
-        assert rect.orthogonal == DecisionAngle(2)
-        assert diag.aligned == DecisionAngle(1)
-        assert diag.orthogonal == DecisionAngle(3)
+        # a basis names its aligned detector; the orthogonal one reads +2
+        rng = np.random.default_rng(0)
+        for basis, aligned, orthogonal in ((RECTILINEAR, 0, 2), (DIAGONAL, 1, 3)):
+            assert basis == aligned
+            for q in (aligned, orthogonal):
+                assert pbs_measure(pulses(5, DecisionAngle(q).radians), basis, rng).tolist() == [q]
 
 
 class TestPulses:
@@ -222,34 +221,33 @@ class TestBeamSplit:
 class TestPbsMeasure:
     def test_vacuum(self):
         rng = np.random.default_rng(0)
-        out = pbs_measure(pulses(0, 0.3), MeasurementBasis.RECTILINEAR, rng)
+        out = pbs_measure(pulses(0, 0.3), RECTILINEAR, rng)
         assert out.tolist() == [VACUUM]
-        assert MeasurementOutcome.from_code(out[0]).kind is OutcomeKind.VACUUM
 
     def test_aligned_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
         batch = pulses(5, DecisionAngle(0).radians, 200)
-        out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
+        out = pbs_measure(batch, RECTILINEAR, rng)
         assert (out == 0).all()
 
     def test_orthogonal_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
         batch = pulses(5, DecisionAngle(2).radians, 200)
-        out = pbs_measure(batch, MeasurementBasis.RECTILINEAR, rng)
+        out = pbs_measure(batch, RECTILINEAR, rng)
         assert (out == 2).all()
 
     def test_diagonal_basis_aligned(self):
         rng = np.random.default_rng(0)
         batch = pulses(3, DecisionAngle(3).radians)
-        out = pbs_measure(batch, MeasurementBasis.DIAGONAL, rng)
-        assert MeasurementOutcome.from_code(out[0]).angle == DecisionAngle(3)
+        out = pbs_measure(batch, DIAGONAL, rng)
+        assert out.tolist() == [3]
 
     def test_single_photon_at_45_degrees_is_a_fair_coin(self):
         # Malus law: a photon at pi/4 meets a rectilinear splitter with
         # cos^2(pi/4) = 1/2 on each port.
         rng = np.random.default_rng(99)
         n = 10**6
-        out = pbs_measure(pulses(1, DecisionAngle(1).radians, n), MeasurementBasis.RECTILINEAR, rng)
+        out = pbs_measure(pulses(1, DecisionAngle(1).radians, n), RECTILINEAR, rng)
         assert np.isin(out, (0, 2)).all()
         zeros = np.count_nonzero(out == 0)
         sigma = math.sqrt(0.25 / n)
@@ -260,17 +258,8 @@ class TestPbsMeasure:
         # probability 2^(1-n); everything else is ambiguous.
         rng = np.random.default_rng(7)
         n = 20000
-        out = pbs_measure(pulses(4, DecisionAngle(1).radians, n), MeasurementBasis.RECTILINEAR, rng)
+        out = pbs_measure(pulses(4, DecisionAngle(1).radians, n), RECTILINEAR, rng)
         ambiguous = np.count_nonzero(out == AMBIGUOUS)
         expected = 1.0 - 2.0 ** (1 - 4)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ambiguous / n - expected) < 3 * sigma
-
-    def test_outcome_constructors(self):
-        assert MeasurementOutcome.vacuum().kind is OutcomeKind.VACUUM
-        assert MeasurementOutcome.ambiguous().kind is OutcomeKind.AMBIGUOUS
-        angle = MeasurementOutcome.of_angle(DecisionAngle(2))
-        assert angle.kind is OutcomeKind.ANGLE and angle.angle == DecisionAngle(2)
-        assert MeasurementOutcome.from_code(2) == angle
-        assert MeasurementOutcome.from_code(VACUUM) == MeasurementOutcome.vacuum()
-        assert MeasurementOutcome.from_code(AMBIGUOUS) == MeasurementOutcome.ambiguous()

@@ -13,15 +13,12 @@ from sqss.optics import (
     AMBIGUOUS,
     VACUUM,
     DecisionAngle,
-    MeasurementBasis,
     QUARTER_TURN,
-    MeasurementOutcome,
     PhotonBatch,
 )
 from sqss.protocol import (
     ProtocolRestart,
     RoundTable,
-    SiftStatus,
     VerdictKind,
     _decode_rows,
     _fft_length,
@@ -94,10 +91,10 @@ class TestEncodeMap:
         assert (_key_angle(bits, families) // 2).tolist() == bits.tolist()
 
     def test_family_fixes_the_basis(self):
-        rect, diag = MeasurementBasis.RECTILINEAR, MeasurementBasis.DIAGONAL
+        # the rectilinear detectors read 0 and 2 quarter turns, the diagonal ones 1 and 3
         for bit in (0, 1):
-            assert DecisionAngle(_key_angle(bit, 1)) in (rect.aligned, rect.orthogonal)
-            assert DecisionAngle(_key_angle(bit, 2)) in (diag.aligned, diag.orthogonal)
+            assert _key_angle(bit, 1) in (0, 2)
+            assert _key_angle(bit, 2) in (1, 3)
 
 
 class TestCooperativeDecode:
@@ -240,37 +237,30 @@ class TestSift:
     def test_selects_the_arm_matching_the_actual_basis(self):
         # j=1 with an even shuffle sum keeps the rectilinear arm.
         table = _make_table((0, 2), 1, 0, 0, VACUUM)
-        assert table[0].status is None
-        kept = sift(table, np.array([1]))
+        assert table.sifted is None
+        kept = sift(table)
         assert kept.tolist() == [0]
-        assert table[0].status is SiftStatus.KEPT
-        assert table[0].measured_angle == 0
-        assert table[0].rect_outcome == MeasurementOutcome.of_angle(DecisionAngle(0))
+        assert table.sifted.tolist() == [0]
+        assert table.rect.tolist() == [0]
 
     def test_odd_parity_selects_the_diagonal_arm(self):
         table = _make_table((1, 0), 1, 0, VACUUM, 1)
-        assert sift(table, np.array([1])).tolist() == [0]
-        assert table[0].measured_angle == 1
+        assert sift(table).tolist() == [0]
+        assert table.sifted.tolist() == [1]
 
     def test_vacuum_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, VACUUM, 1)
-        assert sift(table, np.array([1])).tolist() == []
-        assert table[0].status is SiftStatus.VACUUM_DISCARD
-        assert table[0].measured_angle is None
+        assert sift(table).tolist() == []
+        assert table.sifted.tolist() == [VACUUM]
 
     def test_ambiguous_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, AMBIGUOUS, 1)
-        assert sift(table, np.array([1])).tolist() == []
-        assert table[0].status is SiftStatus.AMBIGUOUS_DISCARD
+        assert sift(table).tolist() == []
+        assert table.sifted.tolist() == [AMBIGUOUS]
 
     def test_unselected_arm_state_is_irrelevant(self):
         table = _make_table((0, 0), 1, 1, 2, AMBIGUOUS)
-        assert sift(table, np.array([1])).tolist() == [0]
-
-    def test_length_mismatch_rejected(self):
-        table = _make_table((0, 0), 1, 0, VACUUM, VACUUM)
-        with pytest.raises(ValueError):
-            sift(table, np.array([1, 2]))
+        assert sift(table).tolist() == [0]
 
 
 class TestToeplitz:
@@ -450,12 +440,10 @@ class TestRunSession:
 
     def test_decoded_bits_match_alice_on_every_kept_round(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=1000, parity_block=0, seed=44)
-        res = run_session(cfg)
-        for record in res.records:
-            if record.status is SiftStatus.KEPT:
-                assert record.decoded_bit == record.bit
-            else:
-                assert record.decoded_bit is None
+        table = run_session(cfg).records
+        kept = table.sifted < VACUUM
+        assert (table.decoded[kept] // 2 == table.bit[kept]).all()
+        assert (table.decoded[~kept] == -1).all()
 
     def test_angle_cancellation_for_any_ring_size(self):
         # Before measurement the polarization must be exactly k plus the
@@ -463,12 +451,13 @@ class TestRunSession:
         for n in (1, 2, 3, 5):
             cfg = SimConfig(receivers=n, mean_photons=6.0, rounds=200,
                             parity_block=0, seed=50 + n, trace=True)
-            res = run_session(cfg)
-            for record in res.records:
-                final = next(s for s in record.trace if s.stage == "rec1_backward")
-                expected_turns = (record.key_angle + sum(record.shuffles)) % 4
-                expected = DecisionAngle(expected_turns).radians
-                assert circular_distance(final.polarization, expected) < 1e-9
+            table = run_session(cfg).records
+            final = table.trace_polarization[:, table.trace_stages.index("rec1_backward")]
+            expected_turns = (_key_angle(table.bit, table.basis_choice)
+                              + table.shuffles.sum(axis=1)) % 4
+            for polarization, turns in zip(final, expected_turns):
+                expected = DecisionAngle(int(turns)).radians
+                assert circular_distance(polarization, expected) < 1e-9
 
     def test_discard_fraction_tracks_the_vacuum_oracle(self):
         cfg = SimConfig(receivers=2, mean_photons=4.0, rounds=20000, parity_block=0, seed=45)
@@ -495,7 +484,7 @@ class TestRunSession:
         assert first.alice_final_key == second.alice_final_key
         assert first.qber == second.qber
         assert first.kept_rounds == second.kept_rounds
-        assert [r.theta for r in first.records] == [r.theta for r in second.records]
+        assert first.records.theta.tolist() == second.records.theta.tolist()
 
     def test_external_rng_equivalent_to_seed(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=100, parity_block=0, seed=7)
@@ -521,20 +510,21 @@ class TestRunSession:
     def test_trace_stages(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0,
                         seed=51, trace=True)
-        res = run_session(cfg)
-        stages = [s.stage for s in res.records[0].trace]
-        assert stages == [
+        table = run_session(cfg).records
+        assert table.trace_stages == (
             "alice_out", "rec1_forward", "rec2_forward",
             "alice_encoded", "rec2_backward", "rec1_backward",
-        ]
+        )
+        assert table.trace_photons.shape == table.trace_polarization.shape == (3, 6)
         # a lossless ring carries the count drawn at the source to Rec-1
-        counts = {s.photons for s in res.records[0].trace}
+        counts = set(table.trace_photons[0].tolist())
         assert len(counts) == 1 and isinstance(counts.pop(), int)
 
     def test_trace_disabled_by_default(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0, seed=51)
-        res = run_session(cfg)
-        assert res.records[0].trace is None
+        table = run_session(cfg).records
+        assert table.trace_stages == ()
+        assert table.trace_photons is None and table.trace_polarization is None
 
 
 class TestBoundedResources:
