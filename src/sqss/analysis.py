@@ -24,6 +24,10 @@ from .adversary import impersonate_round, usd_success
 _TAIL_EPS = 1e-12
 # Fewest Monte Carlo rounds whose error rate the standard error describes well.
 MIN_TRIALS = 10_000
+# Largest intercepted mean mu*T the series and the Monte Carlo accept: both walk
+# the photon-number classes up to about mu*T, and at this bound take about 0.1 s
+# and 0.7 s (10^4 trials) on a 2-vCPU host.
+MAX_MU_T = 1e5
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +69,17 @@ def poisson_pmf(n: int, lam: float) -> float:
     return math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
 
 
+def _intercepted(mu: float, transmission: float) -> float:
+    """The checked intercepted mean mu*T."""
+    if mu < 0.0:
+        raise ValueError(f"mean photon number must be >= 0, got {mu}")
+    if not 0.0 < transmission <= 1.0:
+        raise ValueError(f"transmission must be in (0, 1], got {transmission}")
+    if mu * transmission > MAX_MU_T:
+        raise ValueError(f"mu*T must be at most {MAX_MU_T:g}, got {mu * transmission}")
+    return mu * transmission
+
+
 def p_e_closed_form(mu: float, transmission: float) -> float:
     """Probability that Eve's discrimination succeeds on a pulse of mean
     mu sent through transmission t: sum over n >= 3 of the Poisson
@@ -73,13 +88,7 @@ def p_e_closed_form(mu: float, transmission: float) -> float:
     The series is cut off once the remaining Poisson tail is below
     1e-12, which bounds the truncation error by the same amount.
     """
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    if not 0.0 < transmission <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {transmission}")
-    lam = mu * transmission
-    if lam == 0.0:
-        return 0.0
+    lam = _intercepted(mu, transmission)
     cutoff = int(lam + 20.0 * math.sqrt(lam) + 20.0)
     total = 0.0
     mass = 0.0
@@ -90,7 +99,8 @@ def p_e_closed_form(mu: float, transmission: float) -> float:
             total += p * usd_success(n)
             if 1.0 - mass < _TAIL_EPS:
                 break
-    return total
+    # rounding can carry a long sum past one, which no discrimination reaches
+    return min(total, math.nextafter(1.0, 0.0))
 
 
 def p_error_closed_form(mu: float, transmission: float) -> float:
@@ -107,9 +117,7 @@ def error_curve(mu_t_values: Sequence[float]) -> list[ErrorCurvePoint]:
     """Evaluate the closed forms on a grid of intercepted mean photon numbers."""
     points = []
     for value in mu_t_values:
-        if value < 0.0:
-            raise ValueError(f"mu*t grid values must be >= 0, got {value}")
-        p_e = p_e_closed_form(value, 1.0) if value > 0.0 else 0.0
+        p_e = p_e_closed_form(value, 1.0)
         points.append(ErrorCurvePoint(mu_t=value, p_e=p_e, p_error=(1.0 - p_e) / 2.0))
     return points
 
@@ -128,11 +136,7 @@ def monte_carlo_p_error(
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"at least {MIN_TRIALS} trials are required, got {trials}")
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    if not 0.0 < transmission <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {transmission}")
-    lam = mu * transmission
+    lam = _intercepted(mu, transmission)
     errors, remaining, tail, n = 0, trials, 1.0, 0
     while remaining:
         pmf = poisson_pmf(n, lam)

@@ -3,7 +3,10 @@
 Loss acts on the photon count only: a link of length l km with
 attenuation alpha dB/km passes each photon with probability
 T = 10^(-alpha*l/10), which scales the mean photon number by T.
-Polarization is never affected.
+Polarization is never affected. Thinnings compose, so the round engine
+fuses the hops between two observers into one ``thin_batch`` call at
+their product, and the hops in front of the first observer into the
+source's Poisson mean.
 """
 
 from __future__ import annotations

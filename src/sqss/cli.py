@@ -152,10 +152,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     if not 0.0 < args.step < math.inf:
         raise ConfigError("step", f"must be finite and > 0, got {args.step}")
-    if not 0.0 <= args.start <= args.stop < math.inf:
-        raise ConfigError(
-            "range", f"need finite 0 <= start <= stop, got [{args.start}, {args.stop}]"
-        )
+    if not 0.0 <= args.start <= args.stop <= analysis.MAX_MU_T:
+        raise ConfigError("range", f"need 0 <= start <= stop <= {analysis.MAX_MU_T:g},"
+                          f" got [{args.start}, {args.stop}]")
     count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
     # round away step-accumulation noise so grid values print cleanly
     values = [round(args.start + i * args.step, 10) for i in range(count)]
@@ -198,16 +197,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
         usd_mean = intercepted_mean(
             config.mean_photons, config.bs_ratio, config.hop_transmissions()
         )
+        if usd_mean > analysis.MAX_MU_T:
+            raise ConfigError("mu", f"the intercepted mean mu*bs_ratio*T is {usd_mean:g}; the"
+                              f" closed form and the Monte Carlo take at most {analysis.MAX_MU_T:g}")
         estimate = analysis.monte_carlo_p_error(usd_mean, 1.0, config.rounds, rng)
-        reference = analysis.p_error_closed_form(usd_mean, 1.0)
-        summary = AttackSummary(
-            strategy="impersonate",
-            trials=estimate.trials,
-            metric="induced_qber",
-            value=estimate.mean,
-            std_error=estimate.std_error,
-            reference=reference,
-        )
+        n, value, std_error = estimate.trials, estimate.mean, estimate.std_error
+        metric, reference = "induced_qber", analysis.p_error_closed_form(usd_mean, 1.0)
     else:
         config.target_key_bits = 0
         result = protocol.run_session(config, rng=rng)
@@ -223,14 +218,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             reference = 0.5
             metric = "bit_guess_accuracy"
         std_error = math.sqrt(value * (1.0 - value) / n) if n > 1 else 0.0
-        summary = AttackSummary(
-            strategy=args.strategy,
-            trials=n,
-            metric=metric,
-            value=value,
-            std_error=std_error,
-            reference=reference,
-        )
+    summary = AttackSummary(args.strategy, n, metric, value, std_error, reference)
 
     print(f"strategy={summary.strategy}")
     print(f"trials={summary.trials}")

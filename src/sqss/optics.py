@@ -3,18 +3,20 @@
 The physical model is deliberately minimal: a pulse is classically
 polarized light with Poisson photon statistics. Polarization lives on
 the half-circle [0, pi) because every protocol state and both
-measurement bases are invariant under a pi shift. The photon number is
-drawn once, at the source, and every later element only acts on that
-count: a lossy hop or a beam splitter passes each photon independently
-(binomial thinning), and a Poisson count thinned binomially is again
-Poisson with the product of the transmissions, so this is exact for
-coherent light. A count read by an eavesdropper (photon-number
-splitting) therefore carries on to every later hop.
+measurement bases are invariant under a pi shift. A lossy hop or a beam
+splitter passes each photon independently (binomial thinning), and a
+Poisson count thinned binomially is again Poisson with the product of
+the transmissions. So the round engine draws the count once, at the
+first point that observes it, and fuses the losses and rotations
+between two observers into one call of ``thin_batch`` and
+``rotate_batch``; this is exact for coherent light. A count read by an
+eavesdropper (photon-number splitting) carries on to every later hop.
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
-clicks the aligned detector with probability cos^2(theta - beta),
-otherwise the orthogonal one.
+clicks the aligned detector with probability p = cos^2(theta - beta),
+otherwise the orthogonal one. A pulse of k photons is read from one
+uniform draw against p^k and (1 - p)^k.
 """
 
 from __future__ import annotations
@@ -105,16 +107,18 @@ def pbs_measure(batch: PhotonBatch, aligned: int, rng: np.random.Generator) -> n
     aligned detector sits at ``aligned`` quarter turns (RECTILINEAR or DIAGONAL).
 
     Every photon clicks the aligned detector with probability
-    cos^2(theta - beta) and the orthogonal one otherwise, so the aligned
-    click count is binomial. A pulse whose clicks all land on one
-    detector reads out that detector's angle; clicks on both detectors
-    are an ambiguous event; an empty pulse is vacuum. Returns one
-    outcome code per pulse (quarter turns, VACUUM or AMBIGUOUS).
+    p = cos^2(theta - beta) and the orthogonal one otherwise. A pulse of
+    k photons therefore reads out the aligned angle with probability
+    p^k, the orthogonal angle with probability (1 - p)^k, and is
+    ambiguous otherwise; one uniform per pulse picks among the three. An
+    empty pulse is vacuum. Returns one outcome code per pulse (quarter
+    turns, VACUUM or AMBIGUOUS).
     """
     p_aligned = np.cos(batch.polarization - aligned * QUARTER_TURN) ** 2
-    clicks = rng.binomial(batch.count, p_aligned)
-    codes = np.full(len(clicks), AMBIGUOUS, dtype=np.int8)
-    codes[clicks == 0] = aligned + 2
-    codes[clicks == batch.count] = aligned
+    all_aligned = p_aligned**batch.count
+    u = rng.random(len(p_aligned))
+    codes = np.full(len(u), AMBIGUOUS, dtype=np.int8)
+    codes[u < all_aligned + (1.0 - p_aligned) ** batch.count] = aligned + 2
+    codes[u < all_aligned] = aligned
     codes[batch.count == 0] = VACUUM
     return codes

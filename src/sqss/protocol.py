@@ -15,6 +15,10 @@ results until the sender announces which basis family j was used per
 round. Rounds whose basis-matching arm saw vacuum (or conflicting
 detector clicks) are discarded during sifting. Rounds are independent,
 so every operation acts on a chunk of them, one array entry per round.
+
+Light is drawn only where it is observed (``_run_round``): the source
+count at the first observer's mean, one loss and one rotation between
+observers, and Rec-1's detectors from p^k (``optics.pbs_measure``).
 """
 
 from __future__ import annotations
@@ -163,44 +167,39 @@ def alice_prepare(
     """Emit ``size`` fresh coherent pulses, each hidden behind a uniformly
     random angle theta; returns the thetas and the pulses.
 
-    Photon numbers are drawn here, Poisson with the configured mean;
-    everything downstream only thins or reads those counts.
+    Photon numbers are drawn here, Poisson with the given mean, the
+    first observer's; everything downstream only thins or reads them.
     """
     theta = rng.random(size) * math.pi
     return theta, PhotonBatch(rng.poisson(mean_photons, size), theta)
 
 
 def receiver_forward(
-    light: PhotonBatch, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, PhotonBatch]:
-    """Stack this receiver's hiding angle phi_i and secret shuffle s_i on
-    every pulse; returns the hiding angles, the shuffles (quarter turns)
-    and the rotated pulses."""
-    phi = rng.random(len(light.count)) * math.pi
-    shuffle = rng.integers(4, size=len(phi), dtype=np.int8)
-    return phi, shuffle, rotate_batch(light, phi + shuffle * QUARTER_TURN)
+    size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw this receiver's hiding angles phi_i and secret shuffles s_i for
+    ``size`` pulses; returns them (shuffles in quarter turns) and the
+    rotation phi_i + s_i each pulse receives."""
+    phi = rng.random(size) * math.pi
+    shuffle = rng.integers(4, size=size, dtype=np.int8)
+    return phi, shuffle, phi + shuffle * QUARTER_TURN
 
 
 def alice_encode(
-    light: PhotonBatch, theta: np.ndarray, bit: np.ndarray, bs_ratio: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, PhotonBatch]:
+    theta: np.ndarray, bit: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Encode each key bit in a random basis family j and strip theta.
 
-    The net rotation is (k - theta). When the counter-tagging beam
-    splitter is configured (ratio < 1) only the transmitted part of each
-    pulse leaves the box. Returns the basis families and the pulses.
+    Returns the basis families and the net rotation (k - theta); the
+    engine applies the counter-tagging beam splitter as a loss.
     """
     basis = rng.integers(1, 3, size=len(bit), dtype=np.int8)
-    light = rotate_batch(light, _key_angle(bit, basis) * QUARTER_TURN - theta)
-    if bs_ratio < 1.0:
-        light, _ = split_batch(light, bs_ratio, rng)
-    return basis, light
+    return basis, _key_angle(bit, basis) * QUARTER_TURN - theta
 
 
-def receiver_backward(light: PhotonBatch, phi: np.ndarray) -> PhotonBatch:
-    """Compensate this receiver's hiding angles; the shuffles stay in."""
-    return rotate_batch(light, -phi)
+def receiver_backward(phi: np.ndarray) -> np.ndarray:
+    """The rotation that compensates this receiver's hiding angles; the shuffles stay in."""
+    return -phi
 
 
 def rec1_measure(light: PhotonBatch, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -316,35 +315,64 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
 def _run_round(
     size: int, config: SimConfig, hop_t: list[float], rng: np.random.Generator
 ) -> RoundTable:
-    """Simulate ``size`` independent rounds at once, every stage on arrays."""
+    """Simulate ``size`` independent rounds at once, every stage on arrays.
+
+    The observers are Eve's PNS hop, Rec-1 and, with ``trace``, every
+    stage. Between two of them the losses multiply into one pending
+    transmission and the rotations add into one unreduced angle, which
+    the next one applies with ``thin_batch`` and ``rotate_batch``. The
+    source draws its counts at the first observer's mean.
+    """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
     columns: dict[str, np.ndarray] = {}  # Eve's and the trace's, where present
     snaps: dict[str, PhotonBatch] = {}
+    # The first observer: Alice's output with trace, else the PNS hop or the
+    # last hop, into Rec-1. Alice's splitter sits behind hop N+1 and its PNS point.
+    first = 0 if config.trace else pns_hop or 2 * n + 1
+    reach = math.prod(hop_t[:first]) * (config.bs_ratio if first > n + 1 else 1.0)
+    theta, light = alice_prepare(config.mean_photons * reach, size, rng)
+    # Since the last observer: the transmission, None while the source's draw
+    # covers it, and the rotation, unreduced, None while there is none.
+    pending = turn = None
 
-    def snap(stage: str, light: PhotonBatch) -> None:
+    def observe() -> None:
+        nonlocal light, pending, turn
+        light = thin_batch(light, 1.0 if pending is None else pending, rng)
+        light = light if turn is None else rotate_batch(light, turn)
+        pending, turn = 1.0, None
+
+    def stage(name: str, rotation: np.ndarray | None = None, t: float = 1.0) -> None:
+        """A party turns each pulse by ``rotation``, a fresh array, and passes on a share t."""
+        nonlocal pending, turn
+        if rotation is not None:
+            turn = rotation if turn is None else np.add(turn, rotation, out=turn)
+        pending = None if pending is None else pending * t
         if config.trace:
-            snaps[stage] = light
+            observe()
+            snaps[name] = light
 
-    def hop_to(hop: int, light: PhotonBatch) -> PhotonBatch:
-        light = thin_batch(light, hop_t[hop - 1], rng)
+    def hop_to(hop: int) -> None:
+        nonlocal light, pending
+        pending = None if pending is None else pending * hop_t[hop - 1]
         if hop == pns_hop:
+            observe()
             columns["eve_polarization"] = light.polarization
             light, columns["eve_event"] = adv.pns_intercept(light)
-        return light
 
-    theta, light = alice_prepare(config.mean_photons, size, rng)
-    snap("alice_out", light)
+    stage("alice_out")
     phis = np.empty((size, n))
     shuffles = np.empty((size, n), dtype=np.int8)
     for i in range(n):  # forward hops 1..N: into each receiver
-        phis[:, i], shuffles[:, i], light = receiver_forward(hop_to(i + 1, light), rng)
-        snap(f"rec{i + 1}_forward", light)
-    light = hop_to(n + 1, light)  # hop N+1: Rec-N back to Alice
+        hop_to(i + 1)
+        phis[:, i], shuffles[:, i], rotation = receiver_forward(size, rng)
+        stage(f"rec{i + 1}_forward", rotation)
+    hop_to(n + 1)  # hop N+1: Rec-N back to Alice
 
     bit = rng.integers(2, size=size, dtype=np.int8)
-    basis, light = alice_encode(light, theta, bit, config.bs_ratio, rng)
-    snap("alice_encoded", light)
+    basis, rotation = alice_encode(theta, bit, rng)
+    # only the transmitted part of her storage splitter leaves Alice's box
+    stage("alice_encoded", rotation, config.bs_ratio)
 
     if config.adversary == "tag":
         columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
@@ -356,12 +384,12 @@ def _run_round(
         # substitute is the honest pulse shifted by her guess error.
         usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, hop_t)
         offset, columns["eve_event"] = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
-        light = rotate_batch(light, offset * QUARTER_TURN)
-        snap("eve_reencoded", light)
+        stage("eve_reencoded", offset * QUARTER_TURN)
 
     for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
-        light = receiver_backward(hop_to(2 * n + 2 - i, light), phis[:, i - 1])
-        snap(f"rec{i}_backward", light)
+        hop_to(2 * n + 2 - i)
+        stage(f"rec{i}_backward", receiver_backward(phis[:, i - 1]))
+    observe()
     rect, diag = rec1_measure(light, rng)
 
     if snaps:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ class TestUsdSuccess:
     def test_monotone_and_bounded(self, n):
         assert 0.0 <= usd_success(n) < 1.0
         assert usd_success(n + 1) >= usd_success(n)
+
+    def test_arrays_match_the_scalar_form(self):
+        counts = np.array([0, 1, 2, 3, 4, 5, 6, 7, 106, 107, 108, 109, 10**9])
+        assert usd_success(counts).tolist() == [usd_success(int(n)) for n in counts]
+        assert usd_success(10**9) == math.nextafter(1.0, 0.0)
+        with pytest.raises(ValueError):
+            usd_success(np.array([3, -1]))
 
 
 class TestEveMeanPhotons:
@@ -178,6 +186,16 @@ class TestImpersonation:
             monte_carlo_p_error(-1.0, 0.5, 10000, rng)
         with pytest.raises(ValueError):
             monte_carlo_p_error(6.0, 0.0, 10000, rng)
+
+    def test_session_cost_does_not_grow_with_mu(self):
+        # the engine evaluates Eve's success probability on the counts
+        # themselves, with no table as long as the largest count
+        cfg = SimConfig(receivers=2, mean_photons=1e9, rounds=100, parity_block=0, seed=24,
+                        adversary="impersonate")
+        start = time.perf_counter()
+        summary = run_session(cfg).eve_summary
+        assert time.perf_counter() - start < 1.0
+        assert summary.usd_success_rate == 1.0
 
     def test_intercepted_hop_is_the_first_backward_hop(self):
         # travel order for N=2: three forward hops, then Alice -> Rec-2

@@ -10,6 +10,7 @@ from scipy import stats
 
 from sqss.adversary import usd_success
 from sqss.analysis import (
+    MAX_MU_T,
     ErrorCurvePoint,
     McEstimate,
     error_curve,
@@ -122,6 +123,23 @@ class TestClosedForms:
             p_e_closed_form(6.0, 0.0)
         with pytest.raises(ValueError):
             p_e_closed_form(6.0, 1.5)
+
+    def test_long_sum_stays_below_one(self):
+        # at this mean the float sum of several thousand terms rounds past one
+        assert p_e_closed_form(99997.0, 1.0) < 1.0
+        assert error_curve([99997.0])[0].p_error > 0.0
+
+    def test_intercepted_mean_is_bounded(self):
+        # both walks over the photon-number classes cost O(mu*T), so the
+        # documented bound is enforced before either starts
+        start = time.perf_counter()
+        assert p_e_closed_form(MAX_MU_T, 1.0) > 0.5
+        for mu, t in ((2.0 * MAX_MU_T, 0.5 + 1e-9), (3e15, 1.0)):
+            with pytest.raises(ValueError, match="mu"):
+                p_e_closed_form(mu, t)
+            with pytest.raises(ValueError, match="mu"):
+                monte_carlo_p_error(mu, t, 10_000, np.random.default_rng(0))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestErrorCurve:

@@ -355,6 +355,23 @@ class TestCliSimulate:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["attack", "impersonate", "--override", "mu=1e16", "--trials", "10000"], "mu"),
+            (["curve", "--start", "3e15", "--stop", "3e15"], "range"),
+        ],
+        ids=["attack-mu", "curve-range"],
+    )
+    def test_intercepted_mean_beyond_the_series_bound_fails_fast(self, args, key):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqss", *args], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([
             "simulate", "--config", str(demo_config),

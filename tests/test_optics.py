@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sqss.optics import (
     AMBIGUOUS,
@@ -263,3 +264,19 @@ class TestPbsMeasure:
         expected = 1.0 - 2.0 ** (1 - 4)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ambiguous / n - expected) < 3 * sigma
+
+    def test_off_protocol_angle_follows_p_to_the_k(self):
+        # At 0.3 rad a photon clicks the rectilinear aligned detector with
+        # p = cos^2(0.3): k photons read aligned with p^k, orthogonal with
+        # (1-p)^k, and ambiguous otherwise.
+        rng = np.random.default_rng(2024)
+        n = 100_000
+        p = math.cos(0.3) ** 2
+        for k in range(1, 7):
+            out = pbs_measure(pulses(k, 0.3, n), RECTILINEAR, rng)
+            observed = np.array([np.count_nonzero(out == code) for code in (0, 2, AMBIGUOUS)])
+            law = np.array([p**k, (1.0 - p) ** k, 1.0 - p**k - (1.0 - p) ** k])
+            seen = law > 0  # one photon is never ambiguous
+            assert observed.sum() == n and not observed[~seen].any()
+            result = stats.chisquare(observed[seen], law[seen] * n)
+            assert result.pvalue > 1e-4, (k, observed, law * n)

@@ -15,6 +15,7 @@ from sqss.optics import (
     DecisionAngle,
     QUARTER_TURN,
     PhotonBatch,
+    rotate_batch,
 )
 from sqss.protocol import (
     ProtocolRestart,
@@ -23,6 +24,7 @@ from sqss.protocol import (
     _decode_rows,
     _fft_length,
     _key_angle,
+    _run_round,
     alice_encode,
     alice_prepare,
     decode_table,
@@ -142,7 +144,8 @@ class TestSenderOps:
         # bit=0 in family 1 is the zero angle, so encoding just removes theta.
         pulse = pulses(6, 0.7)
         rng = np.random.default_rng(0)
-        basis, out = alice_encode(pulse, np.array([0.7]), np.array([0]), 1.0, rng)
+        basis, rotation = alice_encode(np.array([0.7]), np.array([0]), rng)
+        out = rotate_batch(pulse, rotation)
         if basis[0] == 1:
             assert out.polarization[0] == pytest.approx(0.0, abs=1e-12)
         else:
@@ -152,46 +155,51 @@ class TestSenderOps:
         # Incoming theta + sum(phi_i + s_i) must leave as k + sum(phi_i + s_i).
         accumulated = 0.4 + 1.234  # theta plus the receivers' rotations
         pulse = pulses(6, accumulated)
-        basis, out = alice_encode(pulse, np.array([0.4]), np.array([1]), 1.0,
-                                  np.random.default_rng(3))
+        basis, rotation = alice_encode(np.array([0.4]), np.array([1]), np.random.default_rng(3))
+        out = rotate_batch(pulse, rotation)
         expected = _key_angle(1, int(basis[0])) * QUARTER_TURN + 1.234
         assert circular_distance(out.polarization[0], expected) <= 1e-12
 
     def test_basis_family_choice_is_balanced(self):
         rng = np.random.default_rng(9)
         n = 100000
-        basis, _ = alice_encode(pulses(6, 0.0, n), np.zeros(n), np.zeros(n, dtype=np.int8), 1.0, rng)
+        basis, _ = alice_encode(np.zeros(n), np.zeros(n, dtype=np.int8), rng)
         ones = int(np.count_nonzero(basis == 1))
         assert set(basis.tolist()) == {1, 2}
         assert stats.binomtest(ones, n, 0.5).pvalue > 0.01
 
     def test_countermeasure_splits_the_pulse(self):
-        # Each photon leaves the storage splitter with the transmitted ratio.
+        # Each photon leaves the storage splitter with the transmitted ratio:
+        # on a lossless ring, the traced count behind the encoder against the
+        # count that reached Alice.
         rng = np.random.default_rng(0)
         n_trials = 20000
-        _, out = alice_encode(pulses(6, 0.0, n_trials), np.zeros(n_trials),
-                              np.zeros(n_trials, dtype=np.int8), 0.5, rng)
-        kept = out.count.sum()
-        sigma = math.sqrt(6 * 0.5 * 0.5 / n_trials)
-        assert abs(kept / n_trials - 3.0) < 3 * sigma
+        cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, trace=True)
+        table = _run_round(n_trials, cfg, cfg.hop_transmissions(), rng)
+        stage = table.trace_stages.index
+        offered = table.trace_photons[:, stage("rec1_forward")].sum()
+        kept = table.trace_photons[:, stage("alice_encoded")].sum()
+        sigma = math.sqrt(0.5 * 0.5 / offered)
+        assert abs(kept / offered - 0.5) < 3 * sigma
 
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        phi, s, out = receiver_forward(pulses(6, 0.5), np.random.default_rng(4))
+        phi, s, rotation = receiver_forward(1, np.random.default_rng(4))
+        out = rotate_batch(pulses(6, 0.5), rotation)
         expected = 0.5 + phi[0] + DecisionAngle(int(s[0])).radians
         assert circular_distance(out.polarization[0], expected) <= 1e-12
 
     def test_shuffles_uniform_over_four_values(self):
         rng = np.random.default_rng(10)
-        _, shuffles, _ = receiver_forward(pulses(6, 0.0, 100000), rng)
+        _, shuffles, _ = receiver_forward(100000, rng)
         counts = np.bincount(shuffles, minlength=4)
         assert len(counts) == 4
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_backward_removes_only_the_hide_angle(self):
-        phi, s, forwarded = receiver_forward(pulses(6, 0.2), np.random.default_rng(6))
-        back = receiver_backward(forwarded, phi)
+        phi, s, rotation = receiver_forward(1, np.random.default_rng(6))
+        back = rotate_batch(rotate_batch(pulses(6, 0.2), rotation), receiver_backward(phi))
         expected = 0.2 + DecisionAngle(int(s[0])).radians
         assert circular_distance(back.polarization[0], expected) <= 1e-12
 
