@@ -80,6 +80,11 @@ def _intercepted(mu: float, transmission: float) -> float:
     return mu * transmission
 
 
+def series_terms(lam: float) -> float:
+    """The most terms ``p_e_closed_form`` sums at an intercepted mean ``lam``."""
+    return lam + 20.0 * math.sqrt(lam) + 20.0
+
+
 def p_e_closed_form(mu: float, transmission: float) -> float:
     """Probability that Eve's discrimination succeeds on a pulse of mean
     mu sent through transmission t: sum over n >= 3 of the Poisson
@@ -89,7 +94,7 @@ def p_e_closed_form(mu: float, transmission: float) -> float:
     1e-12, which bounds the truncation error by the same amount.
     """
     lam = _intercepted(mu, transmission)
-    cutoff = int(lam + 20.0 * math.sqrt(lam) + 20.0)
+    cutoff = int(series_terms(lam))
     total = 0.0
     mass = 0.0
     for n in range(cutoff + 1):

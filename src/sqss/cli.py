@@ -32,6 +32,10 @@ EXIT_ABORT_RETRY = 2
 EXIT_DISHONEST = 3
 EXIT_CONFIG = 64
 
+# Series terms a curve grid may sum at worst: about ten times the 11-point
+# grid just below analysis.MAX_MU_T, which took about 1.5 s on a 2-vCPU host.
+_MAX_CURVE_TERMS = 1e7
+
 _ROUND_COLUMNS = (
     "index,theta,phis,shuffles,basis_choice,bit,key_angle,rect_outcome,"
     "diag_outcome,status,measured_angle,decoded_angle,decoded_bit,trace"
@@ -155,7 +159,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if not 0.0 <= args.start <= args.stop <= analysis.MAX_MU_T:
         raise ConfigError("range", f"need 0 <= start <= stop <= {analysis.MAX_MU_T:g},"
                           f" got [{args.start}, {args.stop}]")
-    count = int(math.floor((args.stop - args.start) / args.step + 1e-9)) + 1
+    span = (args.stop - args.start) / args.step
+    work = (span + 1.0) * analysis.series_terms(args.stop)
+    if not work <= _MAX_CURVE_TERMS:
+        raise ConfigError("step", f"a grid of {span + 1.0:.3g} points up to {args.stop:g} sums"
+                          f" about {work:.3g} series terms, more than {_MAX_CURVE_TERMS:g}")
+    count = int(math.floor(span + 1e-9)) + 1
     # round away step-accumulation noise so grid values print cleanly
     values = [round(args.start + i * args.step, 10) for i in range(count)]
     text = curve_points_to_csv(analysis.error_curve(values))
@@ -204,6 +213,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         n, value, std_error = estimate.trials, estimate.mean, estimate.std_error
         metric, reference = "induced_qber", analysis.p_error_closed_form(usd_mean, 1.0)
     else:
+        if config.rounds < 1:
+            raise ConfigError("trials", f"must be >= 1, got {config.rounds}")
         config.target_key_bits = 0
         result = protocol.run_session(config, rng=rng)
         s = result.eve_summary

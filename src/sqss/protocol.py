@@ -58,10 +58,6 @@ _MAX_TARGET_ROUNDS = 10_000_000
 _CHUNK_ROUNDS = 1 << 16
 
 
-class ProtocolRestart(RuntimeError):
-    """Raised when reconciliation leaves nothing to build a key from."""
-
-
 class VerdictKind(Enum):
     ACCEPT = "accept"
     ABORT_RETRY = "abort_retry"
@@ -119,10 +115,8 @@ class SessionResult:
     kept_rounds: int
     discard_fraction: float
     qber: float
-    alice_sifted_bits: list[int]
-    receiver_sifted_bits: list[list[int]]
     alice_final_key: list[int]
-    receiver_final_keys: list[list[int]]
+    receiver_final_keys: list[list[int]]  # honest receivers share one list
     verdict: Verdict
     records: RoundTable
     eve_summary: adv.EveSummary | None = None
@@ -219,15 +213,9 @@ def sift(table: RoundTable) -> np.ndarray:
     selected arm's outcome in ``table.sifted`` (the measured angle of a
     kept round) and returns the indices of the kept rounds.
     """
-    table.sifted = _sifted_outcome(table)
-    return np.flatnonzero(table.sifted < VACUUM)
-
-
-def _sifted_outcome(table: RoundTable) -> np.ndarray:
-    """Outcome codes of the arm whose basis matches the measured angle's, given the
-    announced families j."""
     parity = (table.basis_choice - 1 + table.shuffles.sum(axis=1)) % 2
-    return np.where(parity == 0, table.rect, table.diag)
+    table.sifted = np.where(parity == 0, table.rect, table.diag)
+    return np.flatnonzero(table.sifted < VACUUM)
 
 
 def _fft_length(m: int) -> int:
@@ -271,24 +259,19 @@ def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int)
     return np.flatnonzero(flips[block] % 2 == 0)
 
 
-def reconcile_and_amplify(
-    key_a: ArrayLike, key_b: ArrayLike, block_size: int, hash_seed: int = 0,
-    keys: ArrayLike | None = None,
-) -> list[list[int]]:
+def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) -> np.ndarray:
     """Block-parity reconciliation followed by Toeplitz privacy amplification.
 
-    Blocks whose public parities disagree between ``key_a`` and ``key_b``
-    are discarded; the surviving positions of every key in ``keys``
-    (default: the two compared keys) are compressed to half length by a
-    shared, publicly seeded 2-universal hash. Raises ProtocolRestart when
+    ``keys`` holds one key per row. Blocks whose public parities disagree
+    between rows 0 and 1 are discarded; the surviving positions of every
+    row are compressed to half length by one shared, publicly seeded
+    2-universal hash. Returns the compressed rows, which are empty when
     too few bits survive to produce any key at all.
     """
-    survivors = parity_survivor_indices(key_a, key_b, block_size)
+    keys = np.asarray(keys, dtype=np.uint8)
+    survivors = parity_survivor_indices(keys[0], keys[1], block_size)
     out_len = int(len(survivors) * PA_COMPRESSION)
-    if out_len == 0:
-        raise ProtocolRestart("no usable bits survived reconciliation")
-    rows = np.asarray(keys if keys is not None else (key_a, key_b), dtype=np.uint8)
-    return toeplitz_compress(rows[:, survivors].T, out_len, hash_seed).T.tolist()
+    return toeplitz_compress(keys[:, survivors].T, out_len, hash_seed).T
 
 
 def key_digest(bits: ArrayLike) -> str:
@@ -400,36 +383,41 @@ def _run_round(
 
 
 def _decode_phase(
-    table: RoundTable, kept: np.ndarray, n: int, dishonest: int | None, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange decision angles and decode; a dishonest receiver corrupts its report.
+    table: RoundTable, kept: np.ndarray, dishonest: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exchange decision angles and decode; a dishonest receiver (1-based, 0 for
+    none) corrupts its report.
 
-    Returns the publicly exchanged (consensus) decoded bits plus an
-    (n, kept) array of the receivers' private decodes. A liar announces a
-    corrupted angle but uses its true one, so only the victims end up
-    with a wrong key: every other receiver's view is the public one.
+    Returns each distinct key of the session once, as uint8 rows over the
+    kept rounds: Alice's sifted bits, the public (consensus) decode and,
+    with a liar, the liar's own decode. A liar announces a corrupted angle
+    but uses its true one, so only the victims end up with a wrong key:
+    every other receiver holds the public one.
     """
-    true_decisions = table.shuffles[kept].astype(np.int64)
+    true_decisions = table.shuffles[kept]
     true_decisions[:, 0] = (table.sifted[kept] - true_decisions[:, 0]) % 4
-    reported = true_decisions.copy()
-    if dishonest is not None:
+    reported = true_decisions.copy() if dishonest else true_decisions
+    if dishonest:
         reported[:, dishonest - 1] += rng.integers(1, 4, size=len(kept))  # decoding reduces mod 4
     consensus = _decode_rows(reported)
     table.decoded = np.full(len(table), -1, dtype=np.int8)
     table.decoded[kept] = consensus
-    private_bits = np.tile(consensus // 2, (n, 1))
-    if dishonest is not None:
-        private_bits[dishonest - 1] = _decode_rows(true_decisions) // 2
-    return consensus // 2, private_bits
+    keys = np.empty((3 if dishonest else 2, len(kept)), dtype=np.uint8)
+    keys[0] = table.bit[kept]
+    keys[1] = consensus // 2
+    if dishonest:
+        keys[2] = _decode_rows(true_decisions) // 2
+    return keys
 
 
 def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> SessionResult:
     """Run a full multi-round session and return keys plus statistics.
 
     Simulates the rounds through the ring in chunks (with the configured
-    adversary attached to its channel hops), then sifts, decodes
-    cooperatively, optionally reconciles and compresses, and cross-checks
-    key digests. Fully deterministic for a given seed and configuration.
+    adversary attached to its channel hops) and sifts each chunk, then
+    decodes cooperatively, optionally reconciles and compresses, and
+    cross-checks key digests; an empty final key aborts for retry. Fully
+    deterministic for a given seed and configuration.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
@@ -455,8 +443,9 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
         rng = np.random.default_rng(config.seed)
 
     chunks: list[RoundTable] = []
-    executed = keepable = 0
-    while keepable < target if target else executed < config.rounds:
+    kept_parts: list[np.ndarray] = []  # indices into the whole session
+    executed = kept_count = 0
+    while kept_count < target if target else executed < config.rounds:
         size = config.rounds - executed
         if target:
             if executed >= _MAX_TARGET_ROUNDS:
@@ -465,60 +454,51 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
                 )
             # the rounds expected to reach the rest of the target at the
             # honest keep rate, plus four standard deviations
-            rest = target - keepable
+            rest = target - kept_count
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, _MAX_TARGET_ROUNDS - executed)
         chunk = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, rng)
-        if target:
-            # The simulator may pre-count keepable rounds; parties only
-            # learn sift status after the basis announcement. Rounds are
-            # i.i.d., so cutting the chunk where the target is reached is
-            # the same as stopping there.
-            counts = np.cumsum(_sifted_outcome(chunk) < VACUUM)
-            stop = int(np.searchsorted(counts, target - keepable)) + 1
-            chunk = _columnwise([chunk], lambda c: c[0][:stop])
-            keepable += int(counts[len(chunk) - 1])
+        kept = sift(chunk)
+        if target and len(kept) >= target - kept_count:
+            # The simulator sees sift status before the parties learn it at
+            # the basis announcement. Rounds are i.i.d., so cutting the
+            # chunk where the target is reached is the same as stopping there.
+            kept = kept[: target - kept_count]
+            chunk = _columnwise([chunk], lambda c: c[0][: kept[-1] + 1])
         chunks.append(chunk)
+        kept_parts.append(kept + executed)
         executed += len(chunk)
+        kept_count += len(kept)
     table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
+    kept = np.concatenate(kept_parts)
 
-    kept = sift(table)
-    dishonest = config.dishonest_receiver if config.dishonest_receiver else None
-    consensus_bits, private_bits = _decode_phase(table, kept, n, dishonest, rng)
-
-    alice_bits = table.bit[kept]
-    qber = np.count_nonzero(alice_bits != consensus_bits) / len(kept) if len(kept) else 0.0
+    dishonest = config.dishonest_receiver
+    keys = _decode_phase(table, kept, dishonest, rng)
+    qber = np.count_nonzero(keys[0] != keys[1]) / len(kept) if len(kept) else 0.0
     discard_fraction = 1.0 - len(kept) / len(table)
 
-    alice_sifted, receiver_sifted = alice_bits.tolist(), private_bits.tolist()
-    verdict = None
-    alice_final, receiver_finals = list(alice_sifted), [list(bits) for bits in receiver_sifted]
-    if config.parity_block > 0 and len(kept):
+    if config.parity_block > 0:
         pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
-        try:
-            alice_final, *receiver_finals = reconcile_and_amplify(
-                alice_bits, consensus_bits, config.parity_block, pa_seed,
-                keys=np.vstack([alice_bits, private_bits]),
-            )
-        except ProtocolRestart:
-            alice_final, receiver_finals = [], [[] for _ in range(n)]
-            verdict = Verdict(VerdictKind.ABORT_RETRY)
-    if verdict is None:
-        verdict = integrity_check(key_digest(alice_final), [key_digest(k) for k in receiver_finals])
+        keys = reconcile_and_amplify(keys, config.parity_block, pa_seed)
+    held = [2 if i == dishonest else 1 for i in range(1, n + 1)]  # each receiver's row
+    if keys.shape[1] == 0:  # no key to share, whatever emptied it
+        verdict = Verdict(VerdictKind.ABORT_RETRY)
+    else:
+        digests = [key_digest(key) for key in keys]
+        verdict = integrity_check(digests[0], [digests[row] for row in held])
 
     eve_summary = None
     if config.adversary != "none":
         eve_summary = _score_eve(config.adversary, table, kept, rng)
 
+    rows = keys.tolist()
     return SessionResult(
         rounds_executed=len(table),
         kept_rounds=len(kept),
         discard_fraction=discard_fraction,
         qber=float(qber),
-        alice_sifted_bits=alice_sifted,
-        receiver_sifted_bits=receiver_sifted,
-        alice_final_key=alice_final,
-        receiver_final_keys=receiver_finals,
+        alice_final_key=rows[0],
+        receiver_final_keys=[rows[row] for row in held],
         verdict=verdict,
         records=table,
         eve_summary=eve_summary,

@@ -310,6 +310,15 @@ class TestCliSimulate:
         assert code == cli.EXIT_DISHONEST
         assert "flagged_receiver=1" in out
 
+    @pytest.mark.parametrize(
+        "rounds,mu", [("4", "1e-300"), ("1", "50")], ids=["none-kept", "none-survived"]
+    )
+    def test_empty_final_key_exit_code(self, rounds, mu, capsys):
+        code = cli.main(["simulate", "--override", f"rounds={rounds}", "--override", f"mu={mu}"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_ABORT_RETRY
+        assert "final_key_bits=0" in out and "verdict=abort_retry" in out
+
     def test_config_error_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("mu=-2\n", encoding="utf-8")
@@ -426,6 +435,17 @@ class TestCliCurve:
         assert cli.main(["curve", *args]) == cli.EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,code",
+        [([], 0), (["--step", "1e-300"], cli.EXIT_CONFIG),
+         (["--stop", "1e5", "--step", "1"], cli.EXIT_CONFIG)],
+        ids=["default", "tiny-step", "long-grid"],
+    )
+    def test_grid_work_is_bounded(self, args, code, capsys):
+        assert cli.main(["curve", *args]) == code
+        captured = capsys.readouterr()
+        assert ("step" in captured.err) == (code == cli.EXIT_CONFIG)
+
 
 class TestCliTable:
     def test_rows_are_permutations(self, capsys):
@@ -512,3 +532,9 @@ class TestCliAttack:
         assert "trials" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("strategy", ["pns", "tag"])
+    def test_zero_trials_names_trials(self, strategy, capsys):
+        assert cli.main(["attack", strategy, "--trials", "0"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "trials" in err and "'rounds'" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -18,7 +19,6 @@ from sqss.optics import (
     rotate_batch,
 )
 from sqss.protocol import (
-    ProtocolRestart,
     RoundTable,
     VerdictKind,
     _decode_rows,
@@ -339,8 +339,8 @@ class TestReconcile:
     def test_identical_keys_keep_everything(self):
         key = [1, 0, 1, 1, 0, 0, 1, 0] * 4
         assert parity_survivor_indices(key, list(key), 8).tolist() == list(range(32))
-        a, b = reconcile_and_amplify(key, list(key), 8)
-        assert a == b
+        a, b = reconcile_and_amplify([key, key], 8)
+        assert a.tolist() == b.tolist()
         assert len(a) == 16
 
     def test_every_key_shares_the_survivors(self):
@@ -348,9 +348,9 @@ class TestReconcile:
         key_b = [0] * 32
         key_b[11] = 1
         other = [1] * 32
-        a, c = reconcile_and_amplify(key_a, key_b, 8, hash_seed=5, keys=[key_a, other])
-        assert a == toeplitz_compress([0] * 24, 12, 5).tolist()
-        assert c == toeplitz_compress([1] * 24, 12, 5).tolist()
+        a, _, c = reconcile_and_amplify([key_a, key_b, other], 8, hash_seed=5)
+        assert a.tolist() == toeplitz_compress([0] * 24, 12, 5).tolist()
+        assert c.tolist() == toeplitz_compress([1] * 24, 12, 5).tolist()
 
     def test_single_flip_drops_one_block(self):
         key_a = [0] * 32
@@ -379,8 +379,7 @@ class TestReconcile:
     def test_restart_when_nothing_survives(self):
         key_a = [0] * 8
         key_b = [0] * 7 + [1]
-        with pytest.raises(ProtocolRestart):
-            reconcile_and_amplify(key_a, key_b, 8)
+        assert reconcile_and_amplify([key_a, key_b], 8).shape == (2, 0)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -434,10 +433,14 @@ class TestRunSession:
         assert res.qber == 0.0
         assert res.verdict.kind is VerdictKind.ACCEPT
         assert res.kept_rounds > 0
-        for bits in res.receiver_sifted_bits:
-            assert bits == res.alice_sifted_bits
         for key in res.receiver_final_keys:
             assert key == res.alice_final_key
+        # before reconciliation every receiver already holds Alice's sifted bits
+        sifted = run_session(dataclasses.replace(cfg, parity_block=0))
+        table = sifted.records
+        assert sifted.alice_final_key == table.bit[table.sifted < VACUUM].tolist()
+        for key in sifted.receiver_final_keys:
+            assert key == sifted.alice_final_key
 
     def test_honest_five_receivers(self):
         cfg = SimConfig(receivers=5, mean_photons=6.0, rounds=500, parity_block=8, seed=43)
@@ -498,22 +501,38 @@ class TestRunSession:
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=100, parity_block=0, seed=7)
         res_a = run_session(cfg)
         res_b = run_session(cfg, rng=np.random.default_rng(7))
-        assert res_a.alice_sifted_bits == res_b.alice_sifted_bits
+        assert res_a.alice_final_key == res_b.alice_final_key
+        assert res_a.receiver_final_keys == res_b.receiver_final_keys
 
     def test_target_key_bits_mode(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, transmission=0.9,
                         rounds=10, target_key_bits=200, parity_block=0, seed=48)
         res = run_session(cfg)
         assert res.kept_rounds >= 200
-        assert len(res.alice_sifted_bits) == res.kept_rounds
+        assert len(res.alice_final_key) == res.kept_rounds
+        kept = res.records.sifted < VACUUM
+        assert np.count_nonzero(kept) == res.kept_rounds and kept[-1]
         # stops soon after the target is reached
         assert res.kept_rounds <= 210
 
     def test_parity_block_zero_skips_post_processing(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=400, parity_block=0, seed=49)
         res = run_session(cfg)
-        assert res.alice_final_key == res.alice_sifted_bits
-        assert res.receiver_final_keys[0] == res.receiver_sifted_bits[0]
+        table = res.records
+        kept = table.sifted < VACUUM
+        assert res.alice_final_key == table.bit[kept].tolist()
+        assert res.receiver_final_keys[0] == (table.decoded[kept] // 2).tolist()
+
+    @pytest.mark.parametrize(
+        "rounds,mu,kept", [(4, 1e-300, 0), (1, 50.0, 1)], ids=["none-kept", "none-survived"]
+    )
+    def test_empty_final_key_aborts(self, rounds, mu, kept):
+        # Faint light keeps no round at all; bright light keeps the one
+        # round, which reconciliation cannot turn into a key bit.
+        res = run_session(SimConfig(rounds=rounds, mean_photons=mu, seed=60))
+        assert res.kept_rounds == kept
+        assert res.alice_final_key == [] and res.receiver_final_keys == [[], []]
+        assert res.verdict.kind is VerdictKind.ABORT_RETRY
 
     def test_trace_stages(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0,
@@ -571,6 +590,19 @@ class TestDishonestReceiver:
         res = run_session(cfg)
         assert res.verdict.kind is VerdictKind.DISHONEST
         assert res.verdict.flagged_receiver == 2
+
+    @pytest.mark.parametrize("parity_block", [0, 8])
+    def test_liar_in_a_five_receiver_ring(self, parity_block):
+        cfg = SimConfig(receivers=5, mean_photons=6.0, rounds=400, parity_block=parity_block,
+                        seed=56, dishonest_receiver=3)
+        res = run_session(cfg)
+        keys = res.receiver_final_keys
+        assert keys[2] == res.alice_final_key
+        victims = keys[:2] + keys[3:]
+        assert all(key == victims[0] for key in victims)
+        assert victims[0] != res.alice_final_key
+        assert res.verdict.kind is VerdictKind.DISHONEST
+        assert res.verdict.flagged_receiver == 3
 
     def test_qber_is_nonzero_under_lying(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=200, parity_block=0,
