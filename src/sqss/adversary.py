@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import PhotonBatch, pbs_measure
+from .optics import VACUUM, PhotonBatch, pbs_measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,9 +133,6 @@ def ml_single_photon_estimator(
     a definite click, whose angle maps to a bit the same way the
     receivers map theirs.
     """
-    guesses = rng.integers(2, size=len(basis_choice))
-    for j in (1, 2):  # family j reads in RECTILINEAR (0) or DIAGONAL (1)
-        rows = np.flatnonzero((basis_choice == j) & (stored.count > 0))
-        codes = pbs_measure(PhotonBatch(stored.count[rows], stored.polarization[rows]), j - 1, rng)
-        guesses[rows] = codes // 2
-    return guesses
+    # family j reads in RECTILINEAR (0) or DIAGONAL (1)
+    codes = pbs_measure(stored, basis_choice - 1, rng)
+    return np.where(codes == VACUUM, rng.integers(2, size=len(codes)), codes // 2)

@@ -16,7 +16,13 @@ Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
 clicks the aligned detector with probability p = cos^2(theta - beta),
 otherwise the orthogonal one. A pulse of k photons is read from one
-uniform draw against p^k and (1 - p)^k.
+uniform draw against p^k and (1 - p)^k. A pulse that nothing counted
+needs no count at all: a coherent pulse of mean m splits into two
+independent coherent pulses of means m*p and m*(1 - p), one per
+detector, so ``coherent_measure`` reads it from one uniform draw
+against e^(-m), e^(-m(1 - p)) - e^(-m) and e^(-m p) - e^(-m). The round
+engine reads Rec-1's detectors that way whenever no one observed the
+pulse before Rec-1.
 """
 
 from __future__ import annotations
@@ -102,23 +108,61 @@ def split_batch(
     )
 
 
-def pbs_measure(batch: PhotonBatch, aligned: int, rng: np.random.Generator) -> np.ndarray:
+def _detector_codes(vacuum, aligned_only, orthogonal_only, aligned, u: np.ndarray) -> np.ndarray:
+    """Outcome codes of a polarizing beam splitter whose aligned detector sits at
+    ``aligned`` quarter turns (an int, or one per pulse), from each pulse's
+    probabilities of no click, of clicks on the aligned detector only and on
+    the orthogonal one only (the rest is ambiguous), and one uniform per pulse.
+    """
+    below = vacuum + aligned_only
+    # the intervals of u: vacuum, aligned only, orthogonal only, ambiguous;
+    # int8 arithmetic keeps the per-pulse temporaries at one byte
+    codes = aligned + 2 * (u >= below).view(np.int8)
+    codes[u >= below + orthogonal_only] = AMBIGUOUS
+    codes[u < vacuum] = VACUUM
+    return codes
+
+
+def pbs_measure(
+    batch: PhotonBatch, aligned: int | np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """Measure every pulse on a polarizing beam splitter in the basis whose
-    aligned detector sits at ``aligned`` quarter turns (RECTILINEAR or DIAGONAL).
+    aligned detector sits at ``aligned`` quarter turns (RECTILINEAR or
+    DIAGONAL, one for all pulses or one per pulse).
 
     Every photon clicks the aligned detector with probability
     p = cos^2(theta - beta) and the orthogonal one otherwise. A pulse of
-    k photons therefore reads out the aligned angle with probability
-    p^k, the orthogonal angle with probability (1 - p)^k, and is
-    ambiguous otherwise; one uniform per pulse picks among the three. An
-    empty pulse is vacuum. Returns one outcome code per pulse (quarter
-    turns, VACUUM or AMBIGUOUS).
+    k photons is therefore vacuum with probability 0^k, reads out the
+    aligned angle with probability p^k and the orthogonal angle with
+    probability (1 - p)^k, and is ambiguous otherwise; one uniform per
+    pulse picks among the four. Returns one outcome code per pulse
+    (quarter turns, VACUUM or AMBIGUOUS).
     """
     p_aligned = np.cos(batch.polarization - aligned * QUARTER_TURN) ** 2
-    all_aligned = p_aligned**batch.count
     u = rng.random(len(p_aligned))
-    codes = np.full(len(u), AMBIGUOUS, dtype=np.int8)
-    codes[u < all_aligned + (1.0 - p_aligned) ** batch.count] = aligned + 2
-    codes[u < all_aligned] = aligned
-    codes[batch.count == 0] = VACUUM
-    return codes
+    vacuum = batch.count == 0  # 0^k
+    return _detector_codes(
+        vacuum, p_aligned**batch.count, (1.0 - p_aligned) ** batch.count, aligned, u
+    )
+
+
+def coherent_measure(
+    polarization: np.ndarray, mean: float, aligned: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Measure coherent pulses of ``mean`` photons whose number nothing has
+    counted, on the polarizing beam splitter of ``pbs_measure``.
+
+    The aligned and orthogonal detectors receive independent Poisson
+    numbers of photons, of means m*p and m*(1 - p) with
+    p = cos^2(theta - beta), so a pulse is vacuum with probability
+    e^(-m), reads out the aligned angle with probability
+    e^(-m(1 - p)) - e^(-m), the orthogonal angle with e^(-m p) - e^(-m),
+    and is ambiguous otherwise. ``polarization`` need not be reduced
+    into [0, pi). Returns one outcome code per pulse, as ``pbs_measure``.
+    """
+    p_aligned = np.cos(polarization - aligned * QUARTER_TURN) ** 2
+    vacuum = math.exp(-mean)
+    no_orthogonal = np.exp(-mean * (1.0 - p_aligned))
+    no_aligned = np.exp(-mean * p_aligned)
+    u = rng.random(len(p_aligned))
+    return _detector_codes(vacuum, no_orthogonal - vacuum, no_aligned - vacuum, aligned, u)

@@ -19,6 +19,10 @@ so every operation acts on a chunk of them, one array entry per round.
 Light is drawn only where it is observed (``_run_round``): the source
 count at the first observer's mean, one loss and one rotation between
 observers, and Rec-1's detectors from p^k (``optics.pbs_measure``).
+When Rec-1 is the first observer, no count is drawn at all: each arm
+of its 50:50 splitter is an independent coherent pulse of half the
+arriving mean, and its detectors read it straight from the coherent
+law (``optics.coherent_measure``).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .optics import (
     VACUUM,
     DecisionAngle,
     PhotonBatch,
+    coherent_measure,
     pbs_measure,
     rotate_batch,
     split_batch,
@@ -78,7 +83,7 @@ class Verdict:
 class RoundTable:
     """Every round of a session, one array per field with one entry per round.
 
-    The arms hold ``pbs_measure`` outcome codes; sifting fills in
+    The arms hold detector outcome codes (``optics``); sifting fills in
     ``sifted``, the chosen arm's code, and decoding ``decoded``, the
     consensus key angle or -1. With ``trace`` the pulse's photon count
     and polarization after each of ``trace_stages`` are kept too.
@@ -156,15 +161,18 @@ def decode_table() -> list[list[DecisionAngle]]:
 
 
 def alice_prepare(
-    mean_photons: float, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, PhotonBatch]:
+    mean_photons: float | None, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, PhotonBatch | None]:
     """Emit ``size`` fresh coherent pulses, each hidden behind a uniformly
     random angle theta; returns the thetas and the pulses.
 
     Photon numbers are drawn here, Poisson with the given mean, the
     first observer's; everything downstream only thins or reads them.
+    With no mean (``None``) nothing counts the pulses and none are drawn.
     """
     theta = rng.random(size) * math.pi
+    if mean_photons is None:
+        return theta, None
     return theta, PhotonBatch(rng.poisson(mean_photons, size), theta)
 
 
@@ -271,7 +279,12 @@ def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) 
     keys = np.asarray(keys, dtype=np.uint8)
     survivors = parity_survivor_indices(keys[0], keys[1], block_size)
     out_len = int(len(survivors) * PA_COMPRESSION)
-    return toeplitz_compress(keys[:, survivors].T, out_len, hash_seed).T
+    rows = keys[:, survivors]
+    # one matrix maps equal rows to equal outputs, so each distinct row is hashed once
+    slots: dict[bytes, int] = {}
+    slot = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
+    distinct = rows[[slot.index(s) for s in range(len(slots))]]
+    return toeplitz_compress(distinct.T, out_len, hash_seed).T[slot]
 
 
 def key_digest(bits: ArrayLike) -> str:
@@ -304,7 +317,8 @@ def _run_round(
     stage. Between two of them the losses multiply into one pending
     transmission and the rotations add into one unreduced angle, which
     the next one applies with ``thin_batch`` and ``rotate_batch``. The
-    source draws its counts at the first observer's mean.
+    source draws its counts at the first observer's mean, unless that
+    observer is Rec-1, which reads the uncounted coherent pulse.
     """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
@@ -314,7 +328,9 @@ def _run_round(
     # last hop, into Rec-1. Alice's splitter sits behind hop N+1 and its PNS point.
     first = 0 if config.trace else pns_hop or 2 * n + 1
     reach = math.prod(hop_t[:first]) * (config.bs_ratio if first > n + 1 else 1.0)
-    theta, light = alice_prepare(config.mean_photons * reach, size, rng)
+    mean = config.mean_photons * reach
+    # only an observer before Rec-1 needs the photon counts
+    theta, light = alice_prepare(mean if config.trace or pns_hop else None, size, rng)
     # Since the last observer: the transmission, None while the source's draw
     # covers it, and the rotation, unreduced, None while there is none.
     pending = turn = None
@@ -372,8 +388,14 @@ def _run_round(
     for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
         hop_to(2 * n + 2 - i)
         stage(f"rec{i}_backward", receiver_backward(phis[:, i - 1]))
-    observe()
-    rect, diag = rec1_measure(light, rng)
+    if light is None:
+        # a split coherent pulse is two independent coherent pulses, one per arm
+        polarization = np.add(turn, theta, out=turn)
+        rect = coherent_measure(polarization, mean / 2, RECTILINEAR, rng)
+        diag = coherent_measure(polarization, mean / 2, DIAGONAL, rng)
+    else:
+        observe()
+        rect, diag = rec1_measure(light, rng)
 
     if snaps:
         columns["trace_photons"] = np.stack([s.count for s in snaps.values()], axis=1)

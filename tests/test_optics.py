@@ -13,6 +13,7 @@ from sqss.optics import (
     VACUUM,
     DecisionAngle,
     PhotonBatch,
+    coherent_measure,
     pbs_measure,
     rotate_batch,
     split_batch,
@@ -280,3 +281,30 @@ class TestPbsMeasure:
             assert observed.sum() == n and not observed[~seen].any()
             result = stats.chisquare(observed[seen], law[seen] * n)
             assert result.pvalue > 1e-4, (k, observed, law * n)
+
+
+class TestCoherentMeasure:
+    @pytest.mark.parametrize("mean", [0.5, 3.0, 6.0])
+    def test_arm_follows_the_coherent_law(self, mean):
+        # One arm of Rec-1's 50:50 splitter holds a coherent pulse of half
+        # the mean, whose detectors see independent Poisson counts of means
+        # m*p and m*(1-p): vacuum e^-m, aligned only e^(-m(1-p)) - e^-m,
+        # orthogonal only e^(-mp) - e^-m, ambiguous the rest.
+        rng = np.random.default_rng(2025)
+        n = 100_000
+        m = mean / 2
+        cases = [(0.3, RECTILINEAR)] + [
+            (DecisionAngle(q).radians, basis) for q in range(4) for basis in (RECTILINEAR, DIAGONAL)
+        ]
+        for polarization, basis in cases:
+            out = coherent_measure(np.full(n, polarization), m, basis, rng)
+            p = math.cos(polarization - basis * QT) ** 2
+            vacuum = math.exp(-m)
+            aligned, orthogonal = math.exp(-m * (1.0 - p)) - vacuum, math.exp(-m * p) - vacuum
+            law = np.array([vacuum, aligned, orthogonal, 1.0 - vacuum - aligned - orthogonal])
+            codes = (VACUUM, basis, basis + 2, AMBIGUOUS)
+            observed = np.array([np.count_nonzero(out == code) for code in codes])
+            seen = law > 1e-12  # at a protocol angle one detector never clicks
+            assert observed.sum() == n and not observed[~seen].any(), (polarization, basis, observed)
+            result = stats.chisquare(observed[seen], law[seen] / law[seen].sum() * n)
+            assert result.pvalue > 1e-4, (polarization, basis, observed, law * n)

@@ -352,6 +352,14 @@ class TestReconcile:
         assert a.tolist() == toeplitz_compress([0] * 24, 12, 5).tolist()
         assert c.tolist() == toeplitz_compress([1] * 24, 12, 5).tolist()
 
+    def test_equal_rows_are_hashed_alike(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.integers(0, 2, size=(2, 64))
+        out = reconcile_and_amplify([a, a, b], 8, hash_seed=9)
+        separate = [toeplitz_compress(row, 32, 9) for row in (a, a, b)]
+        assert out.shape == (3, 32)
+        assert [row.tolist() for row in out] == [row.tolist() for row in separate]
+
     def test_single_flip_drops_one_block(self):
         key_a = [0] * 32
         key_b = [0] * 32
