@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import VACUUM, PhotonBatch, pbs_measure
+from .optics import VACUUM, PhotonBatch, malus, pbs_measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,5 +134,6 @@ def ml_single_photon_estimator(
     receivers map theirs.
     """
     # family j reads in RECTILINEAR (0) or DIAGONAL (1)
-    codes = pbs_measure(stored, basis_choice - 1, rng)
+    aligned = basis_choice - 1
+    codes = pbs_measure(stored.count, malus(stored.polarization, aligned), aligned, rng)
     return np.where(codes == VACUUM, rng.integers(2, size=len(codes)), codes // 2)

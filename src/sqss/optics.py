@@ -14,15 +14,19 @@ eavesdropper (photon-number splitting) carries on to every later hop.
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
-clicks the aligned detector with probability p = cos^2(theta - beta),
-otherwise the orthogonal one. A pulse of k photons is read from one
-uniform draw against p^k and (1 - p)^k. A pulse that nothing counted
-needs no count at all: a coherent pulse of mean m splits into two
-independent coherent pulses of means m*p and m*(1 - p), one per
-detector, so ``coherent_measure`` reads it from one uniform draw
-against e^(-m), e^(-m(1 - p)) - e^(-m) and e^(-m p) - e^(-m). The round
-engine reads Rec-1's detectors that way whenever no one observed the
-pulse before Rec-1.
+clicks the aligned detector with probability p = cos^2(theta - beta)
+(``malus``), otherwise the orthogonal one. A pulse of k photons is read
+from one uniform draw against p^k and (1 - p)^k (``pbs_measure``). A
+pulse that nothing counted needs no count at all: a coherent pulse of
+mean m splits into two independent coherent pulses of means m*p and
+m*(1 - p), one per detector, so ``coherent_measure`` reads it from one
+uniform draw against e^(-m), e^(-m(1 - p)) - e^(-m) and e^(-m p) - e^(-m).
+
+The readers take p, not an angle. Rec-1's detector law depends only on
+the exact angle it receives, a whole number of quarter turns (the
+hiding angles theta and phi_i cancel around the ring), so the round
+engine looks p up in ``MALUS`` and never evaluates a cosine there;
+only Eve's stored photons carry a float polarization into ``malus``.
 """
 
 from __future__ import annotations
@@ -108,61 +112,70 @@ def split_batch(
     )
 
 
-def _detector_codes(vacuum, aligned_only, orthogonal_only, aligned, u: np.ndarray) -> np.ndarray:
+# Malus' p at 0, 1, 2 and 3 quarter turns off the aligned detector, exactly.
+MALUS = np.array([1.0, 0.5, 0.0, 0.5])
+
+
+def malus(polarization: np.ndarray, aligned: int | np.ndarray) -> np.ndarray:
+    """Malus' p = cos^2(theta - beta): the probability that a photon at
+    ``polarization`` clicks the detector aligned at ``aligned`` quarter turns."""
+    return np.cos(polarization - aligned * QUARTER_TURN) ** 2
+
+
+def _detector_codes(vacuum, below, above, aligned, u: np.ndarray) -> np.ndarray:
     """Outcome codes of a polarizing beam splitter whose aligned detector sits at
-    ``aligned`` quarter turns (an int, or one per pulse), from each pulse's
-    probabilities of no click, of clicks on the aligned detector only and on
-    the orthogonal one only (the rest is ambiguous), and one uniform per pulse.
+    ``aligned`` quarter turns (an int, or one per pulse), from one uniform per
+    pulse and each pulse's cumulative probabilities: ``vacuum`` of no click,
+    ``below`` of no click or clicks on the aligned detector only, ``above``
+    of those or clicks on the orthogonal one only (the rest is ambiguous).
     """
-    below = vacuum + aligned_only
     # the intervals of u: vacuum, aligned only, orthogonal only, ambiguous;
     # int8 arithmetic keeps the per-pulse temporaries at one byte
     codes = aligned + 2 * (u >= below).view(np.int8)
-    codes[u >= below + orthogonal_only] = AMBIGUOUS
+    codes[u >= above] = AMBIGUOUS
     codes[u < vacuum] = VACUUM
     return codes
 
 
 def pbs_measure(
-    batch: PhotonBatch, aligned: int | np.ndarray, rng: np.random.Generator
+    count: np.ndarray, p_aligned: np.ndarray, aligned: int | np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Measure every pulse on a polarizing beam splitter in the basis whose
-    aligned detector sits at ``aligned`` quarter turns (RECTILINEAR or
-    DIAGONAL, one for all pulses or one per pulse).
+    """Measure pulses of ``count`` photons each on a polarizing beam splitter
+    in the basis whose aligned detector sits at ``aligned`` quarter turns
+    (RECTILINEAR or DIAGONAL, one for all pulses or one per pulse).
 
-    Every photon clicks the aligned detector with probability
-    p = cos^2(theta - beta) and the orthogonal one otherwise. A pulse of
+    Every photon of a pulse clicks the aligned detector with its Malus
+    probability ``p_aligned`` and the orthogonal one otherwise. A pulse of
     k photons is therefore vacuum with probability 0^k, reads out the
     aligned angle with probability p^k and the orthogonal angle with
     probability (1 - p)^k, and is ambiguous otherwise; one uniform per
     pulse picks among the four. Returns one outcome code per pulse
     (quarter turns, VACUUM or AMBIGUOUS).
     """
-    p_aligned = np.cos(batch.polarization - aligned * QUARTER_TURN) ** 2
-    u = rng.random(len(p_aligned))
-    vacuum = batch.count == 0  # 0^k
-    return _detector_codes(
-        vacuum, p_aligned**batch.count, (1.0 - p_aligned) ** batch.count, aligned, u
-    )
+    u = rng.random(len(count))
+    vacuum = count == 0  # 0^k
+    below = vacuum + p_aligned**count
+    return _detector_codes(vacuum, below, below + (1.0 - p_aligned) ** count, aligned, u)
 
 
 def coherent_measure(
-    polarization: np.ndarray, mean: float, aligned: int, rng: np.random.Generator
+    mean: float, p_aligned: np.ndarray, index: np.ndarray, aligned: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Measure coherent pulses of ``mean`` photons whose number nothing has
     counted, on the polarizing beam splitter of ``pbs_measure``.
 
-    The aligned and orthogonal detectors receive independent Poisson
-    numbers of photons, of means m*p and m*(1 - p) with
-    p = cos^2(theta - beta), so a pulse is vacuum with probability
+    ``p_aligned`` holds the Malus probability of each distinct
+    polarization and ``index`` picks one per pulse. The aligned and
+    orthogonal detectors receive independent Poisson numbers of photons,
+    of means m*p and m*(1 - p), so a pulse is vacuum with probability
     e^(-m), reads out the aligned angle with probability
     e^(-m(1 - p)) - e^(-m), the orthogonal angle with e^(-m p) - e^(-m),
-    and is ambiguous otherwise. ``polarization`` need not be reduced
-    into [0, pi). Returns one outcome code per pulse, as ``pbs_measure``.
+    and is ambiguous otherwise. The law is evaluated once per distinct
+    polarization. Returns one outcome code per pulse, as ``pbs_measure``.
     """
-    p_aligned = np.cos(polarization - aligned * QUARTER_TURN) ** 2
     vacuum = math.exp(-mean)
-    no_orthogonal = np.exp(-mean * (1.0 - p_aligned))
-    no_aligned = np.exp(-mean * p_aligned)
-    u = rng.random(len(p_aligned))
-    return _detector_codes(vacuum, no_orthogonal - vacuum, no_aligned - vacuum, aligned, u)
+    below = np.exp(-mean * (1.0 - p_aligned))  # the orthogonal detector stays dark
+    above = below + np.exp(-mean * p_aligned) - vacuum
+    u = rng.random(len(index))
+    return _detector_codes(vacuum, below[index], above[index], aligned, u)

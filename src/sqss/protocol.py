@@ -16,9 +16,18 @@ round. Rounds whose basis-matching arm saw vacuum (or conflicting
 detector clicks) are discarded during sifting. Rounds are independent,
 so every operation acts on a chunk of them, one array entry per round.
 
+The hiding angles never reach Rec-1's detectors: theta and every phi_i
+cancel exactly, so the engine computes the angle Rec-1 receives in
+whole quarter turns, k plus the shuffle sum (plus Eve's offset under
+impersonation), and reads Malus' p from ``optics.MALUS``. No observer
+changes a polarization, so this holds for every attack and for traced
+sessions; the float polarizations are kept only for the trace and for
+the photons Eve stores.
+
 Light is drawn only where it is observed (``_run_round``): the source
-count at the first observer's mean, one loss and one rotation between
-observers, and Rec-1's detectors from p^k (``optics.pbs_measure``).
+count at the first observer's mean, one loss between observers (and
+one rotation into each that keeps the polarization), and Rec-1's
+detectors from p^k (``optics.pbs_measure``).
 When Rec-1 is the first observer, no count is drawn at all: each arm
 of its 50:50 splitter is an independent coherent pulse of half the
 arriving mean, and its detectors read it straight from the coherent
@@ -41,6 +50,7 @@ from .channel import thin_batch
 from .config import ConfigError, SimConfig
 from .optics import (
     DIAGONAL,
+    MALUS,
     QUARTER_TURN,
     RECTILINEAR,
     VACUUM,
@@ -137,14 +147,16 @@ def _key_angle(bit, basis):
     return 2 * bit + basis - 1
 
 
-def _decode_rows(decisions: np.ndarray) -> np.ndarray:
-    """Recover the key angle from each row of (Rec-1's decision angle, other shuffles...).
+def _decode(measured, shuffle_sum):
+    """Recover the key angle in quarter turns from the angle Rec-1 measured
+    and the sum of every shuffle, on ints or arrays.
 
     The measured angle is k plus the sum of all shuffles, so k falls out
-    of subtracting every shuffle: Rec-1 contributes (measured - s_1) and
-    each remaining receiver contributes its own s_i.
+    of subtracting them. Rec-1 announces its decision angle
+    (measured - s_1), which decodes the same way against the sum of the
+    shuffles the other receivers announce.
     """
-    return (decisions[:, 0] - decisions[:, 1:].sum(axis=1)) % 4
+    return (measured - shuffle_sum) % 4
 
 
 # Row and column order of the decode table, in quarter turns: (0, pi/2,
@@ -155,8 +167,8 @@ DECODE_TABLE_ORDER = (0, 2, 1, 3)
 def decode_table() -> list[list[DecisionAngle]]:
     """4x4 key-angle table: rows are Rec-2's angle, columns Rec-1's, both in
     ``DECODE_TABLE_ORDER``."""
-    order = DECODE_TABLE_ORDER
-    keys = _decode_rows(np.array([(col, row) for row in order for col in order])).reshape(4, 4)
+    order = np.array(DECODE_TABLE_ORDER)
+    keys = _decode(order, order[:, None])
     return [[DecisionAngle(int(k)) for k in row] for row in keys]
 
 
@@ -204,24 +216,34 @@ def receiver_backward(phi: np.ndarray) -> np.ndarray:
     return -phi
 
 
-def rec1_measure(light: PhotonBatch, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Split 50:50 and measure one arm per basis; returns both arms' outcome codes."""
-    rect_batch, diag_batch = split_batch(light, 0.5, rng)
-    rect = pbs_measure(rect_batch, RECTILINEAR, rng)
-    diag = pbs_measure(diag_batch, DIAGONAL, rng)
+def rec1_measure(
+    light: PhotonBatch, arrived: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split 50:50 and measure one arm per basis; returns both arms' outcome codes.
+
+    Rec-1 reads only the photon counts of ``light``: the pulses arrive
+    polarized at ``arrived`` quarter turns, and each arm takes Malus' p
+    from ``MALUS`` at its offset from the arm's aligned detector.
+    """
+    arms = split_batch(light, 0.5, rng)
+    rect, diag = (
+        pbs_measure(arm.count, MALUS[(arrived - aligned) & 3], aligned, rng)
+        for arm, aligned in zip(arms, (RECTILINEAR, DIAGONAL))
+    )
     return rect, diag
 
 
-def sift(table: RoundTable) -> np.ndarray:
+def sift(table: RoundTable, shuffle_sum: np.ndarray) -> np.ndarray:
     """Select the basis-matching arm per round and drop unusable rounds.
 
     The actual basis of the measured angle follows from the announced
-    family j and the parity of the shuffle sum. Rounds whose selected
-    arm reported vacuum or conflicting clicks are discarded. Stores the
-    selected arm's outcome in ``table.sifted`` (the measured angle of a
-    kept round) and returns the indices of the kept rounds.
+    family j and the parity of ``shuffle_sum``, each round's sum of
+    shuffles. Rounds whose selected arm reported vacuum or conflicting
+    clicks are discarded. Stores the selected arm's outcome in
+    ``table.sifted`` (the measured angle of a kept round) and returns the
+    indices of the kept rounds.
     """
-    parity = (table.basis_choice - 1 + table.shuffles.sum(axis=1)) % 2
+    parity = (table.basis_choice - 1 + shuffle_sum) & 1
     table.sifted = np.where(parity == 0, table.rect, table.diag)
     return np.flatnonzero(table.sifted < VACUUM)
 
@@ -264,7 +286,7 @@ def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int)
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     block = np.arange(len(key_a)) // block_size
     flips = np.bincount(block, weights=np.not_equal(key_a, key_b))
-    return np.flatnonzero(flips[block] % 2 == 0)
+    return np.flatnonzero((flips % 2 == 0)[block])
 
 
 def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) -> np.ndarray:
@@ -310,15 +332,20 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
 
 def _run_round(
     size: int, config: SimConfig, hop_t: list[float], rng: np.random.Generator
-) -> RoundTable:
+) -> tuple[RoundTable, np.ndarray]:
     """Simulate ``size`` independent rounds at once, every stage on arrays.
+
+    Returns the rounds and each round's shuffle sum in quarter turns.
 
     The observers are Eve's PNS hop, Rec-1 and, with ``trace``, every
     stage. Between two of them the losses multiply into one pending
     transmission and the rotations add into one unreduced angle, which
-    the next one applies with ``thin_batch`` and ``rotate_batch``. The
-    source draws its counts at the first observer's mean, unless that
-    observer is Rec-1, which reads the uncounted coherent pulse.
+    the next one applies with ``thin_batch`` and ``rotate_batch``. Rec-1
+    needs no rotation: it reads the exact angle it receives in quarter
+    turns, so the rotations add up only while an observer that keeps
+    the float polarization lies ahead. The source draws its counts at
+    the first observer's mean, unless that observer is Rec-1, which
+    reads the uncounted coherent pulse.
     """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
@@ -334,6 +361,8 @@ def _run_round(
     # Since the last observer: the transmission, None while the source's draw
     # covers it, and the rotation, unreduced, None while there is none.
     pending = turn = None
+    # the trace and Eve's PNS hop keep the float polarization; Rec-1 does not
+    angle_ahead = config.trace or pns_hop > 0
 
     def observe() -> None:
         nonlocal light, pending, turn
@@ -344,7 +373,7 @@ def _run_round(
     def stage(name: str, rotation: np.ndarray | None = None, t: float = 1.0) -> None:
         """A party turns each pulse by ``rotation``, a fresh array, and passes on a share t."""
         nonlocal pending, turn
-        if rotation is not None:
+        if rotation is not None and angle_ahead:
             turn = rotation if turn is None else np.add(turn, rotation, out=turn)
         pending = None if pending is None else pending * t
         if config.trace:
@@ -352,19 +381,23 @@ def _run_round(
             snaps[name] = light
 
     def hop_to(hop: int) -> None:
-        nonlocal light, pending
+        nonlocal light, pending, angle_ahead
         pending = None if pending is None else pending * hop_t[hop - 1]
         if hop == pns_hop:
             observe()
             columns["eve_polarization"] = light.polarization
             light, columns["eve_event"] = adv.pns_intercept(light)
+            angle_ahead = config.trace
 
     stage("alice_out")
     phis = np.empty((size, n))
     shuffles = np.empty((size, n), dtype=np.int8)
+    shuffle_sum = np.zeros(size, dtype=np.int8)  # wraps mod 256, a multiple of 4
     for i in range(n):  # forward hops 1..N: into each receiver
         hop_to(i + 1)
-        phis[:, i], shuffles[:, i], rotation = receiver_forward(size, rng)
+        phis[:, i], shuffle, rotation = receiver_forward(size, rng)
+        shuffles[:, i] = shuffle
+        shuffle_sum += shuffle
         stage(f"rec{i + 1}_forward", rotation)
     hop_to(n + 1)  # hop N+1: Rec-N back to Alice
 
@@ -375,6 +408,7 @@ def _run_round(
 
     if config.adversary == "tag":
         columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
+    offset = 0
     if config.adversary == "impersonate":
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
@@ -388,27 +422,34 @@ def _run_round(
     for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
         hop_to(2 * n + 2 - i)
         stage(f"rec{i}_backward", receiver_backward(phis[:, i - 1]))
+    # theta and every phi_i cancel around the ring: Rec-1 receives the key
+    # angle plus every shuffle and Eve's offset, whole quarter turns
+    arrived = (_key_angle(bit, basis) + shuffle_sum + offset) & 3
     if light is None:
         # a split coherent pulse is two independent coherent pulses, one per arm
-        polarization = np.add(turn, theta, out=turn)
-        rect = coherent_measure(polarization, mean / 2, RECTILINEAR, rng)
-        diag = coherent_measure(polarization, mean / 2, DIAGONAL, rng)
+        rect, diag = (
+            coherent_measure(mean / 2, MALUS, (arrived - aligned) & 3, aligned, rng)
+            for aligned in (RECTILINEAR, DIAGONAL)
+        )
     else:
         observe()
-        rect, diag = rec1_measure(light, rng)
+        rect, diag = rec1_measure(light, arrived, rng)
 
     if snaps:
         columns["trace_photons"] = np.stack([s.count for s in snaps.values()], axis=1)
         columns["trace_polarization"] = np.stack([s.polarization for s in snaps.values()], axis=1)
-    return RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,
-                      trace_stages=tuple(snaps))
+    table = RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,
+                       trace_stages=tuple(snaps))
+    return table, shuffle_sum
 
 
 def _decode_phase(
-    table: RoundTable, kept: np.ndarray, dishonest: int, rng: np.random.Generator
+    table: RoundTable, kept: np.ndarray, shuffle_sum: np.ndarray, dishonest: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Exchange decision angles and decode; a dishonest receiver (1-based, 0 for
-    none) corrupts its report.
+    none) corrupts its report. ``shuffle_sum`` holds each kept round's sum
+    of shuffles.
 
     Returns each distinct key of the session once, as uint8 rows over the
     kept rounds: Alice's sifted bits, the public (consensus) decode and,
@@ -416,19 +457,23 @@ def _decode_phase(
     but uses its true one, so only the victims end up with a wrong key:
     every other receiver holds the public one.
     """
-    true_decisions = table.shuffles[kept]
-    true_decisions[:, 0] = (table.sifted[kept] - true_decisions[:, 0]) % 4
-    reported = true_decisions.copy() if dishonest else true_decisions
+    measured = table.sifted[kept]
+    consensus = _decode(measured, shuffle_sum)
+    true_decode = consensus
     if dishonest:
-        reported[:, dishonest - 1] += rng.integers(1, 4, size=len(kept))  # decoding reduces mod 4
-    consensus = _decode_rows(reported)
+        # the liar corrupts Rec-1's decision angle or its own shuffle
+        corruption = rng.integers(1, 4, size=len(kept))
+        if dishonest == 1:
+            consensus = _decode(measured + corruption, shuffle_sum)
+        else:
+            consensus = _decode(measured, shuffle_sum + corruption)
     table.decoded = np.full(len(table), -1, dtype=np.int8)
     table.decoded[kept] = consensus
     keys = np.empty((3 if dishonest else 2, len(kept)), dtype=np.uint8)
     keys[0] = table.bit[kept]
     keys[1] = consensus // 2
     if dishonest:
-        keys[2] = _decode_rows(true_decisions) // 2
+        keys[2] = true_decode // 2
     return keys
 
 
@@ -466,6 +511,7 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
 
     chunks: list[RoundTable] = []
     kept_parts: list[np.ndarray] = []  # indices into the whole session
+    sum_parts: list[np.ndarray] = []  # the kept rounds' shuffle sums
     executed = kept_count = 0
     while kept_count < target if target else executed < config.rounds:
         size = config.rounds - executed
@@ -479,8 +525,8 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             rest = target - kept_count
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, _MAX_TARGET_ROUNDS - executed)
-        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, rng)
-        kept = sift(chunk)
+        chunk, shuffle_sum = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, rng)
+        kept = sift(chunk, shuffle_sum)
         if target and len(kept) >= target - kept_count:
             # The simulator sees sift status before the parties learn it at
             # the basis announcement. Rounds are i.i.d., so cutting the
@@ -489,13 +535,16 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             chunk = _columnwise([chunk], lambda c: c[0][: kept[-1] + 1])
         chunks.append(chunk)
         kept_parts.append(kept + executed)
+        sum_parts.append(shuffle_sum[kept])
         executed += len(chunk)
         kept_count += len(kept)
     table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
     kept = np.concatenate(kept_parts)
 
     dishonest = config.dishonest_receiver
-    keys = _decode_phase(table, kept, dishonest, rng)
+    keys = _decode_phase(table, kept, np.concatenate(sum_parts), dishonest, rng)
+    # the key post-processing below sets the session's peak memory
+    del shuffle_sum, sum_parts
     qber = np.count_nonzero(keys[0] != keys[1]) / len(kept) if len(kept) else 0.0
     discard_fraction = 1.0 - len(kept) / len(table)
 

@@ -9,11 +9,13 @@ from scipy import stats
 from sqss.optics import (
     AMBIGUOUS,
     DIAGONAL,
+    MALUS,
     RECTILINEAR,
     VACUUM,
     DecisionAngle,
     PhotonBatch,
     coherent_measure,
+    malus,
     pbs_measure,
     rotate_batch,
     split_batch,
@@ -32,6 +34,11 @@ def circular_distance(a, b):
     """Distance between two polarizations on the half-circle, which wraps at pi."""
     d = abs(a - b) % math.pi
     return min(d, math.pi - d)
+
+
+def measure(batch, aligned, rng):
+    """``pbs_measure`` on a batch at its float polarization."""
+    return pbs_measure(batch.count, malus(batch.polarization, aligned), aligned, rng)
 
 
 def turned(radians, start=0.0):
@@ -107,12 +114,19 @@ class TestDecisionAngle:
 
 
 class TestBasis:
+    def test_malus_table_is_cos_squared_at_whole_quarter_turns(self):
+        # MALUS[o] is p for a photon o quarter turns off the aligned detector
+        for aligned in (RECTILINEAR, DIAGONAL):
+            offsets = np.arange(4)
+            p = malus((offsets + aligned) * QT, aligned)
+            assert np.abs(MALUS[offsets] - p).max() < 1e-15
+
     def test_basis_of_partitions_the_angles(self):
         # an angle's parity names the basis that reads it without error
         rng = np.random.default_rng(0)
         for q in range(4):
             basis = (RECTILINEAR, DIAGONAL)[q % 2]
-            out = pbs_measure(pulses(5, DecisionAngle(q).radians, 200), basis, rng)
+            out = measure(pulses(5, DecisionAngle(q).radians, 200), basis, rng)
             assert (out == q).all()
 
     def test_aligned_and_orthogonal(self):
@@ -121,7 +135,7 @@ class TestBasis:
         for basis, aligned, orthogonal in ((RECTILINEAR, 0, 2), (DIAGONAL, 1, 3)):
             assert basis == aligned
             for q in (aligned, orthogonal):
-                assert pbs_measure(pulses(5, DecisionAngle(q).radians), basis, rng).tolist() == [q]
+                assert measure(pulses(5, DecisionAngle(q).radians), basis, rng).tolist() == [q]
 
 
 class TestPulses:
@@ -223,25 +237,25 @@ class TestBeamSplit:
 class TestPbsMeasure:
     def test_vacuum(self):
         rng = np.random.default_rng(0)
-        out = pbs_measure(pulses(0, 0.3), RECTILINEAR, rng)
+        out = measure(pulses(0, 0.3), RECTILINEAR, rng)
         assert out.tolist() == [VACUUM]
 
     def test_aligned_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
         batch = pulses(5, DecisionAngle(0).radians, 200)
-        out = pbs_measure(batch, RECTILINEAR, rng)
+        out = measure(batch, RECTILINEAR, rng)
         assert (out == 0).all()
 
     def test_orthogonal_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
         batch = pulses(5, DecisionAngle(2).radians, 200)
-        out = pbs_measure(batch, RECTILINEAR, rng)
+        out = measure(batch, RECTILINEAR, rng)
         assert (out == 2).all()
 
     def test_diagonal_basis_aligned(self):
         rng = np.random.default_rng(0)
         batch = pulses(3, DecisionAngle(3).radians)
-        out = pbs_measure(batch, DIAGONAL, rng)
+        out = measure(batch, DIAGONAL, rng)
         assert out.tolist() == [3]
 
     def test_single_photon_at_45_degrees_is_a_fair_coin(self):
@@ -249,7 +263,7 @@ class TestPbsMeasure:
         # cos^2(pi/4) = 1/2 on each port.
         rng = np.random.default_rng(99)
         n = 10**6
-        out = pbs_measure(pulses(1, DecisionAngle(1).radians, n), RECTILINEAR, rng)
+        out = measure(pulses(1, DecisionAngle(1).radians, n), RECTILINEAR, rng)
         assert np.isin(out, (0, 2)).all()
         zeros = np.count_nonzero(out == 0)
         sigma = math.sqrt(0.25 / n)
@@ -260,7 +274,7 @@ class TestPbsMeasure:
         # probability 2^(1-n); everything else is ambiguous.
         rng = np.random.default_rng(7)
         n = 20000
-        out = pbs_measure(pulses(4, DecisionAngle(1).radians, n), RECTILINEAR, rng)
+        out = measure(pulses(4, DecisionAngle(1).radians, n), RECTILINEAR, rng)
         ambiguous = np.count_nonzero(out == AMBIGUOUS)
         expected = 1.0 - 2.0 ** (1 - 4)
         sigma = math.sqrt(expected * (1 - expected) / n)
@@ -274,7 +288,7 @@ class TestPbsMeasure:
         n = 100_000
         p = math.cos(0.3) ** 2
         for k in range(1, 7):
-            out = pbs_measure(pulses(k, 0.3, n), RECTILINEAR, rng)
+            out = measure(pulses(k, 0.3, n), RECTILINEAR, rng)
             observed = np.array([np.count_nonzero(out == code) for code in (0, 2, AMBIGUOUS)])
             law = np.array([p**k, (1.0 - p) ** k, 1.0 - p**k - (1.0 - p) ** k])
             seen = law > 0  # one photon is never ambiguous
@@ -297,7 +311,8 @@ class TestCoherentMeasure:
             (DecisionAngle(q).radians, basis) for q in range(4) for basis in (RECTILINEAR, DIAGONAL)
         ]
         for polarization, basis in cases:
-            out = coherent_measure(np.full(n, polarization), m, basis, rng)
+            out = coherent_measure(m, malus(np.array([polarization]), basis), np.zeros(n, int),
+                                   basis, rng)
             p = math.cos(polarization - basis * QT) ** 2
             vacuum = math.exp(-m)
             aligned, orthogonal = math.exp(-m * (1.0 - p)) - vacuum, math.exp(-m * p) - vacuum

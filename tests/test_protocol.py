@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sqss import protocol
 from sqss.config import SimConfig
 from sqss.optics import (
     AMBIGUOUS,
@@ -21,7 +22,7 @@ from sqss.optics import (
 from sqss.protocol import (
     RoundTable,
     VerdictKind,
-    _decode_rows,
+    _decode,
     _fft_length,
     _key_angle,
     _run_round,
@@ -101,7 +102,7 @@ class TestEncodeMap:
 
 class TestCooperativeDecode:
     def test_table_examples(self):
-        assert _decode_rows(np.array([[1, 1], [0, 0]])).tolist() == [0, 0]
+        assert _decode(np.array([1, 0]), np.array([1, 0])).tolist() == [0, 0]
 
     @given(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=0, max_size=6))
     def test_round_trip_identity(self, k_turns, shuffles):
@@ -109,7 +110,7 @@ class TestCooperativeDecode:
         # removes its own shuffle and decode removes the rest.
         measured = (k_turns + sum(shuffles)) % 4
         rec1_decision = (measured - shuffles[0]) % 4 if shuffles else measured
-        assert _decode_rows(np.array([[rec1_decision, *shuffles[1:]]])).tolist() == [k_turns]
+        assert _decode(rec1_decision, sum(shuffles[1:])) == k_turns
 
     def test_table_is_a_latin_square(self):
         table = decode_table()
@@ -175,7 +176,7 @@ class TestSenderOps:
         rng = np.random.default_rng(0)
         n_trials = 20000
         cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, trace=True)
-        table = _run_round(n_trials, cfg, cfg.hop_transmissions(), rng)
+        table, _ = _run_round(n_trials, cfg, cfg.hop_transmissions(), rng)
         stage = table.trace_stages.index
         offered = table.trace_photons[:, stage("rec1_forward")].sum()
         kept = table.trace_photons[:, stage("alice_encoded")].sum()
@@ -208,12 +209,12 @@ class TestRec1Measure:
     def test_aligned_rect_arm_is_deterministic(self):
         rng = np.random.default_rng(12)
         pulse = pulses(400, DecisionAngle(2).radians)
-        rect, diag = rec1_measure(pulse, rng)
+        rect, diag = rec1_measure(pulse, np.array([2]), rng)
         assert rect.tolist() == [2]
 
     def test_vacuum_pulse_gives_vacuum_arms(self):
         rng = np.random.default_rng(13)
-        rect, diag = rec1_measure(pulses(0, 0.1), rng)
+        rect, diag = rec1_measure(pulses(0, 0.1), np.array([0]), rng)
         assert rect.tolist() == diag.tolist() == [VACUUM]
 
     def test_arm_vacuum_frequency(self):
@@ -221,11 +222,34 @@ class TestRec1Measure:
         rng = np.random.default_rng(14)
         mu_final = 2.0
         n = 100000
-        rect, _ = rec1_measure(alice_prepare(mu_final, n, rng)[1], rng)
+        rect, _ = rec1_measure(alice_prepare(mu_final, n, rng)[1], np.zeros(n, int), rng)
         vacuums = np.count_nonzero(rect == VACUUM)
         expected = math.exp(-mu_final / 2.0)
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(vacuums / n - expected) < 3 * sigma
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(receivers=2, rounds=4000, seed=91),
+        SimConfig(receivers=5, transmission=0.9, adversary="pns", rounds=4000, seed=92),
+        SimConfig(transmission=0.5, adversary="impersonate", rounds=4000, seed=93),
+        SimConfig(receivers=3, dishonest_receiver=2, rounds=4000, seed=94),
+    ], ids=["honest_n2", "pns_n5_t09", "impersonate_t05", "dishonest_n3"])
+    def test_reads_the_traced_polarization_as_whole_quarter_turns(self, config, monkeypatch):
+        # The engine gives Rec-1 the angle it receives in quarter turns, never
+        # the float polarization the trace follows around the ring: the two
+        # must name the same angle on every round.
+        arrived = []
+
+        def spy(light, angle, rng):
+            arrived.append(angle)
+            return rec1_measure(light, angle, rng)
+
+        monkeypatch.setattr(protocol, "rec1_measure", spy)
+        table = run_session(dataclasses.replace(config, trace=True)).records
+        traced = table.trace_polarization[:, table.trace_stages.index("rec1_backward")]
+        gap = (traced - np.concatenate(arrived) * QUARTER_TURN) % math.pi
+        assert len(gap) == config.rounds
+        assert np.minimum(gap, math.pi - gap).max() < 1e-9
 
 
 def _make_table(shuffles, j, bit, rect, diag):
@@ -246,29 +270,29 @@ class TestSift:
         # j=1 with an even shuffle sum keeps the rectilinear arm.
         table = _make_table((0, 2), 1, 0, 0, VACUUM)
         assert table.sifted is None
-        kept = sift(table)
+        kept = sift(table, table.shuffles.sum(axis=1))
         assert kept.tolist() == [0]
         assert table.sifted.tolist() == [0]
         assert table.rect.tolist() == [0]
 
     def test_odd_parity_selects_the_diagonal_arm(self):
         table = _make_table((1, 0), 1, 0, VACUUM, 1)
-        assert sift(table).tolist() == [0]
+        assert sift(table, table.shuffles.sum(axis=1)).tolist() == [0]
         assert table.sifted.tolist() == [1]
 
     def test_vacuum_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, VACUUM, 1)
-        assert sift(table).tolist() == []
+        assert sift(table, table.shuffles.sum(axis=1)).tolist() == []
         assert table.sifted.tolist() == [VACUUM]
 
     def test_ambiguous_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, AMBIGUOUS, 1)
-        assert sift(table).tolist() == []
+        assert sift(table, table.shuffles.sum(axis=1)).tolist() == []
         assert table.sifted.tolist() == [AMBIGUOUS]
 
     def test_unselected_arm_state_is_irrelevant(self):
         table = _make_table((0, 0), 1, 1, 2, AMBIGUOUS)
-        assert sift(table).tolist() == [0]
+        assert sift(table, table.shuffles.sum(axis=1)).tolist() == [0]
 
 
 class TestToeplitz:
@@ -369,6 +393,20 @@ class TestReconcile:
 
     def test_parity_example(self):
         assert parity_survivor_indices([0, 1, 1, 0], [0, 1, 0, 0], 2).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 29, 30])
+    def test_matches_a_block_by_block_loop(self, block):
+        # 29 bits leave a partial last block for every size but 1 and 29
+        rng = np.random.default_rng(block)
+        for _ in range(20):
+            key_a = rng.integers(0, 2, size=29)
+            key_b = key_a ^ (rng.random(29) < 0.2)
+            expected = []
+            for start in range(0, 29, block):
+                a, b = key_a[start : start + block], key_b[start : start + block]
+                if sum(a) % 2 == sum(b) % 2:
+                    expected += range(start, start + len(a))
+            assert parity_survivor_indices(key_a, key_b, block).tolist() == expected
 
     def test_surviving_fraction_matches_parity_oracle(self):
         # With independent flips at rate f, a block of size B survives
