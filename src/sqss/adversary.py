@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optics import VACUUM, PhotonBatch, malus, pbs_measure
+from .optics import VACUUM, malus, pbs_measure
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,17 +61,17 @@ def usd_success(n):
     return 1.0 - 0.5 ** (halvings - (halvings > 53) * (halvings - 53))
 
 
-def pns_intercept(batch: PhotonBatch) -> tuple[PhotonBatch, np.ndarray]:
+def pns_intercept(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QND-count every pulse at the tapped hop and skim one photon where possible.
 
     A count of two or more lets Eve keep one photon in quantum memory
     and forward the remainder; otherwise the pulse passes untouched.
     Either way the count she read is the one later hops carry on.
-    Returns the forwarded pulses and the mask of rounds where she kept a
-    photon, which shares the pulse's polarization.
+    Returns the forwarded photon counts and the mask of rounds where she
+    kept a photon, which shares the pulse's polarization.
     """
-    stored = batch.count >= 2
-    return PhotonBatch(batch.count - stored, batch.polarization), stored
+    stored = count >= 2
+    return count - stored, stored
 
 
 def tag_attack_rounds(size: int, bs_ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -124,16 +124,18 @@ def impersonate_rounds(
 
 
 def ml_single_photon_estimator(
-    stored: PhotonBatch, basis_choice: np.ndarray, rng: np.random.Generator
+    stored: np.ndarray, polarization: np.ndarray, basis_choice: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Eve's PNS bit guesses: measure each stored photon in the announced basis.
+    """Eve's PNS bit guesses: measure each stored photon, at its
+    ``polarization``, in the announced basis.
 
-    ``stored`` holds one photon in the rounds where she kept one and none
-    elsewhere; there the guess is a fair coin. One photon always produces
-    a definite click, whose angle maps to a bit the same way the
+    ``stored`` counts one photon in the rounds where she kept one and
+    none elsewhere; there the guess is a fair coin. One photon always
+    produces a definite click, whose angle maps to a bit the same way the
     receivers map theirs.
     """
     # family j reads in RECTILINEAR (0) or DIAGONAL (1)
     aligned = basis_choice - 1
-    codes = pbs_measure(stored.count, malus(stored.polarization, aligned), aligned, rng)
+    codes = pbs_measure(stored, malus(polarization, aligned), aligned, rng)
     return np.where(codes == VACUUM, rng.integers(2, size=len(codes)), codes // 2)

@@ -1,12 +1,12 @@
 """Lossy fiber links and the per-hop transmissions around the ring.
 
-Loss acts on the photon count only: a link of length l km with
-attenuation alpha dB/km passes each photon with probability
-T = 10^(-alpha*l/10), which scales the mean photon number by T.
-Polarization is never affected. Thinnings compose, so the round engine
-fuses the hops between two observers into one ``thin_batch`` call at
-their product, and the hops in front of the first observer into the
-source's Poisson mean.
+Loss acts on the photon count only, which is all the round engine's
+light is: a link of length l km with attenuation alpha dB/km passes
+each photon with probability T = 10^(-alpha*l/10), which scales the
+mean photon number by T. Thinnings compose, so the round engine fuses
+the hops between two observers into one ``thin_batch`` call at their
+product, and the hops in front of the first observer into the source's
+Poisson mean.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .optics import PhotonBatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,13 +33,14 @@ def transmission(link: FiberLink) -> float:
     return 10.0 ** (-(link.loss_db_per_km * link.length_km) / 10.0)
 
 
-def thin_batch(batch: PhotonBatch, t: float, rng: np.random.Generator) -> PhotonBatch:
-    """Lossy propagation: each photon independently survives with probability t."""
+def thin_batch(count: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:
+    """Lossy propagation of pulses of ``count`` photons: each photon
+    independently survives with probability t."""
     if not 0.0 < t <= 1.0:
         raise ValueError(f"transmission must be in (0, 1], got {t}")
     if t == 1.0:
-        return batch
-    return PhotonBatch(rng.binomial(batch.count, t), batch.polarization)
+        return count
+    return rng.binomial(count, t)
 
 
 def uniform_hop_transmissions(receivers: int, t: float) -> list[float]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, protocol
 from .adversary import intercepted_mean
-from .config import ConfigError, SimConfig, apply_overrides, load_config
+from .config import MAX_ROUNDS, ConfigError, SimConfig, apply_overrides, load_config
 from .optics import VACUUM, DecisionAngle
 
 EXIT_ACCEPT = 0
@@ -213,8 +213,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         n, value, std_error = estimate.trials, estimate.mean, estimate.std_error
         metric, reference = "induced_qber", analysis.p_error_closed_form(usd_mean, 1.0)
     else:
-        if config.rounds < 1:
-            raise ConfigError("trials", f"must be >= 1, got {config.rounds}")
+        if not 1 <= config.rounds <= MAX_ROUNDS:
+            raise ConfigError("trials", f"must be in 1..{MAX_ROUNDS}, got {config.rounds}")
         config.target_key_bits = 0
         result = protocol.run_session(config, rng=rng)
         s = result.eve_summary

@@ -10,6 +10,8 @@ from .channel import FiberLink, transmission, uniform_hop_transmissions
 _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 # The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
 _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
+# The most rounds one session runs, in target mode too: bounds its time and memory.
+MAX_ROUNDS = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -73,8 +75,8 @@ class SimConfig:
         if not 0.0 < t <= 1.0:  # also a link whose loss underflows or is NaN
             key = "link.length_km" if link_set else "transmission"
             raise ConfigError(key, f"the hop transmission must be in (0, 1], got {t}")
-        if self.rounds < 1:
-            raise ConfigError("rounds", f"must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ConfigError("rounds", f"must be in 1..{MAX_ROUNDS}, got {self.rounds}")
         if self.target_key_bits < 0:
             raise ConfigError("key_bits", f"must be >= 0, got {self.target_key_bits}")
         if self.adversary not in _ADVERSARIES:
@@ -90,8 +92,10 @@ class SimConfig:
             )
         if not 0.0 < self.bs_ratio <= 1.0:
             raise ConfigError("bs_ratio", f"must be in (0, 1], got {self.bs_ratio}")
-        if self.parity_block < 0:
-            raise ConfigError("parity_block", f"must be >= 0, got {self.parity_block}")
+        if not 0 <= self.parity_block <= MAX_ROUNDS:  # no key outgrows the rounds
+            raise ConfigError(
+                "parity_block", f"must be in 0..{MAX_ROUNDS}, got {self.parity_block}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"must be an unsigned 64-bit integer, got {self.seed}")
         if self.dishonest_receiver and not 1 <= self.dishonest_receiver <= self.receivers:

@@ -1,16 +1,20 @@
 """Polarization optics for the classical-pulse simulator.
 
 The physical model is deliberately minimal: a pulse is classically
-polarized light with Poisson photon statistics. Polarization lives on
-the half-circle [0, pi) because every protocol state and both
-measurement bases are invariant under a pi shift. A lossy hop or a beam
-splitter passes each photon independently (binomial thinning), and a
-Poisson count thinned binomially is again Poisson with the product of
-the transmissions. So the round engine draws the count once, at the
-first point that observes it, and fuses the losses and rotations
-between two observers into one call of ``thin_batch`` and
-``rotate_batch``; this is exact for coherent light. A count read by an
-eavesdropper (photon-number splitting) carries on to every later hop.
+polarized light with Poisson photon statistics. The round engine's light
+is an array of photon counts, one per round. Polarization is kept apart:
+no loss, splitter or counter turns a photon and no rotation changes a
+count, so a pulse's polarization after any stage is the sum of the
+parties' rotations up to there, folded with ``rotate`` only where
+something reads it. It lives on the half-circle [0, pi) because every
+protocol state and both measurement bases are invariant under a pi
+shift. A lossy hop or a beam splitter passes each photon independently
+(binomial thinning), and a Poisson count thinned binomially is again
+Poisson with the product of the transmissions. So the round engine
+draws the count once, at the first point that observes it, and fuses
+the losses between two observers into one ``thin_batch`` call; this is
+exact for coherent light. A count read by an eavesdropper
+(photon-number splitting) carries on to every later hop.
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
@@ -67,19 +71,6 @@ class DecisionAngle:
         return DecisionAngle((-self.quarter_turns) % 4)
 
 
-@dataclass(frozen=True, slots=True)
-class PhotonBatch:
-    """The pulses of a chunk of rounds, one entry per round: each pulse's
-    photon count, all of its photons sharing one polarization in [0, pi)."""
-
-    count: np.ndarray
-    polarization: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.count < 0):
-            raise ValueError(f"counts must be >= 0, got {np.min(self.count)}")
-
-
 # Each basis, named by the quarter turns of its aligned detector; the
 # orthogonal detector reads two quarter turns further on.
 RECTILINEAR = 0  # distinguishes {0, pi/2}
@@ -90,26 +81,12 @@ VACUUM = 4
 AMBIGUOUS = 5
 
 
-def rotate_batch(batch: PhotonBatch, delta: np.ndarray | float) -> PhotonBatch:
-    """Rotate each polarization by ``delta`` (one angle, or one per pulse);
-    the photon counts are untouched."""
-    turned = np.mod(batch.polarization + delta, math.pi)
+def rotate(polarization: np.ndarray, delta: np.ndarray | float) -> np.ndarray:
+    """Turn each polarization by ``delta`` (one angle, or one per pulse),
+    reduced into [0, pi)."""
+    turned = np.mod(polarization + delta, math.pi)
     # a tiny negative sum can round up to exactly pi
-    return PhotonBatch(batch.count, np.where(turned < math.pi, turned, 0.0))
-
-
-def split_batch(
-    batch: PhotonBatch, ratio: float, rng: np.random.Generator
-) -> tuple[PhotonBatch, PhotonBatch]:
-    """Split every pulse on a beam splitter: each photon independently takes
-    the first port with probability ``ratio``. Polarization is shared."""
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"split ratio must be in [0, 1], got {ratio}")
-    first = rng.binomial(batch.count, ratio)
-    return (
-        PhotonBatch(first, batch.polarization),
-        PhotonBatch(batch.count - first, batch.polarization),
-    )
+    return np.where(turned < math.pi, turned, 0.0)
 
 
 # Malus' p at 0, 1, 2 and 3 quarter turns off the aligned detector, exactly.

@@ -16,18 +16,19 @@ round. Rounds whose basis-matching arm saw vacuum (or conflicting
 detector clicks) are discarded during sifting. Rounds are independent,
 so every operation acts on a chunk of them, one array entry per round.
 
-The hiding angles never reach Rec-1's detectors: theta and every phi_i
-cancel exactly, so the engine computes the angle Rec-1 receives in
-whole quarter turns, k plus the shuffle sum (plus Eve's offset under
-impersonation), and reads Malus' p from ``optics.MALUS``. No observer
-changes a polarization, so this holds for every attack and for traced
-sessions; the float polarizations are kept only for the trace and for
-the photons Eve stores.
+The round engine's light is an array of photon counts, one per round.
+No observer changes a polarization, so a pulse's polarization after any
+stage is the fold of the parties' rotations up to there, from theta at
+the source (the rotation ledger, ``_polarizations``). The hiding angles
+never reach Rec-1's detectors: theta and every phi_i cancel exactly, so
+the engine computes the angle Rec-1 receives in whole quarter turns, k
+plus the shuffle sum (plus Eve's offset under impersonation), and reads
+Malus' p from ``optics.MALUS``. Only the trace and the photons Eve
+stores read a float polarization, and only then is the ledger folded.
 
 Light is drawn only where it is observed (``_run_round``): the source
-count at the first observer's mean, one loss between observers (and
-one rotation into each that keeps the polarization), and Rec-1's
-detectors from p^k (``optics.pbs_measure``).
+count at the first observer's mean, one loss between observers, and
+Rec-1's detectors from p^k (``optics.pbs_measure``).
 When Rec-1 is the first observer, no count is drawn at all: each arm
 of its 50:50 splitter is an independent coherent pulse of half the
 arriving mean, and its detectors read it straight from the coherent
@@ -40,14 +41,15 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from itertools import accumulate, islice
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from . import adversary as adv
 from .channel import thin_batch
-from .config import ConfigError, SimConfig
+from .config import MAX_ROUNDS, ConfigError, SimConfig
 from .optics import (
     DIAGONAL,
     MALUS,
@@ -55,11 +57,9 @@ from .optics import (
     RECTILINEAR,
     VACUUM,
     DecisionAngle,
-    PhotonBatch,
     coherent_measure,
     pbs_measure,
-    rotate_batch,
-    split_batch,
+    rotate,
 )
 
 # Fraction of surviving bits kept by privacy amplification; public constant.
@@ -67,8 +67,6 @@ PA_COMPRESSION = 0.5
 # Public salt separating the privacy-amplification seed from the session seed.
 _PA_SEED_SALT = 0x9E3779B97F4A7C15
 
-# Hard cap on rounds when running to a target key length.
-_MAX_TARGET_ROUNDS = 10_000_000
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
 
@@ -174,9 +172,9 @@ def decode_table() -> list[list[DecisionAngle]]:
 
 def alice_prepare(
     mean_photons: float | None, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, PhotonBatch | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Emit ``size`` fresh coherent pulses, each hidden behind a uniformly
-    random angle theta; returns the thetas and the pulses.
+    random angle theta; returns the thetas and the pulses' photon counts.
 
     Photon numbers are drawn here, Poisson with the given mean, the
     first observer's; everything downstream only thins or reads them.
@@ -185,50 +183,66 @@ def alice_prepare(
     theta = rng.random(size) * math.pi
     if mean_photons is None:
         return theta, None
-    return theta, PhotonBatch(rng.poisson(mean_photons, size), theta)
+    return theta, rng.poisson(mean_photons, size)
 
 
-def receiver_forward(
-    size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw this receiver's hiding angles phi_i and secret shuffles s_i for
-    ``size`` pulses; returns them (shuffles in quarter turns) and the
-    rotation phi_i + s_i each pulse receives."""
+def receiver_forward(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw this receiver's hiding angles phi_i and secret shuffles s_i (in
+    quarter turns) for ``size`` pulses. Forward, each pulse turns by
+    phi_i + s_i; backward, by -phi_i, so the shuffles stay in."""
     phi = rng.random(size) * math.pi
-    shuffle = rng.integers(4, size=size, dtype=np.int8)
-    return phi, shuffle, phi + shuffle * QUARTER_TURN
+    return phi, rng.integers(4, size=size, dtype=np.int8)
 
 
-def alice_encode(
-    theta: np.ndarray, bit: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode each key bit in a random basis family j and strip theta.
+def alice_encode(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a key bit and a basis family j for each of ``size`` pulses.
 
-    Returns the basis families and the net rotation (k - theta); the
-    engine applies the counter-tagging beam splitter as a loss.
+    Alice encodes the key angle k and strips theta, turning each pulse by
+    k - theta; the engine applies the counter-tagging beam splitter as a
+    loss.
     """
-    basis = rng.integers(1, 3, size=len(bit), dtype=np.int8)
-    return basis, _key_angle(bit, basis) * QUARTER_TURN - theta
+    bit = rng.integers(2, size=size, dtype=np.int8)
+    return bit, rng.integers(1, 3, size=size, dtype=np.int8)
 
 
-def receiver_backward(phi: np.ndarray) -> np.ndarray:
-    """The rotation that compensates this receiver's hiding angles; the shuffles stay in."""
-    return -phi
+def _polarizations(table: RoundTable, offset: np.ndarray | None) -> Iterator[np.ndarray]:
+    """The rotation ledger: every pulse's polarization after each stage, in
+    travel order, starting from theta at the source.
+
+    No loss, splitter or counter turns a photon, so the polarization is
+    the fold of the parties' rotations: phi_i + s_i into each receiver,
+    k - theta at Alice, Eve's guess ``offset`` under impersonation (None
+    otherwise), then -phi_i back through each receiver. The fold is lazy:
+    a reader that stops early computes no later rotation.
+    """
+    n = table.phis.shape[1]
+
+    def turns() -> Iterator[np.ndarray]:
+        for i in range(n):
+            yield table.phis[:, i] + table.shuffles[:, i] * QUARTER_TURN
+        yield _key_angle(table.bit, table.basis_choice) * QUARTER_TURN - table.theta
+        if offset is not None:
+            yield offset * QUARTER_TURN
+        for i in reversed(range(n)):
+            yield -table.phis[:, i]
+
+    return accumulate(turns(), rotate, initial=table.theta)
 
 
 def rec1_measure(
-    light: PhotonBatch, arrived: np.ndarray, rng: np.random.Generator
+    count: np.ndarray, arrived: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split 50:50 and measure one arm per basis; returns both arms' outcome codes.
 
-    Rec-1 reads only the photon counts of ``light``: the pulses arrive
-    polarized at ``arrived`` quarter turns, and each arm takes Malus' p
-    from ``MALUS`` at its offset from the arm's aligned detector.
+    Each of a pulse's ``count`` photons takes either arm with probability
+    one half. The pulses arrive polarized at ``arrived`` quarter turns,
+    and each arm takes Malus' p from ``MALUS`` at its offset from the
+    arm's aligned detector.
     """
-    arms = split_batch(light, 0.5, rng)
+    first = rng.binomial(count, 0.5)
     rect, diag = (
-        pbs_measure(arm.count, MALUS[(arrived - aligned) & 3], aligned, rng)
-        for arm, aligned in zip(arms, (RECTILINEAR, DIAGONAL))
+        pbs_measure(arm, MALUS[(arrived - aligned) & 3], aligned, rng)
+        for arm, aligned in zip((first, count - first), (RECTILINEAR, DIAGONAL))
     )
     return rect, diag
 
@@ -337,20 +351,19 @@ def _run_round(
 
     Returns the rounds and each round's shuffle sum in quarter turns.
 
-    The observers are Eve's PNS hop, Rec-1 and, with ``trace``, every
-    stage. Between two of them the losses multiply into one pending
-    transmission and the rotations add into one unreduced angle, which
-    the next one applies with ``thin_batch`` and ``rotate_batch``. Rec-1
-    needs no rotation: it reads the exact angle it receives in quarter
-    turns, so the rotations add up only while an observer that keeps
-    the float polarization lies ahead. The source draws its counts at
-    the first observer's mean, unless that observer is Rec-1, which
-    reads the uncounted coherent pulse.
+    The light is a photon count per round. The observers are Eve's PNS
+    hop, Rec-1 and, with ``trace``, every stage. Between two of them the
+    losses multiply into one pending transmission, which the next one
+    applies with ``thin_batch``. The source draws its counts at the first
+    observer's mean, unless that observer is Rec-1, which reads the
+    uncounted coherent pulse. Only the trace and Eve's stored photons
+    read a float polarization; they take it from the rotation ledger
+    (``_polarizations``) once the round is complete.
     """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
-    columns: dict[str, np.ndarray] = {}  # Eve's and the trace's, where present
-    snaps: dict[str, PhotonBatch] = {}
+    columns: dict[str, np.ndarray] = {}  # eve_event, where an attack records one
+    snaps: dict[str, np.ndarray] = {}  # each traced stage's photon counts
     # The first observer: Alice's output with trace, else the PNS hop or the
     # last hop, into Rec-1. Alice's splitter sits behind hop N+1 and its PNS point.
     first = 0 if config.trace else pns_hop or 2 * n + 1
@@ -358,36 +371,28 @@ def _run_round(
     mean = config.mean_photons * reach
     # only an observer before Rec-1 needs the photon counts
     theta, light = alice_prepare(mean if config.trace or pns_hop else None, size, rng)
-    # Since the last observer: the transmission, None while the source's draw
-    # covers it, and the rotation, unreduced, None while there is none.
-    pending = turn = None
-    # the trace and Eve's PNS hop keep the float polarization; Rec-1 does not
-    angle_ahead = config.trace or pns_hop > 0
+    # the transmission since the last observer, None while the source's draw covers it
+    pending = None
 
     def observe() -> None:
-        nonlocal light, pending, turn
+        nonlocal light, pending
         light = thin_batch(light, 1.0 if pending is None else pending, rng)
-        light = light if turn is None else rotate_batch(light, turn)
-        pending, turn = 1.0, None
+        pending = 1.0
 
-    def stage(name: str, rotation: np.ndarray | None = None, t: float = 1.0) -> None:
-        """A party turns each pulse by ``rotation``, a fresh array, and passes on a share t."""
-        nonlocal pending, turn
-        if rotation is not None and angle_ahead:
-            turn = rotation if turn is None else np.add(turn, rotation, out=turn)
+    def stage(name: str, t: float = 1.0) -> None:
+        """A party turns each pulse and passes on a share t of its photons."""
+        nonlocal pending
         pending = None if pending is None else pending * t
         if config.trace:
             observe()
             snaps[name] = light
 
     def hop_to(hop: int) -> None:
-        nonlocal light, pending, angle_ahead
+        nonlocal light, pending
         pending = None if pending is None else pending * hop_t[hop - 1]
         if hop == pns_hop:
             observe()
-            columns["eve_polarization"] = light.polarization
             light, columns["eve_event"] = adv.pns_intercept(light)
-            angle_ahead = config.trace
 
     stage("alice_out")
     phis = np.empty((size, n))
@@ -395,20 +400,18 @@ def _run_round(
     shuffle_sum = np.zeros(size, dtype=np.int8)  # wraps mod 256, a multiple of 4
     for i in range(n):  # forward hops 1..N: into each receiver
         hop_to(i + 1)
-        phis[:, i], shuffle, rotation = receiver_forward(size, rng)
-        shuffles[:, i] = shuffle
-        shuffle_sum += shuffle
-        stage(f"rec{i + 1}_forward", rotation)
+        phis[:, i], shuffles[:, i] = receiver_forward(size, rng)
+        shuffle_sum += shuffles[:, i]
+        stage(f"rec{i + 1}_forward")
     hop_to(n + 1)  # hop N+1: Rec-N back to Alice
 
-    bit = rng.integers(2, size=size, dtype=np.int8)
-    basis, rotation = alice_encode(theta, bit, rng)
+    bit, basis = alice_encode(size, rng)
     # only the transmitted part of her storage splitter leaves Alice's box
-    stage("alice_encoded", rotation, config.bs_ratio)
+    stage("alice_encoded", config.bs_ratio)
 
     if config.adversary == "tag":
         columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
-    offset = 0
+    offset = None
     if config.adversary == "impersonate":
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
@@ -417,14 +420,14 @@ def _run_round(
         # substitute is the honest pulse shifted by her guess error.
         usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, hop_t)
         offset, columns["eve_event"] = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
-        stage("eve_reencoded", offset * QUARTER_TURN)
+        stage("eve_reencoded")
 
     for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
         hop_to(2 * n + 2 - i)
-        stage(f"rec{i}_backward", receiver_backward(phis[:, i - 1]))
+        stage(f"rec{i}_backward")
     # theta and every phi_i cancel around the ring: Rec-1 receives the key
     # angle plus every shuffle and Eve's offset, whole quarter turns
-    arrived = (_key_angle(bit, basis) + shuffle_sum + offset) & 3
+    arrived = (_key_angle(bit, basis) + shuffle_sum + (0 if offset is None else offset)) & 3
     if light is None:
         # a split coherent pulse is two independent coherent pulses, one per arm
         rect, diag = (
@@ -435,11 +438,16 @@ def _run_round(
         observe()
         rect, diag = rec1_measure(light, arrived, rng)
 
-    if snaps:
-        columns["trace_photons"] = np.stack([s.count for s in snaps.values()], axis=1)
-        columns["trace_polarization"] = np.stack([s.polarization for s in snaps.values()], axis=1)
     table = RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,
                        trace_stages=tuple(snaps))
+    if config.trace or pns_hop:
+        # the trace reads every stage's polarization, Eve the one at her hop
+        polarizations = list(islice(_polarizations(table, offset), len(snaps) or pns_hop))
+        if pns_hop:
+            table.eve_polarization = polarizations[pns_hop - 1]
+        if snaps:
+            table.trace_photons = np.stack(list(snaps.values()), axis=1)
+            table.trace_polarization = np.stack(polarizations, axis=1)
     return table, shuffle_sum
 
 
@@ -499,32 +507,31 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     # the surviving photons, is not empty. No attack raises that rate.
     mu_final = config.mean_photons * config.bs_ratio * math.prod(hop_t)
     keep_rate = -math.expm1(-mu_final / 2.0)
-    reachable = _MAX_TARGET_ROUNDS * keep_rate
+    reachable = MAX_ROUNDS * keep_rate
     if target > reachable:
         raise ConfigError(
             "key_bits",
-            f"{target} sifted bits need more than {_MAX_TARGET_ROUNDS} rounds"
+            f"{target} sifted bits need more than {MAX_ROUNDS} rounds"
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
     chunks: list[RoundTable] = []
-    kept_parts: list[np.ndarray] = []  # indices into the whole session
     sum_parts: list[np.ndarray] = []  # the kept rounds' shuffle sums
     executed = kept_count = 0
     while kept_count < target if target else executed < config.rounds:
         size = config.rounds - executed
         if target:
-            if executed >= _MAX_TARGET_ROUNDS:
+            if executed >= MAX_ROUNDS:
                 raise RuntimeError(
-                    f"target of {target} sifted bits unreachable within {_MAX_TARGET_ROUNDS} rounds"
+                    f"target of {target} sifted bits unreachable within {MAX_ROUNDS} rounds"
                 )
             # the rounds expected to reach the rest of the target at the
             # honest keep rate, plus four standard deviations
             rest = target - kept_count
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
-            size = min(size, _MAX_TARGET_ROUNDS - executed)
+            size = min(size, MAX_ROUNDS - executed)
         chunk, shuffle_sum = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, rng)
         kept = sift(chunk, shuffle_sum)
         if target and len(kept) >= target - kept_count:
@@ -534,12 +541,12 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             kept = kept[: target - kept_count]
             chunk = _columnwise([chunk], lambda c: c[0][: kept[-1] + 1])
         chunks.append(chunk)
-        kept_parts.append(kept + executed)
         sum_parts.append(shuffle_sum[kept])
         executed += len(chunk)
         kept_count += len(kept)
     table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
-    kept = np.concatenate(kept_parts)
+    del chunks, chunk  # the joined table holds every round
+    kept = np.flatnonzero(table.sifted < VACUUM)  # every chunk's kept rounds, in order
 
     dishonest = config.dishonest_receiver
     keys = _decode_phase(table, kept, np.concatenate(sum_parts), dishonest, rng)
@@ -589,8 +596,9 @@ def _score_eve(
             **counts, recovered_bits=recovered, recovery_rate=recovered / sifted if sifted else None
         )
     if adversary == "pns":
-        stored = PhotonBatch(table.eve_event.astype(np.int64), table.eve_polarization)
-        guesses = adv.ml_single_photon_estimator(stored, table.basis_choice, rng)
+        guesses = adv.ml_single_photon_estimator(
+            table.eve_event.astype(np.int64), table.eve_polarization, table.basis_choice, rng
+        )
         correct = int(np.count_nonzero(guesses == table.bit))
         return adv.EveSummary(
             **counts, recovered_bits=correct, guess_accuracy=correct / rounds,

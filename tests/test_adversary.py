@@ -17,7 +17,7 @@ from sqss.adversary import (
 )
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
-from sqss.optics import DecisionAngle, PhotonBatch
+from sqss.optics import DecisionAngle
 from sqss.protocol import alice_prepare, run_session
 
 
@@ -101,17 +101,14 @@ class TestEveMeanPhotons:
 
 class TestPnsIntercept:
     def test_single_photon_passes_untouched(self):
-        batch = PhotonBatch(np.array([1]), np.array([0.4]))
-        out, stored = pns_intercept(batch)
-        assert out.count.tolist() == [1]
+        out, stored = pns_intercept(np.array([1]))
+        assert out.tolist() == [1]
         assert not stored.any()
 
     def test_five_photons_split(self):
-        batch = PhotonBatch(np.array([5]), np.array([0.4]))
-        out, stored = pns_intercept(batch)
-        assert isinstance(out, PhotonBatch) and out.count.tolist() == [4]
+        out, stored = pns_intercept(np.array([5]))
+        assert out.tolist() == [4]
         assert stored.tolist() == [True]
-        assert out.polarization[0] == pytest.approx(0.4)
 
     def test_coherent_pulse_is_counted_first(self):
         # Eve counts the photons the source drew; she does not draw her own.
@@ -119,14 +116,39 @@ class TestPnsIntercept:
         _, pulse = alice_prepare(40.0, 1, rng)
         out, stored = pns_intercept(pulse)
         # mean 40 makes n >= 2 essentially certain
-        assert out.count.tolist() == (pulse.count - 1).tolist()
+        assert out.tolist() == (pulse - 1).tolist()
         assert stored.tolist() == [True]
 
     def test_works_without_state(self):
         # Eve keeps no state across calls: each chunk returns its own mask.
-        out, stored = pns_intercept(PhotonBatch(np.array([0, 1, 2, 3]), np.zeros(4)))
-        assert out.count.tolist() == [0, 1, 1, 2]
+        out, stored = pns_intercept(np.array([0, 1, 2, 3]))
+        assert out.tolist() == [0, 1, 1, 2]
         assert stored.tolist() == [False, False, True, True]
+
+    @pytest.mark.parametrize("receivers", (2, 5))
+    @pytest.mark.parametrize("channel", (1, 3, 4))
+    def test_stored_photon_polarization_matches_the_secrets(self, receivers, channel):
+        # Re-derived round by round from the parties' secrets. Hop c <= N+1
+        # follows the source and the first c-1 receivers' forward turns:
+        # theta + sum(phi_i + s_i). Later hops follow Alice, who swapped theta
+        # for k, and the backward turns that stripped phi_i from every
+        # receiver past Rec-(2N+2-c): k + sum(s_i) + the phi_i left.
+        config = SimConfig(receivers=receivers, transmission=0.9, adversary="pns",
+                           pns_channel=channel, rounds=400, seed=50 + channel + receivers)
+        table = run_session(config).records
+        assert table.trace_polarization is None
+        qt = math.pi / 4
+        for r in range(len(table)):
+            theta, phis, shuffles = table.theta[r], table.phis[r].tolist(), table.shuffles[r]
+            if channel <= receivers + 1:
+                turned = channel - 1  # receivers passed forward
+                expected = theta + sum(phis[:turned]) + qt * int(shuffles[:turned].sum())
+            else:
+                key = 2 * int(table.bit[r]) + int(table.basis_choice[r]) - 1
+                hidden = 2 * receivers + 2 - channel  # receivers not yet passed backward
+                expected = qt * (key + int(shuffles.sum())) + sum(phis[:hidden])
+            gap = (table.eve_polarization[r] - expected) % math.pi
+            assert min(gap, math.pi - gap) < 1e-9, (r, table.eve_polarization[r], expected)
 
 
 class TestTagAttack:
@@ -207,8 +229,8 @@ class TestMlEstimator:
     def test_no_photon_is_a_coin(self):
         rng = np.random.default_rng(30)
         n = 20000
-        nothing = PhotonBatch(np.zeros(n, dtype=np.int64), np.zeros(n))
-        ones = ml_single_photon_estimator(nothing, np.ones(n, dtype=np.int8), rng).sum()
+        nothing = np.zeros(n, dtype=np.int64)
+        ones = ml_single_photon_estimator(nothing, np.zeros(n), np.ones(n, dtype=np.int8), rng).sum()
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3 * sigma
 
@@ -217,6 +239,6 @@ class TestMlEstimator:
         # A stored photon polarized exactly at a key angle is read
         # perfectly in the announced basis.
         angles = np.array([DecisionAngle(q).radians for q in (0, 2, 1, 3)])
-        stored = PhotonBatch(np.ones(4, dtype=np.int64), angles)
-        guesses = ml_single_photon_estimator(stored, np.array([1, 1, 2, 2]), rng)
+        stored = np.ones(4, dtype=np.int64)
+        guesses = ml_single_photon_estimator(stored, angles, np.array([1, 1, 2, 2]), rng)
         assert guesses.tolist() == [0, 1, 0, 1]

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from sqss.channel import FiberLink, thin_batch, transmission, uniform_hop_transmissions
 from sqss.config import SimConfig
-from sqss.optics import PhotonBatch
 
 
-def pulses(count, polarization, size=1):
-    return PhotonBatch(np.full(size, count), np.full(size, float(polarization)))
+def pulses(count, size=1):
+    """The photon counts of ``size`` identical pulses."""
+    return np.full(size, count)
 
 
 def test_transmission_zero_length():
@@ -55,28 +55,26 @@ def test_attenuate_scales_mean_only():
     # the vacuum probability and the mean both follow the scaled mean.
     rng = np.random.default_rng(11)
     n = 10000
-    counts = thin_batch(PhotonBatch(rng.poisson(6.0, n), np.full(n, 0.8)), 0.5, rng).count
+    counts = thin_batch(rng.poisson(6.0, n), 0.5, rng)
     p0 = np.mean(counts == 0)
     sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
     assert abs(p0 - math.exp(-3.0)) < 3 * sigma0
     assert abs(counts.mean() - 3.0) < 3 * math.sqrt(3.0 / n)
-    out = thin_batch(pulses(6, 0.8), 0.5, rng)
-    assert out.polarization[0] == pytest.approx(0.8)
 
 
 def test_attenuate_is_multiplicative():
     # Two hops of 0.7 lose photons exactly like one hop of 0.49.
     rng = np.random.default_rng(5)
     n = 10000
-    batch = pulses(5, 0.0, n)
-    twice = thin_batch(thin_batch(batch, 0.7, rng), 0.7, rng).count.sum()
-    once = thin_batch(batch, 0.49, rng).count.sum()
+    batch = pulses(5, n)
+    twice = thin_batch(thin_batch(batch, 0.7, rng), 0.7, rng).sum()
+    once = thin_batch(batch, 0.49, rng).sum()
     sigma = math.sqrt(2 * 5 * 0.49 * 0.51 / n)
     assert abs(twice / n - once / n) < 3 * sigma
 
 
 def test_attenuate_rejects_bad_transmission():
-    batch = pulses(1, 0.0)
+    batch = pulses(1)
     rng = np.random.default_rng(0)
     for t in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
@@ -85,7 +83,7 @@ def test_attenuate_rejects_bad_transmission():
 
 def test_thin_batch_statistics():
     rng = np.random.default_rng(11)
-    total = thin_batch(pulses(20, 0.0, 10000), 0.25, rng).count.sum()
+    total = thin_batch(pulses(20, 10000), 0.25, rng).sum()
     mean = total / 10000
     sigma = math.sqrt(20 * 0.25 * 0.75 / 10000)
     assert abs(mean - 5.0) < 3 * sigma
@@ -93,8 +91,7 @@ def test_thin_batch_statistics():
 
 def test_thin_batch_lossless_keeps_every_photon():
     rng = np.random.default_rng(0)
-    batch = pulses(7, 0.3)
-    assert thin_batch(batch, 1.0, rng).count.tolist() == [7]
+    assert thin_batch(pulses(7), 1.0, rng).tolist() == [7]
 
 
 def test_equal_ring_shape():

@@ -12,6 +12,7 @@ from sqss import cli
 from sqss.analysis import error_curve, p_error_closed_form
 from sqss.config import (
     _MAX_MEAN_PHOTONS,
+    MAX_ROUNDS,
     ConfigError,
     SimConfig,
     apply_overrides,
@@ -113,12 +114,14 @@ class TestValidation:
             ("transmission", 1.5, "transmission"),
             ("transmission", 0.0, "transmission"),
             ("rounds", 0, "rounds"),
+            ("rounds", 10**7 + 1, "rounds"),
             ("target_key_bits", -1, "key_bits"),
             ("adversary", "quantum", "adversary"),
             ("pns_channel", 2, "pns_channel"),
             ("bs_ratio", 0.0, "bs_ratio"),
             ("bs_ratio", 1.2, "bs_ratio"),
             ("parity_block", -1, "parity_block"),
+            ("parity_block", 10**7 + 1, "parity_block"),
             ("seed", -1, "seed"),
             ("seed", 2**64, "seed"),
             ("dishonest_receiver", 5, "dishonest_receiver"),
@@ -130,6 +133,11 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             cfg.validate()
         assert err.value.key == key
+
+    def test_round_cap_is_inclusive(self):
+        # target mode stops at the same 10^7 rounds
+        assert MAX_ROUNDS == 10**7
+        SimConfig(rounds=MAX_ROUNDS, parity_block=MAX_ROUNDS).validate()
 
     def test_largest_poisson_mean_is_accepted(self):
         # the bound on mu is exactly the largest mean the source can draw from
@@ -224,6 +232,18 @@ def assert_round_csv_matches(text, table):
             [] if not hops else table.trace_polarization[i].tolist()
         )
     return [row[9] for row in rows[1:]]
+
+
+def assert_fails_fast(args, key):
+    """``sqss *args`` exits 64 naming config key ``key``, with no traceback
+    and no partial report."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqss", *args], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert f"'{key}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.fixture
@@ -356,13 +376,7 @@ class TestCliSimulate:
         ids=["mu-nan", "mu-inf", "mu-huge", "attack-mu-nan", "link-underflow"],
     )
     def test_non_finite_light_settings_fail_fast(self, args, key):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sqss", *args], capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == cli.EXIT_CONFIG
-        assert key in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_fails_fast(args, key)
 
     @pytest.mark.parametrize(
         "args,key",
@@ -373,13 +387,21 @@ class TestCliSimulate:
         ids=["attack-mu", "curve-range"],
     )
     def test_intercepted_mean_beyond_the_series_bound_fails_fast(self, args, key):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sqss", *args], capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == cli.EXIT_CONFIG
-        assert key in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_fails_fast(args, key)
+
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["simulate", "--override", "parity_block=99999999999999999999999"], "parity_block"),
+            (["simulate", "--override", "rounds=100000000000000000000"], "rounds"),
+            (["attack", "pns", "--trials", "100000000000000000000"], "trials"),
+            (["attack", "tag", "--trials", str(10**7 + 1)], "trials"),
+        ],
+        ids=["parity_block", "rounds", "attack-pns-trials", "attack-tag-trials"],
+    )
+    def test_work_beyond_the_round_cap_fails_fast(self, args, key):
+        # each would overflow or run for hours; the timeout guards a regression
+        assert_fails_fast(args, key)
 
     def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([
@@ -532,6 +554,11 @@ class TestCliAttack:
         assert "trials" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_impersonate_trials_are_not_capped(self, capsys):
+        # the Monte Carlo costs O(classes) whatever its trial count
+        assert cli.main(["attack", "impersonate", "--trials", str(10**12)]) == cli.EXIT_ACCEPT
+        assert f"trials={10**12}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("strategy", ["pns", "tag"])
     def test_zero_trials_names_trials(self, strategy, capsys):

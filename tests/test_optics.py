@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sqss.channel import thin_batch
+from sqss.config import SimConfig
 from sqss.optics import (
     AMBIGUOUS,
     DIAGONAL,
@@ -13,21 +15,20 @@ from sqss.optics import (
     RECTILINEAR,
     VACUUM,
     DecisionAngle,
-    PhotonBatch,
     coherent_measure,
     malus,
     pbs_measure,
-    rotate_batch,
-    split_batch,
+    rotate,
 )
-from sqss.protocol import alice_prepare
+from sqss.protocol import alice_prepare, run_session
 
 QT = math.pi / 4
 
 
 def pulses(count, polarization, size=1):
-    """``size`` identical pulses of ``count`` photons at one polarization."""
-    return PhotonBatch(np.full(size, count), np.full(size, float(polarization)))
+    """``size`` identical pulses of ``count`` photons at one polarization:
+    their counts and their polarizations."""
+    return np.full(size, count), np.full(size, float(polarization))
 
 
 def circular_distance(a, b):
@@ -36,18 +37,19 @@ def circular_distance(a, b):
     return min(d, math.pi - d)
 
 
-def measure(batch, aligned, rng):
-    """``pbs_measure`` on a batch at its float polarization."""
-    return pbs_measure(batch.count, malus(batch.polarization, aligned), aligned, rng)
+def measure(light, aligned, rng):
+    """``pbs_measure`` on pulses at their float polarization."""
+    count, polarization = light
+    return pbs_measure(count, malus(polarization, aligned), aligned, rng)
 
 
 def turned(radians, start=0.0):
-    """The polarization of one pulse at ``start`` after ``rotate_batch`` by ``radians``."""
-    return rotate_batch(pulses(1, start), radians).polarization[0]
+    """The polarization of one pulse at ``start`` after ``rotate`` by ``radians``."""
+    return rotate(np.array([start]), radians)[0]
 
 
 class TestPolarizationAngle:
-    """Polarizations live on [0, pi): ``rotate_batch`` reduces every sum into it."""
+    """Polarizations live on [0, pi): ``rotate`` reduces every sum into it."""
 
     def test_reduces_into_half_open_interval(self):
         assert turned(math.pi) == 0.0
@@ -145,17 +147,21 @@ class TestPulses:
             alice_prepare(-0.1, 1, np.random.default_rng(0))
 
     def test_negative_count_rejected(self):
+        # a photon count is never negative: thinning one raises
         with pytest.raises(ValueError):
-            PhotonBatch(np.array([2, -1]), np.array([0.0, 0.0]))
+            thin_batch(np.array([2, -1]), 0.5, np.random.default_rng(0))
 
     def test_rotate_known_cases(self):
-        p = PhotonBatch(np.array([2, 2, 2]), np.array([0.0, 3 * math.pi / 4, 0.3]))
-        out = rotate_batch(p, np.array([math.pi / 2, math.pi / 2, -0.3]))
-        assert out.polarization == pytest.approx([math.pi / 2, math.pi / 4, 0.0])
+        out = rotate(np.array([0.0, 3 * math.pi / 4, 0.3]), np.array([math.pi / 2, math.pi / 2, -0.3]))
+        assert out == pytest.approx([math.pi / 2, math.pi / 4, 0.0])
 
     def test_rotate_preserves_mean(self):
-        batch = pulses(4, 1.0)
-        assert rotate_batch(batch, 0.7).count.tolist() == [4]
+        # polarization is kept apart from the counts, so no stage's rotation
+        # changes one: on a lossless ring every traced stage holds the
+        # source's count
+        config = SimConfig(receivers=3, adversary="impersonate", rounds=500, seed=4, trace=True)
+        photons = run_session(config).records.trace_photons
+        assert (photons == photons[:, :1]).all() and photons.any()
 
     @given(
         st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -164,9 +170,9 @@ class TestPulses:
     )
     @settings(max_examples=200)
     def test_rotate_composes(self, a, b, start):
-        p = pulses(1, start % math.pi)
-        stepwise = rotate_batch(rotate_batch(p, a), b).polarization[0]
-        direct = rotate_batch(p, a + b).polarization[0]
+        p = np.array([start % math.pi])
+        stepwise = rotate(rotate(p, a), b)[0]
+        direct = rotate(p, a + b)[0]
         assert 0.0 <= stepwise < math.pi
         assert circular_distance(stepwise, direct) <= 1e-12
 
@@ -177,12 +183,12 @@ class TestSampling:
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
         _, light = alice_prepare(0.0, 100, rng)
-        assert not light.count.any()
+        assert not light.any()
 
     def test_poisson_statistics(self):
         rng = np.random.default_rng(123)
         n = 10**6
-        counts = alice_prepare(3.0, n, rng)[1].count
+        counts = alice_prepare(3.0, n, rng)[1]
         p0 = np.mean(counts == 0)
         sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
         assert abs(p0 - math.exp(-3.0)) < 3 * sigma0
@@ -190,45 +196,52 @@ class TestSampling:
         assert abs(counts.mean() - 3.0) < 3 * sigma_mean
 
     def test_polarization_carried_over(self):
-        rng = np.random.default_rng(5)
-        theta, pulse = alice_prepare(2.0, 10, rng)
-        assert pulse.polarization.tolist() == theta.tolist()
+        # the pulses leave the source polarized at theta
+        table = run_session(SimConfig(rounds=10, seed=5, trace=True)).records
+        assert table.trace_polarization[:, 0].tolist() == table.theta.tolist()
 
 
 class TestBeamSplit:
+    """A beam splitter passes each photon to its first port independently:
+    a binomial thinning (``thin_batch``) whose remainder takes the other port."""
+
     def test_reference_ratios(self):
         rng = np.random.default_rng(0)
-        p = pulses(6, 0.4)
-        t, r = split_batch(p, 1.0, rng)
-        assert (t.count.tolist(), r.count.tolist()) == ([6], [0])
-        t, r = split_batch(p, 0.0, rng)
-        assert (t.count.tolist(), r.count.tolist()) == ([0], [6])
-        t, r = split_batch(pulses(0, 0.4), 0.25, rng)
-        assert (t.count.tolist(), r.count.tolist()) == ([0], [0])
+        assert thin_batch(np.array([6]), 1.0, rng).tolist() == [6]
+        assert thin_batch(np.array([0]), 0.25, rng).tolist() == [0]
 
     def test_polarization_shared_by_both_arms(self):
-        rng = np.random.default_rng(0)
-        t, r = split_batch(pulses(2, 1.1), 0.3, rng)
-        assert t.polarization[0] == r.polarization[0] == pytest.approx(1.1)
+        # Alice's storage splitter thins the count and leaves every
+        # polarization as it was: the same seed traces the same angles
+        # whatever share it passes
+        tables = [
+            run_session(SimConfig(rounds=300, bs_ratio=ratio, seed=6, trace=True)).records
+            for ratio in (0.3, 1.0)
+        ]
+        encoded = tables[0].trace_stages.index("alice_encoded")
+        assert (tables[0].trace_polarization == tables[1].trace_polarization).all()
+        assert tables[0].trace_photons[:, encoded].sum() < tables[1].trace_photons[:, encoded].sum()
 
     def test_ratio_out_of_range(self):
         rng = np.random.default_rng(0)
-        p = pulses(1, 0.0)
+        count = np.array([1])
         with pytest.raises(ValueError):
-            split_batch(p, -0.01, rng)
+            thin_batch(count, -0.01, rng)
         with pytest.raises(ValueError):
-            split_batch(p, 1.01, rng)
+            thin_batch(count, 1.01, rng)
 
-    @given(st.integers(0, 200), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    def test_split_batch_conserves_photons(self, count, ratio):
+    @given(st.integers(0, 200), st.floats(min_value=0.0, max_value=1.0, allow_nan=False,
+                                          exclude_min=True))
+    def test_split_conserves_photons(self, count, ratio):
+        # the first port never takes more than arrived, the other the rest
         rng = np.random.default_rng(count + 1)
-        a, b = split_batch(pulses(count, 0.5), ratio, rng)
-        assert (a.count + b.count).tolist() == [count]
+        first = thin_batch(np.array([count]), ratio, rng)
+        assert 0 <= first[0] <= count
 
-    def test_split_batch_is_binomial(self):
+    def test_split_is_binomial(self):
         rng = np.random.default_rng(42)
         n_trials = 20000
-        kept = split_batch(pulses(10, 0.0, n_trials), 0.3, rng)[0].count.sum()
+        kept = thin_batch(np.full(n_trials, 10), 0.3, rng).sum()
         mean = kept / n_trials
         sigma = math.sqrt(10 * 0.3 * 0.7 / n_trials)
         assert abs(mean - 3.0) < 3 * sigma

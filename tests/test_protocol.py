@@ -16,8 +16,6 @@ from sqss.optics import (
     VACUUM,
     DecisionAngle,
     QUARTER_TURN,
-    PhotonBatch,
-    rotate_batch,
 )
 from sqss.protocol import (
     RoundTable,
@@ -25,6 +23,7 @@ from sqss.protocol import (
     _decode,
     _fft_length,
     _key_angle,
+    _polarizations,
     _run_round,
     alice_encode,
     alice_prepare,
@@ -33,7 +32,6 @@ from sqss.protocol import (
     key_digest,
     parity_survivor_indices,
     rec1_measure,
-    receiver_backward,
     receiver_forward,
     reconcile_and_amplify,
     run_session,
@@ -65,9 +63,19 @@ class ZeroRng:
         return np.full(size, 5)
 
 
-def pulses(count, polarization, size=1):
-    """``size`` identical pulses of ``count`` photons at one polarization."""
-    return PhotonBatch(np.full(size, count), np.full(size, float(polarization)))
+def stages(theta, phis, shuffles, bit, basis):
+    """One honest round's polarization after each stage, from the rotation
+    ledger: the source, each receiver forward, Alice, each receiver back."""
+    table = RoundTable(
+        theta=np.array([theta]),
+        phis=np.array([phis], dtype=float).reshape(1, -1),
+        shuffles=np.array([shuffles], dtype=np.int8).reshape(1, -1),
+        basis_choice=np.array([basis], dtype=np.int8),
+        bit=np.array([bit], dtype=np.int8),
+        rect=np.zeros(1, dtype=np.int8),
+        diag=np.zeros(1, dtype=np.int8),
+    )
+    return [float(p[0]) for p in _polarizations(table, None)]
 
 
 def circular_distance(a, b):
@@ -129,11 +137,11 @@ class TestCooperativeDecode:
 class TestSenderOps:
     def test_prepare_with_theta_forced_to_zero(self):
         rng = ZeroRng()
-        theta, pulse = alice_prepare(6.0, 1, rng)
-        assert theta.tolist() == pulse.polarization.tolist() == [0.0]
+        theta, count = alice_prepare(6.0, 1, rng)
+        assert theta.tolist() == [0.0]
         # the count is one Poisson draw at the configured mean
         assert rng.lam == 6.0
-        assert pulse.count.tolist() == [5]
+        assert count.tolist() == [5]
 
     def test_theta_uniform_on_half_circle(self):
         rng = np.random.default_rng(8)
@@ -143,28 +151,22 @@ class TestSenderOps:
 
     def test_encode_net_rotation(self):
         # bit=0 in family 1 is the zero angle, so encoding just removes theta.
-        pulse = pulses(6, 0.7)
-        rng = np.random.default_rng(0)
-        basis, rotation = alice_encode(np.array([0.7]), np.array([0]), rng)
-        out = rotate_batch(pulse, rotation)
-        if basis[0] == 1:
-            assert out.polarization[0] == pytest.approx(0.0, abs=1e-12)
-        else:
-            assert out.polarization[0] == pytest.approx(math.pi / 4, abs=1e-12)
+        for basis, angle in ((1, 0.0), (2, math.pi / 4)):
+            out = stages(0.7, [], [], 0, basis)[-1]
+            assert circular_distance(out, angle) <= 1e-12
 
     def test_encode_applies_full_state_rotation(self):
         # Incoming theta + sum(phi_i + s_i) must leave as k + sum(phi_i + s_i).
-        accumulated = 0.4 + 1.234  # theta plus the receivers' rotations
-        pulse = pulses(6, accumulated)
-        basis, rotation = alice_encode(np.array([0.4]), np.array([1]), np.random.default_rng(3))
-        out = rotate_batch(pulse, rotation)
-        expected = _key_angle(1, int(basis[0])) * QUARTER_TURN + 1.234
-        assert circular_distance(out.polarization[0], expected) <= 1e-12
+        _, basis = alice_encode(1, np.random.default_rng(3))
+        incoming, out = stages(0.4, [1.234], [3], 1, int(basis[0]))[1:3]
+        assert circular_distance(incoming, 0.4 + 1.234 + 3 * QUARTER_TURN) <= 1e-12
+        expected = _key_angle(1, int(basis[0])) * QUARTER_TURN + 1.234 + 3 * QUARTER_TURN
+        assert circular_distance(out, expected) <= 1e-12
 
     def test_basis_family_choice_is_balanced(self):
         rng = np.random.default_rng(9)
         n = 100000
-        basis, _ = alice_encode(np.zeros(n), np.zeros(n, dtype=np.int8), rng)
+        _, basis = alice_encode(n, rng)
         ones = int(np.count_nonzero(basis == 1))
         assert set(basis.tolist()) == {1, 2}
         assert stats.binomtest(ones, n, 0.5).pvalue > 0.01
@@ -186,35 +188,35 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        phi, s, rotation = receiver_forward(1, np.random.default_rng(4))
-        out = rotate_batch(pulses(6, 0.5), rotation)
+        phi, s = receiver_forward(1, np.random.default_rng(4))
+        out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + DecisionAngle(int(s[0])).radians
-        assert circular_distance(out.polarization[0], expected) <= 1e-12
+        assert circular_distance(out, expected) <= 1e-12
 
     def test_shuffles_uniform_over_four_values(self):
         rng = np.random.default_rng(10)
-        _, shuffles, _ = receiver_forward(100000, rng)
+        _, shuffles = receiver_forward(100000, rng)
         counts = np.bincount(shuffles, minlength=4)
         assert len(counts) == 4
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_backward_removes_only_the_hide_angle(self):
-        phi, s, rotation = receiver_forward(1, np.random.default_rng(6))
-        back = rotate_batch(rotate_batch(pulses(6, 0.2), rotation), receiver_backward(phi))
-        expected = 0.2 + DecisionAngle(int(s[0])).radians
-        assert circular_distance(back.polarization[0], expected) <= 1e-12
+        # bit 0 in family 1 encodes the zero angle, so all that returns is s
+        phi, s = receiver_forward(1, np.random.default_rng(6))
+        encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
+        assert circular_distance(back, encoded - phi[0]) <= 1e-12
+        assert circular_distance(back, DecisionAngle(int(s[0])).radians) <= 1e-12
 
 
 class TestRec1Measure:
     def test_aligned_rect_arm_is_deterministic(self):
         rng = np.random.default_rng(12)
-        pulse = pulses(400, DecisionAngle(2).radians)
-        rect, diag = rec1_measure(pulse, np.array([2]), rng)
+        rect, diag = rec1_measure(np.array([400]), np.array([2]), rng)
         assert rect.tolist() == [2]
 
     def test_vacuum_pulse_gives_vacuum_arms(self):
         rng = np.random.default_rng(13)
-        rect, diag = rec1_measure(pulses(0, 0.1), np.array([0]), rng)
+        rect, diag = rec1_measure(np.array([0]), np.array([0]), rng)
         assert rect.tolist() == diag.tolist() == [VACUUM]
 
     def test_arm_vacuum_frequency(self):
