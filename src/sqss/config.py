@@ -12,6 +12,10 @@ _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 # The most rounds one session runs, in target mode too: bounds its time and memory.
 MAX_ROUNDS = 10_000_000
+# The most receivers a ring may have. A traced session chunk peaked at up to
+# 84 B per round x receiver cell (tracemalloc, N <= 100), so one chunk of
+# 65,536 rounds stays under 1 GB: 150 x 65,536 x 84 B is 0.83 GB.
+MAX_RECEIVERS = 150
 
 
 class ConfigError(ValueError):
@@ -50,8 +54,8 @@ class SimConfig:
     trace: bool = False
 
     def validate(self) -> None:
-        if self.receivers < 1:
-            raise ConfigError("receivers", f"must be >= 1, got {self.receivers}")
+        if not 1 <= self.receivers <= MAX_RECEIVERS:
+            raise ConfigError("receivers", f"must be in 1..{MAX_RECEIVERS}, got {self.receivers}")
         if not 0.0 < self.mean_photons <= _MAX_MEAN_PHOTONS:
             raise ConfigError(
                 "mu", f"must be > 0 and at most {_MAX_MEAN_PHOTONS:.4g}, got {self.mean_photons}"
@@ -132,8 +136,6 @@ _KEYS: dict[str, tuple[str, type]] = {
     "dishonest_receiver": ("dishonest_receiver", int),
     "trace": ("trace", bool),
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
 def _parse_value(key: str, raw: str):

@@ -26,13 +26,16 @@ plus the shuffle sum (plus Eve's offset under impersonation), and reads
 Malus' p from ``optics.MALUS``. Only the trace and the photons Eve
 stores read a float polarization, and only then is the ledger folded.
 
-Light is drawn only where it is observed (``_run_round``): the source
-count at the first observer's mean, one loss between observers, and
-Rec-1's detectors from p^k (``optics.pbs_measure``).
-When Rec-1 is the first observer, no count is drawn at all: each arm
-of its 50:50 splitter is an independent coherent pulse of half the
-arriving mean, and its detectors read it straight from the coherent
-law (``optics.coherent_measure``).
+No secret depends on the light, so a round (``_run_round``) draws every
+party's secret first and then walks the light along the route
+(``_route``): the hops and party stages in travel order, each with the
+share of photons it passes on. Light is drawn only where it is
+observed: the source count at the first observer's mean, one thinning
+between observers, and Rec-1's detectors from p^k
+(``optics.pbs_measure``). When nothing observes the light before Rec-1,
+no count is drawn at all: each arm of its 50:50 splitter is an
+independent coherent pulse of half the arriving mean, and its detectors
+read it straight from the coherent law (``optics.coherent_measure``).
 """
 
 from __future__ import annotations
@@ -168,41 +171,6 @@ def decode_table() -> list[list[DecisionAngle]]:
     order = np.array(DECODE_TABLE_ORDER)
     keys = _decode(order, order[:, None])
     return [[DecisionAngle(int(k)) for k in row] for row in keys]
-
-
-def alice_prepare(
-    mean_photons: float | None, size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Emit ``size`` fresh coherent pulses, each hidden behind a uniformly
-    random angle theta; returns the thetas and the pulses' photon counts.
-
-    Photon numbers are drawn here, Poisson with the given mean, the
-    first observer's; everything downstream only thins or reads them.
-    With no mean (``None``) nothing counts the pulses and none are drawn.
-    """
-    theta = rng.random(size) * math.pi
-    if mean_photons is None:
-        return theta, None
-    return theta, rng.poisson(mean_photons, size)
-
-
-def receiver_forward(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw this receiver's hiding angles phi_i and secret shuffles s_i (in
-    quarter turns) for ``size`` pulses. Forward, each pulse turns by
-    phi_i + s_i; backward, by -phi_i, so the shuffles stay in."""
-    phi = rng.random(size) * math.pi
-    return phi, rng.integers(4, size=size, dtype=np.int8)
-
-
-def alice_encode(size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a key bit and a basis family j for each of ``size`` pulses.
-
-    Alice encodes the key angle k and strips theta, turning each pulse by
-    k - theta; the engine applies the counter-tagging beam splitter as a
-    loss.
-    """
-    bit = rng.integers(2, size=size, dtype=np.int8)
-    return bit, rng.integers(1, 3, size=size, dtype=np.int8)
 
 
 def _polarizations(table: RoundTable, offset: np.ndarray | None) -> Iterator[np.ndarray]:
@@ -344,6 +312,23 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
     return Verdict(VerdictKind.ABORT_RETRY)
 
 
+def _route(config: SimConfig, hop_t: Sequence[float]) -> list[tuple[int | str, float]]:
+    """The pulse's path in travel order: each hop (its number) and each party
+    stage (its trace name), with the share of its photons each passes on."""
+    n = config.receivers
+    route: list[tuple[int | str, float]] = [("alice_out", 1.0)]
+    for i in range(1, n + 1):
+        route += [(i, hop_t[i - 1]), (f"rec{i}_forward", 1.0)]
+    # only the transmitted part of her storage splitter leaves Alice's box,
+    # behind hop N+1 and any tap on it
+    route += [(n + 1, hop_t[n]), ("alice_encoded", config.bs_ratio)]
+    if config.adversary == "impersonate":
+        route.append(("eve_reencoded", 1.0))
+    for i in range(n, 0, -1):
+        route += [(2 * n + 2 - i, hop_t[2 * n + 1 - i]), (f"rec{i}_backward", 1.0)]
+    return route
+
+
 def _run_round(
     size: int, config: SimConfig, hop_t: list[float], rng: np.random.Generator
 ) -> tuple[RoundTable, np.ndarray]:
@@ -351,68 +336,41 @@ def _run_round(
 
     Returns the rounds and each round's shuffle sum in quarter turns.
 
-    The light is a photon count per round. The observers are Eve's PNS
-    hop, Rec-1 and, with ``trace``, every stage. Between two of them the
-    losses multiply into one pending transmission, which the next one
-    applies with ``thin_batch``. The source draws its counts at the first
-    observer's mean, unless that observer is Rec-1, which reads the
-    uncounted coherent pulse. Only the trace and Eve's stored photons
+    No party's secret depends on the light, so every secret is drawn
+    first: theta, each receiver's phi_i and s_i, Alice's bit and basis,
+    and Eve's tag or USD event. The light, a photon count per round,
+    then walks the route (``_route``). Its observers are Eve's PNS hop
+    and, with ``trace``, every stage. The source draws its counts at the
+    first observer's mean, and each later observer thins them once by
+    the shares passed since the last one. With no observer, Rec-1 reads
+    the uncounted coherent pulse. Only the trace and Eve's stored photons
     read a float polarization; they take it from the rotation ledger
     (``_polarizations``) once the round is complete.
     """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
-    columns: dict[str, np.ndarray] = {}  # eve_event, where an attack records one
-    snaps: dict[str, np.ndarray] = {}  # each traced stage's photon counts
-    # The first observer: Alice's output with trace, else the PNS hop or the
-    # last hop, into Rec-1. Alice's splitter sits behind hop N+1 and its PNS point.
-    first = 0 if config.trace else pns_hop or 2 * n + 1
-    reach = math.prod(hop_t[:first]) * (config.bs_ratio if first > n + 1 else 1.0)
-    mean = config.mean_photons * reach
-    # only an observer before Rec-1 needs the photon counts
-    theta, light = alice_prepare(mean if config.trace or pns_hop else None, size, rng)
-    # the transmission since the last observer, None while the source's draw covers it
-    pending = None
+    steps, shares = zip(*_route(config, hop_t))
+    observers = [k for k, step in enumerate(steps)
+                 if step == pns_hop or config.trace and isinstance(step, str)]
 
-    def observe() -> None:
-        nonlocal light, pending
-        light = thin_batch(light, 1.0 if pending is None else pending, rng)
-        pending = 1.0
-
-    def stage(name: str, t: float = 1.0) -> None:
-        """A party turns each pulse and passes on a share t of its photons."""
-        nonlocal pending
-        pending = None if pending is None else pending * t
-        if config.trace:
-            observe()
-            snaps[name] = light
-
-    def hop_to(hop: int) -> None:
-        nonlocal light, pending
-        pending = None if pending is None else pending * hop_t[hop - 1]
-        if hop == pns_hop:
-            observe()
-            light, columns["eve_event"] = adv.pns_intercept(light)
-
-    stage("alice_out")
+    theta = rng.random(size) * math.pi
+    light = None
+    if observers:
+        light = rng.poisson(config.mean_photons * math.prod(shares[: observers[0] + 1]), size)
     phis = np.empty((size, n))
     shuffles = np.empty((size, n), dtype=np.int8)
     shuffle_sum = np.zeros(size, dtype=np.int8)  # wraps mod 256, a multiple of 4
-    for i in range(n):  # forward hops 1..N: into each receiver
-        hop_to(i + 1)
-        phis[:, i], shuffles[:, i] = receiver_forward(size, rng)
+    for i in range(n):
+        phis[:, i] = rng.random(size) * math.pi
+        shuffles[:, i] = rng.integers(4, size=size, dtype=np.int8)
         shuffle_sum += shuffles[:, i]
-        stage(f"rec{i + 1}_forward")
-    hop_to(n + 1)  # hop N+1: Rec-N back to Alice
-
-    bit, basis = alice_encode(size, rng)
-    # only the transmitted part of her storage splitter leaves Alice's box
-    stage("alice_encoded", config.bs_ratio)
-
+    bit = rng.integers(2, size=size, dtype=np.int8)
+    basis = rng.integers(1, 3, size=size, dtype=np.int8)
+    columns: dict[str, np.ndarray] = {}  # eve_event, where an attack records one
+    offset = None
     if config.adversary == "tag":
         columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
-    offset = None
-    if config.adversary == "impersonate":
+    elif config.adversary == "impersonate":
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
         # actually process. Her pulse is independent of the substitute,
@@ -420,22 +378,29 @@ def _run_round(
         # substitute is the honest pulse shifted by her guess error.
         usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, hop_t)
         offset, columns["eve_event"] = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
-        stage("eve_reencoded")
-
-    for i in range(n, 0, -1):  # backward hops N+2..2N+1: into Rec-N, ..., Rec-1
-        hop_to(2 * n + 2 - i)
-        stage(f"rec{i}_backward")
     # theta and every phi_i cancel around the ring: Rec-1 receives the key
     # angle plus every shuffle and Eve's offset, whole quarter turns
     arrived = (_key_angle(bit, basis) + shuffle_sum + (0 if offset is None else offset)) & 3
+
+    snaps: dict[str, np.ndarray] = {}  # each traced stage's photon counts
+    done = 0  # the light has passed steps[:done]
+    for k in observers:
+        if done:  # the source's draw covers the shares up to the first observer
+            light = thin_batch(light, math.prod(shares[done : k + 1]), rng)
+        done = k + 1
+        if steps[k] == pns_hop:
+            light, columns["eve_event"] = adv.pns_intercept(light)
+        else:
+            snaps[steps[k]] = light
     if light is None:
         # a split coherent pulse is two independent coherent pulses, one per arm
+        mean = config.mean_photons * math.prod(shares) / 2
         rect, diag = (
-            coherent_measure(mean / 2, MALUS, (arrived - aligned) & 3, aligned, rng)
+            coherent_measure(mean, MALUS, (arrived - aligned) & 3, aligned, rng)
             for aligned in (RECTILINEAR, DIAGONAL)
         )
     else:
-        observe()
+        light = thin_batch(light, math.prod(shares[done:]), rng)
         rect, diag = rec1_measure(light, arrived, rng)
 
     table = RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,

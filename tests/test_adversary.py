@@ -18,7 +18,7 @@ from sqss.adversary import (
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
 from sqss.optics import DecisionAngle
-from sqss.protocol import alice_prepare, run_session
+from sqss.protocol import _run_round, run_session
 
 
 class TestUsdSuccess:
@@ -112,12 +112,15 @@ class TestPnsIntercept:
 
     def test_coherent_pulse_is_counted_first(self):
         # Eve counts the photons the source drew; she does not draw her own.
+        # The trace holds the count leaving the source and the one she forwards.
         rng = np.random.default_rng(1)
-        _, pulse = alice_prepare(40.0, 1, rng)
-        out, stored = pns_intercept(pulse)
+        config = SimConfig(receivers=1, mean_photons=40.0, adversary="pns", pns_channel=1,
+                           trace=True)
+        table, _ = _run_round(1, config, config.hop_transmissions(), rng)
+        pulse, out = table.trace_photons[:, 0], table.trace_photons[:, 1]
         # mean 40 makes n >= 2 essentially certain
         assert out.tolist() == (pulse - 1).tolist()
-        assert stored.tolist() == [True]
+        assert table.eve_event.tolist() == [True]
 
     def test_works_without_state(self):
         # Eve keeps no state across calls: each chunk returns its own mask.

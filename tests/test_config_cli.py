@@ -12,6 +12,7 @@ from sqss import cli
 from sqss.analysis import error_curve, p_error_closed_form
 from sqss.config import (
     _MAX_MEAN_PHOTONS,
+    MAX_RECEIVERS,
     MAX_ROUNDS,
     ConfigError,
     SimConfig,
@@ -20,7 +21,7 @@ from sqss.config import (
     parse_config,
     serialize_config,
 )
-from sqss.protocol import alice_prepare, run_session
+from sqss.protocol import _run_round, run_session
 
 FULL_CONFIG = """
 # full example
@@ -107,6 +108,7 @@ class TestValidation:
         "field,value,key",
         [
             ("receivers", 0, "receivers"),
+            ("receivers", MAX_RECEIVERS + 1, "receivers"),
             ("mean_photons", 0.0, "mu"),
             ("mean_photons", float("nan"), "mu"),
             ("mean_photons", float("inf"), "mu"),
@@ -141,13 +143,18 @@ class TestValidation:
 
     def test_largest_poisson_mean_is_accepted(self):
         # the bound on mu is exactly the largest mean the source can draw from
+        # (a traced round draws the source's count)
+        def draw_source(mu):
+            config = SimConfig(receivers=1, mean_photons=mu, trace=True)
+            _run_round(1, config, config.hop_transmissions(), np.random.default_rng(0))
+
         SimConfig(mean_photons=_MAX_MEAN_PHOTONS).validate()
-        alice_prepare(_MAX_MEAN_PHOTONS, 1, np.random.default_rng(0))
+        draw_source(_MAX_MEAN_PHOTONS)
         beyond = math.nextafter(_MAX_MEAN_PHOTONS, math.inf)
         with pytest.raises(ConfigError):
             SimConfig(mean_photons=beyond).validate()
         with pytest.raises(ValueError):
-            alice_prepare(beyond, 1, np.random.default_rng(0))
+            draw_source(beyond)
 
     def test_loss_specifications_are_exclusive(self):
         cfg = SimConfig(transmission=0.5, link_length_km=10.0, link_loss_db_per_km=0.2)
@@ -402,6 +409,14 @@ class TestCliSimulate:
     def test_work_beyond_the_round_cap_fails_fast(self, args, key):
         # each would overflow or run for hours; the timeout guards a regression
         assert_fails_fast(args, key)
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--override", f"receivers={MAX_RECEIVERS + 1}"],
+        ["attack", "tag", "--override", "receivers=1000000000000000000000000000000"],
+    ], ids=["simulate", "attack-tag"])
+    def test_ring_beyond_the_receiver_cap_fails_fast(self, args):
+        # a chunk of either ring would need gigabytes; validation stops it first
+        assert_fails_fast(args, "receivers")
 
     def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([

@@ -85,3 +85,24 @@ def test_traced_and_untraced_arms_follow_one_law(config):
     chi2, p, _, expected = stats.chi2_contingency(table)
     assert expected.min() >= 20, f"expected cell counts too small: {expected.min():.1f}"
     assert p > 1e-4, f"chi2 = {chi2:.1f}, p = {p:.2e}\nuntraced {table[0]}\ntraced   {table[1]}"
+
+
+# Lossy or split traced rings: every hop, splitter and tap only removes photons.
+SHRINK_ROUNDS = 20_000
+SHRINK_SCENARIOS = [
+    ("honest_n3_t08_bs05", SimConfig(receivers=3, transmission=0.8, bs_ratio=0.5, seed=88)),
+    ("pns_n2_t09_channel3", SimConfig(transmission=0.9, adversary="pns", pns_channel=3, seed=89)),
+    ("pns_n2_t09_channel4", SimConfig(transmission=0.9, adversary="pns", pns_channel=4, seed=90)),
+    ("impersonate_t05", SimConfig(transmission=0.5, adversary="impersonate", seed=91)),
+    ("tag_bs05", SimConfig(adversary="tag", bs_ratio=0.5, seed=92)),
+]
+
+
+@pytest.mark.parametrize("config", [s[1] for s in SHRINK_SCENARIOS],
+                         ids=[s[0] for s in SHRINK_SCENARIOS])
+def test_traced_counts_never_grow(config):
+    traced = replace(config, rounds=SHRINK_ROUNDS, parity_block=0, trace=True)
+    photons = run_session(traced).records.trace_photons
+    assert photons[:, 0].any()
+    grown = np.flatnonzero((np.diff(photons, axis=1) > 0).any(axis=1))
+    assert len(grown) == 0, f"{len(grown)} rounds gained photons, first {photons[grown[0]]}"

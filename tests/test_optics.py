@@ -20,7 +20,7 @@ from sqss.optics import (
     pbs_measure,
     rotate,
 )
-from sqss.protocol import alice_prepare, run_session
+from sqss.protocol import _run_round, run_session
 
 QT = math.pi / 4
 
@@ -143,8 +143,9 @@ class TestBasis:
 class TestPulses:
     def test_negative_mean_rejected(self):
         # the source draws Poisson(mu), which has no negative mean
+        config = SimConfig(mean_photons=-0.1, trace=True)
         with pytest.raises(ValueError):
-            alice_prepare(-0.1, 1, np.random.default_rng(0))
+            _run_round(1, config, config.hop_transmissions(), np.random.default_rng(0))
 
     def test_negative_count_rejected(self):
         # a photon count is never negative: thinning one raises
@@ -182,13 +183,17 @@ class TestSampling:
 
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
-        _, light = alice_prepare(0.0, 100, rng)
-        assert not light.any()
+        config = SimConfig(mean_photons=0.0, trace=True)
+        table, _ = _run_round(100, config, config.hop_transmissions(), rng)
+        assert not table.trace_photons.any()
+        assert (table.rect == VACUUM).all() and (table.diag == VACUUM).all()
 
     def test_poisson_statistics(self):
+        # the traced count leaving the source
         rng = np.random.default_rng(123)
         n = 10**6
-        counts = alice_prepare(3.0, n, rng)[1]
+        config = SimConfig(receivers=1, mean_photons=3.0, trace=True)
+        counts = _run_round(n, config, config.hop_transmissions(), rng)[0].trace_photons[:, 0]
         p0 = np.mean(counts == 0)
         sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
         assert abs(p0 - math.exp(-3.0)) < 3 * sigma0

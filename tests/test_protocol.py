@@ -25,14 +25,11 @@ from sqss.protocol import (
     _key_angle,
     _polarizations,
     _run_round,
-    alice_encode,
-    alice_prepare,
     decode_table,
     integrity_check,
     key_digest,
     parity_survivor_indices,
     rec1_measure,
-    receiver_forward,
     reconcile_and_amplify,
     run_session,
     sift,
@@ -53,7 +50,14 @@ CONVENTIONAL_TABLE = [
 
 
 class ZeroRng:
-    """Minimal stand-in whose uniform draws are always zero."""
+    """Stand-in whose uniform draws are always zero and whose Poisson draws
+    are always 5; every other draw comes from a seeded generator."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
     def random(self, size):
         return np.zeros(size)
@@ -61,6 +65,12 @@ class ZeroRng:
     def poisson(self, lam, size):
         self.lam = lam
         return np.full(size, 5)
+
+
+def engine_rounds(size, rng, **fields):
+    """``size`` rounds of the round engine on a ring of these config fields."""
+    config = SimConfig(**fields)
+    return _run_round(size, config, config.hop_transmissions(), rng)[0]
 
 
 def stages(theta, phis, shuffles, bit, basis):
@@ -137,15 +147,15 @@ class TestCooperativeDecode:
 class TestSenderOps:
     def test_prepare_with_theta_forced_to_zero(self):
         rng = ZeroRng()
-        theta, count = alice_prepare(6.0, 1, rng)
-        assert theta.tolist() == [0.0]
+        table = engine_rounds(1, rng, receivers=1, mean_photons=6.0, trace=True)
+        assert table.theta.tolist() == [0.0]
         # the count is one Poisson draw at the configured mean
         assert rng.lam == 6.0
-        assert count.tolist() == [5]
+        assert table.trace_photons[:, 0].tolist() == [5]
 
     def test_theta_uniform_on_half_circle(self):
         rng = np.random.default_rng(8)
-        thetas, _ = alice_prepare(6.0, 100000, rng)
+        thetas = engine_rounds(100000, rng).theta
         result = stats.kstest(thetas / math.pi, "uniform")
         assert result.pvalue > 0.01
 
@@ -157,7 +167,7 @@ class TestSenderOps:
 
     def test_encode_applies_full_state_rotation(self):
         # Incoming theta + sum(phi_i + s_i) must leave as k + sum(phi_i + s_i).
-        _, basis = alice_encode(1, np.random.default_rng(3))
+        basis = engine_rounds(1, np.random.default_rng(3)).basis_choice
         incoming, out = stages(0.4, [1.234], [3], 1, int(basis[0]))[1:3]
         assert circular_distance(incoming, 0.4 + 1.234 + 3 * QUARTER_TURN) <= 1e-12
         expected = _key_angle(1, int(basis[0])) * QUARTER_TURN + 1.234 + 3 * QUARTER_TURN
@@ -166,7 +176,7 @@ class TestSenderOps:
     def test_basis_family_choice_is_balanced(self):
         rng = np.random.default_rng(9)
         n = 100000
-        _, basis = alice_encode(n, rng)
+        basis = engine_rounds(n, rng).basis_choice
         ones = int(np.count_nonzero(basis == 1))
         assert set(basis.tolist()) == {1, 2}
         assert stats.binomtest(ones, n, 0.5).pvalue > 0.01
@@ -188,21 +198,23 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        phi, s = receiver_forward(1, np.random.default_rng(4))
+        table = engine_rounds(1, np.random.default_rng(4), receivers=1)
+        phi, s = table.phis[:, 0], table.shuffles[:, 0]
         out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + DecisionAngle(int(s[0])).radians
         assert circular_distance(out, expected) <= 1e-12
 
     def test_shuffles_uniform_over_four_values(self):
         rng = np.random.default_rng(10)
-        _, shuffles = receiver_forward(100000, rng)
+        shuffles = engine_rounds(100000, rng, receivers=1).shuffles[:, 0]
         counts = np.bincount(shuffles, minlength=4)
         assert len(counts) == 4
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_backward_removes_only_the_hide_angle(self):
         # bit 0 in family 1 encodes the zero angle, so all that returns is s
-        phi, s = receiver_forward(1, np.random.default_rng(6))
+        table = engine_rounds(1, np.random.default_rng(6), receivers=1)
+        phi, s = table.phis[:, 0], table.shuffles[:, 0]
         encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
         assert circular_distance(back, encoded - phi[0]) <= 1e-12
         assert circular_distance(back, DecisionAngle(int(s[0])).radians) <= 1e-12
@@ -220,11 +232,12 @@ class TestRec1Measure:
         assert rect.tolist() == diag.tolist() == [VACUUM]
 
     def test_arm_vacuum_frequency(self):
-        # Each arm of a Poisson pulse sees a Poisson count with half the final mean.
+        # Each arm of a Poisson pulse sees a Poisson count with half the final
+        # mean: the counted path, on a lossless ring
         rng = np.random.default_rng(14)
         mu_final = 2.0
         n = 100000
-        rect, _ = rec1_measure(alice_prepare(mu_final, n, rng)[1], np.zeros(n, int), rng)
+        rect = engine_rounds(n, rng, receivers=1, mean_photons=mu_final, trace=True).rect
         vacuums = np.count_nonzero(rect == VACUUM)
         expected = math.exp(-mu_final / 2.0)
         sigma = math.sqrt(expected * (1 - expected) / n)
