@@ -12,7 +12,6 @@ pulse, and unambiguously discriminates the encoding on the real one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,14 +83,15 @@ def tag_attack_rounds(size: int, bs_ratio: float, rng: np.random.Generator) -> n
     return rng.random(size) < bs_ratio if bs_ratio < 1.0 else np.ones(size, dtype=bool)
 
 
-def intercepted_mean(mu: float, bs_ratio: float, hop_t: Sequence[float]) -> float:
+def intercepted_mean(mu: float, bs_ratio: float, t: float) -> float:
     """Mean photon number of the encoded pulse where the impersonator catches it.
 
     Alice's pulse leaves her storage splitter (transmitted ratio
     ``bs_ratio``) and Eve takes it after the first backward hop, the
-    one from Alice toward Rec-N, which is hop N+2 in travel order.
+    one from Alice toward Rec-N, which passes the ring's hop
+    transmission ``t``.
     """
-    return mu * bs_ratio * hop_t[len(hop_t) // 2 + 1]
+    return mu * bs_ratio * t
 
 
 def impersonate_round(n: int, pulses: int, rng: np.random.Generator) -> int:

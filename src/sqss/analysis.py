@@ -24,6 +24,7 @@ from .adversary import impersonate_round, usd_success
 _TAIL_EPS = 1e-12
 # Fewest Monte Carlo rounds whose error rate the standard error describes well.
 MIN_TRIALS = 10_000
+MAX_TRIALS = 2**63 - 1  # numpy's binomial draw takes counts up to int64 max
 # Largest intercepted mean mu*T the series and the Monte Carlo accept: both walk
 # the photon-number classes up to about mu*T, and at this bound take about 0.1 s
 # and 0.7 s (10^4 trials) on a 2-vCPU host.
@@ -139,8 +140,8 @@ def monte_carlo_p_error(
     memory O(1). Reports the sample mean with its standard error, so a
     caller can express the gap to the closed form in sigma units.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"at least {MIN_TRIALS} trials are required, got {trials}")
+    if not MIN_TRIALS <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in {MIN_TRIALS}..{MAX_TRIALS}, got {trials}")
     lam = _intercepted(mu, transmission)
     errors, remaining, tail, n = 0, trials, 1.0, 0
     while remaining:

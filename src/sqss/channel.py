@@ -1,12 +1,13 @@
-"""Lossy fiber links and the per-hop transmissions around the ring.
+"""Lossy fiber links.
 
 Loss acts on the photon count only, which is all the round engine's
 light is: a link of length l km with attenuation alpha dB/km passes
 each photon with probability T = 10^(-alpha*l/10), which scales the
-mean photon number by T. Thinnings compose, so the round engine fuses
-the hops between two observers into one ``thin_batch`` call at their
-product, and the hops in front of the first observer into the source's
-Poisson mean.
+mean photon number by T. Every hop of the ring is the same link, so
+the ring has one hop transmission (``SimConfig.hop_transmission``).
+Thinnings compose, so the round engine fuses the hops between two
+observers into one ``thin_batch`` call at their product, and the hops
+in front of the first observer into the source's Poisson mean.
 """
 
 from __future__ import annotations
@@ -41,17 +42,4 @@ def thin_batch(count: np.ndarray, t: float, rng: np.random.Generator) -> np.ndar
     if t == 1.0:
         return count
     return rng.binomial(count, t)
-
-
-def uniform_hop_transmissions(receivers: int, t: float) -> list[float]:
-    """Per-hop transmissions, in travel order, of an equal ring with per-link value t.
-
-    The pulse crosses the N+1 links from Alice round to Alice, then
-    retraces links N, ..., 1 back to Rec-1: 2N+1 hops in all.
-    """
-    if receivers < 1:
-        raise ValueError(f"receivers must be >= 1, got {receivers}")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"transmission must be in (0, 1], got {t}")
-    return [t] * (2 * receivers + 1)
 

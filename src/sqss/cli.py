@@ -200,12 +200,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         config.rounds = args.trials
 
     if args.strategy == "impersonate":
-        if config.rounds < analysis.MIN_TRIALS:
-            raise ConfigError("trials", f"the Monte Carlo needs at least {analysis.MIN_TRIALS}"
+        if not analysis.MIN_TRIALS <= config.rounds <= analysis.MAX_TRIALS:
+            raise ConfigError("trials", f"must be in {analysis.MIN_TRIALS}..{analysis.MAX_TRIALS}"
                               f" (--trials, or rounds in the config), got {config.rounds}")
-        usd_mean = intercepted_mean(
-            config.mean_photons, config.bs_ratio, config.hop_transmissions()
-        )
+        usd_mean = intercepted_mean(config.mean_photons, config.bs_ratio, config.hop_transmission())
         if usd_mean > analysis.MAX_MU_T:
             raise ConfigError("mu", f"the intercepted mean mu*bs_ratio*T is {usd_mean:g}; the"
                               f" closed form and the Monte Carlo take at most {analysis.MAX_MU_T:g}")

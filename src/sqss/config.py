@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .channel import FiberLink, transmission, uniform_hop_transmissions
+from .channel import FiberLink, transmission
 
 _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 # The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
@@ -13,8 +13,8 @@ _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 # The most rounds one session runs, in target mode too: bounds its time and memory.
 MAX_ROUNDS = 10_000_000
 # The most receivers a ring may have. A traced session chunk peaked at up to
-# 84 B per round x receiver cell (tracemalloc, N <= 100), so one chunk of
-# 65,536 rounds stays under 1 GB: 150 x 65,536 x 84 B is 0.83 GB.
+# 53 B per round x receiver cell (tracemalloc, N <= 100), so one chunk of
+# 65,536 rounds stays under 1 GB: 150 x 65,536 x 53 B is 0.52 GB.
 MAX_RECEIVERS = 150
 
 
@@ -75,7 +75,7 @@ class SimConfig:
             raise ConfigError(
                 "link.loss_db_per_km", f"must be >= 0, got {self.link_loss_db_per_km}"
             )
-        t = self._hop_transmission()
+        t = self.hop_transmission()
         if not 0.0 < t <= 1.0:  # also a link whose loss underflows or is NaN
             key = "link.length_km" if link_set else "transmission"
             raise ConfigError(key, f"the hop transmission must be in (0, 1], got {t}")
@@ -108,15 +108,15 @@ class SimConfig:
                 f"must be 0 or a receiver index in 1..{self.receivers}, got {self.dishonest_receiver}",
             )
 
-    def _hop_transmission(self) -> float:
+    def hop_transmission(self) -> float:
         """Transmission of every hop: the configured link's, else ``transmission`` (default 1)."""
         if self.link_length_km is not None and self.link_loss_db_per_km is not None:
             return transmission(FiberLink(self.link_length_km, self.link_loss_db_per_km))
         return 1.0 if self.transmission is None else self.transmission
 
     def hop_transmissions(self) -> list[float]:
-        """Per-hop transmissions in travel order (2N+1 hops)."""
-        return uniform_hop_transmissions(self.receivers, self._hop_transmission())
+        """Per-hop transmissions in travel order: 2N+1 equal hops."""
+        return [self.hop_transmission()] * (2 * self.receivers + 1)
 
 
 # key name in the file -> (attribute, parser)

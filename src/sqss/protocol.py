@@ -36,6 +36,8 @@ between observers, and Rec-1's detectors from p^k
 no count is drawn at all: each arm of its 50:50 splitter is an
 independent coherent pulse of half the arriving mean, and its detectors
 read it straight from the coherent law (``optics.coherent_measure``).
+A round returns one ``RoundTable``: every secret, and everything the
+round computes from them down to the trace, is a column of it.
 """
 
 from __future__ import annotations
@@ -94,19 +96,22 @@ class Verdict:
 class RoundTable:
     """Every round of a session, one array per field with one entry per round.
 
-    The arms hold detector outcome codes (``optics``); sifting fills in
-    ``sifted``, the chosen arm's code, and decoding ``decoded``, the
-    consensus key angle or -1. With ``trace`` the pulse's photon count
-    and polarization after each of ``trace_stages`` are kept too.
+    ``shuffle_sum`` wraps mod 256, a multiple of 4, so it stays exact in
+    quarter turns. The arms hold detector outcome codes (``optics``);
+    sifting fills in ``sifted``, the chosen arm's code, and decoding
+    ``decoded``, the consensus key angle or -1. With ``trace`` the
+    pulse's photon count and polarization after each of
+    ``trace_stages`` are kept too.
     """
 
     theta: np.ndarray
     phis: np.ndarray  # (rounds, receivers)
     shuffles: np.ndarray  # (rounds, receivers), quarter turns
+    shuffle_sum: np.ndarray  # int8, each round's sum of shuffles
     basis_choice: np.ndarray
     bit: np.ndarray
-    rect: np.ndarray
-    diag: np.ndarray
+    rect: np.ndarray | None = None
+    diag: np.ndarray | None = None
     eve_event: np.ndarray | None = None  # photon stored, tag survived or USD success
     eve_polarization: np.ndarray | None = None  # of the pulse Eve counted (pns)
     trace_photons: np.ndarray | None = None  # (rounds, stages)
@@ -215,17 +220,16 @@ def rec1_measure(
     return rect, diag
 
 
-def sift(table: RoundTable, shuffle_sum: np.ndarray) -> np.ndarray:
+def sift(table: RoundTable) -> np.ndarray:
     """Select the basis-matching arm per round and drop unusable rounds.
 
     The actual basis of the measured angle follows from the announced
-    family j and the parity of ``shuffle_sum``, each round's sum of
-    shuffles. Rounds whose selected arm reported vacuum or conflicting
-    clicks are discarded. Stores the selected arm's outcome in
+    family j and the parity of the round's ``shuffle_sum``. Rounds whose
+    selected arm reported vacuum or conflicting clicks are discarded. Stores the selected arm's outcome in
     ``table.sifted`` (the measured angle of a kept round) and returns the
     indices of the kept rounds.
     """
-    parity = (table.basis_choice - 1 + shuffle_sum) & 1
+    parity = (table.basis_choice - 1 + table.shuffle_sum) & 1
     table.sifted = np.where(parity == 0, table.rect, table.diag)
     return np.flatnonzero(table.sifted < VACUUM)
 
@@ -312,44 +316,40 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
     return Verdict(VerdictKind.ABORT_RETRY)
 
 
-def _route(config: SimConfig, hop_t: Sequence[float]) -> list[tuple[int | str, float]]:
+def _route(config: SimConfig) -> list[tuple[int | str, float]]:
     """The pulse's path in travel order: each hop (its number) and each party
     stage (its trace name), with the share of its photons each passes on."""
-    n = config.receivers
+    n, t = config.receivers, config.hop_transmission()
     route: list[tuple[int | str, float]] = [("alice_out", 1.0)]
     for i in range(1, n + 1):
-        route += [(i, hop_t[i - 1]), (f"rec{i}_forward", 1.0)]
+        route += [(i, t), (f"rec{i}_forward", 1.0)]
     # only the transmitted part of her storage splitter leaves Alice's box,
     # behind hop N+1 and any tap on it
-    route += [(n + 1, hop_t[n]), ("alice_encoded", config.bs_ratio)]
+    route += [(n + 1, t), ("alice_encoded", config.bs_ratio)]
     if config.adversary == "impersonate":
         route.append(("eve_reencoded", 1.0))
     for i in range(n, 0, -1):
-        route += [(2 * n + 2 - i, hop_t[2 * n + 1 - i]), (f"rec{i}_backward", 1.0)]
+        route += [(2 * n + 2 - i, t), (f"rec{i}_backward", 1.0)]
     return route
 
 
-def _run_round(
-    size: int, config: SimConfig, hop_t: list[float], rng: np.random.Generator
-) -> tuple[RoundTable, np.ndarray]:
-    """Simulate ``size`` independent rounds at once, every stage on arrays.
-
-    Returns the rounds and each round's shuffle sum in quarter turns.
+def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundTable:
+    """Simulate ``size`` independent rounds at once into one table.
 
     No party's secret depends on the light, so every secret is drawn
-    first: theta, each receiver's phi_i and s_i, Alice's bit and basis,
-    and Eve's tag or USD event. The light, a photon count per round,
-    then walks the route (``_route``). Its observers are Eve's PNS hop
-    and, with ``trace``, every stage. The source draws its counts at the
-    first observer's mean, and each later observer thins them once by
-    the shares passed since the last one. With no observer, Rec-1 reads
-    the uncounted coherent pulse. Only the trace and Eve's stored photons
-    read a float polarization; they take it from the rotation ledger
-    (``_polarizations``) once the round is complete.
+    first: theta, each receiver's phi_i and s_i (summed as they come),
+    Alice's bit and basis, and Eve's tag or USD event. The light, a
+    photon count per round, then walks the route (``_route``). Its
+    observers are Eve's PNS hop and, with ``trace``, every stage, which
+    writes its count into its ``trace_photons`` column. The source draws
+    at the first observer's mean, and each later observer thins once by
+    the shares passed since the last one; with none, Rec-1 reads the
+    uncounted coherent pulse. The trace and Eve's stored photons read
+    their polarizations from the rotation ledger (``_polarizations``).
     """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
-    steps, shares = zip(*_route(config, hop_t))
+    steps, shares = zip(*_route(config))
     observers = [k for k, step in enumerate(steps)
                  if step == pns_hop or config.trace and isinstance(step, str)]
 
@@ -359,70 +359,69 @@ def _run_round(
         light = rng.poisson(config.mean_photons * math.prod(shares[: observers[0] + 1]), size)
     phis = np.empty((size, n))
     shuffles = np.empty((size, n), dtype=np.int8)
-    shuffle_sum = np.zeros(size, dtype=np.int8)  # wraps mod 256, a multiple of 4
+    shuffle_sum = np.zeros(size, dtype=np.int8)
     for i in range(n):
         phis[:, i] = rng.random(size) * math.pi
         shuffles[:, i] = rng.integers(4, size=size, dtype=np.int8)
         shuffle_sum += shuffles[:, i]
     bit = rng.integers(2, size=size, dtype=np.int8)
     basis = rng.integers(1, 3, size=size, dtype=np.int8)
-    columns: dict[str, np.ndarray] = {}  # eve_event, where an attack records one
+    stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
+    table = RoundTable(theta, phis, shuffles, shuffle_sum, basis, bit, trace_stages=stages)
     offset = None
     if config.adversary == "tag":
-        columns["eve_event"] = adv.tag_attack_rounds(size, config.bs_ratio, rng)
+        table.eve_event = adv.tag_attack_rounds(size, config.bs_ratio, rng)
     elif config.adversary == "impersonate":
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
         # actually process. Her pulse is independent of the substitute,
         # so its count is a draw of its own; in angle bookkeeping the
         # substitute is the honest pulse shifted by her guess error.
-        usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, hop_t)
-        offset, columns["eve_event"] = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
+        t = config.hop_transmission()
+        usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, t)
+        offset, table.eve_event = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
     # theta and every phi_i cancel around the ring: Rec-1 receives the key
     # angle plus every shuffle and Eve's offset, whole quarter turns
     arrived = (_key_angle(bit, basis) + shuffle_sum + (0 if offset is None else offset)) & 3
 
-    snaps: dict[str, np.ndarray] = {}  # each traced stage's photon counts
+    if stages:
+        table.trace_photons = np.empty((size, len(stages)), dtype=np.int64)
     done = 0  # the light has passed steps[:done]
     for k in observers:
         if done:  # the source's draw covers the shares up to the first observer
             light = thin_batch(light, math.prod(shares[done : k + 1]), rng)
         done = k + 1
         if steps[k] == pns_hop:
-            light, columns["eve_event"] = adv.pns_intercept(light)
+            light, table.eve_event = adv.pns_intercept(light)
         else:
-            snaps[steps[k]] = light
+            table.trace_photons[:, stages.index(steps[k])] = light
     if light is None:
         # a split coherent pulse is two independent coherent pulses, one per arm
         mean = config.mean_photons * math.prod(shares) / 2
-        rect, diag = (
+        table.rect, table.diag = (
             coherent_measure(mean, MALUS, (arrived - aligned) & 3, aligned, rng)
             for aligned in (RECTILINEAR, DIAGONAL)
         )
     else:
         light = thin_batch(light, math.prod(shares[done:]), rng)
-        rect, diag = rec1_measure(light, arrived, rng)
+        table.rect, table.diag = rec1_measure(light, arrived, rng)
 
-    table = RoundTable(theta, phis, shuffles, basis, bit, rect, diag, **columns,
-                       trace_stages=tuple(snaps))
-    if config.trace or pns_hop:
-        # the trace reads every stage's polarization, Eve the one at her hop
-        polarizations = list(islice(_polarizations(table, offset), len(snaps) or pns_hop))
-        if pns_hop:
-            table.eve_polarization = polarizations[pns_hop - 1]
-        if snaps:
-            table.trace_photons = np.stack(list(snaps.values()), axis=1)
-            table.trace_polarization = np.stack(polarizations, axis=1)
-    return table, shuffle_sum
+    # the trace reads every stage's polarization, Eve the one at her hop
+    if stages:
+        table.trace_polarization = np.empty((size, len(stages)))
+        for k, polarization in enumerate(_polarizations(table, offset)):
+            table.trace_polarization[:, k] = polarization
+    if pns_hop:
+        table.eve_polarization = next(islice(_polarizations(table, offset), pns_hop - 1, None))
+    return table
 
 
 def _decode_phase(
-    table: RoundTable, kept: np.ndarray, shuffle_sum: np.ndarray, dishonest: int,
-    rng: np.random.Generator,
+    table: RoundTable, kept: np.ndarray, dishonest: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exchange decision angles and decode; a dishonest receiver (1-based, 0 for
-    none) corrupts its report. ``shuffle_sum`` holds each kept round's sum
-    of shuffles.
+    """Exchange decision angles and decode the ``kept`` rounds against their
+    ``shuffle_sum``; a dishonest receiver (1-based, 0 for none) corrupts
+    its report.
 
     Returns each distinct key of the session once, as uint8 rows over the
     kept rounds: Alice's sifted bits, the public (consensus) decode and,
@@ -430,7 +429,7 @@ def _decode_phase(
     but uses its true one, so only the victims end up with a wrong key:
     every other receiver holds the public one.
     """
-    measured = table.sifted[kept]
+    measured, shuffle_sum = table.sifted[kept], table.shuffle_sum[kept]
     consensus = _decode(measured, shuffle_sum)
     true_decode = consensus
     if dishonest:
@@ -466,11 +465,10 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     """
     config.validate()
     n = config.receivers
-    hop_t = config.hop_transmissions()
     target = config.target_key_bits
     # Sifting keeps a round when the selected arm, which holds half of
     # the surviving photons, is not empty. No attack raises that rate.
-    mu_final = config.mean_photons * config.bs_ratio * math.prod(hop_t)
+    mu_final = config.mean_photons * config.bs_ratio * config.hop_transmission() ** (2 * n + 1)
     keep_rate = -math.expm1(-mu_final / 2.0)
     reachable = MAX_ROUNDS * keep_rate
     if target > reachable:
@@ -483,7 +481,6 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
         rng = np.random.default_rng(config.seed)
 
     chunks: list[RoundTable] = []
-    sum_parts: list[np.ndarray] = []  # the kept rounds' shuffle sums
     executed = kept_count = 0
     while kept_count < target if target else executed < config.rounds:
         size = config.rounds - executed
@@ -497,8 +494,8 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             rest = target - kept_count
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
-        chunk, shuffle_sum = _run_round(min(size, _CHUNK_ROUNDS), config, hop_t, rng)
-        kept = sift(chunk, shuffle_sum)
+        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng)
+        kept = sift(chunk)
         if target and len(kept) >= target - kept_count:
             # The simulator sees sift status before the parties learn it at
             # the basis announcement. Rounds are i.i.d., so cutting the
@@ -506,7 +503,6 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             kept = kept[: target - kept_count]
             chunk = _columnwise([chunk], lambda c: c[0][: kept[-1] + 1])
         chunks.append(chunk)
-        sum_parts.append(shuffle_sum[kept])
         executed += len(chunk)
         kept_count += len(kept)
     table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
@@ -514,9 +510,7 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     kept = np.flatnonzero(table.sifted < VACUUM)  # every chunk's kept rounds, in order
 
     dishonest = config.dishonest_receiver
-    keys = _decode_phase(table, kept, np.concatenate(sum_parts), dishonest, rng)
-    # the key post-processing below sets the session's peak memory
-    del shuffle_sum, sum_parts
+    keys = _decode_phase(table, kept, dishonest, rng)
     qber = np.count_nonzero(keys[0] != keys[1]) / len(kept) if len(kept) else 0.0
     discard_fraction = 1.0 - len(kept) / len(table)
 

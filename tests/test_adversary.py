@@ -116,7 +116,7 @@ class TestPnsIntercept:
         rng = np.random.default_rng(1)
         config = SimConfig(receivers=1, mean_photons=40.0, adversary="pns", pns_channel=1,
                            trace=True)
-        table, _ = _run_round(1, config, config.hop_transmissions(), rng)
+        table = _run_round(1, config, rng)
         pulse, out = table.trace_photons[:, 0], table.trace_photons[:, 1]
         # mean 40 makes n >= 2 essentially certain
         assert out.tolist() == (pulse - 1).tolist()
@@ -196,7 +196,7 @@ class TestImpersonation:
 
         rng = np.random.default_rng(23)
         n_trials = 50000
-        usd_mean = intercepted_mean(6.0, 1.0, [0.5] * 5)
+        usd_mean = intercepted_mean(6.0, 1.0, 0.5)
         classes = np.bincount(rng.poisson(usd_mean, n_trials))
         errors = sum(impersonate_round(n, int(c), rng) for n, c in enumerate(classes))
         expected = p_error_closed_form(6.0, 0.5)
@@ -223,9 +223,8 @@ class TestImpersonation:
         assert summary.usd_success_rate == 1.0
 
     def test_intercepted_hop_is_the_first_backward_hop(self):
-        # travel order for N=2: three forward hops, then Alice -> Rec-2
-        hops = [0.9, 0.8, 0.7, 0.5, 0.6]
-        assert intercepted_mean(6.0, 0.5, hops) == 6.0 * 0.5 * 0.5
+        # Eve catches the pulse behind Alice's splitter and one hop of loss
+        assert intercepted_mean(6.0, 0.5, 0.8) == 6.0 * 0.5 * 0.8
 
 
 class TestMlEstimator:

@@ -195,6 +195,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_p_error(6.0, 0.5, 9999, rng)
 
+    def test_rejects_trial_counts_beyond_int64(self):
+        # numpy's binomial draw takes counts up to int64 max, and no further
+        rng = np.random.default_rng(0)
+        assert monte_carlo_p_error(6.0, 0.5, 2**63 - 1, rng).trials == 2**63 - 1
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_p_error(6.0, 0.5, 2**63, rng)
+
     def test_sigma_distance_arithmetic(self):
         est = McEstimate(mean=0.32, std_error=0.01, trials=10000)
         assert est.sigma_distance(0.3) == pytest.approx(2.0)

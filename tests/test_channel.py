@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqss.channel import FiberLink, thin_batch, transmission, uniform_hop_transmissions
+from sqss.channel import FiberLink, thin_batch, transmission
 from sqss.config import SimConfig
 
 
@@ -103,15 +103,3 @@ def test_hop_count_is_2n_plus_1():
     for n in (1, 2, 5):
         config = SimConfig(receivers=n, link_length_km=5.0, link_loss_db_per_km=0.2)
         assert len(config.hop_transmissions()) == 2 * n + 1
-
-
-def test_uniform_hops():
-    hops = uniform_hop_transmissions(2, 0.5)
-    assert hops == [0.5] * 5
-    assert math.prod(hops) == pytest.approx(0.5**5)
-
-
-def test_topology_rejects_too_few_links():
-    # a ring of one link has no receiver
-    with pytest.raises(ValueError):
-        uniform_hop_transmissions(0, 0.5)

@@ -146,7 +146,7 @@ class TestValidation:
         # (a traced round draws the source's count)
         def draw_source(mu):
             config = SimConfig(receivers=1, mean_photons=mu, trace=True)
-            _run_round(1, config, config.hop_transmissions(), np.random.default_rng(0))
+            _run_round(1, config, np.random.default_rng(0))
 
         SimConfig(mean_photons=_MAX_MEAN_PHOTONS).validate()
         draw_source(_MAX_MEAN_PHOTONS)
@@ -403,8 +403,10 @@ class TestCliSimulate:
             (["simulate", "--override", "rounds=100000000000000000000"], "rounds"),
             (["attack", "pns", "--trials", "100000000000000000000"], "trials"),
             (["attack", "tag", "--trials", str(10**7 + 1)], "trials"),
+            (["attack", "impersonate", "--trials", str(2**63)], "trials"),
         ],
-        ids=["parity_block", "rounds", "attack-pns-trials", "attack-tag-trials"],
+        ids=["parity_block", "rounds", "attack-pns-trials", "attack-tag-trials",
+             "attack-impersonate-trials"],
     )
     def test_work_beyond_the_round_cap_fails_fast(self, args, key):
         # each would overflow or run for hours; the timeout guards a regression

@@ -81,7 +81,7 @@ def reference_round(r: random.Random, config: SimConfig, hop_t: list[float]) -> 
     if config.adversary == "tag":
         event = config.bs_ratio == 1.0 or r.random() < config.bs_ratio
     if config.adversary == "impersonate":
-        intercepted = _poisson(r, intercepted_mean(config.mean_photons, config.bs_ratio, hop_t))
+        intercepted = _poisson(r, intercepted_mean(config.mean_photons, config.bs_ratio, hop_t[n + 1]))
         event = r.random() < usd_success(intercepted)
         polarization += (0 if event else r.randrange(4)) * QUARTER_TURN
 

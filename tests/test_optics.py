@@ -145,7 +145,7 @@ class TestPulses:
         # the source draws Poisson(mu), which has no negative mean
         config = SimConfig(mean_photons=-0.1, trace=True)
         with pytest.raises(ValueError):
-            _run_round(1, config, config.hop_transmissions(), np.random.default_rng(0))
+            _run_round(1, config, np.random.default_rng(0))
 
     def test_negative_count_rejected(self):
         # a photon count is never negative: thinning one raises
@@ -184,7 +184,7 @@ class TestSampling:
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
         config = SimConfig(mean_photons=0.0, trace=True)
-        table, _ = _run_round(100, config, config.hop_transmissions(), rng)
+        table = _run_round(100, config, rng)
         assert not table.trace_photons.any()
         assert (table.rect == VACUUM).all() and (table.diag == VACUUM).all()
 
@@ -193,7 +193,7 @@ class TestSampling:
         rng = np.random.default_rng(123)
         n = 10**6
         config = SimConfig(receivers=1, mean_photons=3.0, trace=True)
-        counts = _run_round(n, config, config.hop_transmissions(), rng)[0].trace_photons[:, 0]
+        counts = _run_round(n, config, rng).trace_photons[:, 0]
         p0 = np.mean(counts == 0)
         sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
         assert abs(p0 - math.exp(-3.0)) < 3 * sigma0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sqss import protocol
-from sqss.config import SimConfig
+from sqss.config import MAX_RECEIVERS, SimConfig
 from sqss.optics import (
     AMBIGUOUS,
     VACUUM,
@@ -70,7 +70,7 @@ class ZeroRng:
 def engine_rounds(size, rng, **fields):
     """``size`` rounds of the round engine on a ring of these config fields."""
     config = SimConfig(**fields)
-    return _run_round(size, config, config.hop_transmissions(), rng)[0]
+    return _run_round(size, config, rng)
 
 
 def stages(theta, phis, shuffles, bit, basis):
@@ -80,6 +80,7 @@ def stages(theta, phis, shuffles, bit, basis):
         theta=np.array([theta]),
         phis=np.array([phis], dtype=float).reshape(1, -1),
         shuffles=np.array([shuffles], dtype=np.int8).reshape(1, -1),
+        shuffle_sum=np.array([np.sum(shuffles)], dtype=np.int8),
         basis_choice=np.array([basis], dtype=np.int8),
         bit=np.array([bit], dtype=np.int8),
         rect=np.zeros(1, dtype=np.int8),
@@ -188,7 +189,7 @@ class TestSenderOps:
         rng = np.random.default_rng(0)
         n_trials = 20000
         cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, trace=True)
-        table, _ = _run_round(n_trials, cfg, cfg.hop_transmissions(), rng)
+        table = _run_round(n_trials, cfg, rng)
         stage = table.trace_stages.index
         offered = table.trace_photons[:, stage("rec1_forward")].sum()
         kept = table.trace_photons[:, stage("alice_encoded")].sum()
@@ -273,6 +274,7 @@ def _make_table(shuffles, j, bit, rect, diag):
         theta=np.zeros(1),
         phis=np.zeros((1, len(shuffles))),
         shuffles=np.array([shuffles], dtype=np.int8),
+        shuffle_sum=np.array([sum(shuffles)], dtype=np.int8),
         basis_choice=np.array([j], dtype=np.int8),
         bit=np.array([bit], dtype=np.int8),
         rect=np.array([rect], dtype=np.int8),
@@ -285,29 +287,41 @@ class TestSift:
         # j=1 with an even shuffle sum keeps the rectilinear arm.
         table = _make_table((0, 2), 1, 0, 0, VACUUM)
         assert table.sifted is None
-        kept = sift(table, table.shuffles.sum(axis=1))
+        kept = sift(table)
         assert kept.tolist() == [0]
         assert table.sifted.tolist() == [0]
         assert table.rect.tolist() == [0]
 
     def test_odd_parity_selects_the_diagonal_arm(self):
         table = _make_table((1, 0), 1, 0, VACUUM, 1)
-        assert sift(table, table.shuffles.sum(axis=1)).tolist() == [0]
+        assert sift(table).tolist() == [0]
         assert table.sifted.tolist() == [1]
 
     def test_vacuum_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, VACUUM, 1)
-        assert sift(table, table.shuffles.sum(axis=1)).tolist() == []
+        assert sift(table).tolist() == []
         assert table.sifted.tolist() == [VACUUM]
 
     def test_ambiguous_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, AMBIGUOUS, 1)
-        assert sift(table, table.shuffles.sum(axis=1)).tolist() == []
+        assert sift(table).tolist() == []
         assert table.sifted.tolist() == [AMBIGUOUS]
 
     def test_unselected_arm_state_is_irrelevant(self):
         table = _make_table((0, 0), 1, 1, 2, AMBIGUOUS)
-        assert sift(table, table.shuffles.sum(axis=1)).tolist() == [0]
+        assert sift(table).tolist() == [0]
+
+    def test_wrapped_shuffle_sum_sifts_and_decodes(self):
+        # At the receiver cap the int8 shuffle sum wraps mod 256, a multiple
+        # of 4, so its quarter turns and its parity stay exact.
+        cfg = SimConfig(receivers=MAX_RECEIVERS, rounds=2000, parity_block=0, seed=81)
+        res = run_session(cfg)
+        table = res.records
+        exact = table.shuffles.sum(axis=1, dtype=np.int64)
+        assert (exact > np.iinfo(np.int8).max).any()
+        assert np.array_equal(table.shuffle_sum & 3, exact & 3)
+        assert res.qber == 0.0
+        assert res.verdict.accepted
 
 
 class TestToeplitz:
@@ -632,6 +646,24 @@ class TestBoundedResources:
         assert res.rounds_executed == rounds and res.verdict.accepted
         assert peak / rounds < 512, f"{peak / rounds:.0f} bytes per round"
         assert elapsed < 10.0
+
+    def test_traced_chunk_memory_per_cell(self):
+        # A traced chunk writes each stage straight into its trace column,
+        # with no second copy of the trace: config.MAX_RECEIVERS rests on it.
+        rounds, receivers = 16_384, 10
+        cfg = SimConfig(receivers=receivers, transmission=0.5, adversary="impersonate",
+                        trace=True)
+        rng = np.random.default_rng(82)
+        _run_round(rounds, cfg, rng)  # warm-up: first-call allocations are not the chunk's
+        tracemalloc.start()
+        try:
+            table = _run_round(rounds, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.trace_photons.shape == (rounds, 2 * receivers + 3)
+        cell = peak / (rounds * receivers)
+        assert cell < 64, f"{cell:.1f} bytes per round x receiver cell"
 
 
 class TestDishonestReceiver:

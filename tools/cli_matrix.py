@@ -1,0 +1,99 @@
+"""Run a fixed matrix of ``sqss`` command lines and write every output to a directory.
+
+Usage: ``PYTHONPATH=<checkout>/src python tools/cli_matrix.py OUTDIR``
+
+Each scenario runs in-process through ``sqss.cli.main`` and leaves
+``OUTDIR/<name>.txt``, its stdout and stderr followed by its exit code,
+plus ``OUTDIR/<name>.csv`` where the scenario writes ``--out``. The
+``sqss`` package is whichever one ``PYTHONPATH`` puts first, so two
+checkouts run into two directories compare with ``diff -r``: the same
+seed and configuration must give byte-identical output. Exits 1 when a
+scenario's exit code is not the one listed for it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from sqss.cli import main
+
+ACCEPT, ABORT, DISHONEST, CONFIG = 0, 2, 3, 64
+
+
+def _simulate(*overrides: str, trace: bool = False, out: bool = True) -> list[str]:
+    args = ["simulate", "--seed", "5"]
+    for item in overrides:
+        args += ["--override", item]
+    return args + (["--trace"] if trace else []) + (["--out"] if out else [])
+
+
+# name -> (argv, expected exit code); a trailing "--out" gets the scenario's CSV path
+SCENARIOS: dict[str, tuple[list[str], int]] = {
+    "honest": (_simulate("rounds=2000"), ACCEPT),
+    "n5_t09": (_simulate("receivers=5", "transmission=0.9", "rounds=2000"), ACCEPT),
+    "link": (_simulate("link.length_km=5", "link.loss_db_per_km=0.2", "rounds=2000"), ACCEPT),
+    "pns_c1": (_simulate("adversary=pns", "pns_channel=1", "transmission=0.9",
+                         "rounds=2000"), ACCEPT),
+    "pns_c3": (_simulate("adversary=pns", "pns_channel=3", "transmission=0.9",
+                         "rounds=2000"), ACCEPT),
+    "pns_c4": (_simulate("adversary=pns", "pns_channel=4", "transmission=0.9",
+                         "rounds=2000"), ACCEPT),
+    "pns_n5_c4": (_simulate("receivers=5", "adversary=pns", "pns_channel=4",
+                            "transmission=0.9", "rounds=2000"), ACCEPT),
+    "pns_n1_c3": (_simulate("receivers=1", "adversary=pns", "pns_channel=3",
+                            "transmission=0.9", "rounds=2000"), ACCEPT),
+    "tag": (_simulate("adversary=tag", "bs_ratio=0.5", "rounds=2000"), ACCEPT),
+    "tag_t08": (_simulate("adversary=tag", "bs_ratio=0.5", "transmission=0.8",
+                          "rounds=2000"), ACCEPT),
+    "impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
+                              "rounds=2000"), ABORT),
+    "dishonest": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=2000"), DISHONEST),
+    "key_bits": (_simulate("key_bits=5000"), ACCEPT),
+    "rounds_200k": (_simulate("rounds=200000", out=False), ACCEPT),
+    "trace_honest": (_simulate("rounds=500", trace=True), ACCEPT),
+    "trace_lossy_split": (_simulate("receivers=3", "transmission=0.8", "bs_ratio=0.5",
+                                    "rounds=500", trace=True), ACCEPT),
+    "trace_pns_c3": (_simulate("adversary=pns", "pns_channel=3", "transmission=0.9",
+                               "rounds=500", trace=True), ACCEPT),
+    "trace_pns_n5_c4": (_simulate("receivers=5", "adversary=pns", "pns_channel=4",
+                                  "transmission=0.9", "rounds=500", trace=True), ACCEPT),
+    "trace_impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
+                                    "rounds=500", trace=True), ABORT),
+    "trace_tag": (_simulate("adversary=tag", "bs_ratio=0.5", "rounds=500", trace=True), ACCEPT),
+    "attack_pns": (["attack", "pns", "--seed", "5", "--trials", "20000", "--out"], ACCEPT),
+    "attack_tag": (["attack", "tag", "--seed", "5", "--override", "bs_ratio=0.5",
+                    "--trials", "20000", "--out"], ACCEPT),
+    "attack_impersonate": (["attack", "impersonate", "--seed", "5", "--override",
+                            "transmission=0.5", "--trials", "1000000", "--out"], ACCEPT),
+    "table": (["table"], ACCEPT),
+    "curve": (["curve", "--stop", "6", "--step", "0.5", "--out"], ACCEPT),
+    "bad_receivers": (_simulate("receivers=0"), CONFIG),
+}
+
+
+def run_matrix(outdir: Path) -> dict[str, int]:
+    """Run every scenario into ``outdir``; returns each scenario's exit code."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    for name, (argv, _) in SCENARIOS.items():
+        if argv[-1] == "--out":
+            argv = [*argv, str(outdir / f"{name}.csv")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            codes[name] = main(argv)
+        text = f"{stdout.getvalue()}{stderr.getvalue()}exit={codes[name]}\n"
+        (outdir / f"{name}.txt").write_text(text, encoding="utf-8")
+    return codes
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__.strip().splitlines()[2])
+    codes = run_matrix(Path(sys.argv[1]))
+    wrong = {name: code for name, code in codes.items() if code != SCENARIOS[name][1]}
+    for name, code in codes.items():
+        print(f"{name}: exit {code}" + (" (unexpected)" if name in wrong else ""))
+    sys.exit(1 if wrong else 0)
