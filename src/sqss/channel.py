@@ -6,8 +6,8 @@ each photon with probability T = 10^(-alpha*l/10), which scales the
 mean photon number by T. Every hop of the ring is the same link, so
 the ring has one hop transmission (``SimConfig.hop_transmission``).
 Thinnings compose, so the round engine fuses the hops between two
-observers into one ``thin_batch`` call at their product, and the hops
-in front of the first observer into the source's Poisson mean.
+observers into one ``thin_batch`` call, those in front of the first into
+the source's Poisson mean and those behind the last into Rec-1's law.
 """
 
 from __future__ import annotations

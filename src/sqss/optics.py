@@ -8,29 +8,20 @@ count, so a pulse's polarization after any stage is the sum of the
 parties' rotations up to there, folded with ``rotate`` only where
 something reads it. It lives on the half-circle [0, pi) because every
 protocol state and both measurement bases are invariant under a pi
-shift. A lossy hop or a beam splitter passes each photon independently
-(binomial thinning), and a Poisson count thinned binomially is again
-Poisson with the product of the transmissions. So the round engine
-draws the count once, at the first point that observes it, and fuses
-the losses between two observers into one ``thin_batch`` call; this is
-exact for coherent light. A count read by an eavesdropper
-(photon-number splitting) carries on to every later hop.
+shift. Losses and splitters thin the count (``channel``).
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
 clicks the aligned detector with probability p = cos^2(theta - beta)
 (``malus``), otherwise the orthogonal one. A pulse of k photons is read
-from one uniform draw against p^k and (1 - p)^k (``pbs_measure``). A
-pulse that nothing counted needs no count at all: a coherent pulse of
-mean m splits into two independent coherent pulses of means m*p and
-m*(1 - p), one per detector, so ``coherent_measure`` reads it from one
-uniform draw against e^(-m), e^(-m(1 - p)) - e^(-m) and e^(-m p) - e^(-m).
+from one uniform draw against p^k and (1 - p)^k (``pbs_measure``): Eve
+reads her stored photons this way.
 
-The readers take p, not an angle. Rec-1's detector law depends only on
-the exact angle it receives, a whole number of quarter turns (the
-hiding angles theta and phi_i cancel around the ring), so the round
-engine looks p up in ``MALUS`` and never evaluates a cosine there;
-only Eve's stored photons carry a float polarization into ``malus``.
+Rec-1 reads both arms of its 50:50 splitter in one step
+(``rec1_measure``): at the whole quarter turns it receives, ``MALUS``
+gives each of its four detectors a fixed share of the photons, so one
+uniform per pulse reads their joint law, counted or coherent, with no
+draw of the split or of the last loss in front of Rec-1.
 """
 
 from __future__ import annotations
@@ -135,24 +126,60 @@ def pbs_measure(
     return _detector_codes(vacuum, below, below + (1.0 - p_aligned) ** count, aligned, u)
 
 
-def coherent_measure(
-    mean: float, p_aligned: np.ndarray, index: np.ndarray, aligned: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Measure coherent pulses of ``mean`` photons whose number nothing has
-    counted, on the polarizing beam splitter of ``pbs_measure``.
+def _rec1_codes() -> np.ndarray:
+    """Rec-1's rect and diag codes (rows) by 8 * arrived + cell, a cell being
+    4 * definite + 2 * orthogonal + aligned, the ``rec1_measure`` detectors
+    that clicked. Malus' p of 1 or 0 makes an arm's aligned or orthogonal
+    detector the definite one; 1/2 puts its two on the split pair."""
+    aligned = np.array([RECTILINEAR, DIAGONAL])[:, None, None]
+    p, cell = MALUS[(np.arange(4)[:, None] - aligned) & 3], np.arange(8)
+    aligned_lit = np.where(p == 0.5, cell & 1, (p == 1.0) & (cell >= 4)).astype(bool)
+    orthogonal_lit = np.where(p == 0.5, cell & 2, (p == 0.0) & (cell >= 4)).astype(bool)
+    codes = np.select([aligned_lit & orthogonal_lit, aligned_lit, orthogonal_lit],
+                      [AMBIGUOUS, aligned, aligned + 2], VACUUM)
+    return codes.astype(np.int8).reshape(2, 32)
 
-    ``p_aligned`` holds the Malus probability of each distinct
-    polarization and ``index`` picks one per pulse. The aligned and
-    orthogonal detectors receive independent Poisson numbers of photons,
-    of means m*p and m*(1 - p), so a pulse is vacuum with probability
-    e^(-m), reads out the aligned angle with probability
-    e^(-m(1 - p)) - e^(-m), the orthogonal angle with e^(-m p) - e^(-m),
-    and is ambiguous otherwise. The law is evaluated once per distinct
-    polarization. Returns one outcome code per pulse, as ``pbs_measure``.
+
+_REC1_CODES = _rec1_codes()
+
+
+def rec1_measure(
+    arrived: np.ndarray, count: np.ndarray | None, share: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split 50:50 and measure one arm per basis; returns both arms' outcome codes.
+
+    Each of a pulse's ``count`` photons reaches the splitter with
+    probability ``share`` (q); with ``count`` None the pulse is an
+    uncounted coherent one and ``share`` its mean photon number there.
+
+    At ``arrived`` quarter turns one arm is definite: all its photons hit
+    the detector that reads ``arrived`` (the rect arm when even). The
+    other arm's two detectors take half of its photons each. In quarters
+    of q the four detectors take 2, 0, 1 and 1, so the law needs only
+    g_k, the probability that k quarters stay dark: (1 - kq/4)^m for m
+    photons, e^(-k share/4) for the coherent pulse. Its eight cells,
+    {definite dark, lit} x {other arm dark, aligned only, orthogonal
+    only, both}, end at g4, g3, 2g3 - g4, g2, 2g2 - g4 and then o more
+    twice, o = g1 - g2 - g3 + g4; one uniform per pulse picks a cell.
     """
-    vacuum = math.exp(-mean)
-    below = np.exp(-mean * (1.0 - p_aligned))  # the orthogonal detector stays dark
-    above = below + np.exp(-mean * p_aligned) - vacuum
-    u = rng.random(len(index))
-    return _detector_codes(vacuum, below[index], above[index], aligned, u)
+    u = rng.random(len(arrived))
+    if count is None:  # one law for every pulse: 0-d arrays keep the in-place steps
+        g1, g2, g3, g4 = (np.array(math.exp(-k * share / 4)) for k in range(1, 5))
+    else:  # 0^0 = 1: a pulse that brings no photon stays dark
+        g1, g2, g3, g4 = (np.power(1.0 - k * share / 4, count) for k in range(1, 5))
+    # the bounds in four reused buffers; the cell counts those at or below u
+    g1 -= g2
+    g1 -= g3
+    g1 += g4  # o
+    cell = (u >= g4).view(np.int8)
+    for g in (g3, g2):  # g_k, then 2g_k - g4
+        cell += u >= g
+        g *= 2
+        g -= g4
+        cell += u >= g
+    for _ in range(2):  # 2g2 - g4 plus o, twice
+        g2 += g1
+        cell += u >= g2
+    cell += arrived * 8
+    rect, diag = np.take(_REC1_CODES, cell, axis=1)
+    return rect, diag

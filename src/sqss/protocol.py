@@ -22,20 +22,20 @@ stage is the fold of the parties' rotations up to there, from theta at
 the source (the rotation ledger, ``_polarizations``). The hiding angles
 never reach Rec-1's detectors: theta and every phi_i cancel exactly, so
 the engine computes the angle Rec-1 receives in whole quarter turns, k
-plus the shuffle sum (plus Eve's offset under impersonation), and reads
-Malus' p from ``optics.MALUS``. Only the trace and the photons Eve
-stores read a float polarization, and only then is the ledger folded.
+plus the shuffle sum (plus Eve's offset under impersonation), and
+Rec-1's reader takes Malus' p from ``optics.MALUS``. Only the trace and
+the photons Eve stores read a float polarization, and only then is the
+ledger folded.
 
 No secret depends on the light, so a round (``_run_round``) draws every
 party's secret first and then walks the light along the route
 (``_route``): the hops and party stages in travel order, each with the
 share of photons it passes on. Light is drawn only where it is
-observed: the source count at the first observer's mean, one thinning
-between observers, and Rec-1's detectors from p^k
-(``optics.pbs_measure``). When nothing observes the light before Rec-1,
-no count is drawn at all: each arm of its 50:50 splitter is an
-independent coherent pulse of half the arriving mean, and its detectors
-read it straight from the coherent law (``optics.coherent_measure``).
+observed: the source count at the first observer's mean and one
+thinning between observers. Rec-1 reads both arms at once from the
+exact joint law of what reaches its splitter (``optics.rec1_measure``),
+the last count's photons or, when nothing counted the light, the
+coherent pulse: neither the last loss nor the 50:50 split is drawn.
 A round returns one ``RoundTable``: every secret, and everything the
 round computes from them down to the trace, is a column of it.
 """
@@ -56,14 +56,10 @@ from . import adversary as adv
 from .channel import thin_batch
 from .config import MAX_ROUNDS, ConfigError, SimConfig
 from .optics import (
-    DIAGONAL,
-    MALUS,
     QUARTER_TURN,
-    RECTILINEAR,
     VACUUM,
     DecisionAngle,
-    coherent_measure,
-    pbs_measure,
+    rec1_measure,
     rotate,
 )
 
@@ -202,24 +198,6 @@ def _polarizations(table: RoundTable, offset: np.ndarray | None) -> Iterator[np.
     return accumulate(turns(), rotate, initial=table.theta)
 
 
-def rec1_measure(
-    count: np.ndarray, arrived: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split 50:50 and measure one arm per basis; returns both arms' outcome codes.
-
-    Each of a pulse's ``count`` photons takes either arm with probability
-    one half. The pulses arrive polarized at ``arrived`` quarter turns,
-    and each arm takes Malus' p from ``MALUS`` at its offset from the
-    arm's aligned detector.
-    """
-    first = rng.binomial(count, 0.5)
-    rect, diag = (
-        pbs_measure(arm, MALUS[(arrived - aligned) & 3], aligned, rng)
-        for arm, aligned in zip((first, count - first), (RECTILINEAR, DIAGONAL))
-    )
-    return rect, diag
-
-
 def sift(table: RoundTable) -> np.ndarray:
     """Select the basis-matching arm per round and drop unusable rounds.
 
@@ -256,10 +234,12 @@ def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarr
         raise ValueError(f"output length must be in [0, {n}], got {out_len}")
     if out_len == 0:
         return np.zeros((0, *x.shape[1:]), dtype=np.uint8)
-    diag = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1)
+    diag = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1).astype(np.uint8)
     # a circular convolution this long leaves the wanted outputs free of wrap-around
     size = _fft_length(n + out_len - 1)
-    spectrum = np.fft.rfft(x.T, size) * np.fft.rfft(diag, size)
+    spectrum = np.fft.rfft(x.T, size)
+    del x  # each temporary goes once used: the peak is the two spectra
+    spectrum *= np.fft.rfft(diag, size)
     conv = np.fft.irfft(spectrum, size)[..., n - 1 : n - 1 + out_len].T
     return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
 
@@ -342,9 +322,9 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     photon count per round, then walks the route (``_route``). Its
     observers are Eve's PNS hop and, with ``trace``, every stage, which
     writes its count into its ``trace_photons`` column. The source draws
-    at the first observer's mean, and each later observer thins once by
-    the shares passed since the last one; with none, Rec-1 reads the
-    uncounted coherent pulse. The trace and Eve's stored photons read
+    at the first observer's mean, each later observer thins once by the
+    shares passed since the last one, and Rec-1 reads the rest of the
+    way with its detectors. The trace and Eve's stored photons read
     their polarizations from the rotation ledger (``_polarizations``).
     """
     n = config.receivers
@@ -395,16 +375,9 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
             light, table.eve_event = adv.pns_intercept(light)
         else:
             table.trace_photons[:, stages.index(steps[k])] = light
-    if light is None:
-        # a split coherent pulse is two independent coherent pulses, one per arm
-        mean = config.mean_photons * math.prod(shares) / 2
-        table.rect, table.diag = (
-            coherent_measure(mean, MALUS, (arrived - aligned) & 3, aligned, rng)
-            for aligned in (RECTILINEAR, DIAGONAL)
-        )
-    else:
-        light = thin_batch(light, math.prod(shares[done:]), rng)
-        table.rect, table.diag = rec1_measure(light, arrived, rng)
+    # Rec-1 reads the share passed since the last observer: of its count or the source's mean
+    share = math.prod(shares[done:]) * (config.mean_photons if light is None else 1.0)
+    table.rect, table.diag = rec1_measure(arrived, light, share, rng)
 
     # the trace reads every stage's polarization, Eve the one at her hop
     if stages:

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from test_engine_agreement import _poisson
 
 from sqss.channel import thin_batch
 from sqss.config import SimConfig
@@ -15,9 +17,9 @@ from sqss.optics import (
     RECTILINEAR,
     VACUUM,
     DecisionAngle,
-    coherent_measure,
     malus,
     pbs_measure,
+    rec1_measure,
     rotate,
 )
 from sqss.protocol import _run_round, run_session
@@ -325,19 +327,115 @@ class TestCoherentMeasure:
         rng = np.random.default_rng(2025)
         n = 100_000
         m = mean / 2
-        cases = [(0.3, RECTILINEAR)] + [
-            (DecisionAngle(q).radians, basis) for q in range(4) for basis in (RECTILINEAR, DIAGONAL)
-        ]
-        for polarization, basis in cases:
-            out = coherent_measure(m, malus(np.array([polarization]), basis), np.zeros(n, int),
-                                   basis, rng)
-            p = math.cos(polarization - basis * QT) ** 2
-            vacuum = math.exp(-m)
-            aligned, orthogonal = math.exp(-m * (1.0 - p)) - vacuum, math.exp(-m * p) - vacuum
-            law = np.array([vacuum, aligned, orthogonal, 1.0 - vacuum - aligned - orthogonal])
-            codes = (VACUUM, basis, basis + 2, AMBIGUOUS)
-            observed = np.array([np.count_nonzero(out == code) for code in codes])
-            seen = law > 1e-12  # at a protocol angle one detector never clicks
-            assert observed.sum() == n and not observed[~seen].any(), (polarization, basis, observed)
-            result = stats.chisquare(observed[seen], law[seen] / law[seen].sum() * n)
-            assert result.pvalue > 1e-4, (polarization, basis, observed, law * n)
+        for q in range(4):
+            arms = dict(zip((RECTILINEAR, DIAGONAL), rec1_measure(np.full(n, q), None, mean, rng)))
+            for basis, out in arms.items():
+                p = math.cos((q - basis) * QT) ** 2
+                vacuum = math.exp(-m)
+                aligned, orthogonal = math.exp(-m * (1.0 - p)) - vacuum, math.exp(-m * p) - vacuum
+                law = np.array([vacuum, aligned, orthogonal, 1.0 - vacuum - aligned - orthogonal])
+                codes = (VACUUM, basis, basis + 2, AMBIGUOUS)
+                observed = np.array([np.count_nonzero(out == code) for code in codes])
+                seen = law > 1e-12  # at a protocol angle one detector never clicks
+                assert observed.sum() == n and not observed[~seen].any(), (q, basis, observed)
+                result = stats.chisquare(observed[seen], law[seen] / law[seen].sum() * n)
+                assert result.pvalue > 1e-4, (q, basis, observed, law * n)
+
+
+def _arm_code(aligned: int, clicks: list[int]) -> int:
+    """The code of an arm whose aligned and orthogonal detectors took ``clicks``."""
+    aligned_clicks, orthogonal_clicks = clicks
+    if aligned_clicks and orthogonal_clicks:
+        return AMBIGUOUS
+    if aligned_clicks:
+        return aligned
+    return aligned + 2 if orthogonal_clicks else VACUUM
+
+
+def reference_rec1(r: random.Random, arrived: int, photons: int, q: float) -> tuple[int, int]:
+    """Rec-1's (rect, diag) codes, photon by photon: each photon is lost, or
+    takes either arm with probability q/2 and then its aligned detector
+    with Malus' cos^2 or the orthogonal one."""
+    cells = []
+    for aligned in (RECTILINEAR, DIAGONAL):
+        p = math.cos((arrived - aligned) * QT) ** 2
+        cells += [q / 2 * p, q / 2 * (1.0 - p)]
+    clicks = [0, 0, 0, 0]
+    for _ in range(photons):
+        x = r.random()
+        for detector, weight in enumerate(cells):
+            if x < weight:
+                clicks[detector] += 1
+                break
+            x -= weight
+    return _arm_code(RECTILINEAR, clicks[:2]), _arm_code(DIAGONAL, clicks[2:])
+
+
+def joint_histogram(rect, diag, arrived) -> np.ndarray:
+    """Rounds binned by (rect, diag, arrived) jointly."""
+    cell = (np.asarray(rect, dtype=np.int64) * 6 + np.asarray(diag)) * 4 + arrived
+    return np.bincount(cell, minlength=144)
+
+
+def reference_histogram(seed: int, q: float, photons, rounds: int = 10_000) -> np.ndarray:
+    """The joint histogram of ``rounds`` reference rounds, each at a uniform
+    arrival angle and with ``photons(r)`` photons."""
+    r = random.Random(seed)
+    arrived = [r.randrange(4) for _ in range(rounds)]
+    codes = [reference_rec1(r, a, photons(r), q) for a in arrived]
+    return joint_histogram(*zip(*codes), arrived)
+
+
+class TestRec1JointLaw:
+    """``rec1_measure`` against a photon-by-photon reference that shares no
+    code and no random stream with it: a chi-square test of homogeneity
+    on the joint (rect, diag, arrived) histogram."""
+
+    ROUNDS = 100_000
+
+    def engine_histogram(self, seed, count, share):
+        rng = np.random.default_rng(seed)
+        arrived = rng.integers(4, size=self.ROUNDS, dtype=np.int8)
+        return joint_histogram(*rec1_measure(arrived, count, share, rng), arrived)
+
+    def assert_one_law(self, engine, reference):
+        # cells too rare to test on their own are pooled into one, and
+        # left out when even the pool is too rare
+        rare = (engine + reference) < 20 * (engine.sum() + reference.sum()) / reference.sum()
+        table = np.array([np.append(h[~rare], h[rare].sum()) for h in (engine, reference)])
+        table = table[:, table.sum(axis=0) >= 20 * table.sum() / table[1].sum()]
+        if table.shape[1] == 1:  # a single outcome (no photon): both read only it
+            assert (engine > 0).tolist() == (reference > 0).tolist()
+            return
+        chi2, p, _, expected = stats.chi2_contingency(table)
+        assert expected.min() >= 20, f"expected cell counts too small: {expected.min():.1f}"
+        assert p > 1e-4, f"chi2 = {chi2:.1f}, p = {p:.2e}\nengine    {table[0]}\nreference {table[1]}"
+
+    @pytest.mark.parametrize("q", [1.0, 0.35, 0.01])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 20])
+    def test_counted_pulse(self, m, q):
+        engine = self.engine_histogram(3000 + m, np.full(self.ROUNDS, m), q)
+        self.assert_one_law(engine, reference_histogram(m, q, lambda r: m))
+
+    @pytest.mark.parametrize("mean", [0.5, 3.0, 6.0])
+    def test_coherent_pulse(self, mean):
+        engine = self.engine_histogram(4000, None, mean)
+        self.assert_one_law(engine, reference_histogram(4000, 1.0, lambda r: _poisson(r, mean)))
+
+    @given(
+        st.integers(0, 2**62),
+        st.floats(min_value=1e-300, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1e19),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=200)
+    def test_extreme_pulses_read_valid_codes(self, m, q, mean, arrived):
+        # the validator lets means this far out through; a RuntimeWarning
+        # fails the run, so none may appear on the way
+        rng = np.random.default_rng(m % 1000)
+        angle = np.full(64, arrived, dtype=np.int8)
+        for count, share in ((np.full(64, m), q), (None, mean)):
+            rect, diag = rec1_measure(angle, count, share, rng)
+            definite, other = (rect, diag) if arrived % 2 == 0 else (diag, rect)
+            assert np.isin(definite, (arrived, VACUUM)).all()
+            assert np.isin(other, ((arrived + 1) % 4, (arrived + 3) % 4, VACUUM, AMBIGUOUS)).all()

@@ -16,6 +16,7 @@ from sqss.optics import (
     VACUUM,
     DecisionAngle,
     QUARTER_TURN,
+    rec1_measure,
 )
 from sqss.protocol import (
     RoundTable,
@@ -29,7 +30,6 @@ from sqss.protocol import (
     integrity_check,
     key_digest,
     parity_survivor_indices,
-    rec1_measure,
     reconcile_and_amplify,
     run_session,
     sift,
@@ -224,12 +224,12 @@ class TestReceiverOps:
 class TestRec1Measure:
     def test_aligned_rect_arm_is_deterministic(self):
         rng = np.random.default_rng(12)
-        rect, diag = rec1_measure(np.array([400]), np.array([2]), rng)
+        rect, diag = rec1_measure(np.array([2]), np.array([400]), 1.0, rng)
         assert rect.tolist() == [2]
 
     def test_vacuum_pulse_gives_vacuum_arms(self):
         rng = np.random.default_rng(13)
-        rect, diag = rec1_measure(np.array([0]), np.array([0]), rng)
+        rect, diag = rec1_measure(np.array([0]), np.array([0]), 1.0, rng)
         assert rect.tolist() == diag.tolist() == [VACUUM]
 
     def test_arm_vacuum_frequency(self):
@@ -256,9 +256,9 @@ class TestRec1Measure:
         # must name the same angle on every round.
         arrived = []
 
-        def spy(light, angle, rng):
+        def spy(angle, light, share, rng):
             arrived.append(angle)
-            return rec1_measure(light, angle, rng)
+            return rec1_measure(angle, light, share, rng)
 
         monkeypatch.setattr(protocol, "rec1_measure", spy)
         table = run_session(dataclasses.replace(config, trace=True)).records
@@ -374,6 +374,20 @@ class TestToeplitz:
         assert toeplitz_compress(bits, out_len, 11).tolist() == self._reference_hash(
             bits, out_len, 11
         )
+
+    def test_peak_memory_per_key_bit(self):
+        # each temporary is dropped once used and the spectra multiply in
+        # place, so the two spectra dominate the peak
+        n = 190_000
+        bits = np.random.default_rng(8).integers(0, 2, size=n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            out = toeplitz_compress(bits, n // 2, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == n // 2
+        assert peak / n <= 45, f"{peak / n:.1f} bytes per key bit"
 
     def test_fft_length_is_the_smallest_2_3_smooth_length(self):
         def smooth(k):
