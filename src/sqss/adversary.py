@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import VACUUM, malus, pbs_measure
+from .optics import malus
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,12 +130,12 @@ def ml_single_photon_estimator(
     """Eve's PNS bit guesses: measure each stored photon, at its
     ``polarization``, in the announced basis.
 
-    ``stored`` counts one photon in the rounds where she kept one and
-    none elsewhere; there the guess is a fair coin. One photon always
-    produces a definite click, whose angle maps to a bit the same way the
-    receivers map theirs.
+    ``stored`` marks the rounds where she kept a photon; elsewhere the
+    guess is a fair coin. One photon always clicks one detector: the
+    aligned one, which reads bit 0 the way the receivers read theirs,
+    with Malus' p, else the orthogonal one, bit 1. One uniform per round
+    picks the guess, bit 1 where it is at least p (1/2 with no photon).
     """
     # family j reads in RECTILINEAR (0) or DIAGONAL (1)
-    aligned = basis_choice - 1
-    codes = pbs_measure(stored, malus(polarization, aligned), aligned, rng)
-    return np.where(codes == VACUUM, rng.integers(2, size=len(codes)), codes // 2)
+    p = np.where(stored, malus(polarization, basis_choice - 1), 0.5)
+    return rng.random(len(stored)) >= p

@@ -115,7 +115,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if getattr(args, "trace", False):
         config.trace = True
     config.validate()
-    result = protocol.run_session(config)
+    result = protocol.run_session(config, records=bool(args.out))
 
     lines = [
         f"rounds={result.rounds_executed}",

@@ -12,9 +12,11 @@ _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 # The most rounds one session runs, in target mode too: bounds its time and memory.
 MAX_ROUNDS = 10_000_000
-# The most receivers a ring may have. A traced session chunk peaked at up to
-# 53 B per round x receiver cell (tracemalloc, N <= 100), so one chunk of
-# 65,536 rounds stays under 1 GB: 150 x 65,536 x 53 B is 0.52 GB.
+# The most receivers a ring may have. Only the traced chunk sets the cap: no
+# other chunk holds as much per round x receiver cell, and an untraced one
+# without a PNS tap holds nothing per receiver. A traced chunk peaked at up
+# to 53 B per cell (tracemalloc, N <= 100), so one chunk of 65,536 rounds
+# stays under 1 GB: 150 x 65,536 x 53 B is 0.52 GB.
 MAX_RECEIVERS = 150
 
 

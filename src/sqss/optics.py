@@ -13,9 +13,9 @@ shift. Losses and splitters thin the count (``channel``).
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
 clicks the aligned detector with probability p = cos^2(theta - beta)
-(``malus``), otherwise the orthogonal one. A pulse of k photons is read
-from one uniform draw against p^k and (1 - p)^k (``pbs_measure``): Eve
-reads her stored photons this way.
+(``malus``), otherwise the orthogonal one. Eve reads her one stored
+photon this way, from one uniform draw against p
+(``adversary.ml_single_photon_estimator``).
 
 Rec-1 reads both arms of its 50:50 splitter in one step
 (``rec1_measure``): at the whole quarter turns it receives, ``MALUS``
@@ -88,42 +88,6 @@ def malus(polarization: np.ndarray, aligned: int | np.ndarray) -> np.ndarray:
     """Malus' p = cos^2(theta - beta): the probability that a photon at
     ``polarization`` clicks the detector aligned at ``aligned`` quarter turns."""
     return np.cos(polarization - aligned * QUARTER_TURN) ** 2
-
-
-def _detector_codes(vacuum, below, above, aligned, u: np.ndarray) -> np.ndarray:
-    """Outcome codes of a polarizing beam splitter whose aligned detector sits at
-    ``aligned`` quarter turns (an int, or one per pulse), from one uniform per
-    pulse and each pulse's cumulative probabilities: ``vacuum`` of no click,
-    ``below`` of no click or clicks on the aligned detector only, ``above``
-    of those or clicks on the orthogonal one only (the rest is ambiguous).
-    """
-    # the intervals of u: vacuum, aligned only, orthogonal only, ambiguous;
-    # int8 arithmetic keeps the per-pulse temporaries at one byte
-    codes = aligned + 2 * (u >= below).view(np.int8)
-    codes[u >= above] = AMBIGUOUS
-    codes[u < vacuum] = VACUUM
-    return codes
-
-
-def pbs_measure(
-    count: np.ndarray, p_aligned: np.ndarray, aligned: int | np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Measure pulses of ``count`` photons each on a polarizing beam splitter
-    in the basis whose aligned detector sits at ``aligned`` quarter turns
-    (RECTILINEAR or DIAGONAL, one for all pulses or one per pulse).
-
-    Every photon of a pulse clicks the aligned detector with its Malus
-    probability ``p_aligned`` and the orthogonal one otherwise. A pulse of
-    k photons is therefore vacuum with probability 0^k, reads out the
-    aligned angle with probability p^k and the orthogonal angle with
-    probability (1 - p)^k, and is ambiguous otherwise; one uniform per
-    pulse picks among the four. Returns one outcome code per pulse
-    (quarter turns, VACUUM or AMBIGUOUS).
-    """
-    u = rng.random(len(count))
-    vacuum = count == 0  # 0^k
-    below = vacuum + p_aligned**count
-    return _detector_codes(vacuum, below, below + (1.0 - p_aligned) ** count, aligned, u)
 
 
 def _rec1_codes() -> np.ndarray:

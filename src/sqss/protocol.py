@@ -27,17 +27,25 @@ Rec-1's reader takes Malus' p from ``optics.MALUS``. Only the trace and
 the photons Eve stores read a float polarization, and only then is the
 ledger folded.
 
-No secret depends on the light, so a round (``_run_round``) draws every
-party's secret first and then walks the light along the route
-(``_route``): the hops and party stages in travel order, each with the
-share of photons it passes on. Light is drawn only where it is
-observed: the source count at the first observer's mean and one
-thinning between observers. Rec-1 reads both arms at once from the
-exact joint law of what reaches its splitter (``optics.rec1_measure``),
-the last count's photons or, when nothing counted the light, the
-coherent pulse: neither the last loss nor the 50:50 split is drawn.
-A round returns one ``RoundTable``: every secret, and everything the
-round computes from them down to the trace, is a column of it.
+No secret depends on the light, so a round (``_run_round``) draws the
+secrets first and then walks the light along the route (``_route``):
+the hops and party stages in travel order, each with the share of
+photons it passes on. Only the secrets something reads are drawn. The
+shuffles reach Rec-1, sifting and the decode only through their sum S
+mod 4, which is uniform on Z4 like each shuffle, so unless the ledger
+is folded (``trace`` or a PNS tap) one draw of S stands for all N and no
+hiding angle is drawn. Records ask for theta, the phi_i and the s_i
+after the fact (``run_session(..., records=True)``), and a stream of
+their own fills them from their exact law given S.
+
+Light is drawn only where it is observed: the source count at the first
+observer's mean and one thinning between observers. Rec-1 reads both
+arms at once from the exact joint law of what reaches its splitter
+(``optics.rec1_measure``), the last count's photons or, when nothing
+counted the light, the coherent pulse: neither the last loss nor the
+50:50 split is drawn. A round returns one ``RoundTable``: every secret
+it drew, and everything the round computes from them down to the trace,
+is a column of it.
 """
 
 from __future__ import annotations
@@ -67,6 +75,8 @@ from .optics import (
 PA_COMPRESSION = 0.5
 # Public salt separating the privacy-amplification seed from the session seed.
 _PA_SEED_SALT = 0x9E3779B97F4A7C15
+# Public salt separating the stream that fills a session's records from its physics.
+_RECORD_SEED_SALT = 0x7265636F726473
 
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
@@ -92,20 +102,24 @@ class Verdict:
 class RoundTable:
     """Every round of a session, one array per field with one entry per round.
 
-    ``shuffle_sum`` wraps mod 256, a multiple of 4, so it stays exact in
-    quarter turns. The arms hold detector outcome codes (``optics``);
-    sifting fills in ``sifted``, the chosen arm's code, and decoding
-    ``decoded``, the consensus key angle or -1. With ``trace`` the
-    pulse's photon count and polarization after each of
+    ``shuffle_sum`` is each round's sum of shuffles in quarter turns,
+    exact mod 4: drawn in 0..3 when no shuffle is drawn, otherwise summed
+    in int8, which wraps mod 256, a multiple of 4. ``theta``, ``phis`` and
+    ``shuffles`` are None unless drawn for the rotation ledger (``trace``
+    or ``pns``) or for records; a session keeps them only with ``trace``
+    or records (``run_session``). The arms hold detector outcome
+    codes (``optics``); sifting fills in ``sifted``, the chosen arm's
+    code, and decoding ``decoded``, the consensus key angle or -1. With
+    ``trace`` the pulse's photon count and polarization after each of
     ``trace_stages`` are kept too.
     """
 
-    theta: np.ndarray
-    phis: np.ndarray  # (rounds, receivers)
-    shuffles: np.ndarray  # (rounds, receivers), quarter turns
-    shuffle_sum: np.ndarray  # int8, each round's sum of shuffles
+    shuffle_sum: np.ndarray  # int8
     basis_choice: np.ndarray
     bit: np.ndarray
+    theta: np.ndarray | None = None
+    phis: np.ndarray | None = None  # (rounds, receivers)
+    shuffles: np.ndarray | None = None  # (rounds, receivers), quarter turns
     rect: np.ndarray | None = None
     diag: np.ndarray | None = None
     eve_event: np.ndarray | None = None  # photon stored, tag survived or USD success
@@ -117,7 +131,7 @@ class RoundTable:
     decoded: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.theta)
+        return len(self.bit)
 
 
 def _columnwise(tables: Sequence[RoundTable], join) -> RoundTable:
@@ -267,7 +281,7 @@ def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) 
     keys = np.asarray(keys, dtype=np.uint8)
     survivors = parity_survivor_indices(keys[0], keys[1], block_size)
     out_len = int(len(survivors) * PA_COMPRESSION)
-    rows = keys[:, survivors]
+    rows = np.take(keys, survivors, axis=1)
     # one matrix maps equal rows to equal outputs, so each distinct row is hashed once
     slots: dict[bytes, int] = {}
     slot = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
@@ -316,38 +330,39 @@ def _route(config: SimConfig) -> list[tuple[int | str, float]]:
 def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundTable:
     """Simulate ``size`` independent rounds at once into one table.
 
-    No party's secret depends on the light, so every secret is drawn
-    first: theta, each receiver's phi_i and s_i (summed as they come),
-    Alice's bit and basis, and Eve's tag or USD event. The light, a
+    No party's secret depends on the light, so the secrets come first,
+    each kind from one call. One value on Z4 per round gives Alice's bit
+    and basis, two fair bits. Only the shuffles' sum S reaches Rec-1,
+    sifting and the decode, and S is uniform on Z4 like each shuffle. So
+    unless the rotation ledger (``_polarizations``) is read, by the trace
+    or Eve's stored photons, one draw of S stands for all N shuffles and
+    no hiding angle is drawn; with the ledger, theta, every phi_i and
+    every s_i are drawn. Eve's tag or USD event follows. The light, a
     photon count per round, then walks the route (``_route``). Its
     observers are Eve's PNS hop and, with ``trace``, every stage, which
     writes its count into its ``trace_photons`` column. The source draws
     at the first observer's mean, each later observer thins once by the
     shares passed since the last one, and Rec-1 reads the rest of the
-    way with its detectors. The trace and Eve's stored photons read
-    their polarizations from the rotation ledger (``_polarizations``).
+    way with its detectors.
     """
     n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
     steps, shares = zip(*_route(config))
     observers = [k for k, step in enumerate(steps)
                  if step == pns_hop or config.trace and isinstance(step, str)]
+    ledger = pns_hop or config.trace
 
-    theta = rng.random(size) * math.pi
+    z4 = rng.integers(4, size=(n + 1 if ledger else 2, size), dtype=np.int8)
+    bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
+    stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
+    table = RoundTable(z4[1:].sum(axis=0, dtype=np.int8), basis, bit, trace_stages=stages)
+    if ledger:
+        angles = rng.random((n + 1, size))
+        angles *= math.pi
+        table.theta, table.phis, table.shuffles = angles[0], angles[1:].T, z4[1:].T
     light = None
     if observers:
         light = rng.poisson(config.mean_photons * math.prod(shares[: observers[0] + 1]), size)
-    phis = np.empty((size, n))
-    shuffles = np.empty((size, n), dtype=np.int8)
-    shuffle_sum = np.zeros(size, dtype=np.int8)
-    for i in range(n):
-        phis[:, i] = rng.random(size) * math.pi
-        shuffles[:, i] = rng.integers(4, size=size, dtype=np.int8)
-        shuffle_sum += shuffles[:, i]
-    bit = rng.integers(2, size=size, dtype=np.int8)
-    basis = rng.integers(1, 3, size=size, dtype=np.int8)
-    stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
-    table = RoundTable(theta, phis, shuffles, shuffle_sum, basis, bit, trace_stages=stages)
     offset = None
     if config.adversary == "tag":
         table.eve_event = adv.tag_attack_rounds(size, config.bs_ratio, rng)
@@ -362,7 +377,7 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         offset, table.eve_event = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
     # theta and every phi_i cancel around the ring: Rec-1 receives the key
     # angle plus every shuffle and Eve's offset, whole quarter turns
-    arrived = (_key_angle(bit, basis) + shuffle_sum + (0 if offset is None else offset)) & 3
+    arrived = (_key_angle(bit, basis) + table.shuffle_sum + (0 if offset is None else offset)) & 3
 
     if stages:
         table.trace_photons = np.empty((size, len(stages)), dtype=np.int64)
@@ -387,6 +402,24 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     if pns_hop:
         table.eve_polarization = next(islice(_polarizations(table, offset), pns_hop - 1, None))
     return table
+
+
+def _draw_records(table: RoundTable, receivers: int, seed: int) -> None:
+    """Fill in the secrets a round drew as their sum alone: theta, each
+    phi_i and each s_i, from their exact law given the table's shuffle sums.
+
+    Theta and the phi_i are independent of everything else: free
+    uniforms on [0, pi). s_2..s_N are uniform on Z4, and s_1 = S - (s_2 +
+    ... + s_N) mod 4 completes the sum: N independent uniform shuffles
+    conditioned on their sum have exactly this law. The draws come from
+    a stream of their own, so asking for records moves no physics draw.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _RECORD_SEED_SALT]))
+    angles = rng.random((receivers + 1, len(table)))
+    angles *= math.pi
+    shuffles = rng.integers(4, size=(receivers, len(table)), dtype=np.int8)
+    shuffles[0] = (table.shuffle_sum - shuffles[1:].sum(axis=0, dtype=np.int8)) & 3
+    table.theta, table.phis, table.shuffles = angles[0], angles[1:].T, shuffles.T
 
 
 def _decode_phase(
@@ -422,7 +455,9 @@ def _decode_phase(
     return keys
 
 
-def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> SessionResult:
+def run_session(
+    config: SimConfig, rng: np.random.Generator | None = None, records: bool = False
+) -> SessionResult:
     """Run a full multi-round session and return keys plus statistics.
 
     Simulates the rounds through the ring in chunks (with the configured
@@ -430,6 +465,11 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     decodes cooperatively, optionally reconciles and compresses, and
     cross-checks key digests; an empty final key aborts for retry. Fully
     deterministic for a given seed and configuration.
+
+    The result's ``records`` table holds theta, every phi_i and every s_i
+    only with ``trace`` or when ``records`` asks for them. A session that
+    drew just their sum then draws them from a stream of their own, so no
+    other output changes.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
@@ -468,6 +508,8 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
         chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng)
+        if not (records or config.trace):  # nothing past the round reads the ledger
+            chunk.theta = chunk.phis = chunk.shuffles = None
         kept = sift(chunk)
         if target and len(kept) >= target - kept_count:
             # The simulator sees sift status before the parties learn it at
@@ -501,6 +543,8 @@ def run_session(config: SimConfig, rng: np.random.Generator | None = None) -> Se
     if config.adversary != "none":
         eve_summary = _score_eve(config.adversary, table, kept, rng)
 
+    if records and table.shuffles is None:
+        _draw_records(table, n, config.seed)
     rows = keys.tolist()
     return SessionResult(
         rounds_executed=len(table),
@@ -529,7 +573,7 @@ def _score_eve(
         )
     if adversary == "pns":
         guesses = adv.ml_single_photon_estimator(
-            table.eve_event.astype(np.int64), table.eve_polarization, table.basis_choice, rng
+            table.eve_event, table.eve_polarization, table.basis_choice, rng
         )
         correct = int(np.count_nonzero(guesses == table.bit))
         return adv.EveSummary(

@@ -138,7 +138,7 @@ class TestPnsIntercept:
         # receiver past Rec-(2N+2-c): k + sum(s_i) + the phi_i left.
         config = SimConfig(receivers=receivers, transmission=0.9, adversary="pns",
                            pns_channel=channel, rounds=400, seed=50 + channel + receivers)
-        table = run_session(config).records
+        table = run_session(config, records=True).records
         assert table.trace_polarization is None
         qt = math.pi / 4
         for r in range(len(table)):
@@ -235,6 +235,18 @@ class TestMlEstimator:
         ones = ml_single_photon_estimator(nothing, np.zeros(n), np.ones(n, dtype=np.int8), rng).sum()
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3 * sigma
+
+    @pytest.mark.parametrize("delta", [0.1, math.pi / 8, 0.6, math.pi / 4, 1.2])
+    def test_off_angle_photon_reads_one_with_sin_squared(self, delta):
+        # Malus: a stored photon delta off the aligned detector clicks the
+        # orthogonal one, which reads bit 1, with probability sin^2(delta)
+        rng = np.random.default_rng(32)
+        n = 100_000
+        basis = np.tile(np.array([1, 2], dtype=np.int8), n // 2)
+        polarization = (basis - 1) * math.pi / 4 + delta
+        ones = np.count_nonzero(ml_single_photon_estimator(np.ones(n, bool), polarization, basis, rng))
+        p = math.sin(delta) ** 2
+        assert abs(ones / n - p) < 3 * math.sqrt(p * (1 - p) / n), (ones / n, p)
 
     def test_aligned_photon_reads_the_bit(self):
         rng = np.random.default_rng(31)

@@ -282,6 +282,18 @@ class TestCliSimulate:
         assert text_a == text_b
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("overrides", [
+        ["receivers=3", "rounds=5000"],
+        ["receivers=3", "adversary=pns", "transmission=0.9", "rounds=5000"],
+    ], ids=["honest_n3", "pns_n3"])
+    def test_records_do_not_move_the_report(self, overrides, tmp_path, capsys):
+        # the records' draws come from a stream of their own
+        args = ["simulate", "--seed", "12"] + [a for o in overrides for a in ("--override", o)]
+        assert cli.main(args) == cli.EXIT_ACCEPT
+        plain = capsys.readouterr().out
+        assert cli.main([*args, "--out", str(tmp_path / "rounds.csv")]) == cli.EXIT_ACCEPT
+        assert capsys.readouterr().out == plain
+
     def test_round_csv_round_trips(self, demo_config, tmp_path, capsys):
         sessions = [
             (["--config", str(demo_config), "--trace"], load_config(demo_config)),
@@ -302,7 +314,7 @@ class TestCliSimulate:
             out = tmp_path / f"rounds{k}.csv"
             cli.main(["simulate", *args, "--out", str(out)])
             config.trace = "--trace" in args
-            table = run_session(config).records
+            table = run_session(config, records=True).records
             stages = 2 * config.receivers + 2 + (config.adversary == "impersonate")
             assert len(table.trace_stages) == (stages if config.trace else 0)
             statuses |= set(assert_round_csv_matches(out.read_text(encoding="utf-8"), table))

@@ -65,7 +65,7 @@ def arms_histogram(config: SimConfig) -> np.ndarray:
     angle the pulse carries into Rec-1, the key angle plus every shuffle.
     """
     table = run_session(config).records
-    carried = (_key_angle(table.bit, table.basis_choice) + table.shuffles.sum(axis=1)) % 4
+    carried = (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum) % 4
 
     def arm(codes):
         return np.where(codes < VACUUM, (codes - carried) % 4, codes)

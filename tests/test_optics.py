@@ -18,7 +18,6 @@ from sqss.optics import (
     VACUUM,
     DecisionAngle,
     malus,
-    pbs_measure,
     rec1_measure,
     rotate,
 )
@@ -37,6 +36,28 @@ def circular_distance(a, b):
     """Distance between two polarizations on the half-circle, which wraps at pi."""
     d = abs(a - b) % math.pi
     return min(d, math.pi - d)
+
+
+def pbs_measure(count, p_aligned, aligned, rng):
+    """Reference read of pulses of ``count`` photons each on a polarizing beam
+    splitter whose aligned detector sits at ``aligned`` quarter turns
+    (RECTILINEAR or DIAGONAL).
+
+    Every photon clicks the aligned detector with its Malus probability
+    ``p_aligned`` and the orthogonal one otherwise, so a pulse of k photons
+    is vacuum with probability 0^k, reads the aligned angle with p^k and
+    the orthogonal angle with (1 - p)^k, and is ambiguous otherwise; one
+    uniform per pulse picks among the four. Returns one outcome code per pulse.
+    """
+    u = rng.random(len(count))
+    vacuum = count == 0  # 0^k
+    below = vacuum + p_aligned**count
+    above = below + (1.0 - p_aligned) ** count
+    # the intervals of u: vacuum, aligned only, orthogonal only, ambiguous
+    codes = aligned + 2 * (u >= below).view(np.int8)
+    codes[u >= above] = AMBIGUOUS
+    codes[u < vacuum] = VACUUM
+    return codes
 
 
 def measure(light, aligned, rng):

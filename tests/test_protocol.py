@@ -22,6 +22,7 @@ from sqss.protocol import (
     RoundTable,
     VerdictKind,
     _decode,
+    _draw_records,
     _fft_length,
     _key_angle,
     _polarizations,
@@ -67,10 +68,14 @@ class ZeroRng:
         return np.full(size, 5)
 
 
-def engine_rounds(size, rng, **fields):
-    """``size`` rounds of the round engine on a ring of these config fields."""
+def engine_rounds(size, rng, records=False, **fields):
+    """``size`` rounds of the round engine on a ring of these config fields;
+    with ``records``, theta and each phi_i and s_i filled in as a session does."""
     config = SimConfig(**fields)
-    return _run_round(size, config, rng)
+    table = _run_round(size, config, rng)
+    if records and table.shuffles is None:
+        _draw_records(table, config.receivers, config.seed)
+    return table
 
 
 def stages(theta, phis, shuffles, bit, basis):
@@ -156,7 +161,7 @@ class TestSenderOps:
 
     def test_theta_uniform_on_half_circle(self):
         rng = np.random.default_rng(8)
-        thetas = engine_rounds(100000, rng).theta
+        thetas = engine_rounds(100000, rng, records=True).theta
         result = stats.kstest(thetas / math.pi, "uniform")
         assert result.pvalue > 0.01
 
@@ -177,10 +182,14 @@ class TestSenderOps:
     def test_basis_family_choice_is_balanced(self):
         rng = np.random.default_rng(9)
         n = 100000
-        basis = engine_rounds(n, rng).basis_choice
+        table = engine_rounds(n, rng)
+        basis = table.basis_choice
         ones = int(np.count_nonzero(basis == 1))
         assert set(basis.tolist()) == {1, 2}
         assert stats.binomtest(ones, n, 0.5).pvalue > 0.01
+        # one value on Z4 gives both: the bit and the basis must be independent
+        pairs = np.bincount(2 * table.bit + basis - 1, minlength=4)
+        assert stats.chisquare(pairs).pvalue > 0.01
 
     def test_countermeasure_splits_the_pulse(self):
         # Each photon leaves the storage splitter with the transmitted ratio:
@@ -199,7 +208,7 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        table = engine_rounds(1, np.random.default_rng(4), receivers=1)
+        table = engine_rounds(1, np.random.default_rng(4), records=True, receivers=1)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + DecisionAngle(int(s[0])).radians
@@ -207,14 +216,14 @@ class TestReceiverOps:
 
     def test_shuffles_uniform_over_four_values(self):
         rng = np.random.default_rng(10)
-        shuffles = engine_rounds(100000, rng, receivers=1).shuffles[:, 0]
+        shuffles = engine_rounds(100000, rng, records=True, receivers=1).shuffles[:, 0]
         counts = np.bincount(shuffles, minlength=4)
         assert len(counts) == 4
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_backward_removes_only_the_hide_angle(self):
         # bit 0 in family 1 encodes the zero angle, so all that returns is s
-        table = engine_rounds(1, np.random.default_rng(6), receivers=1)
+        table = engine_rounds(1, np.random.default_rng(6), records=True, receivers=1)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
         assert circular_distance(back, encoded - phi[0]) <= 1e-12
@@ -315,13 +324,47 @@ class TestSift:
         # At the receiver cap the int8 shuffle sum wraps mod 256, a multiple
         # of 4, so its quarter turns and its parity stay exact.
         cfg = SimConfig(receivers=MAX_RECEIVERS, rounds=2000, parity_block=0, seed=81)
-        res = run_session(cfg)
+        res = run_session(cfg, records=True)
         table = res.records
         exact = table.shuffles.sum(axis=1, dtype=np.int64)
         assert (exact > np.iinfo(np.int8).max).any()
         assert np.array_equal(table.shuffle_sum & 3, exact & 3)
         assert res.qber == 0.0
         assert res.verdict.accepted
+
+
+class TestRecords:
+    """A session that draws only the shuffle sum fills in the rest on demand."""
+
+    @pytest.mark.parametrize("receivers", [2, MAX_RECEIVERS])
+    def test_recorded_shuffles_complete_the_sum_and_are_uniform(self, receivers):
+        cfg = SimConfig(receivers=receivers, rounds=20_000, parity_block=0, seed=83)
+        table = run_session(cfg, records=True).records
+        assert table.shuffles.shape == table.phis.shape == (cfg.rounds, receivers)
+        exact = table.shuffles.sum(axis=1, dtype=np.int64)
+        assert np.array_equal(exact % 4, table.shuffle_sum % 4)
+        # each receiver's shuffle, Rec-1's completing one included, is
+        # uniform; the bound holds the family of N tests at 1e-3
+        counts = np.stack([np.bincount(s, minlength=4) for s in table.shuffles.T])
+        assert counts.shape == (receivers, 4)
+        pvalues = stats.chisquare(counts, axis=1).pvalue
+        assert pvalues.min() > 1e-3 / receivers, (pvalues.argmin(), counts[pvalues.argmin()])
+        assert 0.0 <= table.theta.min() and table.phis.max() < math.pi
+
+    def test_recorded_pair_is_jointly_uniform(self):
+        # s_1 is built from the sum, so it must carry no trace of s_2
+        cfg = SimConfig(receivers=2, rounds=20_000, parity_block=0, seed=84)
+        shuffles = run_session(cfg, records=True).records.shuffles
+        pairs = np.bincount(shuffles[:, 0] * 4 + shuffles[:, 1], minlength=16)
+        assert stats.chisquare(pairs).pvalue > 1e-3
+
+    def test_records_leave_the_session_as_it_was(self):
+        cfg = SimConfig(receivers=3, rounds=5000, seed=85)
+        plain, recorded = run_session(cfg), run_session(cfg, records=True)
+        assert plain.records.theta is plain.records.phis is plain.records.shuffles is None
+        assert recorded.alice_final_key == plain.alice_final_key
+        assert recorded.receiver_final_keys == plain.receiver_final_keys
+        assert recorded.records.shuffle_sum.tolist() == plain.records.shuffle_sum.tolist()
 
 
 class TestToeplitz:
@@ -579,8 +622,8 @@ class TestRunSession:
     def test_determinism(self):
         cfg = SimConfig(receivers=3, mean_photons=5.0, transmission=0.8,
                         rounds=300, parity_block=8, seed=99)
-        first = run_session(cfg)
-        second = run_session(cfg)
+        first = run_session(cfg, records=True)
+        second = run_session(cfg, records=True)
         assert first.alice_final_key == second.alice_final_key
         assert first.qber == second.qber
         assert first.kept_rounds == second.kept_rounds
@@ -660,6 +703,21 @@ class TestBoundedResources:
         assert res.rounds_executed == rounds and res.verdict.accepted
         assert peak / rounds < 512, f"{peak / rounds:.0f} bytes per round"
         assert elapsed < 10.0
+
+    def test_untraced_memory_per_round_is_flat_in_the_ring_width(self):
+        # only the shuffle sum is drawn, so no per-receiver column is kept
+        def peak_per_round(receivers):
+            cfg = SimConfig(receivers=receivers, mean_photons=6.0, rounds=200_000, seed=71)
+            tracemalloc.start()
+            try:
+                run_session(cfg)
+                return tracemalloc.get_traced_memory()[1] / cfg.rounds
+            finally:
+                tracemalloc.stop()
+
+        run_session(SimConfig(rounds=1000, seed=71))  # warm-up: first-call allocations
+        narrow, wide = peak_per_round(2), peak_per_round(MAX_RECEIVERS)
+        assert abs(wide - narrow) <= 0.1 * narrow, f"{narrow:.0f} vs {wide:.0f} bytes per round"
 
     def test_traced_chunk_memory_per_cell(self):
         # A traced chunk writes each stage straight into its trace column,

@@ -52,16 +52,19 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
                               "rounds=2000"), ABORT),
     "dishonest": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=2000"), DISHONEST),
     "key_bits": (_simulate("key_bits=5000"), ACCEPT),
+    "honest_n150": (_simulate("receivers=150", "rounds=500"), ACCEPT),
     "rounds_200k": (_simulate("rounds=200000", out=False), ACCEPT),
     "trace_honest": (_simulate("rounds=500", trace=True), ACCEPT),
     "trace_lossy_split": (_simulate("receivers=3", "transmission=0.8", "bs_ratio=0.5",
                                     "rounds=500", trace=True), ACCEPT),
     "trace_pns_c3": (_simulate("adversary=pns", "pns_channel=3", "transmission=0.9",
                                "rounds=500", trace=True), ACCEPT),
+    "trace_pns_n3_c1": (_simulate("receivers=3", "adversary=pns", "pns_channel=1",
+                                  "transmission=0.9", "rounds=500", trace=True), ACCEPT),
     "trace_pns_n5_c4": (_simulate("receivers=5", "adversary=pns", "pns_channel=4",
                                   "transmission=0.9", "rounds=500", trace=True), ACCEPT),
     "trace_impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
-                                    "rounds=500", trace=True), ABORT),
+                                    "rounds=2000", trace=True), ABORT),
     "trace_tag": (_simulate("adversary=tag", "bs_ratio=0.5", "rounds=500", trace=True), ACCEPT),
     "attack_pns": (["attack", "pns", "--seed", "5", "--trials", "20000", "--out"], ACCEPT),
     "attack_tag": (["attack", "tag", "--seed", "5", "--override", "bs_ratio=0.5",
