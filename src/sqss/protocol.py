@@ -32,11 +32,12 @@ secrets first and then walks the light along the route (``_route``):
 the hops and party stages in travel order, each with the share of
 photons it passes on. Only the secrets something reads are drawn. The
 shuffles reach Rec-1, sifting and the decode only through their sum S
-mod 4, which is uniform on Z4 like each shuffle, so unless the ledger
-is folded (``trace`` or a PNS tap) one draw of S stands for all N and no
-hiding angle is drawn. Records ask for theta, the phi_i and the s_i
-after the fact (``run_session(..., records=True)``), and a stream of
-their own fills them from their exact law given S.
+mod 4, which is uniform on Z4 like each shuffle, so a round draws S
+itself. Theta, the phi_i and the s_i are drawn behind it, from their
+exact law given S (``_draw_secrets``), only when something reads them:
+the ledger (``trace`` or a PNS tap) from the round's own stream, or
+records after the fact (``run_session(..., records=True)``) from a
+stream of their own.
 
 Light is drawn only where it is observed: the source count at the first
 observer's mean and one thinning between observers. Rec-1 reads both
@@ -102,12 +103,11 @@ class Verdict:
 class RoundTable:
     """Every round of a session, one array per field with one entry per round.
 
-    ``shuffle_sum`` is each round's sum of shuffles in quarter turns,
-    exact mod 4: drawn in 0..3 when no shuffle is drawn, otherwise summed
-    in int8, which wraps mod 256, a multiple of 4. ``theta``, ``phis`` and
-    ``shuffles`` are None unless drawn for the rotation ledger (``trace``
-    or ``pns``) or for records; a session keeps them only with ``trace``
-    or records (``run_session``). The arms hold detector outcome
+    ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter
+    turns 0..3, drawn first; the shuffles are drawn behind it. ``theta``,
+    ``phis`` and ``shuffles`` are None unless drawn for the rotation ledger
+    (``trace`` or ``pns``) or for records; a session keeps them only with
+    ``trace`` or records (``run_session``). The arms hold detector outcome
     codes (``optics``); sifting fills in ``sifted``, the chosen arm's
     code, and decoding ``decoded``, the consensus key angle or -1. With
     ``trace`` the pulse's photon count and polarization after each of
@@ -333,11 +333,11 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     No party's secret depends on the light, so the secrets come first,
     each kind from one call. One value on Z4 per round gives Alice's bit
     and basis, two fair bits. Only the shuffles' sum S reaches Rec-1,
-    sifting and the decode, and S is uniform on Z4 like each shuffle. So
-    unless the rotation ledger (``_polarizations``) is read, by the trace
-    or Eve's stored photons, one draw of S stands for all N shuffles and
-    no hiding angle is drawn; with the ledger, theta, every phi_i and
-    every s_i are drawn. Eve's tag or USD event follows. The light, a
+    sifting and the decode, and S is uniform on Z4 like each shuffle, so
+    another gives S. Only when the rotation ledger (``_polarizations``) is
+    read, by the trace or Eve's stored photons, are theta, every phi_i and
+    every s_i drawn behind it (``_draw_secrets``). Eve's tag or USD event
+    follows. The light, a
     photon count per round, then walks the route (``_route``). Its
     observers are Eve's PNS hop and, with ``trace``, every stage, which
     writes its count into its ``trace_photons`` column. The source draws
@@ -350,16 +350,13 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     steps, shares = zip(*_route(config))
     observers = [k for k, step in enumerate(steps)
                  if step == pns_hop or config.trace and isinstance(step, str)]
-    ledger = pns_hop or config.trace
 
-    z4 = rng.integers(4, size=(n + 1 if ledger else 2, size), dtype=np.int8)
+    z4 = rng.integers(4, size=(2, size), dtype=np.int8)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
     stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
-    table = RoundTable(z4[1:].sum(axis=0, dtype=np.int8), basis, bit, trace_stages=stages)
-    if ledger:
-        angles = rng.random((n + 1, size))
-        angles *= math.pi
-        table.theta, table.phis, table.shuffles = angles[0], angles[1:].T, z4[1:].T
+    table = RoundTable(z4[1], basis, bit, trace_stages=stages)
+    if pns_hop or config.trace:
+        _draw_secrets(table, n, rng)
     light = None
     if observers:
         light = rng.poisson(config.mean_photons * math.prod(shares[: observers[0] + 1]), size)
@@ -404,17 +401,15 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     return table
 
 
-def _draw_records(table: RoundTable, receivers: int, seed: int) -> None:
-    """Fill in the secrets a round drew as their sum alone: theta, each
-    phi_i and each s_i, from their exact law given the table's shuffle sums.
+def _draw_secrets(table: RoundTable, receivers: int, rng: np.random.Generator) -> None:
+    """Fill in the secrets behind the table's shuffle sums: theta, each
+    phi_i and each s_i, from their exact law given those sums.
 
-    Theta and the phi_i are independent of everything else: free
-    uniforms on [0, pi). s_2..s_N are uniform on Z4, and s_1 = S - (s_2 +
-    ... + s_N) mod 4 completes the sum: N independent uniform shuffles
-    conditioned on their sum have exactly this law. The draws come from
-    a stream of their own, so asking for records moves no physics draw.
+    Theta and the phi_i are independent of everything else: uniforms on
+    [0, pi). s_2..s_N are uniform on Z4, and s_1 = S - (s_2 + ... + s_N)
+    mod 4 completes the sum: N independent uniform shuffles conditioned
+    on their sum have exactly this law.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _RECORD_SEED_SALT]))
     angles = rng.random((receivers + 1, len(table)))
     angles *= math.pi
     shuffles = rng.integers(4, size=(receivers, len(table)), dtype=np.int8)
@@ -544,7 +539,9 @@ def run_session(
         eve_summary = _score_eve(config.adversary, table, kept, rng)
 
     if records and table.shuffles is None:
-        _draw_records(table, n, config.seed)
+        # a stream of their own, so asking for records moves no physics draw
+        seeds = np.random.SeedSequence([config.seed, _RECORD_SEED_SALT])
+        _draw_secrets(table, n, np.random.default_rng(seeds))
     rows = keys.tolist()
     return SessionResult(
         rounds_executed=len(table),

@@ -22,7 +22,7 @@ from sqss.protocol import (
     RoundTable,
     VerdictKind,
     _decode,
-    _draw_records,
+    _draw_secrets,
     _fft_length,
     _key_angle,
     _polarizations,
@@ -74,7 +74,7 @@ def engine_rounds(size, rng, records=False, **fields):
     config = SimConfig(**fields)
     table = _run_round(size, config, rng)
     if records and table.shuffles is None:
-        _draw_records(table, config.receivers, config.seed)
+        _draw_secrets(table, config.receivers, rng)
     return table
 
 
@@ -208,7 +208,7 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        table = engine_rounds(1, np.random.default_rng(4), records=True, receivers=1)
+        table = engine_rounds(1, np.random.default_rng(4), receivers=1, trace=True)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + DecisionAngle(int(s[0])).radians
@@ -223,7 +223,7 @@ class TestReceiverOps:
 
     def test_backward_removes_only_the_hide_angle(self):
         # bit 0 in family 1 encodes the zero angle, so all that returns is s
-        table = engine_rounds(1, np.random.default_rng(6), records=True, receivers=1)
+        table = engine_rounds(1, np.random.default_rng(6), receivers=1, trace=True)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
         assert circular_distance(back, encoded - phi[0]) <= 1e-12
@@ -321,16 +321,25 @@ class TestSift:
         assert sift(table).tolist() == [0]
 
     def test_wrapped_shuffle_sum_sifts_and_decodes(self):
-        # At the receiver cap the int8 shuffle sum wraps mod 256, a multiple
-        # of 4, so its quarter turns and its parity stay exact.
-        cfg = SimConfig(receivers=MAX_RECEIVERS, rounds=2000, parity_block=0, seed=81)
-        res = run_session(cfg, records=True)
+        # At the receiver cap the shuffles' exact sum leaves int8's range.
+        # The engine keeps it mod 4, and an int8 sum wrapped mod 256, a
+        # multiple of 4, must sift and decode the same.
+        cfg = SimConfig(receivers=MAX_RECEIVERS, rounds=2000, parity_block=0, seed=81,
+                        trace=True)
+        res = run_session(cfg)
         table = res.records
         exact = table.shuffles.sum(axis=1, dtype=np.int64)
         assert (exact > np.iinfo(np.int8).max).any()
-        assert np.array_equal(table.shuffle_sum & 3, exact & 3)
+        assert np.array_equal(table.shuffle_sum, exact & 3)
         assert res.qber == 0.0
         assert res.verdict.accepted
+        kept = np.flatnonzero(table.sifted < VACUUM)
+        wrapped = dataclasses.replace(table, shuffle_sum=exact.astype(np.int8))
+        assert (wrapped.shuffle_sum < 0).any()
+        assert np.array_equal(sift(wrapped), kept)
+        assert np.array_equal(wrapped.sifted, table.sifted)
+        assert np.array_equal(_decode(wrapped.sifted[kept], wrapped.shuffle_sum[kept]),
+                              table.decoded[kept])
 
 
 class TestRecords:
