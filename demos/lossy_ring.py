@@ -2,12 +2,13 @@
 
 Sweeps the per-link fiber length and compares the observed discard
 fraction against the Poisson vacuum prediction exp(-mu_final / 2),
-where mu_final is the mean photon number surviving all 2N+1 hops.
+where mu_final is the mean photon number surviving all 2N+1 hops and
+``transmission(length_km, loss_db_per_km)`` gives one hop's share.
 """
 
 import math
 
-from sqss import FiberLink, SimConfig, run_session, transmission
+from sqss import SimConfig, run_session, transmission
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
     print("-" * len(header))
 
     for length in (0.0, 5.0, 10.0, 20.0, 40.0):
-        link_t = transmission(FiberLink(length, loss_db_per_km))
+        link_t = transmission(length, loss_db_per_km)
         hops = 2 * receivers + 1
         mu_final = mu * link_t**hops
         predicted = math.exp(-mu_final / 2)

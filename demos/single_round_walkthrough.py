@@ -5,12 +5,14 @@ what happened to the pulse on its way around the ring: the hiding
 rotations applied by Alice and both receivers on the forward path, the
 key rotation Alice applies when the pulse comes back through her lab,
 the unwinding on the backward path, and finally Rec-1's measurement and
-the cooperative decode.
+the cooperative decode. Every discrete angle is an int of quarter turns
+of pi/4, printed through ``ANGLE_LABELS``.
 """
 
 import math
 
-from sqss import DecisionAngle, SimConfig, run_session
+from sqss import SimConfig, run_session
+from sqss.optics import ANGLE_LABELS
 
 
 def degrees(radians: float) -> str:
@@ -19,7 +21,7 @@ def degrees(radians: float) -> str:
 
 def outcome(code: int) -> str:
     """An arm's outcome code in words: the angle it read, vacuum or ambiguous."""
-    return f"angle {DecisionAngle(code).label}" if code < 4 else ("vacuum", "ambiguous")[code - 4]
+    return f"angle {ANGLE_LABELS[code]}" if code < 4 else ("vacuum", "ambiguous")[code - 4]
 
 
 def main() -> None:
@@ -33,14 +35,13 @@ def main() -> None:
     print("secrets drawn this round:")
     print(f"  Alice hiding angle   theta = {degrees(table.theta[i])}")
     for r, (phi, s) in enumerate(zip(table.phis[i], table.shuffles[i]), start=1):
-        shuffle = DecisionAngle(int(s))
         print(
             f"  Rec-{r} hiding angle  phi_{r} = {degrees(phi)},"
-            f"  shuffle s_{r} = {shuffle.label}"
+            f"  shuffle s_{r} = {ANGLE_LABELS[s]}"
         )
-    key = DecisionAngle(2 * bit + j - 1)
+    key = 2 * bit + j - 1
     print(f"  Alice's bit = {bit}, basis choice j = {j}")
-    print(f"  encoded key angle k = {key.label}")
+    print(f"  encoded key angle k = {ANGLE_LABELS[key]}")
     print()
 
     print("pulse polarization along the ring:")
@@ -53,15 +54,14 @@ def main() -> None:
     print("measurement at Rec-1:")
     print(f"  rectilinear arm: {outcome(table.rect[i])}")
     print(f"  diagonal arm:    {outcome(table.diag[i])}")
-    measured = DecisionAngle(int(table.sifted[i]))
-    print(f"  sifted arm reads l = {measured.label}")
+    print(f"  sifted arm reads l = {ANGLE_LABELS[table.sifted[i]]}")
     print()
 
-    decoded = DecisionAngle(int(table.decoded[i]))
+    decoded = int(table.decoded[i])
     print("cooperative decode:")
     print(f"  Rec-1 announces d_1 = l - s_1, the others announce their shuffles")
-    print(f"  recovered key angle = {decoded.label} (sent: {key.label})")
-    print(f"  recovered bit = {decoded.quarter_turns // 2} (sent: {bit})")
+    print(f"  recovered key angle = {ANGLE_LABELS[decoded]} (sent: {ANGLE_LABELS[key]})")
+    print(f"  recovered bit = {decoded // 2} (sent: {bit})")
 
 
 if __name__ == "__main__":

@@ -3,16 +3,13 @@ quantum secret sharing with coherent pulses."""
 
 from .adversary import eve_mean_photons
 from .analysis import error_curve, monte_carlo_p_error, p_error_closed_form
-from .channel import FiberLink, transmission
+from .channel import transmission
 from .config import SimConfig
-from .optics import DecisionAngle
 from .protocol import VerdictKind, decode_table, key_digest, run_session
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecisionAngle",
-    "FiberLink",
     "SimConfig",
     "VerdictKind",
     "decode_table",

@@ -12,26 +12,15 @@ the source's Poisson mean and those behind the last into Rec-1's law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class FiberLink:
-    length_km: float
-    loss_db_per_km: float
-
-    def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError(f"length_km must be >= 0, got {self.length_km}")
-        if self.loss_db_per_km < 0:
-            raise ValueError(f"loss_db_per_km must be >= 0, got {self.loss_db_per_km}")
-
-
-def transmission(link: FiberLink) -> float:
-    """Intensity transmission 10^(-alpha*l/10) of one link."""
-    return 10.0 ** (-(link.loss_db_per_km * link.length_km) / 10.0)
+def transmission(length_km: float, loss_db_per_km: float) -> float:
+    """Intensity transmission 10^(-alpha*l/10) of a link ``length_km`` long
+    with attenuation ``loss_db_per_km``; both must be >= 0."""
+    if length_km < 0 or loss_db_per_km < 0:
+        raise ValueError(f"link length and loss must be >= 0, got {length_km}, {loss_db_per_km}")
+    return 10.0 ** (-(loss_db_per_km * length_km) / 10.0)
 
 
 def thin_batch(count: np.ndarray, t: float, rng: np.random.Generator) -> np.ndarray:

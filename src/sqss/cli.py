@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import analysis, protocol
 from .adversary import intercepted_mean
 from .config import MAX_ROUNDS, ConfigError, SimConfig, apply_overrides, load_config
-from .optics import VACUUM, DecisionAngle
+from .optics import ANGLE_LABELS, VACUUM
 
 EXIT_ACCEPT = 0
 EXIT_ABORT_RETRY = 2
@@ -40,16 +39,6 @@ _ROUND_COLUMNS = (
     "index,theta,phis,shuffles,basis_choice,bit,key_angle,rect_outcome,"
     "diag_outcome,status,measured_angle,decoded_angle,decoded_bit,trace"
 )
-
-
-@dataclass(frozen=True, slots=True)
-class AttackSummary:
-    strategy: str
-    trials: int
-    metric: str
-    value: float
-    std_error: float
-    reference: float
 
 
 def _fmt(value: float) -> str:
@@ -91,14 +80,6 @@ def curve_points_to_csv(points: Sequence[analysis.ErrorCurvePoint]) -> str:
     lines = ["mu_t,p_e,p_error"]
     lines.extend(f"{_fmt(p.mu_t)},{_fmt(p.p_e)},{_fmt(p.p_error)}" for p in points)
     return "\n".join(lines) + "\n"
-
-
-def attack_summary_to_csv(summary: AttackSummary) -> str:
-    return (
-        "strategy,trials,metric,value,std_error,reference\n"
-        f"{summary.strategy},{summary.trials},{summary.metric},"
-        f"{_fmt(summary.value)},{_fmt(summary.std_error)},{_fmt(summary.reference)}\n"
-    )
 
 
 def _load_effective_config(args: argparse.Namespace) -> SimConfig:
@@ -177,12 +158,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     table = protocol.decode_table()
-    labels = [DecisionAngle(q).label for q in protocol.DECODE_TABLE_ORDER]
+    labels = [ANGLE_LABELS[q] for q in protocol.DECODE_TABLE_ORDER]
     width = 6
     header = "rec2\\rec1".ljust(10) + "".join(lbl.rjust(width) for lbl in labels)
     print(header)
     for row_label, row in zip(labels, table):
-        print(row_label.ljust(10) + "".join(entry.label.rjust(width) for entry in row))
+        print(row_label.ljust(10) + "".join(ANGLE_LABELS[k].rjust(width) for k in row))
     print()
     print("entry = key angle k recovered from rec1's decision angle (column)")
     print("and rec2's shuffle (row) via k = d1 - d2 on the quarter-turn cycle;")
@@ -195,7 +176,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     config = _load_effective_config(args)
     config.adversary = args.strategy
     config.validate()
-    rng = np.random.default_rng(config.seed)
     if args.trials is not None:
         config.rounds = args.trials
 
@@ -207,6 +187,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if usd_mean > analysis.MAX_MU_T:
             raise ConfigError("mu", f"the intercepted mean mu*bs_ratio*T is {usd_mean:g}; the"
                               f" closed form and the Monte Carlo take at most {analysis.MAX_MU_T:g}")
+        rng = np.random.default_rng(config.seed)
         estimate = analysis.monte_carlo_p_error(usd_mean, 1.0, config.rounds, rng)
         n, value, std_error = estimate.trials, estimate.mean, estimate.std_error
         metric, reference = "induced_qber", analysis.p_error_closed_form(usd_mean, 1.0)
@@ -214,7 +195,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if not 1 <= config.rounds <= MAX_ROUNDS:
             raise ConfigError("trials", f"must be in 1..{MAX_ROUNDS}, got {config.rounds}")
         config.target_key_bits = 0
-        result = protocol.run_session(config, rng=rng)
+        result = protocol.run_session(config)
         s = result.eve_summary
         if args.strategy == "tag":
             value = s.recovery_rate if s.recovery_rate is not None else 0.0
@@ -227,15 +208,18 @@ def cmd_attack(args: argparse.Namespace) -> int:
             reference = 0.5
             metric = "bit_guess_accuracy"
         std_error = math.sqrt(value * (1.0 - value) / n) if n > 1 else 0.0
-    summary = AttackSummary(args.strategy, n, metric, value, std_error, reference)
 
-    print(f"strategy={summary.strategy}")
-    print(f"trials={summary.trials}")
-    print(f"{summary.metric}={_fmt(summary.value)}")
-    print(f"std_error={_fmt(summary.std_error)}")
-    print(f"reference={_fmt(summary.reference)}")
+    print(f"strategy={args.strategy}")
+    print(f"trials={n}")
+    print(f"{metric}={_fmt(value)}")
+    print(f"std_error={_fmt(std_error)}")
+    print(f"reference={_fmt(reference)}")
     if args.out:
-        Path(args.out).write_text(attack_summary_to_csv(summary), encoding="utf-8")
+        Path(args.out).write_text(
+            "strategy,trials,metric,value,std_error,reference\n"
+            f"{args.strategy},{n},{metric},{_fmt(value)},{_fmt(std_error)},{_fmt(reference)}\n",
+            encoding="utf-8",
+        )
     return EXIT_ACCEPT
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .channel import FiberLink, transmission
+from .channel import transmission
 
 _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 # The largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
@@ -16,7 +16,9 @@ MAX_ROUNDS = 10_000_000
 # other chunk holds as much per round x receiver cell, and an untraced one
 # without a PNS tap holds nothing per receiver. A traced chunk peaked at up
 # to 53 B per cell (tracemalloc, N <= 100), so one chunk of 65,536 rounds
-# stays under 1 GB: 150 x 65,536 x 53 B is 0.52 GB.
+# stays under 1 GB: 150 x 65,536 x 53 B is 0.52 GB. A traced or recorded
+# session keeps every chunk's trace and secrets; ``run_session`` refuses one
+# whose kept table would pass ``protocol._KEPT_TABLE_BUDGET``.
 MAX_RECEIVERS = 150
 
 
@@ -113,7 +115,7 @@ class SimConfig:
     def hop_transmission(self) -> float:
         """Transmission of every hop: the configured link's, else ``transmission`` (default 1)."""
         if self.link_length_km is not None and self.link_loss_db_per_km is not None:
-            return transmission(FiberLink(self.link_length_km, self.link_loss_db_per_km))
+            return transmission(self.link_length_km, self.link_loss_db_per_km)
         return 1.0 if self.transmission is None else self.transmission
 
     def hop_transmissions(self) -> list[float]:

@@ -8,7 +8,8 @@ count, so a pulse's polarization after any stage is the sum of the
 parties' rotations up to there, folded with ``rotate`` only where
 something reads it. It lives on the half-circle [0, pi) because every
 protocol state and both measurement bases are invariant under a pi
-shift. Losses and splitters thin the count (``channel``).
+shift. Losses and splitters thin the count (``channel``). The four
+discrete protocol angles, and the outcomes that read them, are ints 0..3.
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
@@ -27,40 +28,13 @@ draw of the split or of the last loss in front of Rec-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+# The protocol angles {0, pi/4, pi/2, -pi/4} are ints 0..3 counting these quarter
+# turns, named by ANGLE_LABELS: angle arithmetic is integer arithmetic mod 4.
 QUARTER_TURN = math.pi / 4
-
-_ANGLE_LABELS = ("0", "pi/4", "pi/2", "-pi/4")
-
-
-@dataclass(frozen=True, slots=True)
-class DecisionAngle:
-    """One of the four discrete protocol angles {0, pi/4, pi/2, -pi/4}.
-
-    Encoded as quarter turns of pi/4: angle arithmetic is integer
-    arithmetic mod 4, done on arrays of these counts by the round engine.
-    """
-
-    quarter_turns: int
-
-    def __post_init__(self) -> None:
-        if self.quarter_turns not in (0, 1, 2, 3):
-            raise ValueError(f"quarter_turns must be in 0..3, got {self.quarter_turns}")
-
-    @property
-    def radians(self) -> float:
-        return self.quarter_turns * QUARTER_TURN
-
-    @property
-    def label(self) -> str:
-        return _ANGLE_LABELS[self.quarter_turns]
-
-    def __neg__(self) -> "DecisionAngle":
-        return DecisionAngle((-self.quarter_turns) % 4)
-
+ANGLE_LABELS = ("0", "pi/4", "pi/2", "-pi/4")
 
 # Each basis, named by the quarter turns of its aligned detector; the
 # orthogonal detector reads two quarter turns further on.

@@ -67,7 +67,6 @@ from .config import MAX_ROUNDS, ConfigError, SimConfig
 from .optics import (
     QUARTER_TURN,
     VACUUM,
-    DecisionAngle,
     rec1_measure,
     rotate,
 )
@@ -81,6 +80,13 @@ _RECORD_SEED_SALT = 0x7265636F726473
 
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
+# The most bytes of trace and secrets a traced or recorded session may keep
+# (``run_session``). One-chunk sessions peaked just above that table under
+# tracemalloc (2-vCPU host): traced N=150 at 6,267 B/round against 6,190 and
+# recorded N=150 at 1,384 against 1,358, 63 and 14 GB at 10^7 rounds. Joining
+# chunks copies the trace once: traced N=2 peaked at 267 B/round against 122,
+# 2.7 GB at 10^7, so a traced session at the budget peaks near 2 GB.
+_KEPT_TABLE_BUDGET = 10**9
 
 
 class VerdictKind(Enum):
@@ -180,12 +186,11 @@ def _decode(measured, shuffle_sum):
 DECODE_TABLE_ORDER = (0, 2, 1, 3)
 
 
-def decode_table() -> list[list[DecisionAngle]]:
-    """4x4 key-angle table: rows are Rec-2's angle, columns Rec-1's, both in
-    ``DECODE_TABLE_ORDER``."""
+def decode_table() -> list[list[int]]:
+    """4x4 key-angle table in quarter turns 0..3: rows are Rec-2's angle,
+    columns Rec-1's, both in ``DECODE_TABLE_ORDER``."""
     order = np.array(DECODE_TABLE_ORDER)
-    keys = _decode(order, order[:, None])
-    return [[DecisionAngle(int(k)) for k in row] for row in keys]
+    return _decode(order, order[:, None]).tolist()
 
 
 def _polarizations(table: RoundTable, offset: np.ndarray | None) -> Iterator[np.ndarray]:
@@ -450,16 +455,14 @@ def _decode_phase(
     return keys
 
 
-def run_session(
-    config: SimConfig, rng: np.random.Generator | None = None, records: bool = False
-) -> SessionResult:
+def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     """Run a full multi-round session and return keys plus statistics.
 
     Simulates the rounds through the ring in chunks (with the configured
     adversary attached to its channel hops) and sifts each chunk, then
     decodes cooperatively, optionally reconciles and compresses, and
-    cross-checks key digests; an empty final key aborts for retry. Fully
-    deterministic for a given seed and configuration.
+    cross-checks key digests; an empty final key aborts for retry. Every
+    draw comes from ``config.seed``.
 
     The result's ``records`` table holds theta, every phi_i and every s_i
     only with ``trace`` or when ``records`` asks for them. A session that
@@ -469,7 +472,8 @@ def run_session(
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
     that even the honest keep rate cannot reach within the round cap is
-    rejected before the first round.
+    rejected before the first round, and so is a traced or recorded
+    session whose kept table would outgrow ``_KEPT_TABLE_BUDGET``.
     """
     config.validate()
     n = config.receivers
@@ -485,8 +489,18 @@ def run_session(
             f"{target} sifted bits need more than {MAX_ROUNDS} rounds"
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    # a traced or recorded session keeps every round's trace (an int64 count and a float
+    # polarization per stage) and its secrets (theta, N float phi_i and N int8 s_i)
+    stages = sum(isinstance(step, str) for step, _ in _route(config)) if config.trace else 0
+    per_round = 16 * stages + (9 * n + 8 if records or config.trace else 0)
+    rounds = target / keep_rate if target else config.rounds
+    if rounds * per_round > _KEPT_TABLE_BUDGET:
+        raise ConfigError(
+            "trace" if config.trace else "rounds",
+            f"about {rounds:.4g} rounds would keep {rounds * per_round / 1e9:.3g} GB of trace"
+            f" and secrets, more than {_KEPT_TABLE_BUDGET / 1e9:g} GB",
+        )
+    rng = np.random.default_rng(config.seed)
 
     chunks: list[RoundTable] = []
     executed = kept_count = 0

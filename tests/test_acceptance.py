@@ -14,7 +14,6 @@ import mpmath
 import numpy as np
 
 from sqss import (
-    DecisionAngle,
     SimConfig,
     VerdictKind,
     decode_table,
@@ -148,12 +147,12 @@ def test_05_decode_exhaustiveness_and_table():
     covered = len(combos) == 64
 
     table = decode_table()
-    symbols = {DecisionAngle(q) for q in range(4)}
+    symbols = {0, 1, 2, 3}  # the key angles in quarter turns
     latin = all(set(row) == symbols for row in table) and all(
         {table[r][c] for r in range(4)} == symbols for c in range(4)
     )
     conventional = all(
-        table[r][c] == -DecisionAngle(CONVENTIONAL_TABLE[r][c])
+        table[r][c] == (-CONVENTIONAL_TABLE[r][c]) % 4
         for r in range(4)
         for c in range(4)
     )

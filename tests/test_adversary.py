@@ -17,7 +17,7 @@ from sqss.adversary import (
 )
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
-from sqss.optics import DecisionAngle
+from sqss.optics import QUARTER_TURN
 from sqss.protocol import _run_round, run_session
 
 
@@ -252,7 +252,7 @@ class TestMlEstimator:
         rng = np.random.default_rng(31)
         # A stored photon polarized exactly at a key angle is read
         # perfectly in the announced basis.
-        angles = np.array([DecisionAngle(q).radians for q in (0, 2, 1, 3)])
+        angles = np.array([0, 2, 1, 3]) * QUARTER_TURN
         stored = np.ones(4, dtype=np.int64)
         guesses = ml_single_photon_estimator(stored, angles, np.array([1, 1, 2, 2]), rng)
         assert guesses.tolist() == [0, 1, 0, 1]

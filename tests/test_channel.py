@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqss.channel import FiberLink, thin_batch, transmission
+from sqss.channel import thin_batch, transmission
 from sqss.config import SimConfig
 
 
@@ -15,18 +15,17 @@ def pulses(count, size=1):
 
 
 def test_transmission_zero_length():
-    assert transmission(FiberLink(0.0, 0.2)) == 1.0
+    assert transmission(0.0, 0.2) == 1.0
 
 
 def test_transmission_ten_db():
     # 10 dB of total loss is a factor of ten by definition.
-    assert transmission(FiberLink(50.0, 0.2)) == pytest.approx(0.1)
+    assert transmission(50.0, 0.2) == pytest.approx(0.1)
 
 
 def test_transmission_half():
     # ~3.0103 dB halves the mean photon number.
-    link = FiberLink(1.0, 10.0 * math.log10(2.0))
-    assert transmission(link) == pytest.approx(0.5, abs=1e-12)
+    assert transmission(1.0, 10.0 * math.log10(2.0)) == pytest.approx(0.5, abs=1e-12)
 
 
 @given(
@@ -34,20 +33,20 @@ def test_transmission_half():
     st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
 )
 def test_transmission_stays_in_unit_interval(length, loss):
-    t = transmission(FiberLink(length, loss))
+    t = transmission(length, loss)
     assert 0.0 < t <= 1.0
 
 
 def test_transmission_decreasing_in_length_and_loss():
-    assert transmission(FiberLink(10.0, 0.2)) > transmission(FiberLink(20.0, 0.2))
-    assert transmission(FiberLink(10.0, 0.2)) > transmission(FiberLink(10.0, 0.4))
+    assert transmission(10.0, 0.2) > transmission(20.0, 0.2)
+    assert transmission(10.0, 0.2) > transmission(10.0, 0.4)
 
 
 def test_negative_parameters_rejected():
     with pytest.raises(ValueError):
-        FiberLink(-1.0, 0.2)
+        transmission(-1.0, 0.2)
     with pytest.raises(ValueError):
-        FiberLink(1.0, -0.2)
+        transmission(1.0, -0.2)
 
 
 def test_attenuate_scales_mean_only():
@@ -96,7 +95,7 @@ def test_thin_batch_lossless_keeps_every_photon():
 
 def test_equal_ring_shape():
     hops = SimConfig(receivers=3, link_length_km=10.0, link_loss_db_per_km=0.2).hop_transmissions()
-    assert hops == [transmission(FiberLink(10.0, 0.2))] * 7
+    assert hops == [transmission(10.0, 0.2)] * 7
 
 
 def test_hop_count_is_2n_plus_1():

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from sqss import cli
+from sqss import cli, protocol
 from sqss.analysis import error_curve, p_error_closed_form
 from sqss.config import (
     _MAX_MEAN_PHOTONS,
@@ -431,6 +431,27 @@ class TestCliSimulate:
     def test_ring_beyond_the_receiver_cap_fails_fast(self, args):
         # a chunk of either ring would need gigabytes; validation stops it first
         assert_fails_fast(args, "receivers")
+
+    @pytest.mark.parametrize("args,key", [
+        (["--override", "receivers=150", "--override", "rounds=10000000", "--trace"], "trace"),
+        (["--override", "receivers=150", "--override", "rounds=10000000", "--out"], "rounds"),
+        (["--override", "key_bits=9000000", "--trace"], "trace"),
+    ], ids=["trace", "records", "key_bits-trace"])
+    def test_kept_table_beyond_the_budget_fails_fast(self, args, key, tmp_path, monkeypatch,
+                                                     capsys):
+        # a traced or recorded session keeps every round, here 62, 14 and
+        # 1.2 GB of it; no round may run, so a regression cannot allocate
+        def no_round(*_):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(protocol, "_run_round", no_round)
+        out = tmp_path / "rounds.csv"
+        argv = ["simulate", *args] + ([str(out)] if args[-1] == "--out" else [])
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"'{key}'" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([

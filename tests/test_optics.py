@@ -12,11 +12,11 @@ from sqss.channel import thin_batch
 from sqss.config import SimConfig
 from sqss.optics import (
     AMBIGUOUS,
+    ANGLE_LABELS,
     DIAGONAL,
     MALUS,
     RECTILINEAR,
     VACUUM,
-    DecisionAngle,
     malus,
     rec1_measure,
     rotate,
@@ -108,33 +108,17 @@ class TestPolarizationAngle:
 
 
 class TestDecisionAngle:
-    def test_quarter_turn_values(self):
-        assert DecisionAngle(0).radians == 0.0
-        assert DecisionAngle(1).radians == pytest.approx(QT)
-        assert DecisionAngle(2).radians == pytest.approx(2 * QT)
-        assert DecisionAngle(3).radians == pytest.approx(3 * QT)
+    """Decision angles are ints 0..3, quarter turns of pi/4."""
 
     def test_labels(self):
-        assert [DecisionAngle(q).label for q in range(4)] == ["0", "pi/4", "pi/2", "-pi/4"]
-
-    def test_invalid_quarter_turns(self):
-        with pytest.raises(ValueError):
-            DecisionAngle(4)
-        with pytest.raises(ValueError):
-            DecisionAngle(-1)
-
-    def test_cyclic_group_arithmetic(self):
-        assert -DecisionAngle(1) == DecisionAngle(3)
-        assert -DecisionAngle(0) == DecisionAngle(0)
-        for q in range(4):
-            assert (q + (-DecisionAngle(q)).quarter_turns) % 4 == 0
+        assert list(ANGLE_LABELS) == ["0", "pi/4", "pi/2", "-pi/4"]
 
     @given(st.integers(0, 3), st.integers(0, 3))
     def test_add_matches_polarization_addition(self, qa, qb):
         # the engine adds shuffles as quarter turns mod 4 and rotates
         # polarizations as floats; the two must agree
-        combined = DecisionAngle((qa + qb) % 4).radians
-        direct = turned(DecisionAngle(qb).radians, start=DecisionAngle(qa).radians)
+        combined = ((qa + qb) % 4) * QT
+        direct = turned(qb * QT, start=qa * QT)
         assert circular_distance(combined, direct) <= 1e-12
 
 
@@ -151,7 +135,7 @@ class TestBasis:
         rng = np.random.default_rng(0)
         for q in range(4):
             basis = (RECTILINEAR, DIAGONAL)[q % 2]
-            out = measure(pulses(5, DecisionAngle(q).radians, 200), basis, rng)
+            out = measure(pulses(5, q * QT, 200), basis, rng)
             assert (out == q).all()
 
     def test_aligned_and_orthogonal(self):
@@ -160,7 +144,7 @@ class TestBasis:
         for basis, aligned, orthogonal in ((RECTILINEAR, 0, 2), (DIAGONAL, 1, 3)):
             assert basis == aligned
             for q in (aligned, orthogonal):
-                assert measure(pulses(5, DecisionAngle(q).radians), basis, rng).tolist() == [q]
+                assert measure(pulses(5, q * QT), basis, rng).tolist() == [q]
 
 
 class TestPulses:
@@ -283,19 +267,19 @@ class TestPbsMeasure:
 
     def test_aligned_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
-        batch = pulses(5, DecisionAngle(0).radians, 200)
+        batch = pulses(5, 0.0, 200)
         out = measure(batch, RECTILINEAR, rng)
         assert (out == 0).all()
 
     def test_orthogonal_photons_are_deterministic(self):
         rng = np.random.default_rng(0)
-        batch = pulses(5, DecisionAngle(2).radians, 200)
+        batch = pulses(5, 2 * QT, 200)
         out = measure(batch, RECTILINEAR, rng)
         assert (out == 2).all()
 
     def test_diagonal_basis_aligned(self):
         rng = np.random.default_rng(0)
-        batch = pulses(3, DecisionAngle(3).radians)
+        batch = pulses(3, 3 * QT)
         out = measure(batch, DIAGONAL, rng)
         assert out.tolist() == [3]
 
@@ -304,7 +288,7 @@ class TestPbsMeasure:
         # cos^2(pi/4) = 1/2 on each port.
         rng = np.random.default_rng(99)
         n = 10**6
-        out = measure(pulses(1, DecisionAngle(1).radians, n), RECTILINEAR, rng)
+        out = measure(pulses(1, QT, n), RECTILINEAR, rng)
         assert np.isin(out, (0, 2)).all()
         zeros = np.count_nonzero(out == 0)
         sigma = math.sqrt(0.25 / n)
@@ -315,7 +299,7 @@ class TestPbsMeasure:
         # probability 2^(1-n); everything else is ambiguous.
         rng = np.random.default_rng(7)
         n = 20000
-        out = measure(pulses(4, DecisionAngle(1).radians, n), RECTILINEAR, rng)
+        out = measure(pulses(4, QT, n), RECTILINEAR, rng)
         ambiguous = np.count_nonzero(out == AMBIGUOUS)
         expected = 1.0 - 2.0 ** (1 - 4)
         sigma = math.sqrt(expected * (1 - expected) / n)

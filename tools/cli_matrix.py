@@ -9,6 +9,21 @@ plus ``OUTDIR/<name>.csv`` where the scenario writes ``--out``. The
 checkouts run into two directories compare with ``diff -r``: the same
 seed and configuration must give byte-identical output. Exits 1 when a
 scenario's exit code is not the one listed for it.
+
+To compare a change with its parent commit, check the parent out beside
+it and run each checkout's own copy of this script, on its own ``src``,
+into its own directory::
+
+    git worktree add ../parent <parent-commit>
+    (cd ../parent && PYTHONPATH=src python tools/cli_matrix.py /tmp/matrix-parent)
+    PYTHONPATH=src python tools/cli_matrix.py /tmp/matrix-change
+    diff -r /tmp/matrix-parent /tmp/matrix-change
+
+Never run a newer matrix against older code: a scenario that the newer
+code refuses may run on the older. For that reason the matrix holds no
+session over ``run_session``'s kept-table budget: a traced 150-receiver,
+10^7-round session would try to allocate about 63 GB on code without
+the budget check (``tests/test_config_cli.py`` covers the refusal).
 """
 
 from __future__ import annotations
