@@ -13,6 +13,7 @@ import math
 
 from sqss import SimConfig, run_session
 from sqss.optics import ANGLE_LABELS
+from sqss.protocol import _polarizations
 
 
 def degrees(radians: float) -> str:
@@ -46,9 +47,9 @@ def main() -> None:
 
     print("pulse polarization along the ring:")
     for stage, photons, polarization in zip(
-        table.trace_stages, table.trace_photons[i], table.trace_polarization[i]
+        table.trace_stages, table.trace_photons[i], _polarizations(table)
     ):
-        print(f"  {stage:<16} photons {photons:3d}  polarization {degrees(polarization)}")
+        print(f"  {stage:<16} photons {photons:3d}  polarization {degrees(polarization[i])}")
     print()
 
     print("measurement at Rec-1:")

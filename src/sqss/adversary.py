@@ -116,11 +116,11 @@ def impersonate_rounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eve's USD event on a chunk of intercepted pulses with these photon counts.
 
-    Returns Eve's guess offsets in quarter turns and the mask of rounds
-    where her discrimination succeeded.
+    Returns Eve's guess offsets in quarter turns, as int8, and the mask of
+    rounds where her discrimination succeeded.
     """
     success = rng.random(len(counts)) < usd_success(counts)
-    return np.where(success, 0, rng.integers(4, size=len(counts))), success
+    return np.where(success, 0, rng.integers(4, size=len(counts))).astype(np.int8), success
 
 
 def ml_single_photon_estimator(

@@ -54,9 +54,11 @@ def round_records_to_csv(table: protocol.RoundTable) -> str:
     per round (README: Per-round CSV)."""
     traces = [""] * len(table)
     if table.trace_stages:
+        polarizations = zip(*(p.tolist() for p in protocol._polarizations(table)))
         traces = [
-            "|".join(f"{stage}:{n}:{_fmt(pol)}" for stage, n, pol in zip(table.trace_stages, *hops))
-            for hops in zip(table.trace_photons.tolist(), table.trace_polarization.tolist())
+            "|".join(f"{stage}:{n}:{_fmt(pol)}"
+                     for stage, n, pol in zip(table.trace_stages, *hops, strict=True))
+            for hops in zip(table.trace_photons.tolist(), polarizations)
         ]
     lines = [_ROUND_COLUMNS]
     for i, (theta, phis, shuffles, j, bit, key, rect, diag, code, dec, trace) in enumerate(zip(

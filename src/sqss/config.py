@@ -14,11 +14,12 @@ _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 MAX_ROUNDS = 10_000_000
 # The most receivers a ring may have. Only the traced chunk sets the cap: no
 # other chunk holds as much per round x receiver cell, and an untraced one
-# without a PNS tap holds nothing per receiver. A traced chunk peaked at up
-# to 53 B per cell (tracemalloc, N <= 100), so one chunk of 65,536 rounds
-# stays under 1 GB: 150 x 65,536 x 53 B is 0.52 GB. A traced or recorded
-# session keeps every chunk's trace and secrets; ``run_session`` refuses one
-# whose kept table would pass ``protocol._KEPT_TABLE_BUDGET``.
+# without a PNS tap holds nothing per receiver. A traced chunk with its
+# secrets peaked at up to 29 B per cell (tracemalloc, N = 10-150), so one
+# chunk of 65,536 rounds stays under 1 GB: 150 x 65,536 x 29 B is 0.29 GB. A
+# traced or recorded session keeps every chunk's trace and secrets;
+# ``run_session`` refuses one whose kept table would pass
+# ``protocol._KEPT_TABLE_BUDGET``.
 MAX_RECEIVERS = 150
 
 
@@ -181,7 +182,13 @@ def parse_config(text: str) -> SimConfig:
 
 
 def load_config(path: str | Path) -> SimConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            "config", f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_config(text)
 
 
 def serialize_config(config: SimConfig) -> str:

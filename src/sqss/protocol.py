@@ -23,30 +23,25 @@ the source (the rotation ledger, ``_polarizations``). The hiding angles
 never reach Rec-1's detectors: theta and every phi_i cancel exactly, so
 the engine computes the angle Rec-1 receives in whole quarter turns, k
 plus the shuffle sum (plus Eve's offset under impersonation), and
-Rec-1's reader takes Malus' p from ``optics.MALUS``. Only the trace and
-the photons Eve stores read a float polarization, and only then is the
-ledger folded.
+Rec-1's reader takes Malus' p from ``optics.MALUS``. Only the per-round
+CSV's trace and the photons Eve stores read a float polarization, and
+each folds the ledger itself.
 
-No secret depends on the light, so a round (``_run_round``) draws the
-secrets first and then walks the light along the route (``_route``):
-the hops and party stages in travel order, each with the share of
-photons it passes on. Only the secrets something reads are drawn. The
-shuffles reach Rec-1, sifting and the decode only through their sum S
-mod 4, which is uniform on Z4 like each shuffle, so a round draws S
-itself. Theta, the phi_i and the s_i are drawn behind it, from their
-exact law given S (``_draw_secrets``), only when something reads them:
-the ledger (``trace`` or a PNS tap) from the round's own stream, or
-records after the fact (``run_session(..., records=True)``) from a
-stream of their own.
+A round (``_run_round``) is its physics: the bit, the basis, the shuffle
+sum S mod 4 (uniform on Z4 like each shuffle, the only secret that
+reaches Rec-1, sifting and the decode), Eve's events and the light,
+walked along the route (``_route``): the hops and party stages in travel
+order, each with the share of photons it passes on. No light depends on
+theta, a phi_i or a single s_i, so ``run_session`` draws them behind
+each chunk, from their exact law given S (``_draw_secrets``) and from a
+stream of their own, only when the ledger or records read them.
 
 Light is drawn only where it is observed: the source count at the first
 observer's mean and one thinning between observers. Rec-1 reads both
 arms at once from the exact joint law of what reaches its splitter
 (``optics.rec1_measure``), the last count's photons or, when nothing
 counted the light, the coherent pulse: neither the last loss nor the
-50:50 split is drawn. A round returns one ``RoundTable``: every secret
-it drew, and everything the round computes from them down to the trace,
-is a column of it.
+50:50 split is drawn.
 """
 
 from __future__ import annotations
@@ -75,17 +70,17 @@ from .optics import (
 PA_COMPRESSION = 0.5
 # Public salt separating the privacy-amplification seed from the session seed.
 _PA_SEED_SALT = 0x9E3779B97F4A7C15
-# Public salt separating the stream that fills a session's records from its physics.
-_RECORD_SEED_SALT = 0x7265636F726473
+# Public salt separating the stream of the parties' private secrets from the physics.
+_SECRETS_SEED_SALT = 0x7265636F726473
 
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
 # The most bytes of trace and secrets a traced or recorded session may keep
 # (``run_session``). One-chunk sessions peaked just above that table under
-# tracemalloc (2-vCPU host): traced N=150 at 6,267 B/round against 6,190 and
-# recorded N=150 at 1,384 against 1,358, 63 and 14 GB at 10^7 rounds. Joining
-# chunks copies the trace once: traced N=2 peaked at 267 B/round against 122,
-# 2.7 GB at 10^7, so a traced session at the budget peaks near 2 GB.
+# tracemalloc (2-vCPU host): traced N=150 at 3,842 B/round against 3,774 and
+# recorded N=150 at 1,425 against 1,358, 38 and 14 GB at 10^7 rounds. Joining
+# chunks copies the trace once: traced N=2 peaked at 165 B/round against 74,
+# so a traced session at the budget peaks near 2.2 GB.
 _KEPT_TABLE_BUDGET = 10**9
 
 
@@ -110,14 +105,14 @@ class RoundTable:
     """Every round of a session, one array per field with one entry per round.
 
     ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter
-    turns 0..3, drawn first; the shuffles are drawn behind it. ``theta``,
-    ``phis`` and ``shuffles`` are None unless drawn for the rotation ledger
-    (``trace`` or ``pns``) or for records; a session keeps them only with
-    ``trace`` or records (``run_session``). The arms hold detector outcome
-    codes (``optics``); sifting fills in ``sifted``, the chosen arm's
-    code, and decoding ``decoded``, the consensus key angle or -1. With
-    ``trace`` the pulse's photon count and polarization after each of
-    ``trace_stages`` are kept too.
+    turns 0..3; the shuffles are drawn behind it. ``theta``, ``phis`` and
+    ``shuffles`` are None unless the session draws them for the rotation
+    ledger (``trace`` or ``pns``) or for records, and it keeps them only
+    with ``trace`` or records (``run_session``). The arms hold detector
+    outcome codes (``optics``); sifting fills in ``sifted``, the chosen
+    arm's code, and decoding ``decoded``, the consensus key angle or -1.
+    With ``trace`` the pulse's photon count after each of ``trace_stages``
+    is kept too; its polarization there is the ledger's fold.
     """
 
     shuffle_sum: np.ndarray  # int8
@@ -129,9 +124,9 @@ class RoundTable:
     rect: np.ndarray | None = None
     diag: np.ndarray | None = None
     eve_event: np.ndarray | None = None  # photon stored, tag survived or USD success
-    eve_polarization: np.ndarray | None = None  # of the pulse Eve counted (pns)
+    eve_offset: np.ndarray | None = None  # int8 guess error in quarter turns (impersonate)
+    eve_guess: np.ndarray | None = None  # bit read from the stored photon (pns)
     trace_photons: np.ndarray | None = None  # (rounds, stages)
-    trace_polarization: np.ndarray | None = None
     trace_stages: tuple[str, ...] = ()
     sifted: np.ndarray | None = None
     decoded: np.ndarray | None = None
@@ -193,14 +188,14 @@ def decode_table() -> list[list[int]]:
     return _decode(order, order[:, None]).tolist()
 
 
-def _polarizations(table: RoundTable, offset: np.ndarray | None) -> Iterator[np.ndarray]:
+def _polarizations(table: RoundTable) -> Iterator[np.ndarray]:
     """The rotation ledger: every pulse's polarization after each stage, in
     travel order, starting from theta at the source.
 
     No loss, splitter or counter turns a photon, so the polarization is
     the fold of the parties' rotations: phi_i + s_i into each receiver,
-    k - theta at Alice, Eve's guess ``offset`` under impersonation (None
-    otherwise), then -phi_i back through each receiver. The fold is lazy:
+    k - theta at Alice, Eve's guess ``eve_offset`` under impersonation,
+    then -phi_i back through each receiver. The fold is lazy:
     a reader that stops early computes no later rotation.
     """
     n = table.phis.shape[1]
@@ -209,8 +204,8 @@ def _polarizations(table: RoundTable, offset: np.ndarray | None) -> Iterator[np.
         for i in range(n):
             yield table.phis[:, i] + table.shuffles[:, i] * QUARTER_TURN
         yield _key_angle(table.bit, table.basis_choice) * QUARTER_TURN - table.theta
-        if offset is not None:
-            yield offset * QUARTER_TURN
+        if table.eve_offset is not None:
+            yield table.eve_offset * QUARTER_TURN
         for i in reversed(range(n)):
             yield -table.phis[:, i]
 
@@ -335,22 +330,17 @@ def _route(config: SimConfig) -> list[tuple[int | str, float]]:
 def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundTable:
     """Simulate ``size`` independent rounds at once into one table.
 
-    No party's secret depends on the light, so the secrets come first,
-    each kind from one call. One value on Z4 per round gives Alice's bit
-    and basis, two fair bits. Only the shuffles' sum S reaches Rec-1,
-    sifting and the decode, and S is uniform on Z4 like each shuffle, so
-    another gives S. Only when the rotation ledger (``_polarizations``) is
-    read, by the trace or Eve's stored photons, are theta, every phi_i and
-    every s_i drawn behind it (``_draw_secrets``). Eve's tag or USD event
-    follows. The light, a
-    photon count per round, then walks the route (``_route``). Its
-    observers are Eve's PNS hop and, with ``trace``, every stage, which
-    writes its count into its ``trace_photons`` column. The source draws
-    at the first observer's mean, each later observer thins once by the
-    shares passed since the last one, and Rec-1 reads the rest of the
-    way with its detectors.
+    One value on Z4 per round gives Alice's bit and basis, two fair bits;
+    another gives the shuffles' sum S, the only secret the light carries
+    to Rec-1, sifting and the decode (S is uniform on Z4 like each
+    shuffle). Eve's tag or USD event follows; under impersonation her
+    guess offset is the ``eve_offset`` column. The light, a photon count
+    per round, then walks the route (``_route``). Its observers are Eve's
+    PNS hop and, with ``trace``, every stage, which writes its count into
+    its ``trace_photons`` column. The source draws at the first observer's
+    mean, each later observer thins once by the shares passed since the
+    last one, and Rec-1 reads the rest of the way with its detectors.
     """
-    n = config.receivers
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
     steps, shares = zip(*_route(config))
     observers = [k for k, step in enumerate(steps)
@@ -360,12 +350,9 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
     stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
     table = RoundTable(z4[1], basis, bit, trace_stages=stages)
-    if pns_hop or config.trace:
-        _draw_secrets(table, n, rng)
     light = None
     if observers:
         light = rng.poisson(config.mean_photons * math.prod(shares[: observers[0] + 1]), size)
-    offset = None
     if config.adversary == "tag":
         table.eve_event = adv.tag_attack_rounds(size, config.bs_ratio, rng)
     elif config.adversary == "impersonate":
@@ -376,10 +363,12 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         # substitute is the honest pulse shifted by her guess error.
         t = config.hop_transmission()
         usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, t)
-        offset, table.eve_event = adv.impersonate_rounds(rng.poisson(usd_mean, size), rng)
+        counts = rng.poisson(usd_mean, size)
+        table.eve_offset, table.eve_event = adv.impersonate_rounds(counts, rng)
     # theta and every phi_i cancel around the ring: Rec-1 receives the key
     # angle plus every shuffle and Eve's offset, whole quarter turns
-    arrived = (_key_angle(bit, basis) + table.shuffle_sum + (0 if offset is None else offset)) & 3
+    offset = 0 if table.eve_offset is None else table.eve_offset
+    arrived = (_key_angle(bit, basis) + table.shuffle_sum + offset) & 3
 
     if stages:
         table.trace_photons = np.empty((size, len(stages)), dtype=np.int64)
@@ -395,14 +384,6 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     # Rec-1 reads the share passed since the last observer: of its count or the source's mean
     share = math.prod(shares[done:]) * (config.mean_photons if light is None else 1.0)
     table.rect, table.diag = rec1_measure(arrived, light, share, rng)
-
-    # the trace reads every stage's polarization, Eve the one at her hop
-    if stages:
-        table.trace_polarization = np.empty((size, len(stages)))
-        for k, polarization in enumerate(_polarizations(table, offset)):
-            table.trace_polarization[:, k] = polarization
-    if pns_hop:
-        table.eve_polarization = next(islice(_polarizations(table, offset), pns_hop - 1, None))
     return table
 
 
@@ -464,16 +445,20 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     cross-checks key digests; an empty final key aborts for retry. Every
     draw comes from ``config.seed``.
 
-    The result's ``records`` table holds theta, every phi_i and every s_i
-    only with ``trace`` or when ``records`` asks for them. A session that
-    drew just their sum then draws them from a stream of their own, so no
-    other output changes.
+    Theta, every phi_i and every s_i are drawn behind each chunk's physics
+    (``_draw_secrets``), from a stream of their own, only when something
+    reads them: Eve's stored photons (``pns``), the trace or ``records``.
+    So asking for records moves no other draw. Under ``pns`` Eve then
+    measures her stored photons at the ledger's polarization on her hop.
+    The result's ``records`` table keeps the secrets only with ``trace``
+    or ``records``.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
     that even the honest keep rate cannot reach within the round cap is
     rejected before the first round, and so is a traced or recorded
-    session whose kept table would outgrow ``_KEPT_TABLE_BUDGET``.
+    session whose kept table would outgrow ``_KEPT_TABLE_BUDGET``. A
+    target that an attack keeps out of reach fails once the cap is hit.
     """
     config.validate()
     n = config.receivers
@@ -489,10 +474,10 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
             f"{target} sifted bits need more than {MAX_ROUNDS} rounds"
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
-    # a traced or recorded session keeps every round's trace (an int64 count and a float
-    # polarization per stage) and its secrets (theta, N float phi_i and N int8 s_i)
+    # a traced or recorded session keeps every round's trace (an int64 count per
+    # stage) and the secrets the ledger reads (theta, N float phi_i and N int8 s_i)
     stages = sum(isinstance(step, str) for step, _ in _route(config)) if config.trace else 0
-    per_round = 16 * stages + (9 * n + 8 if records or config.trace else 0)
+    per_round = 8 * stages + (9 * n + 8 if records or config.trace else 0)
     rounds = target / keep_rate if target else config.rounds
     if rounds * per_round > _KEPT_TABLE_BUDGET:
         raise ConfigError(
@@ -501,6 +486,10 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
             f" and secrets, more than {_KEPT_TABLE_BUDGET / 1e9:g} GB",
         )
     rng = np.random.default_rng(config.seed)
+    pns = config.adversary == "pns"
+    secrets = None
+    if records or config.trace or pns:
+        secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
 
     chunks: list[RoundTable] = []
     executed = kept_count = 0
@@ -508,8 +497,10 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
         size = config.rounds - executed
         if target:
             if executed >= MAX_ROUNDS:
-                raise RuntimeError(
-                    f"target of {target} sifted bits unreachable within {MAX_ROUNDS} rounds"
+                raise ConfigError(
+                    "key_bits",
+                    f"only {kept_count} of {target} sifted bits were kept within {MAX_ROUNDS}"
+                    f" rounds: the keep rate fell below the honest {keep_rate:.3g}",
                 )
             # the rounds expected to reach the rest of the target at the
             # honest keep rate, plus four standard deviations
@@ -517,8 +508,6 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
         chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng)
-        if not (records or config.trace):  # nothing past the round reads the ledger
-            chunk.theta = chunk.phis = chunk.shuffles = None
         kept = sift(chunk)
         if target and len(kept) >= target - kept_count:
             # The simulator sees sift status before the parties learn it at
@@ -526,6 +515,15 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
             # chunk where the target is reached is the same as stopping there.
             kept = kept[: target - kept_count]
             chunk = _columnwise([chunk], lambda c: c[0][: kept[-1] + 1])
+        if secrets is not None:
+            _draw_secrets(chunk, n, secrets)
+        if pns:  # Eve measures her stored photons at the polarization on her hop
+            polarization = next(islice(_polarizations(chunk), config.pns_channel - 1, None))
+            chunk.eve_guess = adv.ml_single_photon_estimator(
+                chunk.eve_event, polarization, chunk.basis_choice, rng
+            )
+        if not (records or config.trace):  # nothing past here reads the secrets
+            chunk.theta = chunk.phis = chunk.shuffles = None
         chunks.append(chunk)
         executed += len(chunk)
         kept_count += len(kept)
@@ -550,12 +548,8 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
 
     eve_summary = None
     if config.adversary != "none":
-        eve_summary = _score_eve(config.adversary, table, kept, rng)
+        eve_summary = _score_eve(config.adversary, table, kept)
 
-    if records and table.shuffles is None:
-        # a stream of their own, so asking for records moves no physics draw
-        seeds = np.random.SeedSequence([config.seed, _RECORD_SEED_SALT])
-        _draw_secrets(table, n, np.random.default_rng(seeds))
     rows = keys.tolist()
     return SessionResult(
         rounds_executed=len(table),
@@ -570,9 +564,7 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     )
 
 
-def _score_eve(
-    adversary: str, table: RoundTable, kept: np.ndarray, rng: np.random.Generator
-) -> adv.EveSummary:
+def _score_eve(adversary: str, table: RoundTable, kept: np.ndarray) -> adv.EveSummary:
     """Grant Eve the public announcements and score what she extracted."""
     rounds, sifted = len(table), len(kept)
     counts = dict(strategy=adversary, rounds=rounds, sifted_rounds=sifted)
@@ -583,10 +575,7 @@ def _score_eve(
             **counts, recovered_bits=recovered, recovery_rate=recovered / sifted if sifted else None
         )
     if adversary == "pns":
-        guesses = adv.ml_single_photon_estimator(
-            table.eve_event, table.eve_polarization, table.basis_choice, rng
-        )
-        correct = int(np.count_nonzero(guesses == table.bit))
+        correct = int(np.count_nonzero(table.eve_guess == table.bit))
         return adv.EveSummary(
             **counts, recovered_bits=correct, guess_accuracy=correct / rounds,
             stored_photons=int(np.count_nonzero(table.eve_event)),

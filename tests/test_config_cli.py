@@ -215,6 +215,8 @@ def assert_round_csv_matches(text, table):
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ROUND_HEADER
     assert len(rows) == len(table) + 1
+    if table.trace_stages:  # (rounds, stages), folded from the rotation ledger
+        polarizations = np.column_stack(list(protocol._polarizations(table)))
     for i, row in enumerate(rows[1:]):
         (index, theta, phis, shuffles, j, bit, key, rect, diag, status,
          measured, decoded, decoded_bit, trace) = row
@@ -236,7 +238,7 @@ def assert_round_csv_matches(text, table):
         assert [stage for stage, _, _ in hops] == list(table.trace_stages)
         assert [int(n) for _, n, _ in hops] == ([] if not hops else table.trace_photons[i].tolist())
         assert [float(pol) for _, _, pol in hops] == (
-            [] if not hops else table.trace_polarization[i].tolist()
+            [] if not hops else polarizations[i].tolist()
         )
     return [row[9] for row in rows[1:]]
 
@@ -382,6 +384,28 @@ class TestCliSimulate:
         assert proc.stdout == ""
         assert elapsed < 5.0
 
+    def test_key_bits_target_an_attack_puts_out_of_reach_fails_cleanly(self, monkeypatch,
+                                                                       capsys):
+        # The up-front check passes at the honest keep rate, which Eve's
+        # skimmed photons lower: the round cap is hit mid-session.
+        monkeypatch.setattr(protocol, "MAX_ROUNDS", 20_000)
+        code = cli.main(["simulate", "--override", "key_bits=140",
+                         "--override", "transmission=0.3", "--override", "adversary=pns",
+                         "--override", "pns_channel=1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert "'key_bits'" in captured.err and "20000 rounds" in captured.err
+        assert captured.out == ""
+
+    def test_config_file_that_is_not_utf8_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"mu=\xff\n")
+        code = cli.main(["simulate", "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert "'config'" in captured.err and str(bad) in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "args,key",
         [
@@ -435,12 +459,12 @@ class TestCliSimulate:
     @pytest.mark.parametrize("args,key", [
         (["--override", "receivers=150", "--override", "rounds=10000000", "--trace"], "trace"),
         (["--override", "receivers=150", "--override", "rounds=10000000", "--out"], "rounds"),
-        (["--override", "key_bits=9000000", "--trace"], "trace"),
+        (["--override", "receivers=5", "--override", "key_bits=9000000", "--trace"], "trace"),
     ], ids=["trace", "records", "key_bits-trace"])
     def test_kept_table_beyond_the_budget_fails_fast(self, args, key, tmp_path, monkeypatch,
                                                      capsys):
-        # a traced or recorded session keeps every round, here 62, 14 and
-        # 1.2 GB of it; no round may run, so a regression cannot allocate
+        # a traced or recorded session keeps every round, here 38, 14 and
+        # 1.4 GB of it; no round may run, so a regression cannot allocate
         def no_round(*_):
             raise AssertionError("a round ran")
 

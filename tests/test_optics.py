@@ -21,7 +21,7 @@ from sqss.optics import (
     rec1_measure,
     rotate,
 )
-from sqss.protocol import _run_round, run_session
+from sqss.protocol import _polarizations, _run_round, run_session
 
 QT = math.pi / 4
 
@@ -210,7 +210,7 @@ class TestSampling:
     def test_polarization_carried_over(self):
         # the pulses leave the source polarized at theta
         table = run_session(SimConfig(rounds=10, seed=5, trace=True)).records
-        assert table.trace_polarization[:, 0].tolist() == table.theta.tolist()
+        assert next(_polarizations(table)).tolist() == table.theta.tolist()
 
 
 class TestBeamSplit:
@@ -231,7 +231,8 @@ class TestBeamSplit:
             for ratio in (0.3, 1.0)
         ]
         encoded = tables[0].trace_stages.index("alice_encoded")
-        assert (tables[0].trace_polarization == tables[1].trace_polarization).all()
+        folds = [np.column_stack(list(_polarizations(table))) for table in tables]
+        assert (folds[0] == folds[1]).all()
         assert tables[0].trace_photons[:, encoded].sum() < tables[1].trace_photons[:, encoded].sum()
 
     def test_ratio_out_of_range(self):

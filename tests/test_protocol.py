@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sqss import protocol
-from sqss.config import MAX_RECEIVERS, SimConfig
+from sqss.config import MAX_RECEIVERS, ConfigError, SimConfig
 from sqss.optics import (
     AMBIGUOUS,
     QUARTER_TURN,
@@ -69,10 +69,11 @@ class ZeroRng:
 
 def engine_rounds(size, rng, records=False, **fields):
     """``size`` rounds of the round engine on a ring of these config fields;
-    with ``records``, theta and each phi_i and s_i filled in as a session does."""
+    with ``records``, theta and each phi_i and s_i drawn behind them, as a
+    session does (here from the same ``rng``)."""
     config = SimConfig(**fields)
     table = _run_round(size, config, rng)
-    if records and table.shuffles is None:
+    if records:
         _draw_secrets(table, config.receivers, rng)
     return table
 
@@ -90,7 +91,7 @@ def stages(theta, phis, shuffles, bit, basis):
         rect=np.zeros(1, dtype=np.int8),
         diag=np.zeros(1, dtype=np.int8),
     )
-    return [float(p[0]) for p in _polarizations(table, None)]
+    return [float(p[0]) for p in _polarizations(table)]
 
 
 def circular_distance(a, b):
@@ -152,7 +153,7 @@ class TestCooperativeDecode:
 class TestSenderOps:
     def test_prepare_with_theta_forced_to_zero(self):
         rng = ZeroRng()
-        table = engine_rounds(1, rng, receivers=1, mean_photons=6.0, trace=True)
+        table = engine_rounds(1, rng, records=True, receivers=1, mean_photons=6.0, trace=True)
         assert table.theta.tolist() == [0.0]
         # the count is one Poisson draw at the configured mean
         assert rng.lam == 6.0
@@ -207,7 +208,7 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        table = engine_rounds(1, np.random.default_rng(4), receivers=1, trace=True)
+        table = engine_rounds(1, np.random.default_rng(4), records=True, receivers=1, trace=True)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + s[0] * QUARTER_TURN
@@ -222,7 +223,7 @@ class TestReceiverOps:
 
     def test_backward_removes_only_the_hide_angle(self):
         # bit 0 in family 1 encodes the zero angle, so all that returns is s
-        table = engine_rounds(1, np.random.default_rng(6), receivers=1, trace=True)
+        table = engine_rounds(1, np.random.default_rng(6), records=True, receivers=1, trace=True)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
         assert circular_distance(back, encoded - phi[0]) <= 1e-12
@@ -260,8 +261,8 @@ class TestRec1Measure:
     ], ids=["honest_n2", "pns_n5_t09", "impersonate_t05", "dishonest_n3"])
     def test_reads_the_traced_polarization_as_whole_quarter_turns(self, config, monkeypatch):
         # The engine gives Rec-1 the angle it receives in quarter turns, never
-        # the float polarization the trace follows around the ring: the two
-        # must name the same angle on every round.
+        # the float polarization the rotation ledger follows around the ring:
+        # the two must name the same angle on every round.
         arrived = []
 
         def spy(angle, light, share, rng):
@@ -270,7 +271,7 @@ class TestRec1Measure:
 
         monkeypatch.setattr(protocol, "rec1_measure", spy)
         table = run_session(dataclasses.replace(config, trace=True)).records
-        traced = table.trace_polarization[:, table.trace_stages.index("rec1_backward")]
+        traced = dict(zip(table.trace_stages, _polarizations(table)))["rec1_backward"]
         gap = (traced - np.concatenate(arrived) * QUARTER_TURN) % math.pi
         assert len(gap) == config.rounds
         assert np.minimum(gap, math.pi - gap).max() < 1e-9
@@ -367,12 +368,45 @@ class TestRecords:
         assert stats.chisquare(pairs).pvalue > 1e-3
 
     def test_records_leave_the_session_as_it_was(self):
-        cfg = SimConfig(receivers=3, rounds=5000, seed=85)
-        plain, recorded = run_session(cfg), run_session(cfg, records=True)
-        assert plain.records.theta is plain.records.phis is plain.records.shuffles is None
-        assert recorded.alice_final_key == plain.alice_final_key
-        assert recorded.receiver_final_keys == plain.receiver_final_keys
-        assert recorded.records.shuffle_sum.tolist() == plain.records.shuffle_sum.tolist()
+        for config in (
+            SimConfig(receivers=3, rounds=5000, seed=85),
+            SimConfig(receivers=3, transmission=0.9, adversary="pns", pns_channel=1,
+                      rounds=5000, seed=85),
+            SimConfig(receivers=3, transmission=0.9, adversary="pns", pns_channel=3,
+                      rounds=5000, seed=85),
+            SimConfig(receivers=3, rounds=5000, seed=85, trace=True),
+            SimConfig(receivers=3, transmission=0.5, adversary="impersonate", rounds=5000,
+                      seed=85),
+            # a later chunk's physics follows the first's secrets in time
+            SimConfig(receivers=3, rounds=70_000, seed=85),
+        ):
+            plain, recorded = run_session(config), run_session(config, records=True)
+            if not config.trace:
+                assert plain.records.theta is plain.records.phis is None, config
+                assert plain.records.shuffles is None, config
+            assert recorded.alice_final_key == plain.alice_final_key, config
+            assert recorded.receiver_final_keys == plain.receiver_final_keys, config
+            assert recorded.verdict == plain.verdict, config
+            assert recorded.eve_summary == plain.eve_summary, config
+            assert recorded.records.shuffle_sum.tolist() == plain.records.shuffle_sum.tolist()
+
+    @pytest.mark.parametrize("config,records", [
+        (SimConfig(receivers=2, rounds=1000, seed=86, trace=True), False),
+        (SimConfig(transmission=0.5, adversary="impersonate", rounds=1000, seed=87, trace=True),
+         False),
+        (SimConfig(receivers=MAX_RECEIVERS, rounds=1000, seed=88), True),
+    ], ids=["traced_n2", "traced_impersonate", "recorded_n150"])
+    def test_kept_table_budget_counts_the_kept_columns(self, config, records, monkeypatch):
+        # the budget admits a session whose trace and secret columns fill it
+        # exactly, and refuses it one byte short
+        table = run_session(config, records=records).records
+        columns = (table.trace_photons, table.theta, table.phis, table.shuffles)
+        kept = sum(column.nbytes for column in columns if column is not None)
+        monkeypatch.setattr(protocol, "_KEPT_TABLE_BUDGET", kept)
+        run_session(config, records=records)
+        monkeypatch.setattr(protocol, "_KEPT_TABLE_BUDGET", kept - 1)
+        with pytest.raises(ConfigError):
+            run_session(config, records=records)
 
 
 class TestToeplitz:
@@ -603,7 +637,7 @@ class TestRunSession:
             cfg = SimConfig(receivers=n, mean_photons=6.0, rounds=200,
                             parity_block=0, seed=50 + n, trace=True)
             table = run_session(cfg).records
-            final = table.trace_polarization[:, table.trace_stages.index("rec1_backward")]
+            final = dict(zip(table.trace_stages, _polarizations(table)))["rec1_backward"]
             expected_turns = (_key_angle(table.bit, table.basis_choice)
                               + table.shuffles.sum(axis=1)) % 4
             for polarization, turns in zip(final, expected_turns):
@@ -675,7 +709,8 @@ class TestRunSession:
             "alice_out", "rec1_forward", "rec2_forward",
             "alice_encoded", "rec2_backward", "rec1_backward",
         )
-        assert table.trace_photons.shape == table.trace_polarization.shape == (3, 6)
+        assert table.trace_photons.shape == (3, 6)
+        assert len(list(_polarizations(table))) == 6  # the ledger folds every stage
         # a lossless ring carries the count drawn at the source to Rec-1
         counts = set(table.trace_photons[0].tolist())
         assert len(counts) == 1 and isinstance(counts.pop(), int)
@@ -684,7 +719,7 @@ class TestRunSession:
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0, seed=51)
         table = run_session(cfg).records
         assert table.trace_stages == ()
-        assert table.trace_photons is None and table.trace_polarization is None
+        assert table.trace_photons is None
 
 
 class TestBoundedResources:
@@ -722,7 +757,8 @@ class TestBoundedResources:
 
     def test_traced_chunk_memory_per_cell(self):
         # A traced chunk writes each stage straight into its trace column,
-        # with no second copy of the trace: config.MAX_RECEIVERS rests on it.
+        # with no second copy of the trace, and its secrets are drawn behind
+        # it as a session does: config.MAX_RECEIVERS rests on it.
         rounds, receivers = 16_384, 10
         cfg = SimConfig(receivers=receivers, transmission=0.5, adversary="impersonate",
                         trace=True)
@@ -731,6 +767,7 @@ class TestBoundedResources:
         tracemalloc.start()
         try:
             table = _run_round(rounds, cfg, rng)
+            _draw_secrets(table, receivers, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
