@@ -101,6 +101,8 @@ class SimConfig:
             )
         if not 0.0 < self.bs_ratio <= 1.0:
             raise ConfigError("bs_ratio", f"must be in (0, 1], got {self.bs_ratio}")
+        if t * self.bs_ratio == 0.0:  # the share Alice's box passes on from hop N+1
+            raise ConfigError("bs_ratio", f"{self.bs_ratio} times the hop transmission {t} is 0")
         if not 0 <= self.parity_block <= MAX_ROUNDS:  # no key outgrows the rounds
             raise ConfigError(
                 "parity_block", f"must be in 0..{MAX_ROUNDS}, got {self.parity_block}"

@@ -14,7 +14,8 @@ splits the pulse 50:50 and measures one arm in each basis, keeping both
 results until the sender announces which basis family j was used per
 round. Rounds whose basis-matching arm saw vacuum (or conflicting
 detector clicks) are discarded during sifting. Rounds are independent,
-so every operation acts on a chunk of them, one array entry per round.
+so every operation acts on a chunk of them, one array entry per round,
+and a session sifts, decodes and scores each chunk as it comes.
 
 The round engine's light is an array of photon counts, one per round.
 No observer changes a polarization, so a pulse's polarization after any
@@ -102,13 +103,13 @@ class Verdict:
 
 @dataclass(slots=True)
 class RoundTable:
-    """Every round of a session, one array per field with one entry per round.
+    """A chunk of rounds, one array per field with one entry per round; a
+    session keeps its chunks, joined, only with ``trace`` or records.
 
     ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter
     turns 0..3; the shuffles are drawn behind it. ``theta``, ``phis`` and
     ``shuffles`` are None unless the session draws them for the rotation
-    ledger (``trace`` or ``pns``) or for records, and it keeps them only
-    with ``trace`` or records (``run_session``). The arms hold detector
+    ledger (``trace`` or ``pns``) or for records. The arms hold detector
     outcome codes (``optics``); sifting fills in ``sifted``, the chosen
     arm's code, and decoding ``decoded``, the consensus key angle or -1.
     With ``trace`` the pulse's photon count after each of ``trace_stages``
@@ -150,7 +151,7 @@ class SessionResult:
     alice_final_key: list[int]
     receiver_final_keys: list[list[int]]  # honest receivers share one list
     verdict: Verdict
-    records: RoundTable
+    records: RoundTable | None  # only with ``trace`` or ``records`` (``run_session``)
     eve_summary: adv.EveSummary | None = None
 
 
@@ -410,22 +411,19 @@ def _decode_phase(
     ``shuffle_sum``; a dishonest receiver (1-based, 0 for none) corrupts
     its report.
 
-    Returns each distinct key of the session once, as uint8 rows over the
+    Returns each distinct key of the chunk once, as uint8 rows over the
     kept rounds: Alice's sifted bits, the public (consensus) decode and,
     with a liar, the liar's own decode. A liar announces a corrupted angle
     but uses its true one, so only the victims end up with a wrong key:
     every other receiver holds the public one.
     """
     measured, shuffle_sum = table.sifted[kept], table.shuffle_sum[kept]
-    consensus = _decode(measured, shuffle_sum)
-    true_decode = consensus
+    consensus = true_decode = _decode(measured, shuffle_sum)
     if dishonest:
-        # the liar corrupts Rec-1's decision angle or its own shuffle
+        # the liar raises its own shuffle, or Rec-1 its decision angle
+        # (measured - s_1), which decodes as a lowered shuffle sum
         corruption = rng.integers(1, 4, size=len(kept))
-        if dishonest == 1:
-            consensus = _decode(measured + corruption, shuffle_sum)
-        else:
-            consensus = _decode(measured, shuffle_sum + corruption)
+        consensus = _decode(measured, shuffle_sum + (-corruption if dishonest == 1 else corruption))
     table.decoded = np.full(len(table), -1, dtype=np.int8)
     table.decoded[kept] = consensus
     keys = np.empty((3 if dishonest else 2, len(kept)), dtype=np.uint8)
@@ -440,18 +438,19 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     """Run a full multi-round session and return keys plus statistics.
 
     Simulates the rounds through the ring in chunks (with the configured
-    adversary attached to its channel hops) and sifts each chunk, then
-    decodes cooperatively, optionally reconciles and compresses, and
-    cross-checks key digests; an empty final key aborts for retry. Every
-    draw comes from ``config.seed``.
+    adversary attached to its channel hops), and sifts, decodes
+    cooperatively and scores Eve on each chunk as it comes, keeping only
+    its key rows and Eve's counts. Then it optionally reconciles and
+    compresses, and cross-checks key digests; an empty final key aborts
+    for retry. Every draw comes from ``config.seed``.
 
     Theta, every phi_i and every s_i are drawn behind each chunk's physics
     (``_draw_secrets``), from a stream of their own, only when something
     reads them: Eve's stored photons (``pns``), the trace or ``records``.
     So asking for records moves no other draw. Under ``pns`` Eve then
     measures her stored photons at the ledger's polarization on her hop.
-    The result's ``records`` table keeps the secrets only with ``trace``
-    or ``records``.
+    The result's ``records``, the table of every round with its secrets,
+    is kept only with ``trace`` or ``records``, and is None otherwise.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
@@ -491,7 +490,8 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     if records or config.trace or pns:
         secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
 
-    chunks: list[RoundTable] = []
+    tables, key_rows = [], []  # the chunks (kept only for the trace or records), their keys
+    eve_counts = np.zeros(2, dtype=np.int64)
     executed = kept_count = 0
     while kept_count < target if target else executed < config.rounds:
         size = config.rounds - executed
@@ -518,28 +518,27 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
         if secrets is not None:
             _draw_secrets(chunk, n, secrets)
         if pns:  # Eve measures her stored photons at the polarization on her hop
-            polarization = next(islice(_polarizations(chunk), config.pns_channel - 1, None))
             chunk.eve_guess = adv.ml_single_photon_estimator(
-                chunk.eve_event, polarization, chunk.basis_choice, rng
+                chunk.eve_event, next(islice(_polarizations(chunk), config.pns_channel - 1, None)),
+                chunk.basis_choice, rng,
             )
-        if not (records or config.trace):  # nothing past here reads the secrets
-            chunk.theta = chunk.phis = chunk.shuffles = None
-        chunks.append(chunk)
+        key_rows.append(_decode_phase(chunk, kept, config.dishonest_receiver, rng))
+        if config.adversary != "none":
+            eve_counts += _score_eve(config.adversary, chunk, kept)
+        if records or config.trace:
+            tables.append(chunk)
         executed += len(chunk)
         kept_count += len(kept)
-    table = chunks[0] if len(chunks) == 1 else _columnwise(chunks, np.concatenate)
-    del chunks, chunk  # the joined table holds every round
-    kept = np.flatnonzero(table.sifted < VACUUM)  # every chunk's kept rounds, in order
-
-    dishonest = config.dishonest_receiver
-    keys = _decode_phase(table, kept, dishonest, rng)
-    qber = np.count_nonzero(keys[0] != keys[1]) / len(kept) if len(kept) else 0.0
-    discard_fraction = 1.0 - len(kept) / len(table)
+    table = _columnwise(tables, np.concatenate) if len(tables) > 1 else (tables or [None])[0]
+    keys = np.hstack(key_rows)
+    del key_rows, chunk, kept  # gone before reconciliation reaches its peak
+    qber = np.count_nonzero(keys[0] != keys[1]) / kept_count if kept_count else 0.0
+    discard_fraction = 1.0 - kept_count / executed
 
     if config.parity_block > 0:
         pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
         keys = reconcile_and_amplify(keys, config.parity_block, pa_seed)
-    held = [2 if i == dishonest else 1 for i in range(1, n + 1)]  # each receiver's row
+    held = [2 if i == config.dishonest_receiver else 1 for i in range(1, n + 1)]  # their rows
     if keys.shape[1] == 0:  # no key to share, whatever emptied it
         verdict = Verdict(VerdictKind.ABORT_RETRY)
     else:
@@ -548,12 +547,21 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
 
     eve_summary = None
     if config.adversary != "none":
-        eve_summary = _score_eve(config.adversary, table, kept)
+        recovered, events = eve_counts.tolist()
+        over = kept_count if config.adversary == "tag" else executed
+        rate = recovered / over if over else None
+        eve_summary = adv.EveSummary(
+            config.adversary, executed, kept_count, recovered,
+            recovery_rate=rate if config.adversary == "tag" else None,
+            guess_accuracy=rate if pns else None,
+            usd_success_rate=rate if config.adversary == "impersonate" else None,
+            stored_photons=events if pns else None,
+        )
 
     rows = keys.tolist()
     return SessionResult(
-        rounds_executed=len(table),
-        kept_rounds=len(kept),
+        rounds_executed=executed,
+        kept_rounds=kept_count,
         discard_fraction=discard_fraction,
         qber=float(qber),
         alice_final_key=rows[0],
@@ -564,21 +572,13 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     )
 
 
-def _score_eve(adversary: str, table: RoundTable, kept: np.ndarray) -> adv.EveSummary:
-    """Grant Eve the public announcements and score what she extracted."""
-    rounds, sifted = len(table), len(kept)
-    counts = dict(strategy=adversary, rounds=rounds, sifted_rounds=sifted)
-    if adversary == "tag":
-        # a surviving tag reads the key angle, and with it the bit
-        recovered = int(np.count_nonzero(table.eve_event[kept]))
-        return adv.EveSummary(
-            **counts, recovered_bits=recovered, recovery_rate=recovered / sifted if sifted else None
-        )
-    if adversary == "pns":
-        correct = int(np.count_nonzero(table.eve_guess == table.bit))
-        return adv.EveSummary(
-            **counts, recovered_bits=correct, guess_accuracy=correct / rounds,
-            stored_photons=int(np.count_nonzero(table.eve_event)),
-        )
-    successes = int(np.count_nonzero(table.eve_event))
-    return adv.EveSummary(**counts, recovered_bits=successes, usd_success_rate=successes / rounds)
+def _score_eve(adversary: str, table: RoundTable, kept: np.ndarray) -> np.ndarray:
+    """What Eve extracted from one chunk, granted the public announcements: her
+    recovered bits and her events (surviving tags, stored photons or USD successes)."""
+    if adversary == "tag":  # a surviving tag on a kept round reads the key angle, and the bit
+        recovered = table.eve_event[kept]
+    elif adversary == "pns":
+        recovered = table.eve_guess == table.bit
+    else:
+        recovered = table.eve_event
+    return np.array([np.count_nonzero(recovered), np.count_nonzero(table.eve_event)])

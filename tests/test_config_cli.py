@@ -421,6 +421,14 @@ class TestCliSimulate:
     def test_non_finite_light_settings_fail_fast(self, args, key):
         assert_fails_fast(args, key)
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_split_share_that_underflows_fails_fast(self, trace):
+        # Alice's box passes on hop N+1's share times bs_ratio, 0.5 * 5e-324 == 0,
+        # which a traced ring would thin its count by
+        args = ["simulate", "--override", "transmission=0.5", "--override", "bs_ratio=5e-324",
+                "--override", "rounds=20"]
+        assert_fails_fast(args + (["--trace"] if trace else []), "bs_ratio")
+
     @pytest.mark.parametrize(
         "args,key",
         [

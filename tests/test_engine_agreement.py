@@ -112,7 +112,7 @@ def reference_histogram(config: SimConfig, rounds: int, seed: int) -> np.ndarray
 
 
 def engine_histogram(config: SimConfig) -> np.ndarray:
-    table = run_session(config).records
+    table = run_session(config, records=True).records
     kept = table.sifted < VACUUM
     category = np.select(
         [kept & (table.decoded // 2 == table.bit), kept, table.sifted == VACUUM],

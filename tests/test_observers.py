@@ -64,7 +64,7 @@ def arms_histogram(config: SimConfig) -> np.ndarray:
     An angle is binned as its offset in quarter turns from the honest
     angle the pulse carries into Rec-1, the key angle plus every shuffle.
     """
-    table = run_session(config).records
+    table = run_session(config, records=True).records
     carried = (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum) % 4
 
     def arm(codes):

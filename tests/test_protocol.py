@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sqss import protocol
+from sqss.adversary import EveSummary
 from sqss.config import MAX_RECEIVERS, ConfigError, SimConfig
 from sqss.optics import (
     AMBIGUOUS,
@@ -367,7 +368,8 @@ class TestRecords:
         pairs = np.bincount(shuffles[:, 0] * 4 + shuffles[:, 1], minlength=16)
         assert stats.chisquare(pairs).pvalue > 1e-3
 
-    def test_records_leave_the_session_as_it_was(self):
+    def test_records_leave_the_session_as_it_was(self, monkeypatch):
+        sift = protocol.sift
         for config in (
             SimConfig(receivers=3, rounds=5000, seed=85),
             SimConfig(receivers=3, transmission=0.9, adversary="pns", pns_channel=1,
@@ -380,15 +382,18 @@ class TestRecords:
             # a later chunk's physics follows the first's secrets in time
             SimConfig(receivers=3, rounds=70_000, seed=85),
         ):
-            plain, recorded = run_session(config), run_session(config, records=True)
-            if not config.trace:
-                assert plain.records.theta is plain.records.phis is None, config
-                assert plain.records.shuffles is None, config
+            sums = []  # each chunk's shuffle sums, as the plain session sifts them
+            monkeypatch.setattr(protocol, "sift", lambda t: sums.append(t.shuffle_sum) or sift(t))
+            plain = run_session(config)
+            monkeypatch.setattr(protocol, "sift", sift)
+            recorded = run_session(config, records=True)
+            # only the trace keeps a table without records
+            assert (plain.records is not None) is config.trace, config
             assert recorded.alice_final_key == plain.alice_final_key, config
             assert recorded.receiver_final_keys == plain.receiver_final_keys, config
             assert recorded.verdict == plain.verdict, config
             assert recorded.eve_summary == plain.eve_summary, config
-            assert recorded.records.shuffle_sum.tolist() == plain.records.shuffle_sum.tolist()
+            assert recorded.records.shuffle_sum.tolist() == np.concatenate(sums).tolist(), config
 
     @pytest.mark.parametrize("config,records", [
         (SimConfig(receivers=2, rounds=1000, seed=86, trace=True), False),
@@ -610,7 +615,7 @@ class TestRunSession:
         for key in res.receiver_final_keys:
             assert key == res.alice_final_key
         # before reconciliation every receiver already holds Alice's sifted bits
-        sifted = run_session(dataclasses.replace(cfg, parity_block=0))
+        sifted = run_session(dataclasses.replace(cfg, parity_block=0), records=True)
         table = sifted.records
         assert sifted.alice_final_key == table.bit[table.sifted < VACUUM].tolist()
         for key in sifted.receiver_final_keys:
@@ -625,7 +630,7 @@ class TestRunSession:
 
     def test_decoded_bits_match_alice_on_every_kept_round(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=1000, parity_block=0, seed=44)
-        table = run_session(cfg).records
+        table = run_session(cfg, records=True).records
         kept = table.sifted < VACUUM
         assert (table.decoded[kept] // 2 == table.bit[kept]).all()
         assert (table.decoded[~kept] == -1).all()
@@ -674,7 +679,7 @@ class TestRunSession:
     def test_target_key_bits_mode(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, transmission=0.9,
                         rounds=10, target_key_bits=200, parity_block=0, seed=48)
-        res = run_session(cfg)
+        res = run_session(cfg, records=True)
         assert res.kept_rounds >= 200
         assert len(res.alice_final_key) == res.kept_rounds
         kept = res.records.sifted < VACUUM
@@ -684,7 +689,7 @@ class TestRunSession:
 
     def test_parity_block_zero_skips_post_processing(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=400, parity_block=0, seed=49)
-        res = run_session(cfg)
+        res = run_session(cfg, records=True)
         table = res.records
         kept = table.sifted < VACUUM
         assert res.alice_final_key == table.bit[kept].tolist()
@@ -717,9 +722,39 @@ class TestRunSession:
 
     def test_trace_disabled_by_default(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0, seed=51)
-        table = run_session(cfg).records
+        table = run_session(cfg, records=True).records
         assert table.trace_stages == ()
         assert table.trace_photons is None
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(transmission=0.9, adversary="pns", target_key_bits=60_000, parity_block=0,
+                  seed=93),
+        SimConfig(adversary="tag", bs_ratio=0.5, target_key_bits=60_000, parity_block=0, seed=94),
+        SimConfig(transmission=0.5, adversary="impersonate", target_key_bits=7_000,
+                  parity_block=0, seed=95),
+    ], ids=["pns", "tag", "impersonate"])
+    def test_eve_is_scored_on_exactly_the_rounds_that_ran(self, config):
+        # each chunk is decoded and scored once it is cut at the target, so
+        # the session's keys and Eve's counts cover the recorded rounds alone
+        plain, recorded = run_session(config), run_session(config, records=True)
+        table = recorded.records
+        rounds, kept = len(table), np.flatnonzero(table.sifted < VACUUM)
+        assert plain.rounds_executed == rounds > protocol._CHUNK_ROUNDS
+        assert plain.kept_rounds == len(kept) == config.target_key_bits
+        assert plain.alice_final_key == table.bit[kept].tolist()
+        events = np.count_nonzero(table.eve_event)
+        if config.adversary == "tag":  # a surviving tag on a kept round reads the bit
+            recovered = np.count_nonzero(table.eve_event[kept])
+            expected = EveSummary("tag", rounds, len(kept), recovered,
+                                  recovery_rate=recovered / len(kept))
+        elif config.adversary == "pns":
+            recovered = np.count_nonzero(table.eve_guess == table.bit)
+            expected = EveSummary("pns", rounds, len(kept), recovered,
+                                  guess_accuracy=recovered / rounds, stored_photons=events)
+        else:
+            expected = EveSummary("impersonate", rounds, len(kept), events,
+                                  usd_success_rate=events / rounds)
+        assert plain.eve_summary == recorded.eve_summary == expected
 
 
 class TestBoundedResources:
@@ -739,6 +774,22 @@ class TestBoundedResources:
         assert res.rounds_executed == rounds and res.verdict.accepted
         assert peak / rounds < 512, f"{peak / rounds:.0f} bytes per round"
         assert elapsed < 10.0
+
+    def test_default_session_keeps_no_round_table(self):
+        # Each chunk is decoded and scored as it comes, and only its key
+        # rows outlive it: a session that keeps every round's table peaked
+        # at 64.6 bytes per round here, one that keeps none at 50.0.
+        rounds = 2_000_000
+        cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=rounds, seed=72)
+        run_session(SimConfig(rounds=1000, seed=72))  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            res = run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.records is None and res.verdict.accepted
+        assert peak / rounds < 57, f"{peak / rounds:.1f} bytes per round"
 
     def test_untraced_memory_per_round_is_flat_in_the_ring_width(self):
         # only the shuffle sum is drawn, so no per-receiver column is kept

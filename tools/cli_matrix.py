@@ -66,6 +66,9 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
     "impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
                               "rounds=2000"), ABORT),
     "dishonest": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=2000"), DISHONEST),
+    # two chunks: the liar's corruption of the first is drawn before the second's physics
+    "dishonest_70k": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=70000", out=False),
+                      DISHONEST),
     "key_bits": (_simulate("key_bits=5000"), ACCEPT),
     "honest_n150": (_simulate("receivers=150", "rounds=500"), ACCEPT),
     "rounds_200k": (_simulate("rounds=200000", out=False), ACCEPT),
