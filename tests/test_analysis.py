@@ -96,6 +96,21 @@ class TestClosedForms:
                 brute_force_p_e(mu * t), abs=1e-10
             )
 
+    def test_matches_mpmath_to_rounding_and_stays_monotone(self):
+        # the truncated series was off by up to 1e-11 relative in p_error
+        # here, and rose on thousands of steps of this grid beyond mu*T = 80
+        for lam in (1e-3, 0.1, 0.5, 1.0, 3.0, 6.0, 12.0, 20.0, 30.0):
+            exact = brute_force_p_e(lam)
+            p_e = p_e_closed_form(lam, 1.0)
+            assert abs(p_e - exact) <= 1e-15, f"mu*T={lam}"
+            exact_error = (1.0 - exact) / 2.0
+            rel = abs(p_error_closed_form(lam, 1.0) - exact_error) / exact_error
+            assert rel <= 1e-12, f"mu*T={lam}: {rel:.3g}"
+        points = error_curve([round(0.01 * i, 10) for i in range(20_001)])
+        for a, b in zip(points, points[1:]):
+            assert b.p_error <= a.p_error, f"p_error rises at mu*T={b.mu_t}"
+            assert b.p_e >= a.p_e, f"p_e falls at mu*T={b.mu_t}"
+
     def test_no_multiphoton_pulses_no_discrimination(self):
         assert p_e_closed_form(0.0, 0.5) == 0.0
         assert p_e_closed_form(1e-9, 1.0) < 1e-18
@@ -125,13 +140,14 @@ class TestClosedForms:
             p_e_closed_form(6.0, 1.5)
 
     def test_long_sum_stays_below_one(self):
-        # at this mean the float sum of several thousand terms rounds past one
+        # at this mean the exponentials sum to one in floating point
         assert p_e_closed_form(99997.0, 1.0) < 1.0
         assert error_curve([99997.0])[0].p_error > 0.0
 
     def test_intercepted_mean_is_bounded(self):
-        # both walks over the photon-number classes cost O(mu*T), so the
-        # documented bound is enforced before either starts
+        # the Monte Carlo's walk over the photon-number classes costs O(mu*T),
+        # so the documented bound is enforced before it starts, and the
+        # closed form keeps the same bound
         start = time.perf_counter()
         assert p_e_closed_form(MAX_MU_T, 1.0) > 0.5
         for mu, t in ((2.0 * MAX_MU_T, 0.5 + 1e-9), (3e15, 1.0)):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -7,9 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqss import cli, protocol
-from sqss.analysis import error_curve, p_error_closed_form
+from sqss.analysis import MAX_MU_T, error_curve, p_error_closed_form
 from sqss.config import (
     _MAX_MEAN_PHOTONS,
     MAX_RECEIVERS,
@@ -494,6 +497,15 @@ class TestCliSimulate:
         assert "error" in capsys.readouterr().err
 
 
+# a `curve` flag: the edges of its checks, and any float
+GRID_FLAG = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-9, 0.1, 1.0,
+                     math.nextafter(MAX_MU_T, 0.0), MAX_MU_T, math.nextafter(MAX_MU_T, math.inf),
+                     1e30, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
 class TestCliCurve:
     def test_default_grid_has_121_rows(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -549,6 +561,30 @@ class TestCliCurve:
         assert cli.main(["curve", *args]) == code
         captured = capsys.readouterr()
         assert ("step" in captured.err) == (code == cli.EXIT_CONFIG)
+
+    @pytest.mark.parametrize("stop", ["1e5", "1"])
+    def test_grid_never_steps_past_stop(self, stop, capsys):
+        # the last point of floor(span + 1e-9) + 1 lands 1e-9 past stop here;
+        # at 1e5 that is beyond MAX_MU_T
+        assert cli.main(["curve", "--start", "1e-9", "--stop", stop, "--step", stop]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")
+        assert float(rows[-1].split(",")[0]) == float(stop)
+
+    @settings(max_examples=300, deadline=None)
+    @given(GRID_FLAG, GRID_FLAG, GRID_FLAG)
+    @example(1e-9, MAX_MU_T, MAX_MU_T)
+    def test_any_grid_flags_print_or_name_the_flag(self, start, stop, step):
+        out, err = io.StringIO(), io.StringIO()
+        # "--flag=value" keeps argparse from reading "-inf" as a flag
+        argv = ["curve", f"--start={start!r}", f"--stop={stop!r}", f"--step={step!r}"]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code == cli.EXIT_CONFIG:
+            assert "'range'" in err.getvalue() or "'step'" in err.getvalue()
+            return
+        assert code == 0
+        mu_t = [float(row.split(",")[0]) for row in out.getvalue().strip().split("\n")[1:]]
+        assert mu_t and all(0.0 <= value <= stop for value in mu_t)
 
 
 class TestCliTable:
@@ -641,6 +677,17 @@ class TestCliAttack:
         # the Monte Carlo costs O(classes) whatever its trial count
         assert cli.main(["attack", "impersonate", "--trials", str(10**12)]) == cli.EXIT_ACCEPT
         assert f"trials={10**12}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strategy", ["pns", "tag"])
+    def test_pns_and_tag_never_compress_a_key(self, strategy, monkeypatch, capsys):
+        # the report reads only Eve's counts, so no key is reconciled or hashed
+        def no_compress(*_):
+            raise AssertionError("a key was compressed")
+
+        monkeypatch.setattr(protocol, "toeplitz_compress", no_compress)
+        argv = ["attack", strategy, "--override", "bs_ratio=0.5", "--trials", "4000"]
+        assert cli.main(argv) == cli.EXIT_ACCEPT
+        assert f"strategy={strategy}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("strategy", ["pns", "tag"])
     def test_zero_trials_names_trials(self, strategy, capsys):

@@ -23,7 +23,9 @@ Never run a newer matrix against older code: a scenario that the newer
 code refuses may run on the older. For that reason the matrix holds no
 session over ``run_session``'s kept-table budget: a traced 150-receiver,
 10^7-round session would try to allocate about 63 GB on code without
-the budget check (``tests/test_config_cli.py`` covers the refusal).
+the budget check (``tests/test_config_cli.py`` covers the refusal). And
+``curve_stop_edge`` crashes on code whose curve grid can step past
+``--stop``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,10 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
                             "transmission=0.5", "--trials", "1000000", "--out"], ACCEPT),
     "table": (["table"], ACCEPT),
     "curve": (["curve", "--stop", "6", "--step", "0.5", "--out"], ACCEPT),
+    "curve_tail": (["curve", "--start", "80", "--stop", "100", "--step", "0.25", "--out"], ACCEPT),
+    # the grid's 1e-9 slack reaches past stop, here past the mu*T bound too
+    "curve_stop_edge": (["curve", "--start", "1e-9", "--stop", "1e5", "--step", "1e5", "--out"],
+                        ACCEPT),
     "bad_receivers": (_simulate("receivers=0"), CONFIG),
 }
 
