@@ -1,11 +1,11 @@
 """Walk through one kept round of the protocol, stage by stage.
 
-Runs a short traced session, picks the first kept round, and narrates
-what happened to the pulse on its way around the ring: the hiding
-rotations applied by Alice and both receivers on the forward path, the
-key rotation Alice applies when the pulse comes back through her lab,
-the unwinding on the backward path, and finally Rec-1's measurement and
-the cooperative decode. Every discrete angle is an int of quarter turns
+Runs a short traced session with records, picks the first kept round,
+and narrates what happened to the pulse on its way around the ring: the
+hiding rotations applied by Alice and both receivers on the forward
+path, the key rotation Alice applies when the pulse comes back through
+her lab, the unwinding on the backward path, and finally Rec-1's
+measurement and the cooperative decode. Every discrete angle is an int of quarter turns
 of pi/4, printed through ``ANGLE_LABELS``.
 """
 
@@ -27,7 +27,9 @@ def outcome(code: int) -> str:
 
 def main() -> None:
     config = SimConfig(receivers=2, rounds=20, parity_block=0, seed=5, trace=True)
-    table = run_session(config).records
+    chunks = []  # the session hands its records over chunk by chunk: here one
+    run_session(config, chunks.append)
+    (table,) = chunks
     i = int((table.sifted < 4).argmax())  # codes 0..3 are angles: the kept rounds
     bit, j = int(table.bit[i]), int(table.basis_choice[i])
 

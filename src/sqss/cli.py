@@ -14,10 +14,11 @@ receiver flagged, 64 configuration or I/O diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -33,6 +34,8 @@ EXIT_CONFIG = 64
 
 # Most points a curve grid may print.
 _MAX_CURVE_POINTS = 10**5
+# Rounds rendered to CSV text at a time: bounds the strings alive at once.
+_CSV_ROWS = 1024
 
 _ROUND_COLUMNS = (
     "index,theta,phis,shuffles,basis_choice,bit,key_angle,rect_outcome,"
@@ -48,9 +51,9 @@ def _fmt(value: float) -> str:
 _OUTCOME_TEXT = ("angle:0", "angle:1", "angle:2", "angle:3", "vacuum", "ambiguous")
 
 
-def round_records_to_csv(table: protocol.RoundTable) -> str:
-    """Render every round of a session's sifted and decoded table to CSV, one row
-    per round (README: Per-round CSV)."""
+def round_rows(table: protocol.RoundTable, first: int) -> Iterator[str]:
+    """The CSV lines of a session's sifted and decoded chunk, one per round,
+    numbered from ``first`` (README: Per-round CSV)."""
     traces = [""] * len(table)
     if table.trace_stages:
         polarizations = zip(*(p.tolist() for p in protocol._polarizations(table)))
@@ -59,22 +62,48 @@ def round_records_to_csv(table: protocol.RoundTable) -> str:
                      for stage, n, pol in zip(table.trace_stages, *hops, strict=True))
             for hops in zip(table.trace_photons.tolist(), polarizations)
         ]
-    lines = [_ROUND_COLUMNS]
     for i, (theta, phis, shuffles, j, bit, key, rect, diag, code, dec, trace) in enumerate(zip(
         table.theta.tolist(), table.phis.tolist(), table.shuffles.tolist(),
         table.basis_choice.tolist(), table.bit.tolist(),
         protocol._key_angle(table.bit, table.basis_choice).tolist(), table.rect.tolist(),
         table.diag.tolist(), table.sifted.tolist(), table.decoded.tolist(), traces,
-    )):
+    ), start=first):
         kept = code < VACUUM
-        lines.append(",".join((
+        yield ",".join((
             str(i), _fmt(theta), ";".join(map(_fmt, phis)), ";".join(map(str, shuffles)),
             str(j), str(bit), str(key), _OUTCOME_TEXT[rect], _OUTCOME_TEXT[diag],
             "kept" if kept else _OUTCOME_TEXT[code] + "_discard",
             str(code) if kept else "", str(dec) if kept else "", str(dec // 2) if kept else "",
             trace,
-        )))
-    return "\n".join(lines) + "\n"
+        )) + "\n"
+
+
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO | None]:
+    """The --out file at ``path``, or None; it is removed if the work fails."""
+    out = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+    try:
+        with out as stream:
+            yield stream
+    except BaseException:
+        if path and Path(path).is_file():  # never a device such as /dev/null
+            Path(path).unlink()
+        raise
+
+
+def _csv_writer(out: TextIO) -> Callable[[protocol.RoundTable], None]:
+    """A records callback: the CSV header goes to ``out`` now, then each chunk's
+    rows as it comes, rendered ``_CSV_ROWS`` at a time and numbered across chunks."""
+    out.write(_ROUND_COLUMNS + "\n")
+    first = 0
+
+    def write(table: protocol.RoundTable) -> None:
+        nonlocal first
+        for start in range(0, len(table), _CSV_ROWS):
+            out.writelines(round_rows(table.rows(start, start + _CSV_ROWS), first + start))
+        first += len(table)
+
+    return write
 
 
 def curve_points_to_csv(points: Sequence[analysis.ErrorCurvePoint]) -> str:
@@ -92,11 +121,10 @@ def _load_effective_config(args: argparse.Namespace) -> SimConfig:
     return config
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace, out: TextIO | None) -> int:
     config = _load_effective_config(args)
-    if getattr(args, "trace", False):
-        config.trace = True
-    result = protocol.run_session(config, records=bool(args.out))
+    config.trace = config.trace or args.trace
+    result = protocol.run_session(config, out and _csv_writer(out))
 
     lines = [
         f"rounds={result.rounds_executed}",
@@ -124,9 +152,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 lines.append(f"{label}={_fmt(value)}")
     print("\n".join(lines))
 
-    if args.out:
-        Path(args.out).write_text(round_records_to_csv(result.records), encoding="utf-8")
-
     if result.verdict.kind is protocol.VerdictKind.ABORT_RETRY:
         return EXIT_ABORT_RETRY
     if result.verdict.kind is protocol.VerdictKind.DISHONEST:
@@ -134,7 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_ACCEPT
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: argparse.Namespace, out: TextIO | None) -> int:
     if not 0.0 < args.step < math.inf:
         raise ConfigError("step", f"must be finite and > 0, got {args.step}")
     if not 0.0 <= args.start <= args.stop <= analysis.MAX_MU_T:
@@ -149,14 +174,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
     # 1e-9 slack or the rounding may reach just past stop, so values clamp to it
     values = [min(round(args.start + i * args.step, 10), args.stop) for i in range(count)]
     text = curve_points_to_csv(analysis.error_curve(values))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    (out or sys.stdout).write(text)
     return EXIT_ACCEPT
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace, out: None) -> int:
     table = protocol.decode_table()
     labels = [ANGLE_LABELS[q] for q in protocol.DECODE_TABLE_ORDER]
     width = 6
@@ -172,7 +194,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_ACCEPT
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
+def cmd_attack(args: argparse.Namespace, out: TextIO | None) -> int:
     config = _load_effective_config(args)
     config.adversary = args.strategy
     config.validate()
@@ -215,11 +237,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     print(f"{metric}={_fmt(value)}")
     print(f"std_error={_fmt(std_error)}")
     print(f"reference={_fmt(reference)}")
-    if args.out:
-        Path(args.out).write_text(
+    if out:
+        out.write(
             "strategy,trials,metric,value,std_error,reference\n"
-            f"{args.strategy},{n},{metric},{_fmt(value)},{_fmt(std_error)},{_fmt(reference)}\n",
-            encoding="utf-8",
+            f"{args.strategy},{n},{metric},{_fmt(value)},{_fmt(std_error)},{_fmt(reference)}\n"
         )
     return EXIT_ACCEPT
 
@@ -270,7 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every --out opens before any work, so an unwritable one fails first
+        with _output(getattr(args, "out", None)) as out:
+            return args.func(args, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,14 +12,10 @@ _ADVERSARIES = ("none", "pns", "tag", "impersonate")
 _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 # The most rounds one session runs, in target mode too: bounds its time and memory.
 MAX_ROUNDS = 10_000_000
-# The most receivers a ring may have. Only the traced chunk sets the cap: no
-# other chunk holds as much per round x receiver cell, and an untraced one
-# without a PNS tap holds nothing per receiver. A traced chunk with its
-# secrets peaked at up to 29 B per cell (tracemalloc, N = 10-150), so one
-# chunk of 65,536 rounds stays under 1 GB: 150 x 65,536 x 29 B is 0.29 GB. A
-# traced or recorded session keeps every chunk's trace and secrets;
-# ``run_session`` refuses one whose kept table would pass
-# ``protocol._KEPT_TABLE_BUDGET``.
+# The most receivers a ring may have. Only the traced, recorded chunk sets the
+# cap: no other holds as much per round x receiver cell. It peaked at up to
+# 29 B per cell (tracemalloc, N = 10-150), so one chunk of 65,536 rounds stays
+# under 1 GB: 150 x 65,536 x 29 B is 0.29 GB. No session keeps a chunk.
 MAX_RECEIVERS = 150
 
 

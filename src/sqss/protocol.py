@@ -35,7 +35,8 @@ walked along the route (``_route``): the hops and party stages in travel
 order, each with the share of photons it passes on. No light depends on
 theta, a phi_i or a single s_i, so ``run_session`` draws them behind
 each chunk, from their exact law given S (``_draw_secrets``) and from a
-stream of their own, only when the ledger or records read them.
+stream of their own, only when Eve's stored photons or the records read
+them.
 
 Light is drawn only where it is observed: the source count at the first
 observer's mean and one thinning between observers. Rec-1 reads both
@@ -52,7 +53,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -76,13 +77,6 @@ _SECRETS_SEED_SALT = 0x7265636F726473
 
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
-# The most bytes of trace and secrets a traced or recorded session may keep
-# (``run_session``). One-chunk sessions peaked just above that table under
-# tracemalloc (2-vCPU host): traced N=150 at 3,842 B/round against 3,774 and
-# recorded N=150 at 1,425 against 1,358, 38 and 14 GB at 10^7 rounds. Joining
-# chunks copies the trace once: traced N=2 peaked at 165 B/round against 74,
-# so a traced session at the budget peaks near 2.2 GB.
-_KEPT_TABLE_BUDGET = 10**9
 
 
 class VerdictKind(Enum):
@@ -104,16 +98,15 @@ class Verdict:
 @dataclass(slots=True)
 class RoundTable:
     """A chunk of rounds, one array per field with one entry per round; a
-    session keeps its chunks, joined, only with ``trace`` or records.
+    session hands each finished chunk to its ``records`` callback, if any.
 
-    ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter
-    turns 0..3; the shuffles are drawn behind it. ``theta``, ``phis`` and
-    ``shuffles`` are None unless the session draws them for the rotation
-    ledger (``trace`` or ``pns``) or for records. The arms hold detector
-    outcome codes (``optics``); sifting fills in ``sifted``, the chosen
-    arm's code, and decoding ``decoded``, the consensus key angle or -1.
-    With ``trace`` the pulse's photon count after each of ``trace_stages``
-    is kept too; its polarization there is the ledger's fold.
+    ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter turns
+    0..3. ``theta``, ``phis`` and ``shuffles``, drawn behind it, are None
+    unless Eve's stored photons (``pns``) or the records read them. The arms
+    hold detector outcome codes (``optics``); sifting fills in ``sifted``, the
+    chosen arm's code, and decoding ``decoded``, the consensus key angle or
+    -1. With ``trace`` each round's photon count after each of
+    ``trace_stages`` is kept too; its polarization there is the ledger's fold.
     """
 
     shuffle_sum: np.ndarray  # int8
@@ -135,11 +128,10 @@ class RoundTable:
     def __len__(self) -> int:
         return len(self.bit)
 
-
-def _columnwise(tables: Sequence[RoundTable], join) -> RoundTable:
-    """The table whose array columns are ``join`` of the tables' columns."""
-    columns = zip(*([getattr(t, f.name) for f in fields(RoundTable)] for t in tables))
-    return RoundTable(*(join(c) if isinstance(c[0], np.ndarray) else c[0] for c in columns))
+    def rows(self, start: int, stop: int) -> RoundTable:
+        """The table of rounds ``start`` to ``stop - 1``, viewing this one's arrays."""
+        columns = (getattr(self, f.name) for f in fields(self))
+        return RoundTable(*(c[start:stop] if isinstance(c, np.ndarray) else c for c in columns))
 
 
 @dataclass(slots=True)
@@ -151,7 +143,6 @@ class SessionResult:
     alice_final_key: list[int]
     receiver_final_keys: list[list[int]]  # honest receivers share one list
     verdict: Verdict
-    records: RoundTable | None  # only with ``trace`` or ``records`` (``run_session``)
     eve_summary: adv.EveSummary | None = None
 
 
@@ -434,7 +425,9 @@ def _decode_phase(
     return keys
 
 
-def run_session(config: SimConfig, records: bool = False) -> SessionResult:
+def run_session(
+    config: SimConfig, records: Callable[[RoundTable], object] | None = None
+) -> SessionResult:
     """Run a full multi-round session and return keys plus statistics.
 
     Simulates the rounds through the ring in chunks (with the configured
@@ -444,27 +437,26 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
     compresses, and cross-checks key digests; an empty final key aborts
     for retry. Every draw comes from ``config.seed``.
 
-    Theta, every phi_i and every s_i are drawn behind each chunk's physics
-    (``_draw_secrets``), from a stream of their own, only when something
-    reads them: Eve's stored photons (``pns``), the trace or ``records``.
-    So asking for records moves no other draw. Under ``pns`` Eve then
+    ``records``, if given, is called with each finished chunk in round
+    order: sifted, cut at the target, decoded, scored, with its secrets and,
+    with ``trace``, its photon counts. No chunk is kept. Theta, every phi_i
+    and every s_i are drawn behind each chunk's physics (``_draw_secrets``)
+    from a stream of their own, for ``records`` or Eve's stored photons
+    (``pns``) only, so records move no other draw. Under ``pns`` Eve
     measures her stored photons at the ledger's polarization on her hop.
-    The result's ``records``, the table of every round with its secrets,
-    is kept only with ``trace`` or ``records``, and is None otherwise.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
     that even the honest keep rate cannot reach within the round cap is
-    rejected before the first round, and so is a traced or recorded
-    session whose kept table would outgrow ``_KEPT_TABLE_BUDGET``. A
-    target that an attack keeps out of reach fails once the cap is hit.
+    rejected before the first round. A target that an attack keeps out
+    of reach fails once the cap is hit.
     """
     config.validate()
     n = config.receivers
     target = config.target_key_bits
     # Sifting keeps a round when the selected arm, which holds half of
-    # the surviving photons, is not empty. No attack raises that rate.
-    mu_final = config.mean_photons * config.bs_ratio * config.hop_transmission() ** (2 * n + 1)
+    # the photons reaching Rec-1, is not empty. No attack raises that rate.
+    mu_final = config.mean_photons * math.prod(share for _, share in _route(config))
     keep_rate = -math.expm1(-mu_final / 2.0)
     reachable = MAX_ROUNDS * keep_rate
     if target > reachable:
@@ -473,24 +465,13 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
             f"{target} sifted bits need more than {MAX_ROUNDS} rounds"
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
-    # a traced or recorded session keeps every round's trace (an int64 count per
-    # stage) and the secrets the ledger reads (theta, N float phi_i and N int8 s_i)
-    stages = sum(isinstance(step, str) for step, _ in _route(config)) if config.trace else 0
-    per_round = 8 * stages + (9 * n + 8 if records or config.trace else 0)
-    rounds = target / keep_rate if target else config.rounds
-    if rounds * per_round > _KEPT_TABLE_BUDGET:
-        raise ConfigError(
-            "trace" if config.trace else "rounds",
-            f"about {rounds:.4g} rounds would keep {rounds * per_round / 1e9:.3g} GB of trace"
-            f" and secrets, more than {_KEPT_TABLE_BUDGET / 1e9:g} GB",
-        )
     rng = np.random.default_rng(config.seed)
     pns = config.adversary == "pns"
     secrets = None
-    if records or config.trace or pns:
+    if records is not None or pns:
         secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
 
-    tables, key_rows = [], []  # the chunks (kept only for the trace or records), their keys
+    key_rows = []
     eve_counts = np.zeros(2, dtype=np.int64)
     executed = kept_count = 0
     while kept_count < target if target else executed < config.rounds:
@@ -514,7 +495,7 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
             # the basis announcement. Rounds are i.i.d., so cutting the
             # chunk where the target is reached is the same as stopping there.
             kept = kept[: target - kept_count]
-            chunk = _columnwise([chunk], lambda c: c[0][: kept[-1] + 1])
+            chunk = chunk.rows(0, kept[-1] + 1)
         if secrets is not None:
             _draw_secrets(chunk, n, secrets)
         if pns:  # Eve measures her stored photons at the polarization on her hop
@@ -525,11 +506,10 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
         key_rows.append(_decode_phase(chunk, kept, config.dishonest_receiver, rng))
         if config.adversary != "none":
             eve_counts += _score_eve(config.adversary, chunk, kept)
-        if records or config.trace:
-            tables.append(chunk)
+        if records is not None:
+            records(chunk)
         executed += len(chunk)
         kept_count += len(kept)
-    table = _columnwise(tables, np.concatenate) if len(tables) > 1 else (tables or [None])[0]
     keys = np.hstack(key_rows)
     del key_rows, chunk, kept  # gone before reconciliation reaches its peak
     qber = np.count_nonzero(keys[0] != keys[1]) / kept_count if kept_count else 0.0
@@ -567,7 +547,6 @@ def run_session(config: SimConfig, records: bool = False) -> SessionResult:
         alice_final_key=rows[0],
         receiver_final_keys=[rows[row] for row in held],
         verdict=verdict,
-        records=table,
         eve_summary=eve_summary,
     )
 

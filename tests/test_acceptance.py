@@ -12,6 +12,7 @@ import time
 
 import mpmath
 import numpy as np
+from session_records import recorded
 
 from sqss import (
     SimConfig,
@@ -139,7 +140,7 @@ def test_04_honest_sessions_agree():
 
 def test_05_decode_exhaustiveness_and_table():
     config = SimConfig(receivers=2, rounds=4000, parity_block=0, seed=41)
-    rounds = run_session(config, records=True).records
+    _, rounds = recorded(config)
     kept = rounds.sifted < 4  # the sifted arm read an angle, not vacuum (4) or ambiguous (5)
     combos = set(zip(rounds.shuffles[kept, 0].tolist(), rounds.shuffles[kept, 1].tolist(),
                      rounds.bit[kept].tolist(), rounds.basis_choice[kept].tolist()))

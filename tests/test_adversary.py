@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from session_records import recorded
 
 from sqss import adversary
 from sqss.adversary import (
@@ -83,19 +84,27 @@ class TestEveMeanPhotons:
         total = sum(eve_mean_photons(mu, t, c) for c in (1, 3, 4))
         assert total < mu
 
-    @pytest.mark.parametrize("channel", (1, 3, 4))
-    @pytest.mark.parametrize("t", (0.5, 0.9))
-    def test_stored_photon_fraction_matches_the_simulation(self, channel, t):
+    @pytest.mark.parametrize("t,channel,bs_ratio,seed", [
+        *(pytest.param(t, c, 1.0, 170 + c + int(10 * t), id=f"{t}-{c}")
+          for t in (0.5, 0.9) for c in (1, 3, 4)),
+        # Alice's storage splitter sits behind hop N+1 = 3: a tap there sees
+        # all of the light, a tap on hop 4 only the share she passes on
+        pytest.param(0.9, 3, 0.5, 193, id="0.9-3-bs0.5"),
+        pytest.param(0.9, 4, 0.5, 194, id="0.9-4-bs0.5"),
+    ])
+    def test_stored_photon_fraction_matches_the_simulation(self, t, channel, bs_ratio, seed):
         # eve_mean_photons is the paper's tap budget, not a simulated
         # statistic. The engine's counterpart: Eve stores one photon from
         # every pulse of two or more at her hop, whose count is Poisson
         # with the mean carried that far. Over 150 seeds the z-scores at
         # (4, 0.5) and (1, 0.9) had mean within 0.05 of 0 and sd within 0.06 of 1.
         config = SimConfig(receivers=2, mean_photons=6.0, transmission=t, rounds=200_000,
-                           adversary="pns", pns_channel=channel, parity_block=0,
-                           seed=170 + channel + int(10 * t))
+                           adversary="pns", pns_channel=channel, bs_ratio=bs_ratio,
+                           parity_block=0, seed=seed)
         summary = run_session(config).eve_summary
         lam = config.mean_photons * math.prod(config.hop_transmissions()[:channel])
+        if channel > config.receivers + 1:
+            lam *= bs_ratio
         expected = 1.0 - math.exp(-lam) * (1.0 + lam)
         sigma = math.sqrt(expected * (1.0 - expected) / config.rounds)
         assert abs(summary.stored_photons / config.rounds - expected) < 3 * sigma
@@ -148,7 +157,7 @@ class TestPnsIntercept:
         monkeypatch.setattr(adversary, "ml_single_photon_estimator", spy)
         config = SimConfig(receivers=receivers, transmission=0.9, adversary="pns",
                            pns_channel=channel, rounds=400, seed=50 + channel + receivers)
-        table = run_session(config, records=True).records
+        _, table = recorded(config)
         (polarization,) = measured  # one chunk
         assert len(polarization) == len(table)
         qt = math.pi / 4

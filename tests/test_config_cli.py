@@ -5,13 +5,15 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from session_records import recorded
 
-from sqss import cli, protocol
+from sqss import analysis, cli, protocol
 from sqss.analysis import MAX_MU_T, error_curve, p_error_closed_form
 from sqss.config import (
     _MAX_MEAN_PHOTONS,
@@ -24,7 +26,7 @@ from sqss.config import (
     parse_config,
     serialize_config,
 )
-from sqss.protocol import _run_round, run_session
+from sqss.protocol import _run_round
 
 FULL_CONFIG = """
 # full example
@@ -319,7 +321,7 @@ class TestCliSimulate:
             out = tmp_path / f"rounds{k}.csv"
             cli.main(["simulate", *args, "--out", str(out)])
             config.trace = "--trace" in args
-            table = run_session(config, records=True).records
+            _, table = recorded(config)
             stages = 2 * config.receivers + 2 + (config.adversary == "impersonate")
             assert len(table.trace_stages) == (stages if config.trace else 0)
             statuses |= set(assert_round_csv_matches(out.read_text(encoding="utf-8"), table))
@@ -388,17 +390,20 @@ class TestCliSimulate:
         assert elapsed < 5.0
 
     def test_key_bits_target_an_attack_puts_out_of_reach_fails_cleanly(self, monkeypatch,
-                                                                       capsys):
+                                                                       tmp_path, capsys):
         # The up-front check passes at the honest keep rate, which Eve's
-        # skimmed photons lower: the round cap is hit mid-session.
+        # skimmed photons lower: the round cap is hit mid-session, after
+        # the rows of the chunks before it went to the CSV.
         monkeypatch.setattr(protocol, "MAX_ROUNDS", 20_000)
+        out = tmp_path / "rounds.csv"
         code = cli.main(["simulate", "--override", "key_bits=140",
                          "--override", "transmission=0.3", "--override", "adversary=pns",
-                         "--override", "pns_channel=1"])
+                         "--override", "pns_channel=1", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == cli.EXIT_CONFIG
         assert "'key_bits'" in captured.err and "20000 rounds" in captured.err
         assert captured.out == ""
+        assert not out.exists()
 
     def test_config_file_that_is_not_utf8_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
@@ -467,34 +472,57 @@ class TestCliSimulate:
         # a chunk of either ring would need gigabytes; validation stops it first
         assert_fails_fast(args, "receivers")
 
-    @pytest.mark.parametrize("args,key", [
-        (["--override", "receivers=150", "--override", "rounds=10000000", "--trace"], "trace"),
-        (["--override", "receivers=150", "--override", "rounds=10000000", "--out"], "rounds"),
-        (["--override", "receivers=5", "--override", "key_bits=9000000", "--trace"], "trace"),
-    ], ids=["trace", "records", "key_bits-trace"])
-    def test_kept_table_beyond_the_budget_fails_fast(self, args, key, tmp_path, monkeypatch,
-                                                     capsys):
-        # a traced or recorded session keeps every round, here 38, 14 and
-        # 1.4 GB of it; no round may run, so a regression cannot allocate
+    def test_csv_memory_does_not_grow_with_the_chunks(self, tmp_path, monkeypatch, capsys):
+        # Each chunk's rows are written as they come and the chunk is let go:
+        # six chunks peak within 1.3% of one (1,722 against 1,700 KB here),
+        # where a session that kept and joined them peaked 5.96 times as high.
+        monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 2048)
+
+        def peak(rounds):
+            args = ["simulate", "--trace", "--override", "receivers=5",
+                    "--override", f"rounds={rounds}", "--out", str(tmp_path / f"{rounds}.csv")]
+            tracemalloc.start()
+            try:
+                assert cli.main(args) == cli.EXIT_ACCEPT
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # warm-up: first-call allocations
+        one, six = peak(2048), peak(6 * 2048)
+        capsys.readouterr()
+        assert len((tmp_path / f"{6 * 2048}.csv").read_text().splitlines()) == 6 * 2048 + 1
+        assert six < 1.2 * one, f"{six / one:.2f} times the one-chunk peak"
+
+    def test_unwritable_output_path(self, demo_config, tmp_path, monkeypatch, capsys):
+        # the CSV is opened before the first round, so no round may run
         def no_round(*_):
             raise AssertionError("a round ran")
 
         monkeypatch.setattr(protocol, "_run_round", no_round)
-        out = tmp_path / "rounds.csv"
-        argv = ["simulate", *args] + ([str(out)] if args[-1] == "--out" else [])
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert f"'{key}'" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_unwritable_output_path(self, demo_config, tmp_path, capsys):
         code = cli.main([
             "simulate", "--config", str(demo_config),
             "--out", str(tmp_path / "missing_dir" / "x.csv"),
         ])
         assert code == cli.EXIT_CONFIG
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("strategy", ["pns", "tag", "impersonate"])
+    def test_attack_unwritable_output_path(self, strategy, tmp_path, monkeypatch, capsys):
+        # attack opens its --out before the session or the Monte Carlo runs
+        def no_work(*_):
+            raise AssertionError("the attack ran")
+
+        monkeypatch.setattr(protocol, "_run_round", no_work)
+        monkeypatch.setattr(analysis, "monte_carlo_p_error", no_work)
+        code = cli.main(["attack", strategy, "--trials", "20000",
+                         "--out", str(tmp_path / "missing_dir" / "x.csv")])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""
 
 
 # a `curve` flag: the edges of its checks, and any float

@@ -18,11 +18,11 @@ import random
 import numpy as np
 import pytest
 from scipy import stats
+from session_records import recorded
 
 from sqss.adversary import intercepted_mean, usd_success
 from sqss.config import SimConfig
 from sqss.optics import AMBIGUOUS, QUARTER_TURN, VACUUM
-from sqss.protocol import run_session
 
 CATEGORIES = ("kept_correct", "kept_wrong", "vacuum", "ambiguous")
 
@@ -112,7 +112,7 @@ def reference_histogram(config: SimConfig, rounds: int, seed: int) -> np.ndarray
 
 
 def engine_histogram(config: SimConfig) -> np.ndarray:
-    table = run_session(config, records=True).records
+    _, table = recorded(config)
     kept = table.sifted < VACUUM
     category = np.select(
         [kept & (table.decoded // 2 == table.bit), kept, table.sifted == VACUUM],

@@ -14,11 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from session_records import recorded
 from test_engine_agreement import engine_histogram
 
 from sqss.config import SimConfig
 from sqss.optics import VACUUM
-from sqss.protocol import _key_angle, run_session
+from sqss.protocol import _key_angle
 
 ROUNDS = 200_000
 
@@ -64,7 +65,7 @@ def arms_histogram(config: SimConfig) -> np.ndarray:
     An angle is binned as its offset in quarter turns from the honest
     angle the pulse carries into Rec-1, the key angle plus every shuffle.
     """
-    table = run_session(config, records=True).records
+    _, table = recorded(config)
     carried = (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum) % 4
 
     def arm(codes):
@@ -102,7 +103,7 @@ SHRINK_SCENARIOS = [
                          ids=[s[0] for s in SHRINK_SCENARIOS])
 def test_traced_counts_never_grow(config):
     traced = replace(config, rounds=SHRINK_ROUNDS, parity_block=0, trace=True)
-    photons = run_session(traced).records.trace_photons
+    photons = recorded(traced)[1].trace_photons
     assert photons[:, 0].any()
     grown = np.flatnonzero((np.diff(photons, axis=1) > 0).any(axis=1))
     assert len(grown) == 0, f"{len(grown)} rounds gained photons, first {photons[grown[0]]}"

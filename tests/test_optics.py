@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from session_records import recorded
 from test_engine_agreement import _poisson
 
 from sqss.channel import thin_batch
@@ -21,7 +22,7 @@ from sqss.optics import (
     rec1_measure,
     rotate,
 )
-from sqss.protocol import _polarizations, _run_round, run_session
+from sqss.protocol import _polarizations, _run_round
 
 QT = math.pi / 4
 
@@ -168,7 +169,7 @@ class TestPulses:
         # changes one: on a lossless ring every traced stage holds the
         # source's count
         config = SimConfig(receivers=3, adversary="impersonate", rounds=500, seed=4, trace=True)
-        photons = run_session(config).records.trace_photons
+        photons = recorded(config)[1].trace_photons
         assert (photons == photons[:, :1]).all() and photons.any()
 
     @given(
@@ -209,7 +210,7 @@ class TestSampling:
 
     def test_polarization_carried_over(self):
         # the pulses leave the source polarized at theta
-        table = run_session(SimConfig(rounds=10, seed=5, trace=True)).records
+        _, table = recorded(SimConfig(rounds=10, seed=5, trace=True))
         assert next(_polarizations(table)).tolist() == table.theta.tolist()
 
 
@@ -227,7 +228,7 @@ class TestBeamSplit:
         # polarization as it was: the same seed traces the same angles
         # whatever share it passes
         tables = [
-            run_session(SimConfig(rounds=300, bs_ratio=ratio, seed=6, trace=True)).records
+            recorded(SimConfig(rounds=300, bs_ratio=ratio, seed=6, trace=True))[1]
             for ratio in (0.3, 1.0)
         ]
         encoded = tables[0].trace_stages.index("alice_encoded")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from session_records import recorded
 
 from sqss import protocol
 from sqss.adversary import EveSummary
@@ -271,7 +272,7 @@ class TestRec1Measure:
             return rec1_measure(angle, light, share, rng)
 
         monkeypatch.setattr(protocol, "rec1_measure", spy)
-        table = run_session(dataclasses.replace(config, trace=True)).records
+        _, table = recorded(dataclasses.replace(config, trace=True))
         traced = dict(zip(table.trace_stages, _polarizations(table)))["rec1_backward"]
         gap = (traced - np.concatenate(arrived) * QUARTER_TURN) % math.pi
         assert len(gap) == config.rounds
@@ -327,8 +328,7 @@ class TestSift:
         # multiple of 4, must sift and decode the same.
         cfg = SimConfig(receivers=MAX_RECEIVERS, rounds=2000, parity_block=0, seed=81,
                         trace=True)
-        res = run_session(cfg)
-        table = res.records
+        res, table = recorded(cfg)
         exact = table.shuffles.sum(axis=1, dtype=np.int64)
         assert (exact > np.iinfo(np.int8).max).any()
         assert np.array_equal(table.shuffle_sum, exact & 3)
@@ -349,7 +349,7 @@ class TestRecords:
     @pytest.mark.parametrize("receivers", [2, MAX_RECEIVERS])
     def test_recorded_shuffles_complete_the_sum_and_are_uniform(self, receivers):
         cfg = SimConfig(receivers=receivers, rounds=20_000, parity_block=0, seed=83)
-        table = run_session(cfg, records=True).records
+        _, table = recorded(cfg)
         assert table.shuffles.shape == table.phis.shape == (cfg.rounds, receivers)
         exact = table.shuffles.sum(axis=1, dtype=np.int64)
         assert np.array_equal(exact % 4, table.shuffle_sum % 4)
@@ -364,12 +364,12 @@ class TestRecords:
     def test_recorded_pair_is_jointly_uniform(self):
         # s_1 is built from the sum, so it must carry no trace of s_2
         cfg = SimConfig(receivers=2, rounds=20_000, parity_block=0, seed=84)
-        shuffles = run_session(cfg, records=True).records.shuffles
+        shuffles = recorded(cfg)[1].shuffles
         pairs = np.bincount(shuffles[:, 0] * 4 + shuffles[:, 1], minlength=16)
         assert stats.chisquare(pairs).pvalue > 1e-3
 
     def test_records_leave_the_session_as_it_was(self, monkeypatch):
-        sift = protocol.sift
+        sift, draw_secrets = protocol.sift, protocol._draw_secrets
         for config in (
             SimConfig(receivers=3, rounds=5000, seed=85),
             SimConfig(receivers=3, transmission=0.9, adversary="pns", pns_channel=1,
@@ -382,36 +382,20 @@ class TestRecords:
             # a later chunk's physics follows the first's secrets in time
             SimConfig(receivers=3, rounds=70_000, seed=85),
         ):
-            sums = []  # each chunk's shuffle sums, as the plain session sifts them
+            sums, drawn = [], []  # each chunk's shuffle sums, and its secret draws
             monkeypatch.setattr(protocol, "sift", lambda t: sums.append(t.shuffle_sum) or sift(t))
+            monkeypatch.setattr(protocol, "_draw_secrets",
+                                lambda *a: drawn.append(a) or draw_secrets(*a))
             plain = run_session(config)
             monkeypatch.setattr(protocol, "sift", sift)
-            recorded = run_session(config, records=True)
-            # only the trace keeps a table without records
-            assert (plain.records is not None) is config.trace, config
-            assert recorded.alice_final_key == plain.alice_final_key, config
-            assert recorded.receiver_final_keys == plain.receiver_final_keys, config
-            assert recorded.verdict == plain.verdict, config
-            assert recorded.eve_summary == plain.eve_summary, config
-            assert recorded.records.shuffle_sum.tolist() == np.concatenate(sums).tolist(), config
-
-    @pytest.mark.parametrize("config,records", [
-        (SimConfig(receivers=2, rounds=1000, seed=86, trace=True), False),
-        (SimConfig(transmission=0.5, adversary="impersonate", rounds=1000, seed=87, trace=True),
-         False),
-        (SimConfig(receivers=MAX_RECEIVERS, rounds=1000, seed=88), True),
-    ], ids=["traced_n2", "traced_impersonate", "recorded_n150"])
-    def test_kept_table_budget_counts_the_kept_columns(self, config, records, monkeypatch):
-        # the budget admits a session whose trace and secret columns fill it
-        # exactly, and refuses it one byte short
-        table = run_session(config, records=records).records
-        columns = (table.trace_photons, table.theta, table.phis, table.shuffles)
-        kept = sum(column.nbytes for column in columns if column is not None)
-        monkeypatch.setattr(protocol, "_KEPT_TABLE_BUDGET", kept)
-        run_session(config, records=records)
-        monkeypatch.setattr(protocol, "_KEPT_TABLE_BUDGET", kept - 1)
-        with pytest.raises(ConfigError):
-            run_session(config, records=records)
+            # without records only Eve's stored photons read the secrets
+            assert bool(drawn) is (config.adversary == "pns"), config
+            with_records, table = recorded(config)
+            assert with_records.alice_final_key == plain.alice_final_key, config
+            assert with_records.receiver_final_keys == plain.receiver_final_keys, config
+            assert with_records.verdict == plain.verdict, config
+            assert with_records.eve_summary == plain.eve_summary, config
+            assert table.shuffle_sum.tolist() == np.concatenate(sums).tolist(), config
 
 
 class TestToeplitz:
@@ -615,8 +599,7 @@ class TestRunSession:
         for key in res.receiver_final_keys:
             assert key == res.alice_final_key
         # before reconciliation every receiver already holds Alice's sifted bits
-        sifted = run_session(dataclasses.replace(cfg, parity_block=0), records=True)
-        table = sifted.records
+        sifted, table = recorded(dataclasses.replace(cfg, parity_block=0))
         assert sifted.alice_final_key == table.bit[table.sifted < VACUUM].tolist()
         for key in sifted.receiver_final_keys:
             assert key == sifted.alice_final_key
@@ -630,7 +613,7 @@ class TestRunSession:
 
     def test_decoded_bits_match_alice_on_every_kept_round(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=1000, parity_block=0, seed=44)
-        table = run_session(cfg, records=True).records
+        _, table = recorded(cfg)
         kept = table.sifted < VACUUM
         assert (table.decoded[kept] // 2 == table.bit[kept]).all()
         assert (table.decoded[~kept] == -1).all()
@@ -641,7 +624,7 @@ class TestRunSession:
         for n in (1, 2, 3, 5):
             cfg = SimConfig(receivers=n, mean_photons=6.0, rounds=200,
                             parity_block=0, seed=50 + n, trace=True)
-            table = run_session(cfg).records
+            _, table = recorded(cfg)
             final = dict(zip(table.trace_stages, _polarizations(table)))["rec1_backward"]
             expected_turns = (_key_angle(table.bit, table.basis_choice)
                               + table.shuffles.sum(axis=1)) % 4
@@ -669,28 +652,26 @@ class TestRunSession:
     def test_determinism(self):
         cfg = SimConfig(receivers=3, mean_photons=5.0, transmission=0.8,
                         rounds=300, parity_block=8, seed=99)
-        first = run_session(cfg, records=True)
-        second = run_session(cfg, records=True)
+        (first, first_table), (second, second_table) = recorded(cfg), recorded(cfg)
         assert first.alice_final_key == second.alice_final_key
         assert first.qber == second.qber
         assert first.kept_rounds == second.kept_rounds
-        assert first.records.theta.tolist() == second.records.theta.tolist()
+        assert first_table.theta.tolist() == second_table.theta.tolist()
 
     def test_target_key_bits_mode(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, transmission=0.9,
                         rounds=10, target_key_bits=200, parity_block=0, seed=48)
-        res = run_session(cfg, records=True)
+        res, table = recorded(cfg)
         assert res.kept_rounds >= 200
         assert len(res.alice_final_key) == res.kept_rounds
-        kept = res.records.sifted < VACUUM
+        kept = table.sifted < VACUUM
         assert np.count_nonzero(kept) == res.kept_rounds and kept[-1]
         # stops soon after the target is reached
         assert res.kept_rounds <= 210
 
     def test_parity_block_zero_skips_post_processing(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=400, parity_block=0, seed=49)
-        res = run_session(cfg, records=True)
-        table = res.records
+        res, table = recorded(cfg)
         kept = table.sifted < VACUUM
         assert res.alice_final_key == table.bit[kept].tolist()
         assert res.receiver_final_keys[0] == (table.decoded[kept] // 2).tolist()
@@ -709,7 +690,7 @@ class TestRunSession:
     def test_trace_stages(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0,
                         seed=51, trace=True)
-        table = run_session(cfg).records
+        _, table = recorded(cfg)
         assert table.trace_stages == (
             "alice_out", "rec1_forward", "rec2_forward",
             "alice_encoded", "rec2_backward", "rec1_backward",
@@ -722,7 +703,7 @@ class TestRunSession:
 
     def test_trace_disabled_by_default(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0, seed=51)
-        table = run_session(cfg, records=True).records
+        _, table = recorded(cfg)
         assert table.trace_stages == ()
         assert table.trace_photons is None
 
@@ -736,8 +717,7 @@ class TestRunSession:
     def test_eve_is_scored_on_exactly_the_rounds_that_ran(self, config):
         # each chunk is decoded and scored once it is cut at the target, so
         # the session's keys and Eve's counts cover the recorded rounds alone
-        plain, recorded = run_session(config), run_session(config, records=True)
-        table = recorded.records
+        plain, (with_records, table) = run_session(config), recorded(config)
         rounds, kept = len(table), np.flatnonzero(table.sifted < VACUUM)
         assert plain.rounds_executed == rounds > protocol._CHUNK_ROUNDS
         assert plain.kept_rounds == len(kept) == config.target_key_bits
@@ -754,7 +734,7 @@ class TestRunSession:
         else:
             expected = EveSummary("impersonate", rounds, len(kept), events,
                                   usd_success_rate=events / rounds)
-        assert plain.eve_summary == recorded.eve_summary == expected
+        assert plain.eve_summary == with_records.eve_summary == expected
 
 
 class TestBoundedResources:
@@ -788,7 +768,7 @@ class TestBoundedResources:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.records is None and res.verdict.accepted
+        assert res.verdict.accepted
         assert peak / rounds < 57, f"{peak / rounds:.1f} bytes per round"
 
     def test_untraced_memory_per_round_is_flat_in_the_ring_width(self):

@@ -20,12 +20,13 @@ into its own directory::
     diff -r /tmp/matrix-parent /tmp/matrix-change
 
 Never run a newer matrix against older code: a scenario that the newer
-code refuses may run on the older. For that reason the matrix holds no
-session over ``run_session``'s kept-table budget: a traced 150-receiver,
-10^7-round session would try to allocate about 63 GB on code without
-the budget check (``tests/test_config_cli.py`` covers the refusal). And
-``curve_stop_edge`` crashes on code whose curve grid can step past
-``--stop``.
+code runs may fail or exhaust memory on the older. Code that kept every
+round of a traced or recorded session until the end holds a table and
+its CSV text in memory at once, so the matrix's largest ``--out``
+sessions (``records_70k`` and ``trace_70k``, two chunks each) stay small
+enough for it; a traced 150-receiver session of 10^7 rounds would need
+tens of GB there. And ``curve_stop_edge`` crashes on code whose curve
+grid can step past ``--stop``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
     "key_bits": (_simulate("key_bits=5000"), ACCEPT),
     "honest_n150": (_simulate("receivers=150", "rounds=500"), ACCEPT),
     "rounds_200k": (_simulate("rounds=200000", out=False), ACCEPT),
+    # two chunks each: row indices and every record run on across the chunk boundary
+    "records_70k": (_simulate("receivers=2", "rounds=70000"), ACCEPT),
+    "trace_70k": (_simulate("rounds=70000", trace=True), ACCEPT),
     "trace_honest": (_simulate("rounds=500", trace=True), ACCEPT),
     "trace_lossy_split": (_simulate("receivers=3", "transmission=0.8", "bs_ratio=0.5",
                                     "rounds=500", trace=True), ACCEPT),
