@@ -34,9 +34,11 @@ reaches Rec-1, sifting and the decode), Eve's events and the light,
 walked along the route (``_route``): the hops and party stages in travel
 order, each with the share of photons it passes on. No light depends on
 theta, a phi_i or a single s_i, so ``run_session`` draws them behind
-each chunk, from their exact law given S (``_draw_secrets``) and from a
-stream of their own, only when Eve's stored photons or the records read
-them.
+each chunk, from their exact law given S (``_draw_secrets``), only where
+something reads them. The photons Eve stores on hop c (``pns``) read
+theta and the first c - 1 receivers' secrets (every receiver's past
+the ring's last), drawn from a stream of her own; the records read the
+rest, drawn after hers from another, so they never move her draws.
 
 Light is drawn only where it is observed: the source count at the first
 observer's mean and one thinning between observers. Rec-1 reads both
@@ -74,6 +76,8 @@ PA_COMPRESSION = 0.5
 _PA_SEED_SALT = 0x9E3779B97F4A7C15
 # Public salt separating the stream of the parties' private secrets from the physics.
 _SECRETS_SEED_SALT = 0x7265636F726473
+# Public salt of the stream of the secrets Eve's PNS hop reads, apart from the records'.
+_EVE_SEED_SALT = 0x657665
 
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
@@ -102,11 +106,13 @@ class RoundTable:
 
     ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter turns
     0..3. ``theta``, ``phis`` and ``shuffles``, drawn behind it, are None
-    unless Eve's stored photons (``pns``) or the records read them. The arms
-    hold detector outcome codes (``optics``); sifting fills in ``sifted``, the
-    chosen arm's code, and decoding ``decoded``, the consensus key angle or
-    -1. With ``trace`` each round's photon count after each of
-    ``trace_stages`` is kept too; its polarization there is the ledger's fold.
+    unless Eve's stored photons (``pns``) or the records read them; without
+    records, ``phis`` and ``shuffles`` hold only the receivers Eve passed.
+    The arms hold detector outcome codes (``optics``); sifting fills in
+    ``sifted``, the chosen arm's code, and decoding ``decoded``, the
+    consensus key angle or -1. With ``trace`` each round's photon count
+    after each of ``trace_stages`` is kept too; its polarization there is
+    the ledger's fold.
     """
 
     shuffle_sum: np.ndarray  # int8
@@ -379,20 +385,33 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     return table
 
 
-def _draw_secrets(table: RoundTable, receivers: int, rng: np.random.Generator) -> None:
-    """Fill in the secrets behind the table's shuffle sums: theta, each
-    phi_i and each s_i, from their exact law given those sums.
+def _draw_secrets(
+    table: RoundTable, receivers: int, rng: np.random.Generator, upto: int | None = None
+) -> None:
+    """Fill in the secrets behind the table's shuffle sums that are not drawn
+    yet, up to receiver ``upto`` (all ``receivers`` by default): theta, then
+    each phi_i and s_i in receiver order, from their exact law given those sums.
 
     Theta and the phi_i are independent of everything else: uniforms on
-    [0, pi). s_2..s_N are uniform on Z4, and s_1 = S - (s_2 + ... + s_N)
-    mod 4 completes the sum: N independent uniform shuffles conditioned
-    on their sum have exactly this law.
+    [0, pi). N independent uniform shuffles conditioned on their sum S
+    are any N - 1 of them i.i.d. uniform on Z4 and the last one completing
+    the sum mod 4. So shuffles drawn short of receiver N are free, and a
+    draw that reaches it completes the sum with the first shuffle it draws:
+    s_1 when it draws them all.
     """
-    angles = rng.random((receivers + 1, len(table)))
-    angles *= math.pi
-    shuffles = rng.integers(4, size=(receivers, len(table)), dtype=np.int8)
-    shuffles[0] = (table.shuffle_sum - shuffles[1:].sum(axis=0, dtype=np.int8)) & 3
-    table.theta, table.phis, table.shuffles = angles[0], angles[1:].T, shuffles.T
+    size, start = len(table), 0 if table.phis is None else table.phis.shape[1]
+    width = (receivers if upto is None else upto) - start
+    if table.theta is None:
+        table.theta = rng.random(size) * math.pi
+    phis = rng.random((width, size))
+    phis *= math.pi
+    shuffles = rng.integers(4, size=(width, size), dtype=np.int8)
+    if start:  # behind the receivers drawn before
+        phis, shuffles = np.vstack((table.phis.T, phis)), np.vstack((table.shuffles.T, shuffles))
+    if width and start + width == receivers:  # the first shuffle drawn here completes the sum
+        shuffles[start] = 0
+        shuffles[start] = (table.shuffle_sum - shuffles.sum(axis=0, dtype=np.int8)) & 3
+    table.phis, table.shuffles = phis.T, shuffles.T
 
 
 def _decode_phase(
@@ -439,11 +458,13 @@ def run_session(
 
     ``records``, if given, is called with each finished chunk in round
     order: sifted, cut at the target, decoded, scored, with its secrets and,
-    with ``trace``, its photon counts. No chunk is kept. Theta, every phi_i
-    and every s_i are drawn behind each chunk's physics (``_draw_secrets``)
-    from a stream of their own, for ``records`` or Eve's stored photons
-    (``pns``) only, so records move no other draw. Under ``pns`` Eve
-    measures her stored photons at the ledger's polarization on her hop.
+    with ``trace``, its photon counts. No chunk is kept. The secrets are
+    drawn behind each chunk's physics (``_draw_secrets``), from streams of
+    their own, only where something reads them. Under ``pns`` Eve measures
+    her stored photons on hop c at the ledger's polarization there, which
+    reads theta and the first min(c - 1, N) receivers' secrets: those are
+    drawn from her stream. ``records`` then read every secret, the rest
+    drawn from theirs, so records move no other draw.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
@@ -467,8 +488,10 @@ def run_session(
         )
     rng = np.random.default_rng(config.seed)
     pns = config.adversary == "pns"
-    secrets = None
-    if records is not None or pns:
+    if pns:  # Eve's fold on hop c reads theta and the first c - 1 receivers' turns
+        eve_reads = min(config.pns_channel - 1, n)
+        eve_secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _EVE_SEED_SALT]))
+    if records is not None:
         secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
 
     key_rows = []
@@ -496,13 +519,14 @@ def run_session(
             # chunk where the target is reached is the same as stopping there.
             kept = kept[: target - kept_count]
             chunk = chunk.rows(0, kept[-1] + 1)
-        if secrets is not None:
-            _draw_secrets(chunk, n, secrets)
         if pns:  # Eve measures her stored photons at the polarization on her hop
+            _draw_secrets(chunk, n, eve_secrets, eve_reads)
             chunk.eve_guess = adv.ml_single_photon_estimator(
                 chunk.eve_event, next(islice(_polarizations(chunk), config.pns_channel - 1, None)),
                 chunk.basis_choice, rng,
             )
+        if records is not None:
+            _draw_secrets(chunk, n, secrets)
         key_rows.append(_decode_phase(chunk, kept, config.dishonest_receiver, rng))
         if config.adversary != "none":
             eve_counts += _score_eve(config.adversary, chunk, kept)

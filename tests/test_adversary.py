@@ -157,8 +157,11 @@ class TestPnsIntercept:
         monkeypatch.setattr(adversary, "ml_single_photon_estimator", spy)
         config = SimConfig(receivers=receivers, transmission=0.9, adversary="pns",
                            pns_channel=channel, rounds=400, seed=50 + channel + receivers)
+        run_session(config)
         _, table = recorded(config)
-        (polarization,) = measured  # one chunk
+        plain, polarization = measured  # one chunk each
+        # the records draw the secrets Eve does not read after hers, from their own stream
+        assert plain.tobytes() == polarization.tobytes()
         assert len(polarization) == len(table)
         qt = math.pi / 4
         for r in range(len(table)):

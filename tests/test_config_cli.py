@@ -292,9 +292,13 @@ class TestCliSimulate:
     @pytest.mark.parametrize("overrides", [
         ["receivers=3", "rounds=5000"],
         ["receivers=3", "adversary=pns", "transmission=0.9", "rounds=5000"],
-    ], ids=["honest_n3", "pns_n3"])
+        *(["receivers=5", "adversary=pns", f"pns_channel={c}", "transmission=0.9", "rounds=5000"]
+          for c in (1, 3, 4)),
+        # two chunks: Eve's second chunk follows the first chunk's records
+        ["receivers=5", "adversary=pns", "pns_channel=3", "transmission=0.9", "rounds=70000"],
+    ], ids=["honest_n3", "pns_n3", "pns_n5_c1", "pns_n5_c3", "pns_n5_c4", "pns_n5_c3_70k"])
     def test_records_do_not_move_the_report(self, overrides, tmp_path, capsys):
-        # the records' draws come from a stream of their own
+        # the records' draws come from a stream of their own, apart from Eve's
         args = ["simulate", "--seed", "12"] + [a for o in overrides for a in ("--override", o)]
         assert cli.main(args) == cli.EXIT_ACCEPT
         plain = capsys.readouterr().out

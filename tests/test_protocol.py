@@ -368,6 +368,24 @@ class TestRecords:
         pairs = np.bincount(shuffles[:, 0] * 4 + shuffles[:, 1], minlength=16)
         assert stats.chisquare(pairs).pvalue > 1e-3
 
+    def test_split_draw_completes_the_sum_after_eves_shuffles(self):
+        # On hop 3 of a 5-receiver ring Eve's part holds s_1 and s_2, drawn
+        # free; the records draw s_3, which completes the sum, then s_4, s_5.
+        # Two chunks, so Eve's stream runs on across the boundary.
+        cfg = SimConfig(receivers=5, transmission=0.9, adversary="pns", pns_channel=3,
+                        rounds=70_000, parity_block=0, seed=86)
+        _, table = recorded(cfg)
+        assert table.shuffles.shape == table.phis.shape == (cfg.rounds, 5)
+        exact = table.shuffles.sum(axis=1, dtype=np.int64)
+        assert np.array_equal(exact % 4, table.shuffle_sum % 4)
+        counts = np.stack([np.bincount(s, minlength=4) for s in table.shuffles.T])
+        pvalues = stats.chisquare(counts, axis=1).pvalue
+        assert pvalues.min() > 1e-3 / 5, (pvalues.argmin(), counts[pvalues.argmin()])
+        # s_3 is built from the sum, so it must carry no trace of Eve's last shuffle s_2
+        pairs = np.bincount(table.shuffles[:, 1] * 4 + table.shuffles[:, 2], minlength=16)
+        assert stats.chisquare(pairs).pvalue > 1e-3
+        assert 0.0 <= table.theta.min() and table.phis.max() < math.pi
+
     def test_records_leave_the_session_as_it_was(self, monkeypatch):
         sift, draw_secrets = protocol.sift, protocol._draw_secrets
         for config in (
@@ -381,6 +399,9 @@ class TestRecords:
                       seed=85),
             # a later chunk's physics follows the first's secrets in time
             SimConfig(receivers=3, rounds=70_000, seed=85),
+            # and Eve's second chunk follows the first chunk's records
+            SimConfig(receivers=5, transmission=0.9, adversary="pns", pns_channel=3,
+                      rounds=70_000, seed=85),
         ):
             sums, drawn = [], []  # each chunk's shuffle sums, and its secret draws
             monkeypatch.setattr(protocol, "sift", lambda t: sums.append(t.shuffle_sum) or sift(t))
@@ -388,8 +409,11 @@ class TestRecords:
                                 lambda *a: drawn.append(a) or draw_secrets(*a))
             plain = run_session(config)
             monkeypatch.setattr(protocol, "sift", sift)
-            # without records only Eve's stored photons read the secrets
+            # without records only Eve's stored photons read the secrets, and
+            # only those of the receivers she has passed
             assert bool(drawn) is (config.adversary == "pns"), config
+            eve_reads = min(config.pns_channel - 1, config.receivers)
+            assert all(a[3:] == (eve_reads,) for a in drawn), config
             with_records, table = recorded(config)
             assert with_records.alice_final_key == plain.alice_final_key, config
             assert with_records.receiver_final_keys == plain.receiver_final_keys, config
@@ -783,6 +807,25 @@ class TestBoundedResources:
                 tracemalloc.stop()
 
         run_session(SimConfig(rounds=1000, seed=71))  # warm-up: first-call allocations
+        narrow, wide = peak_per_round(2), peak_per_round(MAX_RECEIVERS)
+        assert abs(wide - narrow) <= 0.1 * narrow, f"{narrow:.0f} vs {wide:.0f} bytes per round"
+
+    @pytest.mark.parametrize("channel", [1, 3])
+    def test_pns_memory_per_round_is_flat_in_the_ring_width(self, channel):
+        # Eve's fold on hop c reads theta and the first c - 1 receivers'
+        # turns only, so only those secrets are drawn without records
+        def peak_per_round(receivers):
+            cfg = SimConfig(receivers=receivers, mean_photons=6.0, adversary="pns",
+                            pns_channel=channel, rounds=200_000, seed=73)
+            tracemalloc.start()
+            try:
+                run_session(cfg)
+                return tracemalloc.get_traced_memory()[1] / cfg.rounds
+            finally:
+                tracemalloc.stop()
+
+        # warm-up: first-call allocations
+        run_session(SimConfig(rounds=1000, adversary="pns", pns_channel=channel, seed=73))
         narrow, wide = peak_per_round(2), peak_per_round(MAX_RECEIVERS)
         assert abs(wide - narrow) <= 0.1 * narrow, f"{narrow:.0f} vs {wide:.0f} bytes per round"
 

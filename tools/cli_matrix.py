@@ -23,10 +23,10 @@ Never run a newer matrix against older code: a scenario that the newer
 code runs may fail or exhaust memory on the older. Code that kept every
 round of a traced or recorded session until the end holds a table and
 its CSV text in memory at once, so the matrix's largest ``--out``
-sessions (``records_70k`` and ``trace_70k``, two chunks each) stay small
-enough for it; a traced 150-receiver session of 10^7 rounds would need
-tens of GB there. And ``curve_stop_edge`` crashes on code whose curve
-grid can step past ``--stop``.
+sessions (``records_70k``, ``trace_70k`` and ``pns_n5_c3_70k``, two
+chunks each) stay small enough for it; a traced 150-receiver session of
+10^7 rounds would need tens of GB there. And ``curve_stop_edge``
+crashes on code whose curve grid can step past ``--stop``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
                             "transmission=0.9", "rounds=2000"), ACCEPT),
     "pns_n1_c3": (_simulate("receivers=1", "adversary=pns", "pns_channel=3",
                             "transmission=0.9", "rounds=2000"), ACCEPT),
+    # Eve's fold reads theta alone, whatever the width; 301 lossy hops leave no key
+    "pns_n150_c1": (_simulate("receivers=150", "adversary=pns", "pns_channel=1",
+                              "transmission=0.9", "rounds=2000", out=False), ABORT),
+    # two chunks: Eve's part of the secrets runs on across the boundary, past the records'
+    "pns_n5_c3_70k": (_simulate("receivers=5", "adversary=pns", "pns_channel=3",
+                                "transmission=0.9", "rounds=70000"), ACCEPT),
     "tag": (_simulate("adversary=tag", "bs_ratio=0.5", "rounds=2000"), ACCEPT),
     "tag_t08": (_simulate("adversary=tag", "bs_ratio=0.5", "transmission=0.8",
                           "rounds=2000"), ACCEPT),
