@@ -234,37 +234,52 @@ def _fft_length(m: int) -> int:
 
 
 def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarray:
-    """2-universal compression: multiply by a seeded random Toeplitz matrix over GF(2).
+    """2-universal compression by the modified Toeplitz family [I | T] over GF(2).
 
     ``bits`` is one key of n bits, or an (n, keys) array whose columns are
-    keys hashed by the same matrix. The product is a slice of the FFT
-    convolution of the matrix's diagonal with each key.
+    keys hashed by the same matrix. With m = ``out_len``, a key x = (x1, x2)
+    of head x1 (m bits) and tail x2 (n - m bits) hashes to x1 xor T x2,
+    where T is the m x (n - m) Toeplitz matrix drawn from n - 1 seeded bits
+    (Hayashi and Tsurumaru, IEEE Trans. Inf. Theory 62(4), 2016). Distinct
+    keys collide with probability 2**-m over the seed: keys that differ
+    only in the head never collide, and for any nonzero tail T x2 is
+    uniform (Mansour, Nisan and Tiwari, STOC 1990). T x2 is a slice of the
+    FFT convolution of T's diagonal with each tail.
     """
-    x = np.asarray(bits, dtype=np.float64)
+    x = np.asarray(bits, dtype=np.uint8)
     n = len(x)
     if out_len < 0 or out_len > n:
         raise ValueError(f"output length must be in [0, {n}], got {out_len}")
-    if out_len == 0:
-        return np.zeros((0, *x.shape[1:]), dtype=np.uint8)
-    diag = np.random.default_rng(hash_seed).integers(0, 2, size=n + out_len - 1).astype(np.uint8)
-    # a circular convolution this long leaves the wanted outputs free of wrap-around
-    size = _fft_length(n + out_len - 1)
-    spectrum = np.fft.rfft(x.T, size)
-    del x  # each temporary goes once used: the peak is the two spectra
-    spectrum *= np.fft.rfft(diag, size)
-    conv = np.fft.irfft(spectrum, size)[..., n - 1 : n - 1 + out_len].T
-    return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
+    head, tail = x[:out_len], x[out_len:]
+    if out_len in (0, n):  # the empty key, or the identity block alone
+        return head.copy()
+    diag = np.random.default_rng(hash_seed).integers(0, 2, size=n - 1, dtype=np.uint8)
+    # a circular convolution of n - 1 points leaves the wanted outputs free of wrap-around
+    size = _fft_length(n - 1)
+    spectrum = np.fft.rfft(tail.T, size)
+    spectrum *= np.fft.rfft(diag, size)  # in place: the peak is the two spectra
+    conv = np.fft.irfft(spectrum, size)[..., n - out_len - 1 : n - 1].T
+    return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8) ^ head
 
 
 def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int) -> np.ndarray:
-    """Indices of bits in blocks whose parity agrees between the two keys."""
-    if len(key_a) != len(key_b):
+    """Indices of bits in blocks whose parity agrees between the two keys.
+
+    The keys are cut into consecutive blocks of ``block_size`` bits, the
+    last one possibly shorter. Returns the ascending indices (``np.intp``)
+    of every bit whose block holds an even number of disagreements. The
+    temporaries take 1 byte per bit.
+    """
+    n = len(key_a)
+    if n != len(key_b):
         raise ValueError("keys must have equal length")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    block = np.arange(len(key_a)) // block_size
-    flips = np.bincount(block, weights=np.not_equal(key_a, key_b))
-    return np.flatnonzero((flips % 2 == 0)[block])
+    width = min(block_size, n) or 1  # a block longer than the keys is the whole key
+    flips = np.zeros((-(-n // width), width), dtype=bool)  # a zero-padded tail flips nothing
+    np.not_equal(key_a, key_b, out=flips.reshape(-1)[:n])
+    kept = ~np.logical_xor.reduce(flips, axis=1)
+    return np.flatnonzero(np.repeat(kept, width)[:n])
 
 
 def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) -> np.ndarray:
@@ -277,13 +292,13 @@ def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) 
     too few bits survive to produce any key at all.
     """
     keys = np.asarray(keys, dtype=np.uint8)
-    survivors = parity_survivor_indices(keys[0], keys[1], block_size)
-    out_len = int(len(survivors) * PA_COMPRESSION)
-    rows = np.take(keys, survivors, axis=1)
+    rows = keys[:, parity_survivor_indices(keys[0], keys[1], block_size)]
+    out_len = int(rows.shape[1] * PA_COMPRESSION)
     # one matrix maps equal rows to equal outputs, so each distinct row is hashed once
     slots: dict[bytes, int] = {}
     slot = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
     distinct = rows[[slot.index(s) for s in range(len(slots))]]
+    del rows  # the gathered rows go before the hash's peak
     return toeplitz_compress(distinct.T, out_len, hash_seed).T[slot]
 
 

@@ -424,13 +424,15 @@ class TestRecords:
 
 class TestToeplitz:
     def _reference_hash(self, bits, out_len, seed):
-        # Independent route: materialize the Toeplitz matrix row by row
-        # from the same seeded diagonal sequence and multiply over GF(2).
+        # Independent route: materialize the matrix [I | T] row by row, T's
+        # entries from the same seeded diagonal sequence, and multiply over GF(2).
         n = len(bits)
-        diag = np.random.default_rng(seed).integers(0, 2, size=n + out_len - 1)
+        tail = n - out_len
+        diag = np.random.default_rng(seed).integers(0, 2, size=n - 1, dtype=np.uint8)
         out = []
         for i in range(out_len):
-            row = [diag[i + n - 1 - j] for j in range(n)]
+            row = [int(k == i) for k in range(out_len)]
+            row += [diag[i + tail - 1 - j] for j in range(tail)]
             out.append(int(np.dot(row, bits)) & 1)
         return out
 
@@ -456,6 +458,33 @@ class TestToeplitz:
         hx = toeplitz_compress(xor, out_len, seed)
         assert hx.tolist() == (ha ^ hb).tolist()
 
+    @pytest.mark.parametrize("differ", ["tail", "both", "head"])
+    def test_collision_rate_is_two_to_the_minus_m(self, differ):
+        # [I | T] is 2-universal: over the seed, distinct keys collide with
+        # probability 2**-m, and keys that differ only in the head never do.
+        n, m, pairs, seeds = 12, 4, 4, 2**12
+        rng = np.random.default_rng(21)
+
+        def part(rows, differs):
+            delta = np.zeros((rows, pairs), dtype=np.uint8)
+            if differs:
+                delta[:] = rng.integers(0, 2, size=delta.shape)
+                delta[rng.integers(0, rows, size=pairs), np.arange(pairs)] = 1
+            return delta
+
+        x = rng.integers(0, 2, size=(n, pairs), dtype=np.uint8)
+        y = x ^ np.vstack([part(m, differ != "tail"), part(n - m, differ != "head")])
+        collisions = np.zeros(pairs, dtype=int)
+        for seed in range(seeds):
+            h = toeplitz_compress(np.hstack([x, y]), m, seed)
+            collisions += (h[:, :pairs] == h[:, pairs:]).all(axis=0)
+        if differ == "head":
+            assert collisions.tolist() == [0] * pairs
+        else:
+            p = 2.0**-m
+            sigma = math.sqrt(p * (1 - p) / seeds)
+            assert np.all(np.abs(collisions / seeds - p) < 4 * sigma), collisions / seeds
+
     def test_empty_output(self):
         assert toeplitz_compress([1, 0, 1], 0, 7).tolist() == []
 
@@ -475,7 +504,8 @@ class TestToeplitz:
 
     def test_peak_memory_per_key_bit(self):
         # each temporary is dropped once used and the spectra multiply in
-        # place, so the two spectra dominate the peak
+        # place, so the two spectra of the n - 1 point transform dominate the
+        # peak: about 26 bytes per key bit
         n = 190_000
         bits = np.random.default_rng(8).integers(0, 2, size=n, dtype=np.uint8)
         tracemalloc.start()
@@ -549,6 +579,23 @@ class TestReconcile:
                     expected += range(start, start + len(a))
             assert parity_survivor_indices(key_a, key_b, block).tolist() == expected
 
+    @given(st.data(), st.integers(1, 20), st.booleans())
+    @settings(max_examples=200)
+    def test_matches_a_pure_python_reference(self, data, block, as_array):
+        # lengths up to 70 leave ragged tails, and blocks longer than the key
+        key_a = data.draw(st.lists(st.integers(0, 1), max_size=70))
+        key_b = data.draw(st.lists(st.integers(0, 1), min_size=len(key_a), max_size=len(key_a)))
+        expected = []
+        for start in range(0, len(key_a), block):
+            a, b = key_a[start : start + block], key_b[start : start + block]
+            if sum(a) % 2 == sum(b) % 2:
+                expected += range(start, start + len(a))
+        if as_array:
+            key_a, key_b = np.array(key_a, dtype=np.uint8), np.array(key_b, dtype=np.uint8)
+        survivors = parity_survivor_indices(key_a, key_b, block)
+        assert survivors.dtype == np.intp
+        assert survivors.tolist() == expected
+
     def test_surviving_fraction_matches_parity_oracle(self):
         # With independent flips at rate f, a block of size B survives
         # with probability (1 + (1-2f)^B)/2.
@@ -562,6 +609,21 @@ class TestReconcile:
         blocks = n // block
         sigma = math.sqrt(expected * (1 - expected) / blocks)
         assert abs(surviving - expected) < 3 * sigma
+
+    def test_peak_memory_per_input_bit(self):
+        # the survivor mask takes 1 byte per bit and its int64 indices are
+        # freed before the hash, so the hash's spectra dominate the peak
+        n = 200_000
+        row = np.random.default_rng(4).integers(0, 2, size=n, dtype=np.uint8)
+        keys = np.vstack([row, row])
+        tracemalloc.start()
+        try:
+            out = reconcile_and_amplify(keys, 8, hash_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, n // 2)
+        assert peak / n <= 36, f"{peak / n:.1f} bytes per input bit"
 
     def test_restart_when_nothing_survives(self):
         key_a = [0] * 8
