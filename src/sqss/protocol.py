@@ -142,12 +142,18 @@ class RoundTable:
 
 @dataclass(slots=True)
 class SessionResult:
+    """What a session ends with: its counts, the final keys and the verdict.
+
+    Each final key is ``bytes`` with one byte, 0 or 1, per bit: ``len``
+    counts its bits and ``list(key)`` gives them as ints.
+    """
+
     rounds_executed: int
     kept_rounds: int
     discard_fraction: float
     qber: float
-    alice_final_key: list[int]
-    receiver_final_keys: list[list[int]]  # honest receivers share one list
+    alice_final_key: bytes
+    receiver_final_keys: list[bytes]  # honest receivers share one object
     verdict: Verdict
     eve_summary: adv.EveSummary | None = None
 
@@ -169,9 +175,10 @@ def _decode(measured, shuffle_sum):
     The measured angle is k plus the sum of all shuffles, so k falls out
     of subtracting them. Rec-1 announces its decision angle
     (measured - s_1), which decodes the same way against the sum of the
-    shuffles the other receivers announce.
+    shuffles the other receivers announce. ``& 3`` is the residue mod 4
+    on every integer, negatives included, in two's complement.
     """
-    return (measured - shuffle_sum) % 4
+    return (measured - shuffle_sum) & 3
 
 
 # Row and column order of the decode table, in quarter turns: (0, pi/2,
@@ -288,11 +295,14 @@ def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) 
     ``keys`` holds one key per row. Blocks whose public parities disagree
     between rows 0 and 1 are discarded; the surviving positions of every
     row are compressed to half length by one shared, publicly seeded
-    2-universal hash. Returns the compressed rows, which are empty when
+    2-universal hash. When every block survives, ``keys`` is hashed as it
+    is, with no copy. Returns the compressed rows, which are empty when
     too few bits survive to produce any key at all.
     """
     keys = np.asarray(keys, dtype=np.uint8)
-    rows = keys[:, parity_survivor_indices(keys[0], keys[1], block_size)]
+    survivors = parity_survivor_indices(keys[0], keys[1], block_size)
+    rows = keys if len(survivors) == keys.shape[1] else np.take(keys, survivors, axis=1)
+    del survivors  # the indices go before the hash's peak
     out_len = int(rows.shape[1] * PA_COMPRESSION)
     # one matrix maps equal rows to equal outputs, so each distinct row is hashed once
     slots: dict[bytes, int] = {}
@@ -302,9 +312,19 @@ def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) 
     return toeplitz_compress(distinct.T, out_len, hash_seed).T[slot]
 
 
-def key_digest(bits: ArrayLike) -> str:
-    """Public integrity digest: SHA-256 over the ASCII bit string."""
-    return hashlib.sha256((np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes()).hexdigest()
+# Maps each byte b to b + ord("0") mod 256: a bit to its ASCII digit.
+_ASCII_BITS = bytes((b + ord("0")) & 0xFF for b in range(256))
+
+
+def key_digest(bits: bytes | ArrayLike) -> str:
+    """Public integrity digest: SHA-256 over the ASCII bit string.
+
+    ``bits`` is a final key (``bytes``, one byte per bit) or any sequence
+    or array of bits; each gives the same digest for the same bits.
+    """
+    if not isinstance(bits, bytes):
+        bits = np.asarray(bits, dtype=np.uint8).tobytes()
+    return hashlib.sha256(bits.translate(_ASCII_BITS)).hexdigest()
 
 
 def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
@@ -558,10 +578,11 @@ def run_session(
         pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
         keys = reconcile_and_amplify(keys, config.parity_block, pa_seed)
     held = [2 if i == config.dishonest_receiver else 1 for i in range(1, n + 1)]  # their rows
-    if keys.shape[1] == 0:  # no key to share, whatever emptied it
+    finals = [row.tobytes() for row in keys]
+    if not finals[0]:  # no key to share, whatever emptied it
         verdict = Verdict(VerdictKind.ABORT_RETRY)
     else:
-        digests = [key_digest(key) for key in keys]
+        digests = [key_digest(key) for key in finals]
         verdict = integrity_check(digests[0], [digests[row] for row in held])
 
     eve_summary = None
@@ -577,14 +598,13 @@ def run_session(
             stored_photons=events if pns else None,
         )
 
-    rows = keys.tolist()
     return SessionResult(
         rounds_executed=executed,
         kept_rounds=kept_count,
         discard_fraction=discard_fraction,
         qber=float(qber),
-        alice_final_key=rows[0],
-        receiver_final_keys=[rows[row] for row in held],
+        alice_final_key=finals[0],
+        receiver_final_keys=[finals[row] for row in held],
         verdict=verdict,
         eve_summary=eve_summary,
     )

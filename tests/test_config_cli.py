@@ -393,6 +393,30 @@ class TestCliSimulate:
         assert proc.stdout == ""
         assert elapsed < 5.0
 
+    def test_key_bits_reach_uses_the_honest_keep_rate(self, monkeypatch, capsys):
+        # At N=2 the pulse crosses 2N + 1 = 5 hops of T=0.9 before Rec-1, so
+        # 20,000 rounds keep about 16,598 bits; one hop fewer would reach 17,206.
+        class RoundRan(Exception):
+            pass
+
+        def no_round(*_):
+            raise RoundRan
+
+        monkeypatch.setattr(protocol, "MAX_ROUNDS", 20_000)
+        monkeypatch.setattr(protocol, "_run_round", no_round)
+        reachable = 20_000 * -math.expm1(-6.0 * 0.9**5 / 2.0)
+        ring = ["--override", "receivers=2", "--override", "mu=6",
+                "--override", "transmission=0.9"]
+        above = cli.main(["simulate", *ring, "--override", f"key_bits={math.floor(reachable) + 1}"])
+        captured = capsys.readouterr()
+        assert above == cli.EXIT_CONFIG
+        assert "'key_bits'" in captured.err and "need more than 20000 rounds" in captured.err
+        assert captured.out == ""
+        below = SimConfig(mean_photons=6.0, transmission=0.9,
+                          target_key_bits=math.floor(reachable))
+        with pytest.raises(RoundRan):
+            protocol.run_session(below)
+
     def test_key_bits_target_an_attack_puts_out_of_reach_fails_cleanly(self, monkeypatch,
                                                                        tmp_path, capsys):
         # The up-front check passes at the honest keep rate, which Eve's

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import time
 import tracemalloc
@@ -596,6 +597,25 @@ class TestReconcile:
         assert survivors.dtype == np.intp
         assert survivors.tolist() == expected
 
+    @given(st.data(), st.sampled_from([2, 3]), st.integers(1, 20), st.booleans(),
+           st.integers(0, 2**32))
+    @settings(max_examples=200)
+    def test_matches_gather_then_hash(self, data, rows, block, disagree, seed):
+        # equal rows keep every block and hash the key matrix itself; rows
+        # that disagree drop blocks and hash the gathered survivors
+        n = data.draw(st.integers(0, 120))
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        first = data.draw(bits)
+        keys = np.array([first] + [data.draw(bits) if disagree else first
+                                   for _ in range(rows - 1)], dtype=np.uint8)
+        survivors = parity_survivor_indices(keys[0], keys[1], block)
+        out_len = int(len(survivors) * protocol.PA_COMPRESSION)
+        expected = toeplitz_compress(keys[:, survivors].T, out_len, seed).T
+        out = reconcile_and_amplify(keys, block, hash_seed=seed)
+        assert out.shape == (rows, out_len)
+        for got, want in zip(out, expected):
+            assert got.tolist() == want.tolist()
+
     def test_surviving_fraction_matches_parity_oracle(self):
         # With independent flips at rate f, a block of size B survives
         # with probability (1 + (1-2f)^B)/2.
@@ -651,6 +671,21 @@ class TestIntegrity:
             "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9"
         )
 
+    @pytest.mark.parametrize("kind", [
+        list, tuple, bytes,
+        lambda bits: np.array(bits, dtype=np.uint8),
+        lambda bits: np.array(bits, dtype=bool),
+        lambda bits: np.array(bits, dtype=np.int64),
+    ], ids=["list", "tuple", "bytes", "uint8", "bool", "int64"])
+    def test_digest_is_the_same_for_every_form_of_the_bits(self, kind):
+        long = np.random.default_rng(5).integers(0, 2, size=2000).tolist()
+        for bits in ([], [0], [0, 1, 1], long):
+            ascii_bits = "".join(str(b) for b in bits).encode()
+            assert key_digest(kind(bits)) == hashlib.sha256(ascii_bits).hexdigest()
+        assert key_digest(kind([0, 1, 1])) == (
+            "8a080cea809d1b9d33b541f3498b1b6366ffc66df75423108947085057cf2f99"
+        )
+
     def test_all_match_accepts(self):
         h = key_digest([1, 0, 1])
         assert integrity_check(h, [h, h]).kind is VerdictKind.ACCEPT
@@ -686,7 +721,7 @@ class TestRunSession:
             assert key == res.alice_final_key
         # before reconciliation every receiver already holds Alice's sifted bits
         sifted, table = recorded(dataclasses.replace(cfg, parity_block=0))
-        assert sifted.alice_final_key == table.bit[table.sifted < VACUUM].tolist()
+        assert sifted.alice_final_key == bytes(table.bit[table.sifted < VACUUM].tolist())
         for key in sifted.receiver_final_keys:
             assert key == sifted.alice_final_key
 
@@ -759,8 +794,8 @@ class TestRunSession:
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=400, parity_block=0, seed=49)
         res, table = recorded(cfg)
         kept = table.sifted < VACUUM
-        assert res.alice_final_key == table.bit[kept].tolist()
-        assert res.receiver_final_keys[0] == (table.decoded[kept] // 2).tolist()
+        assert res.alice_final_key == bytes(table.bit[kept].tolist())
+        assert res.receiver_final_keys[0] == bytes((table.decoded[kept] // 2).tolist())
 
     @pytest.mark.parametrize(
         "rounds,mu,kept", [(4, 1e-300, 0), (1, 50.0, 1)], ids=["none-kept", "none-survived"]
@@ -770,8 +805,30 @@ class TestRunSession:
         # round, which reconciliation cannot turn into a key bit.
         res = run_session(SimConfig(rounds=rounds, mean_photons=mu, seed=60))
         assert res.kept_rounds == kept
-        assert res.alice_final_key == [] and res.receiver_final_keys == [[], []]
+        assert res.alice_final_key == b"" and res.receiver_final_keys == [b"", b""]
         assert res.verdict.kind is VerdictKind.ABORT_RETRY
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(rounds=1000, seed=61),
+        SimConfig(rounds=1000, parity_block=0, seed=62),
+        SimConfig(receivers=5, rounds=400, seed=63, dishonest_receiver=3),
+        SimConfig(rounds=4, mean_photons=1e-300, seed=60),
+    ], ids=["honest", "unreconciled", "liar", "empty"])
+    def test_final_keys_are_one_byte_per_bit(self, config):
+        res, table = recorded(config)
+        kept = table.sifted < VACUUM
+        alice, consensus = table.bit[kept], table.decoded[kept] // 2
+        bits = len(alice)
+        if config.parity_block:
+            survivors = parity_survivor_indices(alice, consensus, config.parity_block)
+            bits = int(len(survivors) * protocol.PA_COMPRESSION)
+        for key in [res.alice_final_key, *res.receiver_final_keys]:
+            assert type(key) is bytes
+            assert len(key) == bits
+            assert set(key) <= {0, 1}
+        honest = [key for i, key in enumerate(res.receiver_final_keys, start=1)
+                  if i != config.dishonest_receiver]
+        assert all(key is honest[0] for key in honest)
 
     def test_trace_stages(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=3, parity_block=0,
@@ -807,7 +864,7 @@ class TestRunSession:
         rounds, kept = len(table), np.flatnonzero(table.sifted < VACUUM)
         assert plain.rounds_executed == rounds > protocol._CHUNK_ROUNDS
         assert plain.kept_rounds == len(kept) == config.target_key_bits
-        assert plain.alice_final_key == table.bit[kept].tolist()
+        assert plain.alice_final_key == bytes(table.bit[kept].tolist())
         events = np.count_nonzero(table.eve_event)
         if config.adversary == "tag":  # a surviving tag on a kept round reads the bit
             recovered = np.count_nonzero(table.eve_event[kept])
@@ -856,6 +913,21 @@ class TestBoundedResources:
             tracemalloc.stop()
         assert res.verdict.accepted
         assert peak / rounds < 57, f"{peak / rounds:.1f} bytes per round"
+
+    def test_final_keys_hold_one_byte_per_bit(self):
+        # Alice's key and the one the honest receivers share take a byte
+        # per bit each, where a list of ints would take 8 bytes per bit each.
+        cfg = SimConfig(receivers=3, mean_photons=6.0, rounds=1_000_000, seed=74)
+        run_session(SimConfig(rounds=1000, seed=74))  # warm-up: first-call allocations
+        tracemalloc.start()
+        try:
+            res = run_session(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        bits = len(res.alice_final_key)
+        assert res.verdict.accepted and bits > 400_000
+        assert held / bits <= 2.5, f"{held / bits:.2f} bytes per final-key bit"
 
     def test_untraced_memory_per_round_is_flat_in_the_ring_width(self):
         # only the shuffle sum is drawn, so no per-receiver column is kept
