@@ -94,21 +94,29 @@ def intercepted_mean(mu: float, bs_ratio: float, t: float) -> float:
     return mu * bs_ratio * t
 
 
-def impersonate_round(n: int, pulses: int, rng: np.random.Generator) -> int:
-    """How many receivers' bits Eve flips over ``pulses`` rounds of n photons each.
+def impersonate_round(
+    n: int, pulses: int, share: float, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Over ``pulses`` rounds, each in the n-photon class with probability
+    ``share``: how many receivers' bits Eve flips, and how many rounds fall
+    outside the class.
 
-    In each round she attempts unambiguous discrimination, which succeeds
-    with the n-dependent probability and then hits the true angle; on
-    failure she guesses uniformly among the four angles. A guess off by
-    half a turn flips the receivers' bit, and one off by an odd number of
-    quarter turns lands in the wrong basis, where the bit is a fair coin.
-    The rounds are i.i.d., so each outcome is counted with one binomial
-    draw over the whole class.
+    In each round of the class she attempts unambiguous discrimination, which
+    succeeds with the n-dependent probability and then hits the true angle; on
+    failure she guesses uniformly among the four angles. A guess off by half a
+    turn flips the receivers' bit, and one off by an odd number of quarter
+    turns lands in the wrong basis, where the bit is a fair coin. The rounds
+    are i.i.d., so one multinomial draw counts every outcome at once: success,
+    a failed guess off by nothing, by a half turn, or by an odd quarter turn
+    with the bit flipped or kept, and a round outside the class.
     """
-    failed = pulses - int(rng.binomial(pulses, usd_success(n)))
-    flips = int(rng.binomial(failed, 0.25))
-    odd = int(rng.binomial(failed - flips, 2.0 / 3.0))
-    return flips + int(rng.binomial(odd, 0.5))
+    success = usd_success(n)
+    # 1 - success is a power of two, so at share 1 the five class cells sum
+    # to exactly one and no round is left
+    quarter = share * (1.0 - success) / 4.0
+    _, _, half, odd_flipped, _, left = rng.multinomial(
+        pulses, [share * success, quarter, quarter, quarter, quarter, 1.0 - share]).tolist()
+    return half + odd_flipped, left
 
 
 def impersonate_rounds(

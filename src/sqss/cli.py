@@ -124,6 +124,9 @@ def _load_effective_config(args: argparse.Namespace) -> SimConfig:
 def cmd_simulate(args: argparse.Namespace, out: TextIO | None) -> int:
     config = _load_effective_config(args)
     config.trace = config.trace or args.trace
+    config.validate()
+    if config.trace and out is None:
+        raise ConfigError("trace", "the trace is only written to the per-round CSV; give --out")
     result = protocol.run_session(config, out and _csv_writer(out))
 
     lines = [
@@ -265,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a full session and report statistics")
     common(p_sim)
-    p_sim.add_argument("--trace", action="store_true", help="record per-hop pulse snapshots")
+    p_sim.add_argument("--trace", action="store_true",
+                       help="record per-hop pulse snapshots in the --out CSV")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_curve = sub.add_parser("curve", help="tabulate the closed-form error-rate curve")

@@ -202,14 +202,14 @@ class TestImpersonation:
         # wrong-guess average: 1/4 silent + 1/4 flip + 1/2 coin = 1/2.
         rng = np.random.default_rng(21)
         n_trials = 100000
-        errors = impersonate_round(0, n_trials, rng)
+        errors, _ = impersonate_round(0, n_trials, 1.0, rng)
         sigma = math.sqrt(0.25 / n_trials)
         assert abs(errors / n_trials - 0.5) < 3 * sigma
 
     def test_forced_ten_photons_rarely_errs(self):
         rng = np.random.default_rng(22)
         n_trials = 100000
-        errors = impersonate_round(10, n_trials, rng)
+        errors, _ = impersonate_round(10, n_trials, 1.0, rng)
         expected = (1.0 - usd_success(10)) / 2.0
         sigma = math.sqrt(expected * (1 - expected) / n_trials)
         assert abs(errors / n_trials - expected) < 3 * sigma
@@ -221,15 +221,26 @@ class TestImpersonation:
         n_trials = 50000
         usd_mean = intercepted_mean(6.0, 1.0, 0.5)
         classes = np.bincount(rng.poisson(usd_mean, n_trials))
-        errors = sum(impersonate_round(n, int(c), rng) for n, c in enumerate(classes))
+        errors = sum(impersonate_round(n, int(c), 1.0, rng)[0] for n, c in enumerate(classes))
         expected = p_error_closed_form(6.0, 0.5)
         sigma = math.sqrt(expected * (1 - expected) / n_trials)
         assert abs(errors / n_trials - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("share", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [0, 3, 10])
+    def test_class_draw_has_binomial_margins(self, n, share):
+        # One multinomial draw over the rounds: those outside the class are
+        # Binomial(pulses, 1 - share), none at share 1, and the flips are
+        # Binomial(pulses, share * (1 - P_usd(n)) / 2).
+        pulses = 10**6
+        flipped, left = impersonate_round(n, pulses, share, np.random.default_rng(25 + n))
+        for count, p in ((left, 1.0 - share), (flipped, share * (1.0 - usd_success(n)) / 2.0)):
+            assert abs(count - pulses * p) <= 4 * math.sqrt(pulses * p * (1.0 - p))
+
     def test_parameter_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            impersonate_round(-1, 10, rng)
+            impersonate_round(-1, 10, 1.0, rng)
         with pytest.raises(ValueError):
             monte_carlo_p_error(-1.0, 0.5, 10000, rng)
         with pytest.raises(ValueError):

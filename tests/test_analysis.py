@@ -212,7 +212,7 @@ class TestMonteCarlo:
             monte_carlo_p_error(6.0, 0.5, 9999, rng)
 
     def test_rejects_trial_counts_beyond_int64(self):
-        # numpy's binomial draw takes counts up to int64 max, and no further
+        # numpy's multinomial draw takes counts up to int64 max, and no further
         rng = np.random.default_rng(0)
         assert monte_carlo_p_error(6.0, 0.5, 2**63 - 1, rng).trials == 2**63 - 1
         with pytest.raises(ValueError, match="trials"):

@@ -537,6 +537,21 @@ class TestCliSimulate:
         assert "error" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("trace", [["--trace"], ["--override", "trace=true"]],
+                             ids=["flag", "config"])
+    def test_trace_without_output_path_fails_fast(self, trace, monkeypatch, capsys):
+        # the trace is only ever written to the per-round CSV, so without
+        # --out no round may count the light for nothing
+        def no_round(*_):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(protocol, "_run_round", no_round)
+        code = cli.main(["simulate", *trace, "--override", "rounds=100000"])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "'trace'" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("strategy", ["pns", "tag", "impersonate"])
     def test_attack_unwritable_output_path(self, strategy, tmp_path, monkeypatch, capsys):
         # attack opens its --out before the session or the Monte Carlo runs
