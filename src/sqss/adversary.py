@@ -46,6 +46,10 @@ def eve_mean_photons(mu: float, transmission: float, channel_index: int) -> floa
     return mu * transmission ** (channel_index - 1) * (1.0 - transmission)
 
 
+# the first photon count at usd_success's cap of 53 halvings, past which it is constant
+USD_SATURATION = 2 * 53 + 1
+
+
 def usd_success(n):
     """Probability that unambiguous discrimination of the four key angles
     succeeds on an n-photon pulse, for one count or an array of them:

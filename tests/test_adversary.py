@@ -9,6 +9,7 @@ from session_records import recorded
 
 from sqss import adversary
 from sqss.adversary import (
+    USD_SATURATION,
     eve_mean_photons,
     impersonate_round,
     intercepted_mean,
@@ -39,6 +40,11 @@ class TestUsdSuccess:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             usd_success(-1)
+
+    def test_saturation_is_the_first_count_at_the_cap(self):
+        # a Monte Carlo walk that ended one class early would give every
+        # larger class class 106's law; no statistical test sees 2^-52
+        assert usd_success(106) < usd_success(USD_SATURATION) == usd_success(10**6)
 
     @given(st.integers(0, 1000))
     def test_monotone_and_bounded(self, n):

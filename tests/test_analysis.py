@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sqss.adversary import usd_success
+from sqss import analysis
+from sqss.adversary import USD_SATURATION, impersonate_round, usd_success
 from sqss.analysis import (
-    MAX_MU_T,
     ErrorCurvePoint,
     McEstimate,
     error_curve,
@@ -82,6 +82,10 @@ class TestPoissonPmf:
     def test_large_count_does_not_overflow(self):
         assert 0.0 < poisson_pmf(500, 500.0) < 1.0
 
+    def test_large_rate_does_not_overflow(self):
+        # lam**n alone would overflow a float here for every n from 17 up
+        assert all(poisson_pmf(n, 9.2e18) == 0.0 for n in range(21))
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             poisson_pmf(-1, 1.0)
@@ -144,17 +148,28 @@ class TestClosedForms:
         assert p_e_closed_form(99997.0, 1.0) < 1.0
         assert error_curve([99997.0])[0].p_error > 0.0
 
-    def test_intercepted_mean_is_bounded(self):
-        # the Monte Carlo's walk over the photon-number classes costs O(mu*T),
-        # so the documented bound is enforced before it starts, and the
-        # closed form keeps the same bound
+    def test_class_walk_ends_at_the_saturation_class(self, monkeypatch):
+        # Eve's law stops changing at USD_SATURATION photons, so the Monte
+        # Carlo draws no class past it at any finite mu*T; only a non-finite
+        # mean is refused, by the closed form too
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return impersonate_round(*args)
+
+        monkeypatch.setattr(analysis, "impersonate_round", counted)
         start = time.perf_counter()
-        assert p_e_closed_form(MAX_MU_T, 1.0) > 0.5
-        for mu, t in ((2.0 * MAX_MU_T, 0.5 + 1e-9), (3e15, 1.0)):
+        for mu_t in (200.0, 1e5, 9.2e18):
+            calls.clear()
+            assert p_e_closed_form(mu_t, 1.0) > 0.5
+            monte_carlo_p_error(mu_t, 1.0, 10_000, np.random.default_rng(0))
+            assert len(calls) <= USD_SATURATION + 1, (mu_t, len(calls))
+        for mu in (math.inf, math.nan):
             with pytest.raises(ValueError, match="mu"):
-                p_e_closed_form(mu, t)
+                p_e_closed_form(mu, 1.0)
             with pytest.raises(ValueError, match="mu"):
-                monte_carlo_p_error(mu, t, 10_000, np.random.default_rng(0))
+                monte_carlo_p_error(mu, 1.0, 10_000, np.random.default_rng(0))
         assert time.perf_counter() - start < 5.0
 
 

@@ -25,8 +25,9 @@ round of a traced or recorded session until the end holds a table and
 its CSV text in memory at once, so the matrix's largest ``--out``
 sessions (``records_70k``, ``trace_70k`` and ``pns_n5_c3_70k``, two
 chunks each) stay small enough for it; a traced 150-receiver session of
-10^7 rounds would need tens of GB there. And ``curve_stop_edge``
-crashes on code whose curve grid can step past ``--stop``.
+10^7 rounds would need tens of GB there. ``curve_stop_edge`` crashes
+on code whose curve grid can step past ``--stop``, and
+``attack_impersonate_bright`` exits 64 on code that bounds mu*T.
 """
 
 from __future__ import annotations
@@ -101,10 +102,13 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
                     "--trials", "20000", "--out"], ACCEPT),
     "attack_impersonate": (["attack", "impersonate", "--seed", "5", "--override",
                             "transmission=0.5", "--trials", "1000000", "--out"], ACCEPT),
+    # past Eve's saturation class: the class walk ends there
+    "attack_impersonate_bright": (["attack", "impersonate", "--seed", "5", "--override", "mu=1e16",
+                                   "--trials", "10000", "--out"], ACCEPT),
     "table": (["table"], ACCEPT),
     "curve": (["curve", "--stop", "6", "--step", "0.5", "--out"], ACCEPT),
     "curve_tail": (["curve", "--start", "80", "--stop", "100", "--step", "0.25", "--out"], ACCEPT),
-    # the grid's 1e-9 slack reaches past stop, here past the mu*T bound too
+    # the grid's 1e-9 slack reaches past stop
     "curve_stop_edge": (["curve", "--start", "1e-9", "--stop", "1e5", "--step", "1e5", "--out"],
                         ACCEPT),
     "bad_receivers": (_simulate("receivers=0"), CONFIG),
