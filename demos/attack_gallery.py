@@ -30,7 +30,7 @@ def main() -> None:
         SimConfig(receivers=2, rounds=ROUNDS, adversary="tag", seed=1)
     )
     eve = result.eve_summary
-    print(f"  Eve recovers {eve.recovery_rate:.4f} of the sifted key")
+    print(f"  Eve recovers {eve.rate:.4f} of the sifted key")
     print(f"  honest parties see QBER = {result.qber} (nothing to notice)")
 
     banner("tag photon, Alice splits 50:50 before storing")
@@ -38,7 +38,7 @@ def main() -> None:
         SimConfig(receivers=2, rounds=ROUNDS, adversary="tag", bs_ratio=0.5, seed=2)
     )
     eve = result.eve_summary
-    print(f"  Eve recovers {eve.recovery_rate:.4f} of the sifted key")
+    print(f"  Eve recovers {eve.rate:.4f} of the sifted key")
     print("  her tag only survives in the half Alice keeps")
 
     banner("photon number splitting on the first link")
@@ -53,8 +53,8 @@ def main() -> None:
         )
     )
     eve = result.eve_summary
-    print(f"  photons stored: {eve.stored_photons} of {eve.rounds} rounds")
-    print(f"  bit guess accuracy after all announcements: {eve.guess_accuracy:.4f}")
+    print(f"  photons stored: {eve.events} of {eve.trials} rounds")
+    print(f"  bit guess accuracy after all announcements: {eve.rate:.4f}")
     print(f"  honest QBER = {result.qber}")
 
     banner("impersonation of Alice")
@@ -62,7 +62,7 @@ def main() -> None:
         SimConfig(receivers=2, transmission=0.5, rounds=ROUNDS, adversary="impersonate", seed=4)
     )
     eve = result.eve_summary
-    print(f"  Eve's discrimination succeeds on {eve.usd_success_rate:.4f} of rounds")
+    print(f"  Eve's discrimination succeeds on {eve.rate:.4f} of rounds")
     print(f"  induced QBER = {result.qber:.4f} (honest runs give exactly 0)")
     print(f"  session verdict: {result.verdict.kind.value}")
 

@@ -20,14 +20,18 @@ from .optics import malus
 
 @dataclass(frozen=True, slots=True)
 class EveSummary:
+    """Eve's tally over a session: the rounds her strategy is scored on (the
+    kept ones under ``tag``, every one otherwise), the bits she recovered
+    there, and her events (surviving tags, stored photons or USD successes)."""
+
     strategy: str
-    rounds: int
-    sifted_rounds: int
+    trials: int
     recovered_bits: int
-    recovery_rate: float | None = None
-    guess_accuracy: float | None = None
-    usd_success_rate: float | None = None
-    stored_photons: int | None = None
+    events: int
+
+    @property
+    def rate(self) -> float | None:
+        return self.recovered_bits / self.trials if self.trials else None
 
 
 def eve_mean_photons(mu: float, transmission: float, channel_index: int) -> float:

@@ -36,6 +36,9 @@ EXIT_CONFIG = 64
 _MAX_CURVE_POINTS = 10**5
 # Rounds rendered to CSV text at a time: bounds the strings alive at once.
 _CSV_ROWS = 1024
+# The report key of Eve's rate under each strategy.
+_EVE_RATE_KEYS = {"tag": "eve_recovery_rate", "pns": "eve_guess_accuracy",
+                  "impersonate": "eve_usd_success_rate"}
 
 _ROUND_COLUMNS = (
     "index,theta,phis,shuffles,basis_choice,bit,key_angle,rect_outcome,"
@@ -146,13 +149,8 @@ def cmd_simulate(args: argparse.Namespace, out: TextIO | None) -> int:
         s = result.eve_summary
         lines.append(f"eve_strategy={s.strategy}")
         lines.append(f"eve_recovered_bits={s.recovered_bits}")
-        for label, value in (
-            ("eve_recovery_rate", s.recovery_rate),
-            ("eve_guess_accuracy", s.guess_accuracy),
-            ("eve_usd_success_rate", s.usd_success_rate),
-        ):
-            if value is not None:
-                lines.append(f"{label}={_fmt(value)}")
+        if s.rate is not None:
+            lines.append(f"{_EVE_RATE_KEYS[s.strategy]}={_fmt(s.rate)}")
     print("\n".join(lines))
 
     if result.verdict.kind is protocol.VerdictKind.ABORT_RETRY:
@@ -218,18 +216,12 @@ def cmd_attack(args: argparse.Namespace, out: TextIO | None) -> int:
             raise ConfigError("trials", f"must be in 1..{MAX_ROUNDS}, got {config.rounds}")
         config.target_key_bits = 0
         config.parity_block = 0  # only Eve's counts are read, never the keys
-        result = protocol.run_session(config)
-        s = result.eve_summary
+        s = protocol.run_session(config).eve_summary
+        n, value = s.trials, s.rate or 0.0
         if args.strategy == "tag":
-            value = s.recovery_rate if s.recovery_rate is not None else 0.0
-            n = result.kept_rounds
-            reference = config.bs_ratio
-            metric = "sifted_bit_recovery_rate"
+            metric, reference = "sifted_bit_recovery_rate", config.bs_ratio
         else:
-            value = s.guess_accuracy if s.guess_accuracy is not None else 0.0
-            n = result.rounds_executed
-            reference = 0.5
-            metric = "bit_guess_accuracy"
+            metric, reference = "bit_guess_accuracy", 0.5
         std_error = math.sqrt(value * (1.0 - value) / n) if n > 1 else 0.0
 
     print(f"strategy={args.strategy}")

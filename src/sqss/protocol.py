@@ -530,7 +530,7 @@ def run_session(
         secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
 
     key_rows = []
-    eve_counts = np.zeros(2, dtype=np.int64)
+    eve_counts = np.zeros(3, dtype=np.int64)
     executed = kept_count = 0
     while kept_count < target if target else executed < config.rounds:
         size = config.rounds - executed
@@ -585,19 +585,6 @@ def run_session(
         digests = [key_digest(key) for key in finals]
         verdict = integrity_check(digests[0], [digests[row] for row in held])
 
-    eve_summary = None
-    if config.adversary != "none":
-        recovered, events = eve_counts.tolist()
-        over = kept_count if config.adversary == "tag" else executed
-        rate = recovered / over if over else None
-        eve_summary = adv.EveSummary(
-            config.adversary, executed, kept_count, recovered,
-            recovery_rate=rate if config.adversary == "tag" else None,
-            guess_accuracy=rate if pns else None,
-            usd_success_rate=rate if config.adversary == "impersonate" else None,
-            stored_photons=events if pns else None,
-        )
-
     return SessionResult(
         rounds_executed=executed,
         kept_rounds=kept_count,
@@ -606,17 +593,20 @@ def run_session(
         alice_final_key=finals[0],
         receiver_final_keys=[finals[row] for row in held],
         verdict=verdict,
-        eve_summary=eve_summary,
+        eve_summary=None if config.adversary == "none"
+        else adv.EveSummary(config.adversary, *eve_counts.tolist()),
     )
 
 
 def _score_eve(adversary: str, table: RoundTable, kept: np.ndarray) -> np.ndarray:
-    """What Eve extracted from one chunk, granted the public announcements: her
-    recovered bits and her events (surviving tags, stored photons or USD successes)."""
+    """What Eve extracted from one chunk, granted the public announcements: the
+    rounds she is scored on (the kept ones under ``tag``, every one otherwise),
+    her recovered bits there and her events (surviving tags, stored photons or
+    USD successes)."""
     if adversary == "tag":  # a surviving tag on a kept round reads the key angle, and the bit
         recovered = table.eve_event[kept]
     elif adversary == "pns":
         recovered = table.eve_guess == table.bit
     else:
         recovered = table.eve_event
-    return np.array([np.count_nonzero(recovered), np.count_nonzero(table.eve_event)])
+    return np.array([len(recovered), np.count_nonzero(recovered), np.count_nonzero(table.eve_event)])

@@ -200,7 +200,7 @@ def test_07_tag_attack_and_countermeasure():
     bare = SimConfig(
         receivers=2, rounds=100_000, adversary="tag", parity_block=0, seed=7
     )
-    bare_rate = run_session(bare).eve_summary.recovery_rate
+    bare_rate = run_session(bare).eve_summary.rate
 
     guarded = SimConfig(
         receivers=2,
@@ -211,14 +211,14 @@ def test_07_tag_attack_and_countermeasure():
         seed=8,
     )
     summary = run_session(guarded).eve_summary
-    sigma = math.sqrt(0.25 / summary.sifted_rounds)
-    distance = abs(summary.recovery_rate - 0.5) / sigma
+    sigma = math.sqrt(0.25 / summary.trials)
+    distance = abs(summary.rate - 0.5) / sigma
     ok = bare_rate == 1.0 and distance <= 3.0
     assert _report(
         7,
         ok,
         f"recovery without splitter = {bare_rate} (= 1.0), with 50:50"
-        f" splitter = {summary.recovery_rate:.4f}"
+        f" splitter = {summary.rate:.4f}"
         f" ({distance:.2f} sigma from 0.5)",
     )
 
@@ -240,15 +240,15 @@ def test_08_pns_budget_and_futility():
         seed=11,
     )
     summary = run_session(config).eve_summary
-    sigma = math.sqrt(0.25 / summary.rounds)
-    distance = abs(summary.guess_accuracy - 0.5) / sigma
+    sigma = math.sqrt(0.25 / summary.trials)
+    distance = abs(summary.rate - 0.5) / sigma
     ok = exact and distance <= 3.0
     assert _report(
         8,
         ok,
         f"eve_mean_photons exact on 48-point grid = {exact}; guess"
-        f" accuracy = {summary.guess_accuracy:.4f}"
-        f" ({distance:.2f} sigma from 0.5, {summary.stored_photons} stored)",
+        f" accuracy = {summary.rate:.4f}"
+        f" ({distance:.2f} sigma from 0.5, {summary.events} stored)",
     )
 
 

@@ -113,7 +113,7 @@ class TestEveMeanPhotons:
             lam *= bs_ratio
         expected = 1.0 - math.exp(-lam) * (1.0 + lam)
         sigma = math.sqrt(expected * (1.0 - expected) / config.rounds)
-        assert abs(summary.stored_photons / config.rounds - expected) < 3 * sigma
+        assert abs(summary.events / summary.trials - expected) < 3 * sigma
 
 
 class TestPnsIntercept:
@@ -260,7 +260,7 @@ class TestImpersonation:
         start = time.perf_counter()
         summary = run_session(cfg).eve_summary
         assert time.perf_counter() - start < 1.0
-        assert summary.usd_success_rate == 1.0
+        assert summary.rate == 1.0
 
     def test_intercepted_hop_is_the_first_backward_hop(self):
         # Eve catches the pulse behind Alice's splitter and one hop of loss

@@ -23,3 +23,6 @@ def test_every_scenario_exits_as_listed(tmp_path):
         # a configuration error writes no partial CSV
         wrote = argv[-1] == "--out" and code != matrix.CONFIG
         assert (tmp_path / f"{name}.csv").exists() == wrote
+    # a tag ring that keeps no round scores Eve on no trial
+    assert "eve_recovery_rate" not in (tmp_path / "tag_none_kept.txt").read_text()
+    assert "trials=0\n" in (tmp_path / "attack_tag_none_kept.txt").read_text()

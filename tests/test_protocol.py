@@ -867,16 +867,13 @@ class TestRunSession:
         assert plain.alice_final_key == bytes(table.bit[kept].tolist())
         events = np.count_nonzero(table.eve_event)
         if config.adversary == "tag":  # a surviving tag on a kept round reads the bit
-            recovered = np.count_nonzero(table.eve_event[kept])
-            expected = EveSummary("tag", rounds, len(kept), recovered,
-                                  recovery_rate=recovered / len(kept))
+            expected = EveSummary("tag", len(kept), np.count_nonzero(table.eve_event[kept]),
+                                  events)
         elif config.adversary == "pns":
-            recovered = np.count_nonzero(table.eve_guess == table.bit)
-            expected = EveSummary("pns", rounds, len(kept), recovered,
-                                  guess_accuracy=recovered / rounds, stored_photons=events)
-        else:
-            expected = EveSummary("impersonate", rounds, len(kept), events,
-                                  usd_success_rate=events / rounds)
+            expected = EveSummary("pns", rounds, np.count_nonzero(table.eve_guess == table.bit),
+                                  events)
+        else:  # a USD success reads the bit
+            expected = EveSummary("impersonate", rounds, events, events)
         assert plain.eve_summary == with_records.eve_summary == expected
 
 

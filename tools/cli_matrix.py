@@ -73,6 +73,9 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
     "tag": (_simulate("adversary=tag", "bs_ratio=0.5", "rounds=2000"), ACCEPT),
     "tag_t08": (_simulate("adversary=tag", "bs_ratio=0.5", "transmission=0.8",
                           "rounds=2000"), ACCEPT),
+    # a ring that keeps no round scores Eve on no trial: no rate line, and no key
+    "tag_none_kept": (_simulate("adversary=tag", "bs_ratio=0.5", "mu=1e-9", "rounds=1000",
+                                out=False), ABORT),
     "impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
                               "rounds=2000"), ABORT),
     "dishonest": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=2000"), DISHONEST),
@@ -102,6 +105,8 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
                     "--trials", "20000", "--out"], ACCEPT),
     "attack_impersonate": (["attack", "impersonate", "--seed", "5", "--override",
                             "transmission=0.5", "--trials", "1000000", "--out"], ACCEPT),
+    "attack_tag_none_kept": (["attack", "tag", "--seed", "5", "--override", "bs_ratio=0.5",
+                              "--override", "mu=1e-9", "--trials", "1000", "--out"], ACCEPT),
     # past Eve's saturation class: the class walk ends there
     "attack_impersonate_bright": (["attack", "impersonate", "--seed", "5", "--override", "mu=1e16",
                                    "--trials", "10000", "--out"], ACCEPT),
