@@ -49,6 +49,15 @@ class McEstimate:
     std_error: float
     trials: int
 
+    @classmethod
+    def from_counts(cls, hits: int, trials: int) -> McEstimate:
+        """The rate of ``hits`` over ``trials`` with its binomial standard error
+        sqrt(mean (1 - mean) / trials); both are NaN over no trial."""
+        if not trials:
+            return cls(mean=math.nan, std_error=math.nan, trials=0)
+        mean = hits / trials
+        return cls(mean=mean, std_error=math.sqrt(mean * (1.0 - mean) / trials), trials=trials)
+
     def sigma_distance(self, reference: float) -> float:
         """Distance from a reference value in standard-error units."""
         if self.std_error == 0.0:
@@ -111,11 +120,8 @@ def p_error_closed_form(mu: float, transmission: float) -> float:
 
 def error_curve(mu_t_values: Sequence[float]) -> list[ErrorCurvePoint]:
     """Evaluate the closed forms on a grid of intercepted mean photon numbers."""
-    points = []
-    for value in mu_t_values:
-        p_e = p_e_closed_form(value, 1.0)
-        points.append(ErrorCurvePoint(mu_t=value, p_e=p_e, p_error=(1.0 - p_e) / 2.0))
-    return points
+    return [ErrorCurvePoint(mu_t=value, p_e=p_e_closed_form(value, 1.0),
+                            p_error=p_error_closed_form(value, 1.0)) for value in mu_t_values]
 
 
 def monte_carlo_p_error(
@@ -145,6 +151,4 @@ def monte_carlo_p_error(
         tail -= pmf
         n += 1
         pmf *= lam / n
-    mean = errors / trials
-    variance = mean * (1.0 - mean) * trials / (trials - 1)
-    return McEstimate(mean=mean, std_error=math.sqrt(variance / trials), trials=trials)
+    return McEstimate.from_counts(errors, trials)

@@ -201,28 +201,27 @@ def cmd_attack(args: argparse.Namespace, out: TextIO | None) -> int:
     config.validate()
     if args.trials is not None:
         config.rounds = args.trials
+    low, high = ((analysis.MIN_TRIALS, analysis.MAX_TRIALS) if args.strategy == "impersonate"
+                 else (1, MAX_ROUNDS))
+    if not low <= config.rounds <= high:
+        raise ConfigError("trials", f"must be in {low}..{high}"
+                          f" (--trials, or rounds in the config), got {config.rounds}")
 
     if args.strategy == "impersonate":
-        if not analysis.MIN_TRIALS <= config.rounds <= analysis.MAX_TRIALS:
-            raise ConfigError("trials", f"must be in {analysis.MIN_TRIALS}..{analysis.MAX_TRIALS}"
-                              f" (--trials, or rounds in the config), got {config.rounds}")
         usd_mean = intercepted_mean(config.mean_photons, config.bs_ratio, config.hop_transmission())
         rng = np.random.default_rng(config.seed)
         estimate = analysis.monte_carlo_p_error(usd_mean, 1.0, config.rounds, rng)
-        n, value, std_error = estimate.trials, estimate.mean, estimate.std_error
         metric, reference = "induced_qber", analysis.p_error_closed_form(usd_mean, 1.0)
     else:
-        if not 1 <= config.rounds <= MAX_ROUNDS:
-            raise ConfigError("trials", f"must be in 1..{MAX_ROUNDS}, got {config.rounds}")
         config.target_key_bits = 0
         config.parity_block = 0  # only Eve's counts are read, never the keys
         s = protocol.run_session(config).eve_summary
-        n, value = s.trials, s.rate or 0.0
+        estimate = analysis.McEstimate.from_counts(s.recovered_bits, s.trials)
         if args.strategy == "tag":
             metric, reference = "sifted_bit_recovery_rate", config.bs_ratio
         else:
             metric, reference = "bit_guess_accuracy", 0.5
-        std_error = math.sqrt(value * (1.0 - value) / n) if n > 1 else 0.0
+    n, value, std_error = estimate.trials, estimate.mean, estimate.std_error
 
     print(f"strategy={args.strategy}")
     print(f"trials={n}")
@@ -287,10 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # every --out opens before any work, so an unwritable one fails first
         with _output(getattr(args, "out", None)) as out:
             return args.func(args, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

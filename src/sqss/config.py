@@ -139,21 +139,27 @@ _KEYS: dict[str, tuple[str, type]] = {
     "dishonest_receiver": ("dishonest_receiver", int),
     "trace": ("trace", bool),
 }
+# the spellings a bool key takes, in any case
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(key: str, raw: str):
+def _assign(config: SimConfig, item: str, not_a_pair: str) -> str:
+    """Set the attribute a ``key=value`` item names on ``config``; returns the key.
+    An item with no ``=`` fails with the message ``not_a_pair``."""
+    if "=" not in item:
+        raise ConfigError(item, not_a_pair)
+    key, _, raw = item.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if key not in _KEYS:
+        raise ConfigError(key, "unknown key")
     attr, kind = _KEYS[key]
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return attr, True
-        if lowered in ("false", "0", "no"):
-            return attr, False
-        raise ConfigError(key, f"expected a boolean, got '{raw}'")
     try:
-        return attr, kind(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected {kind.__name__}, got '{raw}'") from None
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        expected = "a boolean" if kind is bool else kind.__name__
+        raise ConfigError(key, f"expected {expected}, got '{raw}'") from None
+    setattr(config, attr, value)
+    return key
 
 
 def parse_config(text: str) -> SimConfig:
@@ -164,18 +170,10 @@ def parse_config(text: str) -> SimConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(stripped, f"line {lineno} is not a key=value pair")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _KEYS:
-            raise ConfigError(key, "unknown key")
+        key = _assign(config, stripped, f"line {lineno} is not a key=value pair")
         if key in seen:
             raise ConfigError(key, f"duplicated on line {lineno}")
         seen.add(key)
-        attr, value = _parse_value(key, raw)
-        setattr(config, attr, value)
     return config
 
 
@@ -205,15 +203,9 @@ def serialize_config(config: SimConfig) -> str:
 
 
 def apply_overrides(config: SimConfig, overrides: list[str]) -> SimConfig:
-    """Apply ``key=value`` override strings on top of an existing config."""
+    """Apply ``key=value`` override strings on top of a copy of ``config``;
+    the last of a repeated key wins."""
     updated = replace(config)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(item, "override must look like key=value")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        if key not in _KEYS:
-            raise ConfigError(key, "unknown key")
-        attr, value = _parse_value(key, raw.strip())
-        setattr(updated, attr, value)
+        _assign(updated, item, "override must look like key=value")
     return updated

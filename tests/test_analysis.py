@@ -240,6 +240,23 @@ class TestMonteCarlo:
         assert degenerate.sigma_distance(0.5) == 0.0
         assert degenerate.sigma_distance(0.4) == math.inf
 
+    def test_estimate_from_counts(self):
+        for hits, trials in [(0, 10), (3, 10), (25, 100), (10, 10), (1, 3)]:
+            est = McEstimate.from_counts(hits, trials)
+            mean = hits / trials
+            assert (est.mean, est.trials) == (mean, trials)
+            assert est.std_error == math.sqrt(mean * (1.0 - mean) / trials)
+        assert McEstimate.from_counts(1, 4).std_error == pytest.approx(math.sqrt(3.0) / 8.0)
+        # one trial carries no spread; no trial carries no rate
+        for hits in (0, 1):
+            assert McEstimate.from_counts(hits, 1).std_error == 0.0
+        none = McEstimate.from_counts(0, 0)
+        assert none.trials == 0 and math.isnan(none.mean) and math.isnan(none.std_error)
+
+    def test_estimate_is_built_from_the_error_count(self):
+        est = monte_carlo_p_error(6.0, 0.5, 20000, np.random.default_rng(1006))
+        assert est == McEstimate.from_counts(round(est.mean * est.trials), est.trials)
+
     def test_agrees_with_a_round_by_round_reference(self):
         # two-proportion z test of the class sampler against the scalar loop
         for i, lam in enumerate((0.5, 1.0, 3.0, 6.0)):

@@ -25,4 +25,6 @@ def test_every_scenario_exits_as_listed(tmp_path):
         assert (tmp_path / f"{name}.csv").exists() == wrote
     # a tag ring that keeps no round scores Eve on no trial
     assert "eve_recovery_rate" not in (tmp_path / "tag_none_kept.txt").read_text()
-    assert "trials=0\n" in (tmp_path / "attack_tag_none_kept.txt").read_text()
+    none_kept = (tmp_path / "attack_tag_none_kept.txt").read_text()
+    assert "trials=0\n" in none_kept
+    assert "sifted_bit_recovery_rate=nan\n" in none_kept and "std_error=nan\n" in none_kept

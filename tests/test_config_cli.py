@@ -64,29 +64,36 @@ class TestParsing:
         assert cfg == SimConfig()
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("wavelength=1550\n")
-        assert err.value.key == "wavelength"
+        for err in raised_by_both("wavelength=1550"):
+            assert (err.key, str(err)) == ("wavelength", "config key 'wavelength': unknown key")
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError):
+        # a file names each key once; repeated overrides are last-wins
+        with pytest.raises(ConfigError) as err:
             parse_config("seed=1\nseed=2\n")
+        assert err.value.key == "seed"
+        assert str(err.value) == "config key 'seed': duplicated on line 2"
+        assert apply_overrides(SimConfig(), ["seed=1", "seed=2"]).seed == 2
 
     def test_line_without_equals(self):
-        with pytest.raises(ConfigError):
-            parse_config("just some words\n")
+        in_file, in_override = raised_by_both("just some words")
+        assert in_file.key == in_override.key == "just some words"
+        assert str(in_file).endswith(": line 1 is not a key=value pair")
+        assert str(in_override).endswith(": override must look like key=value")
 
     def test_bad_value_type(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("rounds=many\n")
-        assert err.value.key == "rounds"
+        for key, bad, kind in [("rounds", "many", "int"), ("mu", "bright", "float"),
+                               ("trace", "maybe", "a boolean")]:
+            for err in raised_by_both(f"{key}={bad}"):
+                assert err.key == key
+                assert str(err) == f"config key '{key}': expected {kind}, got '{bad}'"
 
     def test_bool_spellings(self):
-        assert parse_config("trace=true\n").trace is True
-        assert parse_config("trace=1\n").trace is True
-        assert parse_config("trace=no\n").trace is False
-        with pytest.raises(ConfigError):
-            parse_config("trace=maybe\n")
+        for raw, value in [("true", True), ("1", True), ("yes", True), ("TRUE", True),
+                           ("false", False), ("0", False), ("no", False), ("No", False)]:
+            read_file = parse_config(f"trace={raw}\n")
+            read_override = apply_overrides(SimConfig(), [f"trace={raw}"])
+            assert read_file.trace is read_override.trace is value, raw
 
     def test_link_based_loss(self):
         cfg = parse_config("link.length_km=10\nlink.loss_db_per_km=0.2\n")
@@ -200,10 +207,11 @@ class TestOverrides:
         assert cfg.rounds == 1000  # original untouched
 
     def test_bad_override(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(SimConfig(), ["rounds"])
-        with pytest.raises(ConfigError):
-            apply_overrides(SimConfig(), ["no_such=1"])
+        cfg = SimConfig()
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(cfg, ["rounds=42", "rounds"])
+        assert err.value.key == "rounds"
+        assert cfg == SimConfig()  # the config it was given is untouched
 
 
 ROUND_HEADER = [
@@ -258,6 +266,16 @@ def assert_fails_fast(args, key):
     assert f"'{key}'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def raised_by_both(item):
+    """The ConfigErrors ``item`` raises as a one-line file and as an override."""
+    errors = []
+    for read in (lambda: parse_config(item + "\n"), lambda: apply_overrides(SimConfig(), [item])):
+        with pytest.raises(ConfigError) as err:
+            read()
+        errors.append(err.value)
+    return errors
 
 
 @pytest.fixture

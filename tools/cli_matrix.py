@@ -4,7 +4,9 @@ Usage: ``PYTHONPATH=<checkout>/src python tools/cli_matrix.py OUTDIR``
 
 Each scenario runs in-process through ``sqss.cli.main`` and leaves
 ``OUTDIR/<name>.txt``, its stdout and stderr followed by its exit code,
-plus ``OUTDIR/<name>.csv`` where the scenario writes ``--out``. The
+plus ``OUTDIR/<name>.csv`` where the scenario writes ``--out``. A
+scenario listed in ``CONFIG_FILES`` first writes its file to
+``OUTDIR/<name>.cfg`` and reads it with ``--config``. The
 ``sqss`` package is whichever one ``PYTHONPATH`` puts first, so two
 checkouts run into two directories compare with ``diff -r``: the same
 seed and configuration must give byte-identical output. Exits 1 when a
@@ -28,6 +30,11 @@ chunks each) stay small enough for it; a traced 150-receiver session of
 10^7 rounds would need tens of GB there. ``curve_stop_edge`` crashes
 on code whose curve grid can step past ``--stop``, and
 ``attack_impersonate_bright`` exits 64 on code that bounds mu*T.
+The config-file scenarios (``config_*``), ``override_no_equals``,
+``attack_tag_zero_trials`` and ``attack_impersonate_9999_trials`` use
+only what the code before them already had, so a matrix with them
+still runs on that code; only the pns/tag ``--trials`` message in
+``attack_tag_zero_trials`` differs there.
 """
 
 from __future__ import annotations
@@ -117,6 +124,20 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
     "curve_stop_edge": (["curve", "--start", "1e-9", "--stop", "1e5", "--step", "1e5", "--out"],
                         ACCEPT),
     "bad_receivers": (_simulate("receivers=0"), CONFIG),
+    "override_no_equals": (_simulate("rounds"), CONFIG),
+    "attack_tag_zero_trials": (["attack", "tag", "--trials", "0", "--out"], CONFIG),
+    "attack_impersonate_9999_trials": (["attack", "impersonate", "--trials", "9999", "--out"],
+                                       CONFIG),
+    "config_file": (["simulate", "--out"], ACCEPT),
+    "config_unknown_key": (["simulate", "--out"], CONFIG),
+    "config_duplicated_key": (["simulate", "--out"], CONFIG),
+}
+# name -> the config file a scenario reads: OUTDIR/<name>.cfg, given as --config
+CONFIG_FILES: dict[str, str] = {
+    "config_file": ("# a traced N=3 session\nreceivers = 3\n\n  rounds=500\nseed = 5\n"
+                    "transmission= 0.9\ntrace = true\n"),
+    "config_unknown_key": "rounds=500\nwavelength=1550\n",
+    "config_duplicated_key": "rounds=500\nseed=5\nrounds=600\n",
 }
 
 
@@ -125,6 +146,10 @@ def run_matrix(outdir: Path) -> dict[str, int]:
     outdir.mkdir(parents=True, exist_ok=True)
     codes = {}
     for name, (argv, _) in SCENARIOS.items():
+        if name in CONFIG_FILES:
+            config = outdir / f"{name}.cfg"
+            config.write_text(CONFIG_FILES[name], encoding="utf-8")
+            argv = [argv[0], "--config", str(config), *argv[1:]]
         if argv[-1] == "--out":
             argv = [*argv, str(outdir / f"{name}.csv")]
         stdout, stderr = io.StringIO(), io.StringIO()
