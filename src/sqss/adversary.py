@@ -11,11 +11,12 @@ pulse, and unambiguously discriminates the encoding on the real one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import malus
+from .optics import dark_points, malus
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,17 +69,65 @@ def usd_success(n):
     return 1.0 - 0.5 ** (halvings - (halvings > 53) * (halvings - 53))
 
 
-def pns_intercept(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# 1/(n+2)! for n = 29 down to 0: Horner's order for the series of e^x P2(x) / x^2,
+# taken below x = 2, where its last term is under 2^29 / 31!, 7e-26
+_SKIM_SERIES = [1.0 / math.factorial(n + 2) for n in reversed(range(30))]
+
+
+def _skim_weight(x: float) -> float:
+    """P2(x) / x^2, where P2(x) = 1 - e^-x (1 + x) is the probability that
+    a Poisson pulse of mean x holds two or more photons. Below x = 2 it
+    sums the series e^-x (1/2! + x/3! + x^2/4! + ...), with no cancellation
+    at small x; from 2 on, the closed form stays finite at any mean the
+    config takes."""
+    if x >= 2.0:
+        return (-math.expm1(-x) - x * math.exp(-x)) / (x * x)
+    series = 0.0
+    for coefficient in _SKIM_SERIES:
+        series = series * x + coefficient
+    return math.exp(-x) * series
+
+
+def pns_intercept(
+    count: np.ndarray | None, mean: float = 0.0, size: int = 0,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """QND-count every pulse at the tapped hop and skim one photon where possible.
 
     A count of two or more lets Eve keep one photon in quantum memory
     and forward the remainder; otherwise the pulse passes untouched.
-    Either way the count she read is the one later hops carry on.
-    Returns the forwarded photon counts and the mask of rounds where she
-    kept a photon, which shares the pulse's polarization.
+    A counted pulse (``count``, drawn where a trace records it) forwards
+    the count she read, less her photon, to every later hop. Uncounted
+    pulses (``count`` None: ``size`` coherent pulses of Poisson ``mean``
+    at her hop) draw no count: one uniform per pulse against P2(mean),
+    the probability of two or more photons, reads her event, and Rec-1
+    reads the law it leaves (``pns_dark``). Returns the forwarded photon
+    counts (None when uncounted) and the mask of rounds where she kept a
+    photon, which shares the pulse's polarization.
     """
+    if count is None:
+        return None, rng.random(size) < mean * mean * _skim_weight(mean)
     stored = count >= 2
     return count - stored, stored
+
+
+def pns_dark(mean: float, share: float, stored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rec-1's dark table (``optics.rec1_measure``) after Eve's reading of
+    uncounted pulses of Poisson ``mean`` at her hop, each photon she
+    forwards reaching Rec-1's splitter with probability ``share`` (q).
+
+    Column 0 holds the pulses she kept nothing from (n <= 1, forwarded
+    whole), column 1 those she kept a photon from (n >= 2, forwarding
+    n - 1). g_k is the forwarded photons' generating function at
+    y_k = 1 - kq/4 (``optics.dark_points``): (1 + mean y) / (1 + mean),
+    and e^(-mean (1 - y)) P2(mean y) / (y P2(mean)), which is 0 at y = 0.
+    Returns the table and each pulse's column, read from ``stored``.
+    """
+    weight = _skim_weight(mean)
+    table = [[(1.0 + mean * y) / (1.0 + mean),
+              y * math.exp(-mean * (1.0 - y)) * _skim_weight(mean * y) / weight]
+             for y in dark_points(share).ravel().tolist()]
+    return np.array(table), stored.view(np.int8)
 
 
 def tag_attack_rounds(size: int, bs_ratio: float, rng: np.random.Generator) -> np.ndarray:

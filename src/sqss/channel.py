@@ -1,13 +1,15 @@
 """Lossy fiber links.
 
-Loss acts on the photon count only, which is all the round engine's
-light is: a link of length l km with attenuation alpha dB/km passes
-each photon with probability T = 10^(-alpha*l/10), which scales the
-mean photon number by T. Every hop of the ring is the same link, so
+Loss acts on the photon count only, never on a polarization: a link of
+length l km with attenuation alpha dB/km passes each photon with
+probability T = 10^(-alpha*l/10), which scales the mean photon number
+by T. Every hop of the ring is the same link, so
 the ring has one hop transmission (``SimConfig.hop_transmission``).
-Thinnings compose, so the round engine fuses the hops between two
-observers into one ``thin_batch`` call, those in front of the first into
-the source's Poisson mean and those behind the last into Rec-1's law.
+Thinnings compose. A photon count is drawn only where a trace records
+it, so only a traced session calls ``thin_batch``, once per stage for
+the shares passed since the stage before. Untraced, the shares in front
+of Eve's PNS hop go into the Poisson mean she reads, and every share
+behind the last count or reading goes into Rec-1's law.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The physical model is deliberately minimal: a pulse is classically
 polarized light with Poisson photon statistics. The round engine's light
-is an array of photon counts, one per round. Polarization is kept apart:
+is an array of photon counts, one per round, where a trace records them,
+and otherwise the law of those counts. Polarization is kept apart:
 no loss, splitter or counter turns a photon and no rotation changes a
 count, so a pulse's polarization after any stage is the sum of the
 parties' rotations up to there, folded with ``rotate`` only where
@@ -21,8 +22,10 @@ photon this way, from one uniform draw against p
 Rec-1 reads both arms of its 50:50 splitter in one step
 (``rec1_measure``): at the whole quarter turns it receives, ``MALUS``
 gives each of its four detectors a fixed share of the photons, so one
-uniform per pulse reads their joint law, counted or coherent, with no
-draw of the split or of the last loss in front of Rec-1.
+uniform per pulse reads their joint law from a table of four dark
+probabilities per class of light, with no draw of the split or of the
+last loss in front of Rec-1. A photon count is a class only where a
+trace drew it.
 """
 
 from __future__ import annotations
@@ -81,43 +84,65 @@ def _rec1_codes() -> np.ndarray:
 _REC1_CODES = _rec1_codes()
 
 
+def dark_points(share: float) -> np.ndarray:
+    """The column of y_k = 1 - kq/4, k = 1..4, for photons that each reach
+    Rec-1's splitter with probability ``share`` (q): g_k is the generating
+    function of the photons sent on toward the splitter, taken at y_k."""
+    return 1.0 - np.arange(1, 5)[:, None] * share / 4
+
+
+def coherent_dark(mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rec-1's dark table for the uncounted coherent pulse, of ``mean``
+    photons at its splitter: one class, g_k = e^(-k mean/4). Returns the
+    table and the one column every pulse reads."""
+    return np.array([[math.exp(-k * mean / 4)] for k in range(1, 5)]), np.zeros(1, np.intp)
+
+
+def counted_dark(count: np.ndarray, share: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rec-1's dark table for pulses counted at ``count`` photons, each
+    reaching its splitter with probability ``share``: a class per distinct
+    count m, g_k = y_k^m (0^0 = 1: a pulse that brings no photon stays
+    dark). Returns the table and each pulse's column."""
+    counts, column = np.unique(count, return_inverse=True)
+    return np.power(dark_points(share), counts), column
+
+
+def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
+    """The seven bounds ``rec1_measure`` ranks a uniform against, per class
+    of the dark table: g4, g3, 2g3 - g4, g2, 2g2 - g4 and then o more twice,
+    o = g1 - g2 - g3 + g4. A uniform's cell is the number of bounds at or
+    below it, so, the bounds sorted, cell c has the probability of the
+    step from bound c - 1 (0 before the first) to bound c (1 after the
+    last)."""
+    g1, g2, g3, g4 = dark
+    o = g1 - g2 - g3 + g4
+    top = 2 * g2 - g4
+    return np.array([g4, g3, 2 * g3 - g4, g2, top, top + o, top + o + o])
+
+
 def rec1_measure(
-    arrived: np.ndarray, count: np.ndarray | None, share: float, rng: np.random.Generator
+    arrived: np.ndarray, dark: np.ndarray, column: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split 50:50 and measure one arm per basis; returns both arms' outcome codes.
 
-    Each of a pulse's ``count`` photons reaches the splitter with
-    probability ``share`` (q); with ``count`` None the pulse is an
-    uncounted coherent one and ``share`` its mean photon number there.
+    ``dark`` holds g_k, the probability that k quarters of a pulse's
+    photons stay dark, for k = 1..4 (rows) and each class of light
+    (columns); ``column`` gives each pulse's class, or one class for all.
+    The classes are the uncounted coherent pulse (``coherent_dark``), a
+    photon count (``counted_dark``) and Eve's reading of an uncounted
+    pulse (``adversary.pns_dark``).
 
     At ``arrived`` quarter turns one arm is definite: all its photons hit
     the detector that reads ``arrived`` (the rect arm when even). The
     other arm's two detectors take half of its photons each. In quarters
-    of q the four detectors take 2, 0, 1 and 1, so the law needs only
-    g_k, the probability that k quarters stay dark: (1 - kq/4)^m for m
-    photons, e^(-k share/4) for the coherent pulse. Its eight cells,
-    {definite dark, lit} x {other arm dark, aligned only, orthogonal
-    only, both}, end at g4, g3, 2g3 - g4, g2, 2g2 - g4 and then o more
-    twice, o = g1 - g2 - g3 + g4; one uniform per pulse picks a cell.
+    of the photons reaching the splitter the four detectors take 2, 0, 1
+    and 1, so the law needs only g_k. Its eight cells, {definite dark,
+    lit} x {other arm dark, aligned only, orthogonal only, both}, end at
+    the bounds of ``_rec1_bounds``; one uniform per pulse picks a cell.
     """
     u = rng.random(len(arrived))
-    if count is None:  # one law for every pulse: 0-d arrays keep the in-place steps
-        g1, g2, g3, g4 = (np.array(math.exp(-k * share / 4)) for k in range(1, 5))
-    else:  # 0^0 = 1: a pulse that brings no photon stays dark
-        g1, g2, g3, g4 = (np.power(1.0 - k * share / 4, count) for k in range(1, 5))
-    # the bounds in four reused buffers; the cell counts those at or below u
-    g1 -= g2
-    g1 -= g3
-    g1 += g4  # o
-    cell = (u >= g4).view(np.int8)
-    for g in (g3, g2):  # g_k, then 2g_k - g4
-        cell += u >= g
-        g *= 2
-        g -= g4
-        cell += u >= g
-    for _ in range(2):  # 2g2 - g4 plus o, twice
-        g2 += g1
-        cell += u >= g2
-    cell += arrived * 8
+    cell = arrived * 8
+    for bound in _rec1_bounds(dark):  # the cell counts the bounds at or below u
+        cell += u >= bound.take(column)
     rect, diag = np.take(_REC1_CODES, cell, axis=1)
     return rect, diag

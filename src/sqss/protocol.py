@@ -17,7 +17,8 @@ detector clicks) are discarded during sifting. Rounds are independent,
 so every operation acts on a chunk of them, one array entry per round,
 and a session sifts, decodes and scores each chunk as it comes.
 
-The round engine's light is an array of photon counts, one per round.
+The round engine's light is an array of photon counts, one per round,
+where the trace records them, and otherwise the law of those counts.
 No observer changes a polarization, so a pulse's polarization after any
 stage is the fold of the parties' rotations up to there, from theta at
 the source (the rotation ledger, ``_polarizations``). The hiding angles
@@ -40,12 +41,15 @@ theta and the first c - 1 receivers' secrets (every receiver's past
 the ring's last), drawn from a stream of her own; the records read the
 rest, drawn after hers from another, so they never move her draws.
 
-Light is drawn only where it is observed: the source count at the first
-observer's mean and one thinning between observers. Rec-1 reads both
-arms at once from the exact joint law of what reaches its splitter
-(``optics.rec1_measure``), the last count's photons or, when nothing
-counted the light, the coherent pulse: neither the last loss nor the
-50:50 split is drawn.
+A photon count is drawn only where the trace records it: the source
+count at mu and one thinning per stage. Untraced, Eve's PNS hop reads
+her event from one uniform against the probability of two or more
+photons at her hop (``adversary.pns_intercept``). Rec-1 reads both arms
+at once from the exact joint law of what reaches its splitter
+(``optics.rec1_measure``), by the class of its light: the last count's
+photons, Eve's reading (``adversary.pns_dark``) or, when nothing read
+the light, the coherent pulse. Neither the last loss nor the 50:50
+split is drawn.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ from .config import MAX_ROUNDS, ConfigError, SimConfig
 from .optics import (
     QUARTER_TURN,
     VACUUM,
+    coherent_dark,
+    counted_dark,
     rec1_measure,
     rotate,
 )
@@ -367,25 +373,25 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     another gives the shuffles' sum S, the only secret the light carries
     to Rec-1, sifting and the decode (S is uniform on Z4 like each
     shuffle). Eve's tag or USD event follows; under impersonation her
-    guess offset is the ``eve_offset`` column. The light, a photon count
-    per round, then walks the route (``_route``). Its observers are Eve's
-    PNS hop and, with ``trace``, every stage, which writes its count into
-    its ``trace_photons`` column. The source draws at the first observer's
-    mean, each later observer thins once by the shares passed since the
-    last one, and Rec-1 reads the rest of the way with its detectors.
+    guess offset is the ``eve_offset`` column. The light then walks the
+    route (``_route``). Its observers are Eve's PNS hop and, with
+    ``trace``, every stage, which writes its count into its
+    ``trace_photons`` column. Only a traced round draws a count: the
+    source at mu, and each later observer thins once by the shares passed
+    since the last one. Untraced, Eve reads the uncounted pulse at the
+    mean her hop sees. Rec-1 reads the rest of the way with its detectors,
+    by the class of the light the last observer left.
     """
     pns_hop = config.pns_channel if config.adversary == "pns" else 0
     steps, shares = zip(*_route(config))
-    observers = [k for k, step in enumerate(steps)
-                 if step == pns_hop or config.trace and isinstance(step, str)]
+    stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
+    observers = [k for k, step in enumerate(steps) if step == pns_hop or step in stages]
 
     z4 = rng.integers(4, size=(2, size), dtype=np.int8)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
-    stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
     table = RoundTable(z4[1], basis, bit, trace_stages=stages)
-    light = None
-    if observers:
-        light = rng.poisson(config.mean_photons * math.prod(shares[: observers[0] + 1]), size)
+    # a count is drawn only where the trace records it, from the source on
+    light = rng.poisson(config.mean_photons, size) if stages else None
     if config.adversary == "tag":
         table.eve_event = adv.tag_attack_rounds(size, config.bs_ratio, rng)
     elif config.adversary == "impersonate":
@@ -407,16 +413,23 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         table.trace_photons = np.empty((size, len(stages)), dtype=np.int64)
     done = 0  # the light has passed steps[:done]
     for k in observers:
-        if done:  # the source's draw covers the shares up to the first observer
+        if done:  # the first observer reads the source's count, or Eve the uncounted pulse
             light = thin_batch(light, math.prod(shares[done : k + 1]), rng)
         done = k + 1
         if steps[k] == pns_hop:
-            light, table.eve_event = adv.pns_intercept(light)
+            mean = config.mean_photons * math.prod(shares[:done])  # read when uncounted
+            light, table.eve_event = adv.pns_intercept(light, mean, size, rng)
         else:
             table.trace_photons[:, stages.index(steps[k])] = light
-    # Rec-1 reads the share passed since the last observer: of its count or the source's mean
-    share = math.prod(shares[done:]) * (config.mean_photons if light is None else 1.0)
-    table.rect, table.diag = rec1_measure(arrived, light, share, rng)
+    # Rec-1 reads the share q passed since the last observer, by the class of its light
+    q = math.prod(shares[done:])
+    if light is not None:  # a photon count
+        dark, column = counted_dark(light, q)
+    elif pns_hop:  # Eve's reading of the uncounted pulse
+        dark, column = adv.pns_dark(mean, q, table.eve_event)
+    else:  # the uncounted coherent pulse
+        dark, column = coherent_dark(config.mean_photons * q)
+    table.rect, table.diag = rec1_measure(arrived, dark, column, rng)
     return table
 
 

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,13 +15,14 @@ from sqss.adversary import (
     impersonate_round,
     intercepted_mean,
     ml_single_photon_estimator,
+    pns_dark,
     pns_intercept,
     tag_attack_rounds,
     usd_success,
 )
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
-from sqss.optics import QUARTER_TURN
+from sqss.optics import QUARTER_TURN, dark_points
 from sqss.protocol import _run_round, run_session
 
 
@@ -114,6 +116,62 @@ class TestEveMeanPhotons:
         expected = 1.0 - math.exp(-lam) * (1.0 + lam)
         sigma = math.sqrt(expected * (1.0 - expected) / config.rounds)
         assert abs(summary.events / summary.trials - expected) < 3 * sigma
+
+
+def reference_pns_dark(mean, y, stored, sum_terms=0):
+    """g(y) after Eve's reading of a Poisson pulse of ``mean``, in mpmath at
+    the float ``y``: the generating function of the photons she forwards,
+    given that she kept nothing (n <= 1) or one photon (n >= 2, forwarding
+    n - 1). In closed form or, with ``sum_terms``, as the sum over n."""
+    lam, y = mpmath.mpf(mean), mpmath.mpf(y)
+    if sum_terms:
+        pmf = [mpmath.exp(-lam) * lam**n / mpmath.factorial(n) for n in range(sum_terms)]
+        if stored:
+            return sum(p * y ** (n - 1) for n, p in enumerate(pmf) if n >= 2) / sum(pmf[2:])
+        return (pmf[0] + pmf[1] * y) / (pmf[0] + pmf[1])
+    if not stored:
+        return (1 + lam * y) / (1 + lam)
+    if y == 0:
+        return mpmath.mpf(0)
+
+    def p2(x):
+        return 1 - mpmath.exp(-x) * (1 + x)
+
+    return mpmath.exp(-lam * (1 - y)) * p2(lam * y) / (y * p2(lam))
+
+
+class TestPnsDark:
+    """Rec-1's dark table after Eve's reading of an uncounted pulse, against
+    mpmath: exact to rounding from the faintest pulse to the config's cap."""
+
+    @pytest.mark.parametrize("q", [1.0, 0.35, 1e-9])
+    @pytest.mark.parametrize("mean", [1e-12, 1e-6, 1e-3, 0.5, 5.4, 50.0, 1e6, 9.2e18])
+    def test_matches_mpmath(self, mean, q):
+        dark, column = pns_dark(mean, q, np.array([False, True]))
+        assert column.tolist() == [0, 1]
+        with mpmath.workdps(80):
+            for k, y in enumerate(dark_points(q).ravel().tolist()):
+                for stored in (0, 1):
+                    reference = reference_pns_dark(mean, y, stored)
+                    assert abs(dark[k, stored] - reference) <= 1e-15, (k, stored, reference)
+                    if mean <= 50.0:  # the closed form is the sum over the photon number
+                        summed = reference_pns_dark(mean, y, stored, sum_terms=400)
+                        assert abs(summed - reference) < 1e-40
+        if q == 1.0:  # y_4 = 0: a pulse she kept a photon from forwards one or more
+            assert dark[3, 1] == 0.0
+        # g_k is the chance that k quarters of the photons stay dark
+        assert (np.diff(dark, axis=0) <= 0.0).all() and (dark >= 0.0).all()
+
+    @pytest.mark.parametrize("mean", [1e-12, 1e-3, 0.5, 1.99, 2.0, 5.4, 1e6, 9.2e18])
+    def test_stored_probability_is_two_or_more_photons(self, mean):
+        # pns_intercept reads Eve's event from one uniform against P[n >= 2]
+        # = 1 - e^-mean (1 + mean): the share of uniforms below it
+        u = np.random.default_rng(7).random(10_000)
+        _, stored = pns_intercept(None, mean, len(u), np.random.default_rng(7))
+        with mpmath.workdps(80):
+            lam = mpmath.mpf(mean)
+            p2 = float(1 - mpmath.exp(-lam) * (1 + lam))
+        assert stored.tolist() == (u < p2).tolist()
 
 
 class TestPnsIntercept:

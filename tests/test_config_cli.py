@@ -785,6 +785,16 @@ class TestCliAttack:
         assert cli.main(argv) == cli.EXIT_ACCEPT
         assert f"strategy={strategy}" in capsys.readouterr().out
 
+    def test_pns_ignores_trace(self, capsys):
+        # attack writes no per-round CSV, so trace must not move its figures:
+        # on a lossy ring a traced session reads other photon counts
+        argv = ["attack", "pns", "--seed", "5", "--trials", "20000",
+                "--override", "receivers=5", "--override", "transmission=0.9"]
+        assert cli.main(argv) == cli.EXIT_ACCEPT
+        plain = capsys.readouterr().out
+        assert cli.main([*argv, "--override", "trace=true"]) == cli.EXIT_ACCEPT
+        assert capsys.readouterr().out == plain
+
     @pytest.mark.parametrize("strategy", ["pns", "tag"])
     def test_zero_trials_names_trials(self, strategy, capsys):
         assert cli.main(["attack", strategy, "--trials", "0"]) == cli.EXIT_CONFIG

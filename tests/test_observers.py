@@ -1,12 +1,14 @@
 """A traced session against an untraced one: the same law from two light paths.
 
-Without ``trace`` the engine draws light only where it is observed, Eve's
-PNS hop and Rec-1, and fuses every loss and rotation in between; with
-no PNS hop, Rec-1 reads its detectors from the uncounted coherent pulse.
-With ``trace`` every stage is an observer, so each hop and splitter
-thins a photon count of its own. Both must sort the rounds into the
-same histogram of sifted outcome by Eve's event, and of both of Rec-1's
-arms jointly; a chi-square test of homogeneity compares them.
+A photon count is drawn only where the trace records it. Without
+``trace`` the engine draws none: Eve's PNS hop reads her event from one
+uniform against the chance of two or more photons, and Rec-1 reads its
+detectors from the law her reading leaves or, with no PNS hop, from the
+uncounted coherent pulse. With ``trace`` every stage is an observer, so
+the source draws a count and each hop and splitter thins it. Both must
+sort the rounds into the same histogram of sifted outcome by Eve's
+event, and of both of Rec-1's arms jointly; a chi-square test of
+homogeneity compares them.
 """
 
 from dataclasses import replace
@@ -30,7 +32,7 @@ SCENARIOS = [
                                       pns_channel=3, rounds=ROUNDS, parity_block=0, seed=82)),
     ("honest_n2_bs05", SimConfig(receivers=2, bs_ratio=0.5, rounds=ROUNDS, parity_block=0,
                                  seed=83)),
-    # Eve counts on the last hop, so the pulse reaches Rec-1 counted
+    # Eve reads on the last hop, so nothing is lost between her reading and Rec-1 (q = 1)
     ("pns_n1_t09_channel3", SimConfig(receivers=1, transmission=0.9, adversary="pns",
                                       pns_channel=3, rounds=ROUNDS, parity_block=0, seed=87)),
 ]

@@ -9,6 +9,7 @@ from scipy import stats
 from session_records import recorded
 from test_engine_agreement import _poisson
 
+from sqss.adversary import pns_dark
 from sqss.channel import thin_batch
 from sqss.config import SimConfig
 from sqss.optics import (
@@ -18,11 +19,13 @@ from sqss.optics import (
     MALUS,
     RECTILINEAR,
     VACUUM,
+    coherent_dark,
+    counted_dark,
     malus,
     rec1_measure,
     rotate,
 )
-from sqss.protocol import _polarizations, _run_round
+from sqss.protocol import _key_angle, _polarizations, _run_round
 
 QT = math.pi / 4
 
@@ -343,7 +346,7 @@ class TestCoherentMeasure:
         n = 100_000
         m = mean / 2
         for q in range(4):
-            arms = dict(zip((RECTILINEAR, DIAGONAL), rec1_measure(np.full(n, q), None, mean, rng)))
+            arms = dict(zip((RECTILINEAR, DIAGONAL), rec1_measure(np.full(n, q), *coherent_dark(mean), rng)))
             for basis, out in arms.items():
                 p = math.cos((q - basis) * QT) ** 2
                 vacuum = math.exp(-m)
@@ -403,6 +406,21 @@ def reference_histogram(seed: int, q: float, photons, rounds: int = 10_000) -> n
     return joint_histogram(*zip(*codes), arrived)
 
 
+def assert_one_law(engine, reference):
+    """A chi-square test of homogeneity of two histograms at p > 1e-4."""
+    # cells too rare to test on their own are pooled into one, and
+    # left out when even the pool is too rare
+    rare = (engine + reference) < 20 * (engine.sum() + reference.sum()) / reference.sum()
+    table = np.array([np.append(h[~rare], h[rare].sum()) for h in (engine, reference)])
+    table = table[:, table.sum(axis=0) >= 20 * table.sum() / table[1].sum()]
+    if table.shape[1] == 1:  # a single outcome (no photon): both read only it
+        assert (engine > 0).tolist() == (reference > 0).tolist()
+        return
+    chi2, p, _, expected = stats.chi2_contingency(table)
+    assert expected.min() >= 20, f"expected cell counts too small: {expected.min():.1f}"
+    assert p > 1e-4, f"chi2 = {chi2:.1f}, p = {p:.2e}\nengine    {table[0]}\nreference {table[1]}"
+
+
 class TestRec1JointLaw:
     """``rec1_measure`` against a photon-by-photon reference that shares no
     code and no random stream with it: a chi-square test of homogeneity
@@ -410,34 +428,21 @@ class TestRec1JointLaw:
 
     ROUNDS = 100_000
 
-    def engine_histogram(self, seed, count, share):
+    def engine_histogram(self, seed, dark, column):
         rng = np.random.default_rng(seed)
         arrived = rng.integers(4, size=self.ROUNDS, dtype=np.int8)
-        return joint_histogram(*rec1_measure(arrived, count, share, rng), arrived)
-
-    def assert_one_law(self, engine, reference):
-        # cells too rare to test on their own are pooled into one, and
-        # left out when even the pool is too rare
-        rare = (engine + reference) < 20 * (engine.sum() + reference.sum()) / reference.sum()
-        table = np.array([np.append(h[~rare], h[rare].sum()) for h in (engine, reference)])
-        table = table[:, table.sum(axis=0) >= 20 * table.sum() / table[1].sum()]
-        if table.shape[1] == 1:  # a single outcome (no photon): both read only it
-            assert (engine > 0).tolist() == (reference > 0).tolist()
-            return
-        chi2, p, _, expected = stats.chi2_contingency(table)
-        assert expected.min() >= 20, f"expected cell counts too small: {expected.min():.1f}"
-        assert p > 1e-4, f"chi2 = {chi2:.1f}, p = {p:.2e}\nengine    {table[0]}\nreference {table[1]}"
+        return joint_histogram(*rec1_measure(arrived, dark, column, rng), arrived)
 
     @pytest.mark.parametrize("q", [1.0, 0.35, 0.01])
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 20])
     def test_counted_pulse(self, m, q):
-        engine = self.engine_histogram(3000 + m, np.full(self.ROUNDS, m), q)
-        self.assert_one_law(engine, reference_histogram(m, q, lambda r: m))
+        engine = self.engine_histogram(3000 + m, *counted_dark(np.full(self.ROUNDS, m), q))
+        assert_one_law(engine, reference_histogram(m, q, lambda r: m))
 
     @pytest.mark.parametrize("mean", [0.5, 3.0, 6.0])
     def test_coherent_pulse(self, mean):
-        engine = self.engine_histogram(4000, None, mean)
-        self.assert_one_law(engine, reference_histogram(4000, 1.0, lambda r: _poisson(r, mean)))
+        engine = self.engine_histogram(4000, *coherent_dark(mean))
+        assert_one_law(engine, reference_histogram(4000, 1.0, lambda r: _poisson(r, mean)))
 
     @given(
         st.integers(0, 2**62),
@@ -448,11 +453,61 @@ class TestRec1JointLaw:
     @settings(max_examples=200)
     def test_extreme_pulses_read_valid_codes(self, m, q, mean, arrived):
         # the validator lets means this far out through; a RuntimeWarning
-        # fails the run, so none may appear on the way
+        # fails the run, so none may appear on the way. Eve's reading
+        # covers both of its classes at every mean up to the cap.
         rng = np.random.default_rng(m % 1000)
         angle = np.full(64, arrived, dtype=np.int8)
-        for count, share in ((np.full(64, m), q), (None, mean)):
-            rect, diag = rec1_measure(angle, count, share, rng)
+        stored = np.arange(64) % 2 == 1
+        for dark, column in (counted_dark(np.full(64, m), q), coherent_dark(mean),
+                             pns_dark(mean, q, stored)):
+            assert np.isfinite(dark).all() and ((0.0 <= dark) & (dark <= 1.0)).all()
+            rect, diag = rec1_measure(angle, dark, column, rng)
             definite, other = (rect, diag) if arrived % 2 == 0 else (diag, rect)
             assert np.isin(definite, (arrived, VACUUM)).all()
             assert np.isin(other, ((arrived + 1) % 4, (arrived + 3) % 4, VACUUM, AMBIGUOUS)).all()
+
+
+class TestPnsReadingJointLaw:
+    """An untraced ``pns`` ring, which draws no photon count, against a
+    photon-by-photon reference that shares no code and no random stream
+    with it: a Knuth Poisson count at Eve's hop, her skim of one photon
+    from two or more, and then each photon lost on the way to Rec-1 or
+    split 50:50 and read with Malus' law per detector (``reference_rec1``).
+    A chi-square test of homogeneity on the joint (Eve's event, rect,
+    diag, arrived) histogram."""
+
+    ENGINE_ROUNDS = 100_000
+    REFERENCE_ROUNDS = 40_000
+
+    @staticmethod
+    def shares(config):
+        """The mean photon number at Eve's hop c and the share q of the photons
+        she forwards that reach Rec-1's splitter: the ring's 2N + 1 hops each
+        pass T, and Alice's bs_ratio sits behind hop N + 1."""
+        n, c, t = config.receivers, config.pns_channel, config.hop_transmission()
+        alice = config.bs_ratio if c > n + 1 else 1.0
+        return config.mean_photons * t**c * alice, t ** (2 * n + 1 - c) * config.bs_ratio / alice
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(receivers=5, transmission=0.9, adversary="pns", pns_channel=1),
+        SimConfig(receivers=1, transmission=0.9, adversary="pns", pns_channel=3),
+        # a stored photon is rare
+        SimConfig(receivers=2, mean_photons=0.05, transmission=0.9, adversary="pns",
+                  pns_channel=1),
+    ], ids=["n5_t09_channel1", "n1_t09_channel3", "mu005"])
+    def test_reading_follows_the_photons(self, config):
+        table = _run_round(self.ENGINE_ROUNDS, config, np.random.default_rng(5000))
+        assert table.trace_photons is None
+        arrived = (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum) & 3
+        cell = ((table.rect.astype(np.int64) * 6 + table.diag) * 4 + arrived) * 2 + table.eve_event
+        engine = np.bincount(cell, minlength=288)
+        lam, q = self.shares(config)
+        r = random.Random(config.receivers)
+        reference = np.zeros(288, dtype=np.int64)
+        for _ in range(self.REFERENCE_ROUNDS):
+            angle, photons = r.randrange(4), _poisson(r, lam)
+            stored = photons >= 2
+            rect, diag = reference_rec1(r, angle, photons - stored, q)
+            reference[((rect * 6 + diag) * 4 + angle) * 2 + stored] += 1
+        assert_one_law(engine, reference)
+

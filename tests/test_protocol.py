@@ -18,6 +18,7 @@ from sqss.optics import (
     AMBIGUOUS,
     QUARTER_TURN,
     VACUUM,
+    counted_dark,
     rec1_measure,
 )
 from sqss.protocol import (
@@ -236,12 +237,12 @@ class TestReceiverOps:
 class TestRec1Measure:
     def test_aligned_rect_arm_is_deterministic(self):
         rng = np.random.default_rng(12)
-        rect, diag = rec1_measure(np.array([2]), np.array([400]), 1.0, rng)
+        rect, diag = rec1_measure(np.array([2]), *counted_dark(np.array([400]), 1.0), rng)
         assert rect.tolist() == [2]
 
     def test_vacuum_pulse_gives_vacuum_arms(self):
         rng = np.random.default_rng(13)
-        rect, diag = rec1_measure(np.array([0]), np.array([0]), 1.0, rng)
+        rect, diag = rec1_measure(np.array([0]), *counted_dark(np.array([0]), 1.0), rng)
         assert rect.tolist() == diag.tolist() == [VACUUM]
 
     def test_arm_vacuum_frequency(self):
@@ -268,9 +269,9 @@ class TestRec1Measure:
         # the two must name the same angle on every round.
         arrived = []
 
-        def spy(angle, light, share, rng):
+        def spy(angle, dark, column, rng):
             arrived.append(angle)
-            return rec1_measure(angle, light, share, rng)
+            return rec1_measure(angle, dark, column, rng)
 
         monkeypatch.setattr(protocol, "rec1_measure", spy)
         _, table = recorded(dataclasses.replace(config, trace=True))

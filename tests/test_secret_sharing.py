@@ -9,17 +9,23 @@ coalition misses sum to a value uniform on Z4 whatever it sees, so given
 the parity the key angle is one of two angles half a turn apart, which
 carry opposite bits in basis j. Alice's bit is therefore independent of
 every strict coalition's view, while all N receivers decode it.
+
+The property is tested twice: exactly, by enumerating every round of a
+small ring under Rec-1's outcome law, and statistically, on the engine's
+kept rounds.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from scipy import stats
 from session_records import recorded
 
+from sqss.adversary import pns_dark
 from sqss.config import SimConfig
-from sqss.optics import VACUUM
+from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark, counted_dark
+from sqss.protocol import RoundTable, _decode, _key_angle, sift
 
 
 def coalition_views(table, kept, coalition):
@@ -31,6 +37,57 @@ def coalition_views(table, kept, coalition):
     if 0 in coalition:
         view = (view * 6 + table.rect[kept]) * 6 + table.diag[kept]
     return view
+
+
+def joint_law(view, bit, weight):
+    """P(view, bit) from rounds of probability ``weight``: one row per view
+    of positive probability, one column per bit."""
+    _, view = np.unique(view, return_inverse=True)
+    joint = np.bincount(view * 2 + bit, weight, minlength=2 * (view.max() + 1)).reshape(-1, 2)
+    return joint[joint.sum(axis=1) > 0]
+
+
+# Rec-1's dark tables, one class per column: pulses counted at 1, 2 and 5
+# photons, the coherent pulse, and both columns of Eve's reading
+DARK_TABLES = {
+    "counted": counted_dark(np.array([1, 2, 5]), 0.35)[0],
+    "coherent": coherent_dark(3.0)[0],
+    "eve_reading": pns_dark(5.4, 0.35, np.zeros(0, dtype=bool))[0],
+}
+
+
+@pytest.mark.parametrize("receivers", [1, 2, 3, 4])
+def test_exact_law_hides_the_bit_from_every_strict_coalition(receivers):
+    # every (bit, j, shuffle tuple, Rec-1 cell) at once, each with its probability
+    tuples = np.array(list(product(range(4), repeat=receivers)), dtype=np.int64)
+    bit, j, index, cell = (a.ravel() for a in np.meshgrid(
+        np.arange(2), np.arange(1, 3), np.arange(len(tuples)), np.arange(8), indexing="ij"))
+    shuffles = tuples[index]
+    shuffle_sum = shuffles.sum(axis=1) & 3
+    arrived = (_key_angle(bit, j) + shuffle_sum) & 3
+    rect, diag = _REC1_CODES[:, arrived * 8 + cell]
+    table = RoundTable(shuffle_sum.astype(np.int8), j, bit, rect=rect, diag=diag)
+    kept = sift(table)
+    public = (j[kept] - 1) * 2 + (shuffle_sum[kept] & 1)
+    for name, dark in DARK_TABLES.items():
+        # the engine's cell code: a cell counts the bounds at or below a uniform
+        bounds = np.sort(_rec1_bounds(dark), axis=0)
+        assert (bounds >= 0.0).all() and (bounds <= 1.0).all(), name
+        for column in np.diff(bounds, axis=0, prepend=0.0, append=1.0).T:
+            weight = column[cell[kept]] / (4 * len(tuples))
+            assert weight.sum() > 0.0, name
+            for size in range(receivers):
+                for coalition in combinations(range(receivers), size):
+                    view = public * 4 + (shuffles[kept][:, list(coalition)].sum(axis=1) & 3)
+                    if 0 in coalition:
+                        view = (view * 6 + rect[kept]) * 6 + diag[kept]
+                    joint = joint_law(view, bit[kept], weight)
+                    share = joint[:, 0] / joint.sum(axis=1)
+                    assert np.abs(share - 0.5).max() <= 1e-12, (name, coalition)
+            # everyone together: the view fixes the bit, which the decode reads
+            view = ((public * 4 + shuffle_sum[kept]) * 6 + rect[kept]) * 6 + diag[kept]
+            assert (joint_law(view, bit[kept], weight).min(axis=1) == 0.0).all(), name
+            assert np.array_equal(_decode(table.sifted[kept], shuffle_sum[kept]) // 2, bit[kept])
 
 
 @pytest.mark.parametrize("receivers", [3, 5])
