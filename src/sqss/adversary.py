@@ -69,6 +69,13 @@ def usd_success(n):
     return 1.0 - 0.5 ** (halvings - (halvings > 53) * (halvings - 53))
 
 
+# the runs of consecutive photon counts that share one usd_success: {0, 1, 2},
+# {3, 4}, ..., {105, 106} and {USD_SATURATION}, which stands for every count from it on
+_RUN_STARTS = [0] + [n for n in range(1, USD_SATURATION + 1)
+                     if usd_success(n) != usd_success(n - 1)]
+USD_RUNS = tuple(map(range, _RUN_STARTS, _RUN_STARTS[1:] + [USD_SATURATION + 1]))
+
+
 # 1/(n+2)! for n = 29 down to 0: Horner's order for the series of e^x P2(x) / x^2,
 # taken below x = 2, where its last term is under 2^29 / 31!, 7e-26
 _SKIM_SERIES = [1.0 / math.factorial(n + 2) for n in reversed(range(30))]
@@ -160,20 +167,17 @@ def impersonate_round(
 
     In each round of the class she attempts unambiguous discrimination, which
     succeeds with the n-dependent probability and then hits the true angle; on
-    failure she guesses uniformly among the four angles. A guess off by half a
-    turn flips the receivers' bit, and one off by an odd number of quarter
-    turns lands in the wrong basis, where the bit is a fair coin. The rounds
-    are i.i.d., so one multinomial draw counts every outcome at once: success,
-    a failed guess off by nothing, by a half turn, or by an odd quarter turn
-    with the bit flipped or kept, and a round outside the class.
+    failure she guesses uniformly among the four angles. A guess off by nothing
+    keeps the receivers' bit, one off by half a turn flips it, and one off by an
+    odd number of quarter turns lands in the wrong basis, where the bit is a
+    fair coin: a failed round flips with 1/4 + 2/4 * 1/2. The rounds are
+    i.i.d., so two binomial draws give both counts: the rounds inside the class
+    (every one at share 1, with no draw), and the flips among them.
     """
     success = usd_success(n)
-    # 1 - success is a power of two, so at share 1 the five class cells sum
-    # to exactly one and no round is left
-    quarter = share * (1.0 - success) / 4.0
-    _, _, half, odd_flipped, _, left = rng.multinomial(
-        pulses, [share * success, quarter, quarter, quarter, quarter, 1.0 - share]).tolist()
-    return half + odd_flipped, left
+    inside = pulses if share == 1.0 else rng.binomial(pulses, share)
+    # 1 - success is a power of two, so the flip probability is exact
+    return rng.binomial(inside, (1.0 - success) * (1 / 4 + 2 / 4 * 1 / 2)), pulses - inside
 
 
 def impersonate_rounds(

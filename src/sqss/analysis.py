@@ -4,12 +4,12 @@ The attack succeeds silently only when Eve's discrimination works, so
 its footprint in the sifted key is governed by the Poisson photon
 statistics of the pulse she intercepts. This module evaluates the exact
 closed form of her success probability, the induced error rate, and a
-Monte Carlo cross-check that samples the rounds class by class: one
-multinomial draw per photon-number class counts how many rounds Eve's
-guess flips there and how many fall in a later class, up to the class
-where her success stops changing, which takes every round left: at most
-108 draws at any mean. It is exact in distribution and never reads the
-closed form.
+Monte Carlo cross-check that samples the rounds by runs of photon-number
+classes that share one USD success: one draw per run of equal success
+counts how many rounds Eve's guess flips there and how many fall in a
+later run, up to the class where her success stops changing, which takes
+every round left: at most 54 draws at any mean. It is exact in
+distribution and never reads the closed form.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import USD_SATURATION, impersonate_round
+from .adversary import USD_RUNS, USD_SATURATION, impersonate_round
 
-# Poisson tail mass below which the Monte Carlo's class loop takes every round left.
+# Poisson tail mass below which the Monte Carlo's run loop takes every round left.
 _TAIL_EPS = 1e-12
 # Fewest Monte Carlo rounds whose error rate the standard error describes well.
 MIN_TRIALS = 10_000
-MAX_TRIALS = 2**63 - 1  # numpy's multinomial draw takes counts up to int64 max
+MAX_TRIALS = 2**63 - 1  # numpy's binomial draw takes counts up to int64 max
 _R = 1.0 / math.sqrt(2.0)
 
 
@@ -129,26 +129,31 @@ def monte_carlo_p_error(
 ) -> McEstimate:
     """Estimate the impersonation error rate over independent rounds.
 
-    The rounds are sampled by photon-number class: each of those left
-    holds exactly n photons with probability pmf(n) / P[N >= n], and
-    ``impersonate_round`` draws the bits class n flips and the rounds it
-    leaves to the next in one multinomial, up to ``USD_SATURATION``, whose
-    law every larger class shares: it takes every round left. This is exact
-    in distribution, costs at most 108 draws whatever ``trials`` and the
-    mean are, and keeps memory O(1). Reports the sample mean with its
-    standard error, so a caller can express the gap to the closed form in
-    sigma units.
+    The rounds are sampled by runs of photon-number classes that share one
+    USD success (``USD_RUNS``): each round left falls in the run starting at
+    n with probability its summed pmf / P[N >= n], and ``impersonate_round``
+    draws the bits the run flips and the rounds it leaves to the next, as one
+    class, since every round in it has the same outcome law. The run at
+    ``USD_SATURATION`` stands for every larger class, whose law it shares: it
+    takes every round left. This is exact in distribution, costs one draw per
+    run, at most 54, whatever ``trials`` and the mean are, and keeps memory
+    O(1). Reports the sample mean with its standard error, so a caller can
+    express the gap to the closed form in sigma units.
     """
     if not MIN_TRIALS <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in {MIN_TRIALS}..{MAX_TRIALS}, got {trials}")
     lam = _intercepted(mu, transmission)
-    errors, remaining, tail, pmf, n = 0, trials, 1.0, math.exp(-lam), 0
-    while remaining:
-        # the saturation or last class, or a tail lost to rounding, takes every round left
-        share = 1.0 if n == USD_SATURATION or pmf >= tail or tail < _TAIL_EPS else pmf / tail
-        flipped, remaining = impersonate_round(n, remaining, share, rng)
+    errors, remaining, tail, pmf = 0, trials, 1.0, math.exp(-lam)
+    for run in USD_RUNS:
+        mass = 0.0
+        for n in run:
+            mass += pmf
+            pmf *= lam / (n + 1)
+        # the saturation or last run, or a tail lost to rounding, takes every round left
+        share = 1.0 if run[0] == USD_SATURATION or mass >= tail or tail < _TAIL_EPS else mass / tail
+        flipped, remaining = impersonate_round(run[0], remaining, share, rng)
         errors += flipped
-        tail -= pmf
-        n += 1
-        pmf *= lam / n
+        if not remaining:
+            break
+        tail -= mass
     return McEstimate.from_counts(errors, trials)

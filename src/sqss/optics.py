@@ -111,13 +111,16 @@ def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
     """The seven bounds ``rec1_measure`` ranks a uniform against, per class
     of the dark table: g4, g3, 2g3 - g4, g2, 2g2 - g4 and then o more twice,
     o = g1 - g2 - g3 + g4. A uniform's cell is the number of bounds at or
-    below it, so, the bounds sorted, cell c has the probability of the
-    step from bound c - 1 (0 before the first) to bound c (1 after the
-    last)."""
+    below it, so cell c has the probability of the step from bound c - 1
+    (0 before the first) to bound c (1 after the last). Rounding can put
+    a step of zero width one ulp either side of zero (for one photon,
+    2g3 - g4 against g2), so the bounds are returned as their running
+    maximum: in order, with no step below zero."""
     g1, g2, g3, g4 = dark
     o = g1 - g2 - g3 + g4
     top = 2 * g2 - g4
-    return np.array([g4, g3, 2 * g3 - g4, g2, top, top + o, top + o + o])
+    return np.maximum.accumulate(np.array([g4, g3, 2 * g3 - g4, g2, top, top + o, top + o + o]),
+                                 axis=0)
 
 
 def rec1_measure(

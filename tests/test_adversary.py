@@ -293,7 +293,7 @@ class TestImpersonation:
     @pytest.mark.parametrize("share", [1.0, 0.3])
     @pytest.mark.parametrize("n", [0, 3, 10])
     def test_class_draw_has_binomial_margins(self, n, share):
-        # One multinomial draw over the rounds: those outside the class are
+        # Two binomial draws over the rounds: those outside the class are
         # Binomial(pulses, 1 - share), none at share 1, and the flips are
         # Binomial(pulses, share * (1 - P_usd(n)) / 2).
         pulses = 10**6

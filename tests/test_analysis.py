@@ -150,8 +150,9 @@ class TestClosedForms:
 
     def test_class_walk_ends_at_the_saturation_class(self, monkeypatch):
         # Eve's law stops changing at USD_SATURATION photons, so the Monte
-        # Carlo draws no class past it at any finite mu*T; only a non-finite
-        # mean is refused, by the closed form too
+        # Carlo draws no class past it at any finite mu*T: one draw per run
+        # of equal success, {0, 1, 2}, {3, 4}, ..., {105, 106} and {107+},
+        # 54 in all. Only a non-finite mean is refused, by the closed form too
         calls = []
 
         def counted(*args):
@@ -164,7 +165,8 @@ class TestClosedForms:
             calls.clear()
             assert p_e_closed_form(mu_t, 1.0) > 0.5
             monte_carlo_p_error(mu_t, 1.0, 10_000, np.random.default_rng(0))
-            assert len(calls) <= USD_SATURATION + 1, (mu_t, len(calls))
+            assert len(calls) <= 54, (mu_t, len(calls))
+            assert calls[-1] == USD_SATURATION, (mu_t, calls[-1])
         for mu in (math.inf, math.nan):
             with pytest.raises(ValueError, match="mu"):
                 p_e_closed_form(mu, 1.0)
@@ -227,7 +229,7 @@ class TestMonteCarlo:
             monte_carlo_p_error(6.0, 0.5, 9999, rng)
 
     def test_rejects_trial_counts_beyond_int64(self):
-        # numpy's multinomial draw takes counts up to int64 max, and no further
+        # numpy's binomial draw takes counts up to int64 max, and no further
         rng = np.random.default_rng(0)
         assert monte_carlo_p_error(6.0, 0.5, 2**63 - 1, rng).trials == 2**63 - 1
         with pytest.raises(ValueError, match="trials"):
@@ -256,6 +258,28 @@ class TestMonteCarlo:
     def test_estimate_is_built_from_the_error_count(self):
         est = monte_carlo_p_error(6.0, 0.5, 20000, np.random.default_rng(1006))
         assert est == McEstimate.from_counts(round(est.mean * est.trials), est.trials)
+
+    def test_one_draw_per_run_of_equal_success(self, monkeypatch):
+        # every class of a run shares Eve's law, so the walk draws the run as
+        # one class, of the run's summed pmf over P[N >= its first class]
+        calls = []
+
+        def counted(n, pulses, share, rng):
+            calls.append((n, share))
+            return impersonate_round(n, pulses, share, rng)
+
+        monkeypatch.setattr(analysis, "impersonate_round", counted)
+        monte_carlo_p_error(6.0, 1.0, 100_000, np.random.default_rng(1007))
+        firsts = [n for n, _ in calls]
+        assert len(firsts) >= 5 and firsts == [0, *range(3, 2 * len(firsts), 2)], firsts
+        successes = [usd_success(n) for n in firsts]
+        assert all(a < b for a, b in zip(successes, successes[1:])), successes
+        for (first, share), stop in zip(calls, firsts[1:] + [firsts[-1] + 2]):
+            mass = math.fsum(poisson_pmf(n, 6.0) for n in range(first, stop))
+            tail = math.fsum(poisson_pmf(n, 6.0) for n in range(first, 200))
+            # the walk carries P[N >= n] as one minus the masses drawn, good
+            # to a few ulp of one: relative 1e-12 until the tail nears 1e-3
+            assert mass / share == pytest.approx(tail, rel=1e-12, abs=1e-15), (first, share)
 
     def test_agrees_with_a_round_by_round_reference(self):
         # two-proportion z test of the class sampler against the scalar loop

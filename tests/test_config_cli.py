@@ -493,7 +493,8 @@ class TestCliSimulate:
     )
     def test_bright_intercepted_mean_saturates(self, args, row):
         # past USD_SATURATION photons Eve's discrimination fails with 2^-53 and
-        # her guess then flips half the bits; the class walk ends there at once
+        # her guess then flips half the bits; the walk, one draw per run of
+        # equal success, at most 54, ends there at once
         proc = subprocess.run(
             [sys.executable, "-m", "sqss", *args], capture_output=True, text=True, timeout=60,
         )

@@ -19,6 +19,7 @@ from sqss.optics import (
     MALUS,
     RECTILINEAR,
     VACUUM,
+    _rec1_bounds,
     coherent_dark,
     counted_dark,
     malus,
@@ -443,6 +444,16 @@ class TestRec1JointLaw:
     def test_coherent_pulse(self, mean):
         engine = self.engine_histogram(4000, *coherent_dark(mean))
         assert_one_law(engine, reference_histogram(4000, 1.0, lambda r: _poisson(r, mean)))
+
+    @pytest.mark.parametrize("q", [1.0, 0.9, 0.7, 0.35, 0.2, 0.1, 0.01, 1e-9])
+    def test_one_photon_lights_one_detector_at_most(self, q):
+        # cell = 4 * definite + 2 * orthogonal + aligned, so cells 3, 5, 6 and 7
+        # light two detectors or more, which one photon cannot: each step has
+        # no width below zero, and these none beyond one rounding step
+        width = np.diff(_rec1_bounds(counted_dark(np.array([1]), q)[0])[:, 0],
+                        prepend=0.0, append=1.0)
+        assert (width >= 0.0).all(), width
+        assert (width[[3, 5, 6, 7]] <= 2.0**-53).all(), width
 
     @given(
         st.integers(0, 2**62),
