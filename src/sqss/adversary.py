@@ -95,45 +95,36 @@ def _skim_weight(x: float) -> float:
     return math.exp(-x) * series
 
 
-def pns_intercept(
-    count: np.ndarray | None, mean: float = 0.0, size: int = 0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """QND-count every pulse at the tapped hop and skim one photon where possible.
-
-    A count of two or more lets Eve keep one photon in quantum memory
-    and forward the remainder; otherwise the pulse passes untouched.
-    A counted pulse (``count``, drawn where a trace records it) forwards
-    the count she read, less her photon, to every later hop. Uncounted
-    pulses (``count`` None: ``size`` coherent pulses of Poisson ``mean``
-    at her hop) draw no count: one uniform per pulse against P2(mean),
-    the probability of two or more photons, reads her event, and Rec-1
-    reads the law it leaves (``pns_dark``). Returns the forwarded photon
-    counts (None when uncounted) and the mask of rounds where she kept a
-    photon, which shares the pulse's polarization.
+def pns_intercept(mean: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """QND-count ``size`` coherent pulses of Poisson ``mean`` at the tapped
+    hop and skim one photon where there are two or more: Eve keeps it in
+    quantum memory, sharing the pulse's polarization, and forwards the rest.
+    No count is drawn: one uniform per pulse against P2(mean), the
+    probability of two or more photons, reads her event, and Rec-1 reads
+    the law it leaves (``pns_dark``). Returns the mask of rounds where she
+    kept a photon.
     """
-    if count is None:
-        return None, rng.random(size) < mean * mean * _skim_weight(mean)
-    stored = count >= 2
-    return count - stored, stored
+    return rng.random(size) < mean * mean * _skim_weight(mean)
 
 
 def pns_dark(mean: float, share: float, stored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rec-1's dark table (``optics.rec1_measure``) after Eve's reading of
-    uncounted pulses of Poisson ``mean`` at her hop, each photon she
-    forwards reaching Rec-1's splitter with probability ``share`` (q).
+    pulses of Poisson ``mean`` at her hop, each photon she forwards reaching
+    Rec-1's splitter with probability ``share`` (q).
 
     Column 0 holds the pulses she kept nothing from (n <= 1, forwarded
     whole), column 1 those she kept a photon from (n >= 2, forwarding
     n - 1). g_k is the forwarded photons' generating function at
-    y_k = 1 - kq/4 (``optics.dark_points``): (1 + mean y) / (1 + mean),
-    and e^(-mean (1 - y)) P2(mean y) / (y P2(mean)), which is 0 at y = 0.
+    y_k = 1 - kq/4 (``optics.dark_points``): (1 + mean y) / (1 + mean), as
+    1 - kd with d = q mean / (4 (1 + mean)) rounded to a multiple of 2^-53,
+    so that every cell that needs two photons is empty, and
+    e^(-mean (1 - y)) P2(mean y) / (y P2(mean)), which is 0 at y = 0.
     Returns the table and each pulse's column, read from ``stored``.
     """
     weight = _skim_weight(mean)
-    table = [[(1.0 + mean * y) / (1.0 + mean),
-              y * math.exp(-mean * (1.0 - y)) * _skim_weight(mean * y) / weight]
-             for y in dark_points(share).ravel().tolist()]
+    d = round(share * mean / (4.0 * (1.0 + mean)) * 2**53) / 2**53
+    table = [[1.0 - k * d, y * math.exp(-mean * (1.0 - y)) * _skim_weight(mean * y) / weight]
+             for k, y in enumerate(dark_points(share).ravel().tolist(), start=1)]
     return np.array(table), stored.view(np.int8)
 
 

@@ -2,14 +2,12 @@
 
 Loss acts on the photon count only, never on a polarization: a link of
 length l km with attenuation alpha dB/km passes each photon with
-probability T = 10^(-alpha*l/10), which scales the mean photon number
-by T. Every hop of the ring is the same link, so
-the ring has one hop transmission (``SimConfig.hop_transmission``).
-Thinnings compose. A photon count is drawn only where a trace records
-it, so only a traced session calls ``thin_batch``, once per stage for
-the shares passed since the stage before. Untraced, the shares in front
-of Eve's PNS hop go into the Poisson mean she reads, and every share
-behind the last count or reading goes into Rec-1's law.
+probability T = 10^(-alpha*l/10), which scales the mean photon number by
+T. Every hop of the ring is the same link, so the ring has one hop
+transmission (``SimConfig.hop_transmission``). Thinnings compose. The
+round engine reads the law of the thinned pulse and draws no count; the
+trace splits the photons lost on the ring over the stretches between its
+stages with ``thin_batch``.
 """
 
 from __future__ import annotations

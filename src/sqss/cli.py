@@ -215,7 +215,6 @@ def cmd_attack(args: argparse.Namespace, out: TextIO | None) -> int:
     else:
         config.target_key_bits = 0
         config.parity_block = 0  # only Eve's counts are read, never the keys
-        config.trace = False  # nor any photon count: no per-round CSV is written
         s = protocol.run_session(config).eve_summary
         estimate = analysis.McEstimate.from_counts(s.recovered_bits, s.trials)
         if args.strategy == "tag":

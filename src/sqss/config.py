@@ -14,8 +14,8 @@ _MAX_MEAN_PHOTONS = 2.0**63 - 10.0 * 2.0**31.5
 MAX_ROUNDS = 10_000_000
 # The most receivers a ring may have. Only the traced, recorded chunk sets the
 # cap: no other holds as much per round x receiver cell. It peaked at up to
-# 29 B per cell (tracemalloc, N = 10-150), so one chunk of 65,536 rounds stays
-# under 1 GB: 150 x 65,536 x 29 B is 0.29 GB. No session keeps a chunk.
+# 38 B per cell (tracemalloc, N = 10-150), so one chunk of 65,536 rounds stays
+# under 1 GB: 150 x 65,536 x 38 B is 0.37 GB. No session keeps a chunk.
 MAX_RECEIVERS = 150
 
 

@@ -1,16 +1,15 @@
 """Polarization optics for the classical-pulse simulator.
 
 The physical model is deliberately minimal: a pulse is classically
-polarized light with Poisson photon statistics. The round engine's light
-is an array of photon counts, one per round, where a trace records them,
-and otherwise the law of those counts. Polarization is kept apart:
-no loss, splitter or counter turns a photon and no rotation changes a
+polarized light with Poisson photon statistics, and the round engine's
+light is the law of its photon count. Polarization is kept apart: no
+loss, splitter or counter turns a photon and no rotation changes a
 count, so a pulse's polarization after any stage is the sum of the
 parties' rotations up to there, folded with ``rotate`` only where
-something reads it. It lives on the half-circle [0, pi) because every
-protocol state and both measurement bases are invariant under a pi
-shift. Losses and splitters thin the count (``channel``). The four
-discrete protocol angles, and the outcomes that read them, are ints 0..3.
+something reads it. It lives on [0, pi) because every protocol state and
+both measurement bases are invariant under a pi shift. Losses and
+splitters thin the count (``channel``). The four discrete protocol
+angles, and the outcomes that read them, are ints 0..3.
 
 Detection follows Malus' law photon by photon: a photon polarized at
 theta meets a polarizing beam splitter aligned with basis angle beta and
@@ -24,8 +23,7 @@ Rec-1 reads both arms of its 50:50 splitter in one step
 gives each of its four detectors a fixed share of the photons, so one
 uniform per pulse reads their joint law from a table of four dark
 probabilities per class of light, with no draw of the split or of the
-last loss in front of Rec-1. A photon count is a class only where a
-trace drew it.
+last loss in front of Rec-1.
 """
 
 from __future__ import annotations
@@ -92,19 +90,9 @@ def dark_points(share: float) -> np.ndarray:
 
 
 def coherent_dark(mean: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rec-1's dark table for the uncounted coherent pulse, of ``mean``
-    photons at its splitter: one class, g_k = e^(-k mean/4). Returns the
-    table and the one column every pulse reads."""
+    """Rec-1's dark table for the coherent pulse, of ``mean`` photons at its
+    splitter: one class, g_k = e^(-k mean/4); returns it and its one column."""
     return np.array([[math.exp(-k * mean / 4)] for k in range(1, 5)]), np.zeros(1, np.intp)
-
-
-def counted_dark(count: np.ndarray, share: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rec-1's dark table for pulses counted at ``count`` photons, each
-    reaching its splitter with probability ``share``: a class per distinct
-    count m, g_k = y_k^m (0^0 = 1: a pulse that brings no photon stays
-    dark). Returns the table and each pulse's column."""
-    counts, column = np.unique(count, return_inverse=True)
-    return np.power(dark_points(share), counts), column
 
 
 def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
@@ -113,9 +101,8 @@ def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
     o = g1 - g2 - g3 + g4. A uniform's cell is the number of bounds at or
     below it, so cell c has the probability of the step from bound c - 1
     (0 before the first) to bound c (1 after the last). Rounding can put
-    a step of zero width one ulp either side of zero (for one photon,
-    2g3 - g4 against g2), so the bounds are returned as their running
-    maximum: in order, with no step below zero."""
+    a step of zero width one ulp either side of zero, so the bounds are
+    returned as their running maximum: in order, with no step below zero."""
     g1, g2, g3, g4 = dark
     o = g1 - g2 - g3 + g4
     top = 2 * g2 - g4
@@ -131,9 +118,8 @@ def rec1_measure(
     ``dark`` holds g_k, the probability that k quarters of a pulse's
     photons stay dark, for k = 1..4 (rows) and each class of light
     (columns); ``column`` gives each pulse's class, or one class for all.
-    The classes are the uncounted coherent pulse (``coherent_dark``), a
-    photon count (``counted_dark``) and Eve's reading of an uncounted
-    pulse (``adversary.pns_dark``).
+    The classes are the coherent pulse (``coherent_dark``) and Eve's
+    reading of it (``adversary.pns_dark``).
 
     At ``arrived`` quarter turns one arm is definite: all its photons hit
     the detector that reads ``arrived`` (the rect arm when even). The

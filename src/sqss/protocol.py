@@ -17,9 +17,8 @@ detector clicks) are discarded during sifting. Rounds are independent,
 so every operation acts on a chunk of them, one array entry per round,
 and a session sifts, decodes and scores each chunk as it comes.
 
-The round engine's light is an array of photon counts, one per round,
-where the trace records them, and otherwise the law of those counts.
-No observer changes a polarization, so a pulse's polarization after any
+The round engine's light is the law of each pulse's photon count. No
+observer changes a polarization, so a pulse's polarization after any
 stage is the fold of the parties' rotations up to there, from theta at
 the source (the rotation ledger, ``_polarizations``). The hiding angles
 never reach Rec-1's detectors: theta and every phi_i cancel exactly, so
@@ -41,15 +40,11 @@ theta and the first c - 1 receivers' secrets (every receiver's past
 the ring's last), drawn from a stream of her own; the records read the
 rest, drawn after hers from another, so they never move her draws.
 
-A photon count is drawn only where the trace records it: the source
-count at mu and one thinning per stage. Untraced, Eve's PNS hop reads
-her event from one uniform against the probability of two or more
-photons at her hop (``adversary.pns_intercept``). Rec-1 reads both arms
-at once from the exact joint law of what reaches its splitter
-(``optics.rec1_measure``), by the class of its light: the last count's
-photons, Eve's reading (``adversary.pns_dark``) or, when nothing read
-the light, the coherent pulse. Neither the last loss nor the 50:50
-split is drawn.
+No photon count is drawn: Eve's PNS hop reads her event from one uniform
+(``adversary.pns_intercept``), and Rec-1 both arms at once from the law of
+what reaches its splitter (``optics.rec1_measure``). The trace is drawn
+behind each chunk from the records' stream, given what the physics read
+(``_draw_trace``), so it moves no other draw.
 """
 
 from __future__ import annotations
@@ -68,10 +63,10 @@ from . import adversary as adv
 from .channel import thin_batch
 from .config import MAX_ROUNDS, ConfigError, SimConfig
 from .optics import (
+    AMBIGUOUS,
     QUARTER_TURN,
     VACUUM,
     coherent_dark,
-    counted_dark,
     rec1_measure,
     rotate,
 )
@@ -116,9 +111,9 @@ class RoundTable:
     records, ``phis`` and ``shuffles`` hold only the receivers Eve passed.
     The arms hold detector outcome codes (``optics``); sifting fills in
     ``sifted``, the chosen arm's code, and decoding ``decoded``, the
-    consensus key angle or -1. With ``trace`` each round's photon count
-    after each of ``trace_stages`` is kept too; its polarization there is
-    the ledger's fold.
+    consensus key angle or -1. With ``trace`` the records also get each
+    round's photon count after each of ``trace_stages``, drawn behind the
+    chunk (``_draw_trace``); its polarization there is the ledger's fold.
     """
 
     shuffle_sum: np.ndarray  # int8
@@ -366,32 +361,35 @@ def _route(config: SimConfig) -> list[tuple[int | str, float]]:
     return route
 
 
+def _light(config: SimConfig) -> tuple[tuple, tuple, int, float, float]:
+    """The route's steps and shares, the steps up to Eve's PNS hop (0 without
+    her), the mean photon number there and the share q of it that reaches Rec-1."""
+    steps, shares = zip(*_route(config))
+    hop = steps.index(config.pns_channel) + 1 if config.adversary == "pns" else 0
+    lam = config.mean_photons * math.prod(shares[:hop])
+    return steps, shares, hop, lam, math.prod(shares[hop:])
+
+
+def _arrived(table: RoundTable) -> np.ndarray:
+    """Rec-1's angle in quarter turns: key angle + shuffles + Eve's offset."""
+    offset = 0 if table.eve_offset is None else table.eve_offset
+    return (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum + offset) & 3
+
+
 def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundTable:
     """Simulate ``size`` independent rounds at once into one table.
 
     One value on Z4 per round gives Alice's bit and basis, two fair bits;
-    another gives the shuffles' sum S, the only secret the light carries
-    to Rec-1, sifting and the decode (S is uniform on Z4 like each
-    shuffle). Eve's tag or USD event follows; under impersonation her
-    guess offset is the ``eve_offset`` column. The light then walks the
-    route (``_route``). Its observers are Eve's PNS hop and, with
-    ``trace``, every stage, which writes its count into its
-    ``trace_photons`` column. Only a traced round draws a count: the
-    source at mu, and each later observer thins once by the shares passed
-    since the last one. Untraced, Eve reads the uncounted pulse at the
-    mean her hop sees. Rec-1 reads the rest of the way with its detectors,
-    by the class of the light the last observer left.
+    another gives the shuffles' sum S, the only secret the light carries to
+    Rec-1, sifting and the decode (S is uniform on Z4 like each shuffle).
+    Eve's tag or USD event follows; under impersonation her guess offset is
+    the ``eve_offset`` column. Rec-1 then reads the law of its light,
+    drawing no count: Eve's reading under ``pns`` (``_light``), else the
+    coherent pulse.
     """
-    pns_hop = config.pns_channel if config.adversary == "pns" else 0
-    steps, shares = zip(*_route(config))
-    stages = tuple(step for step in steps if isinstance(step, str)) if config.trace else ()
-    observers = [k for k, step in enumerate(steps) if step == pns_hop or step in stages]
-
     z4 = rng.integers(4, size=(2, size), dtype=np.int8)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
-    table = RoundTable(z4[1], basis, bit, trace_stages=stages)
-    # a count is drawn only where the trace records it, from the source on
-    light = rng.poisson(config.mean_photons, size) if stages else None
+    table = RoundTable(z4[1], basis, bit)
     if config.adversary == "tag":
         table.eve_event = adv.tag_attack_rounds(size, config.bs_ratio, rng)
     elif config.adversary == "impersonate":
@@ -404,33 +402,79 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, t)
         counts = rng.poisson(usd_mean, size)
         table.eve_offset, table.eve_event = adv.impersonate_rounds(counts, rng)
-    # theta and every phi_i cancel around the ring: Rec-1 receives the key
-    # angle plus every shuffle and Eve's offset, whole quarter turns
-    offset = 0 if table.eve_offset is None else table.eve_offset
-    arrived = (_key_angle(bit, basis) + table.shuffle_sum + offset) & 3
-
-    if stages:
-        table.trace_photons = np.empty((size, len(stages)), dtype=np.int64)
-    done = 0  # the light has passed steps[:done]
-    for k in observers:
-        if done:  # the first observer reads the source's count, or Eve the uncounted pulse
-            light = thin_batch(light, math.prod(shares[done : k + 1]), rng)
-        done = k + 1
-        if steps[k] == pns_hop:
-            mean = config.mean_photons * math.prod(shares[:done])  # read when uncounted
-            light, table.eve_event = adv.pns_intercept(light, mean, size, rng)
-        else:
-            table.trace_photons[:, stages.index(steps[k])] = light
-    # Rec-1 reads the share q passed since the last observer, by the class of its light
-    q = math.prod(shares[done:])
-    if light is not None:  # a photon count
-        dark, column = counted_dark(light, q)
-    elif pns_hop:  # Eve's reading of the uncounted pulse
+    _, _, hop, mean, q = _light(config)
+    if hop:  # Eve's reading, and Rec-1 the share q of what she forwards
+        table.eve_event = adv.pns_intercept(mean, size, rng)
         dark, column = adv.pns_dark(mean, q, table.eve_event)
-    else:  # the uncounted coherent pulse
-        dark, column = coherent_dark(config.mean_photons * q)
-    table.rect, table.diag = rec1_measure(arrived, dark, column, rng)
+    else:  # the coherent pulse
+        dark, column = coherent_dark(mean * q)
+    table.rect, table.diag = rec1_measure(_arrived(table), dark, column, rng)
     return table
+
+
+def _truncated_exp(rate, u: np.ndarray) -> np.ndarray:
+    """At uniforms ``u`` (overwritten), the inverse CDF of e^(-rate t) on [0, 1]."""
+    return np.minimum(np.divide(-np.log1p(u * np.expm1(-rate)), rate, out=u, where=rate > 0), 1.0)
+
+
+def _time_left(rate: np.ndarray, lit: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The time s left after Eve's first photon where she kept one of two or
+    more: density on [0, 1] proportional to e^(kappa s) times 1 - e^(-a s) for
+    each ``lit`` row's ``rate`` a (Rec-1's three detectors, then the loss),
+    kappa the rate of the lit detectors and the loss. M, the latest of
+    truncated Exp(a) draws, is kept with probability (1 - e^(-kappa (1 - M))) /
+    (1 - e^(-kappa)), so a try succeeds one time in four or more, and s is
+    drawn on [M, 1] with density proportional to e^(kappa s)."""
+    kappa = rate[3] + (rate[:3] * lit[:3]).sum(axis=0)
+    s, todo = np.empty(len(kappa)), np.arange(len(kappa))
+    while len(todo):
+        u = _truncated_exp(rate, rng.random((4, len(todo))))
+        k, w = kappa[todo], 1.0 - np.where(lit[:, todo], u, 0.0).max(axis=0)
+        ok = rng.random(len(todo)) * -np.expm1(-k) <= -np.expm1(-k * w)
+        s[todo] = 1.0 - w * _truncated_exp(k * w, rng.random(len(todo)))  # the rest try again
+        todo = todo[~ok]
+    return s
+
+
+def _draw_trace(table: RoundTable, config: SimConfig, rng: np.random.Generator) -> None:
+    """Draw each round's photon count after every stage (``trace_photons``)
+    behind the chunk, from its exact law given Eve's event and the detectors
+    Rec-1 lit, which take 1/2, 1/4 and 1/4 of the photons at its splitter.
+    Photons are routed independently (Poisson splitting): a lit detector holds
+    a zero-truncated Poisson count, a dark one none, each loss is Poisson.
+    Eve's count n >= 2 forwards the photons after her first over the time s
+    left (``_time_left``); n <= 1 forwards n, which is 1 where a detector lit,
+    and with probability r / (1 + r), r = lam (1 - q), where none did. A stage
+    counts the photons at the splitter (before her hop, n) plus those lost
+    behind it, each pool of lost photons split over the stretches between
+    stages by binomial thinning (``thin_batch``)."""
+    steps, shares, hop, lam, q = _light(config)
+    size = len(table)
+    arms = np.array([table.rect, table.diag])
+    definite, other = np.where(_arrived(table) & 1, arms[::-1], arms)
+    stored = table.eve_event if hop else np.zeros(size, dtype=bool)
+    lit = np.array([definite != VACUUM, other != VACUUM, other == AMBIGUOUS])
+    lit = np.vstack((lit, stored & ~lit.any(axis=0)))  # her forwarded photons all lost
+    rate = lam * np.array([[q / 2], [q / 4], [q / 4], [1.0 - q]])
+    s = np.full(size, 0.0 if hop else 1.0)
+    s[stored] = _time_left(rate, lit[:, stored], rng)
+    # zero-truncated: the first arrival t by inverse CDF, then 1 + Poisson(m (1 - t))
+    m, photons = (rate * s)[lit], np.zeros((4, size), dtype=np.int64)
+    photons[lit] = 1 + rng.poisson(np.maximum(m + np.log1p(rng.random(len(m)) * np.expm1(-m)), 0))
+    photons[3] = np.where(lit[3], photons[3], rng.poisson(rate[3] * s))  # the lost photons
+    if hop:
+        photons[3] += ~stored & ~lit.any(axis=0) & (rng.random(size) * (1.0 + rate[3]) < rate[3])
+    table.trace_stages = tuple(step for step in steps if isinstance(step, str))
+    table.trace_photons = np.empty((size, len(table.trace_stages)), dtype=np.int64)
+    upstream = rng.poisson(config.mean_photons - lam, size)
+    for lo, hi, held, pool in ((0, hop, photons.sum(axis=0) + stored, upstream),
+                               (hop, len(steps), photons[:3].sum(axis=0), photons[3])):
+        before, end = 1.0, math.prod(shares[lo:hi])
+        for step, p in zip(steps[lo:hi], np.cumprod(shares[lo:hi])):
+            if isinstance(step, str):  # the pool's photons still to be lost
+                pool = thin_batch(pool, (p - end) / (before - end), rng) if p > end else 0 * pool
+                table.trace_photons[:, table.trace_stages.index(step)] = held + pool
+                before = p
 
 
 def _draw_secrets(
@@ -575,6 +619,8 @@ def run_session(
             )
         if records is not None:
             _draw_secrets(chunk, n, secrets)
+            if config.trace:
+                _draw_trace(chunk, config, secrets)
         key_rows.append(_decode_phase(chunk, kept, config.dishonest_receiver, rng))
         if config.adversary != "none":
             eve_counts += _score_eve(config.adversary, chunk, kept)

@@ -23,7 +23,7 @@ from sqss.adversary import (
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
 from sqss.optics import QUARTER_TURN, dark_points
-from sqss.protocol import _run_round, run_session
+from sqss.protocol import run_session
 
 
 class TestUsdSuccess:
@@ -167,41 +167,50 @@ class TestPnsDark:
         # pns_intercept reads Eve's event from one uniform against P[n >= 2]
         # = 1 - e^-mean (1 + mean): the share of uniforms below it
         u = np.random.default_rng(7).random(10_000)
-        _, stored = pns_intercept(None, mean, len(u), np.random.default_rng(7))
+        stored = pns_intercept(mean, len(u), np.random.default_rng(7))
         with mpmath.workdps(80):
             lam = mpmath.mpf(mean)
             p2 = float(1 - mpmath.exp(-lam) * (1 + lam))
         assert stored.tolist() == (u < p2).tolist()
 
 
+def traced_tap(mean, rounds):
+    """A traced lossless ring tapped on channel 1: the count each pulse
+    leaves the source with, the count it reaches Rec-1 with, and where Eve
+    kept a photon. Nothing is lost, so the first is the count she reads."""
+    config = SimConfig(receivers=1, mean_photons=mean, adversary="pns", pns_channel=1,
+                       rounds=rounds, trace=True)
+    table = recorded(config)[1]
+    return table.trace_photons[:, 0], table.trace_photons[:, 1], table.eve_event
+
+
 class TestPnsIntercept:
     def test_single_photon_passes_untouched(self):
-        out, stored = pns_intercept(np.array([1]))
-        assert out.tolist() == [1]
-        assert not stored.any()
+        pulse, out, stored = traced_tap(3.0, 20_000)
+        one = pulse == 1
+        assert one.any() and (out[one] == 1).all() and not stored[one].any()
 
     def test_five_photons_split(self):
-        out, stored = pns_intercept(np.array([5]))
-        assert out.tolist() == [4]
-        assert stored.tolist() == [True]
+        pulse, out, stored = traced_tap(3.0, 20_000)
+        five = pulse == 5
+        assert five.any() and (out[five] == 4).all() and stored[five].all()
 
     def test_coherent_pulse_is_counted_first(self):
-        # Eve counts the photons the source drew; she does not draw her own.
-        # The trace holds the count leaving the source and the one she forwards.
-        rng = np.random.default_rng(1)
-        config = SimConfig(receivers=1, mean_photons=40.0, adversary="pns", pns_channel=1,
-                           trace=True)
-        table = _run_round(1, config, rng)
-        pulse, out = table.trace_photons[:, 0], table.trace_photons[:, 1]
+        # Eve's event is the count of the pulse the trace draws: she keeps a
+        # photon exactly where it holds two or more, and forwards the rest
+        pulse, out, stored = traced_tap(40.0, 1)
         # mean 40 makes n >= 2 essentially certain
         assert out.tolist() == (pulse - 1).tolist()
-        assert table.eve_event.tolist() == [True]
+        assert stored.tolist() == [True]
+        pulse, out, stored = traced_tap(1.0, 20_000)
+        assert (stored == (pulse >= 2)).all() and (out == pulse - stored).all()
 
     def test_works_without_state(self):
-        # Eve keeps no state across calls: each chunk returns its own mask.
-        out, stored = pns_intercept(np.array([0, 1, 2, 3]))
-        assert out.tolist() == [0, 1, 1, 2]
-        assert stored.tolist() == [False, False, True, True]
+        # Eve keeps no state across calls: each chunk's mask is its own draw.
+        first = pns_intercept(2.0, 1000, np.random.default_rng(3))
+        pns_intercept(50.0, 10, np.random.default_rng(4))
+        assert (pns_intercept(2.0, 1000, np.random.default_rng(3)) == first).all()
+        assert 0 < first.sum() < 1000
 
     @pytest.mark.parametrize("receivers", (2, 5))
     @pytest.mark.parametrize("channel", (1, 3, 4))

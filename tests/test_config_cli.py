@@ -6,12 +6,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from session_records import recorded
+from test_cli_matrix import load_matrix
 
 from sqss import analysis, cli, protocol
 from sqss.analysis import error_curve, p_error_closed_form
@@ -154,10 +156,10 @@ class TestValidation:
         SimConfig(rounds=MAX_ROUNDS, parity_block=MAX_ROUNDS).validate()
 
     def test_largest_poisson_mean_is_accepted(self):
-        # the bound on mu is exactly the largest mean the source can draw from
-        # (a traced round draws the source's count)
+        # the bound on mu is exactly the largest mean a count can be drawn
+        # from (an impersonator on a lossless ring counts the whole pulse)
         def draw_source(mu):
-            config = SimConfig(receivers=1, mean_photons=mu, trace=True)
+            config = SimConfig(receivers=1, mean_photons=mu, adversary="impersonate")
             _run_round(1, config, np.random.default_rng(0))
 
         SimConfig(mean_photons=_MAX_MEAN_PHOTONS).validate()
@@ -322,6 +324,44 @@ class TestCliSimulate:
         plain = capsys.readouterr().out
         assert cli.main([*args, "--out", str(tmp_path / "rounds.csv")]) == cli.EXIT_ACCEPT
         assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(receivers=3, rounds=5000),
+        SimConfig(receivers=3, transmission=0.8, bs_ratio=0.5, rounds=5000),
+        *(SimConfig(receivers=5, adversary="pns", pns_channel=c, transmission=0.9, rounds=5000)
+          for c in (1, 3, 4)),
+        SimConfig(adversary="tag", bs_ratio=0.5, rounds=5000),
+        SimConfig(adversary="impersonate", transmission=0.5, rounds=5000),
+        SimConfig(receivers=3, dishonest_receiver=2, rounds=5000),
+        SimConfig(target_key_bits=5000),
+        # two chunks: the second chunk's physics follows the first's trace
+        SimConfig(receivers=5, adversary="pns", pns_channel=3, transmission=0.9, rounds=70000),
+    ], ids=["honest_n3", "lossy_split", "pns_n5_c1", "pns_n5_c3", "pns_n5_c4", "tag",
+            "impersonate", "dishonest", "key_bits", "pns_n5_c3_70k"])
+    def test_trace_does_not_move_the_session(self, config):
+        # the trace is drawn behind each chunk from the records' stream, after the secrets
+        config.seed = 12
+        traced, _ = recorded(replace(config, trace=True))
+        assert traced == recorded(config)[0] == protocol.run_session(config)
+
+    def test_trace_does_not_move_the_report(self, tmp_path, capsys):
+        # every traced scenario of the CLI matrix prints the report of its untraced twin
+        matrix = load_matrix()
+        sessions = [(argv, [a for a in argv if a != "--trace"])
+                    for name, (argv, _) in matrix.SCENARIOS.items() if name.startswith("trace_")]
+        text = matrix.CONFIG_FILES["config_file"]
+        assert sessions and "trace = true\n" in text
+        for k, body in enumerate((text, text.replace("trace = true\n", ""))):
+            (tmp_path / f"{k}.cfg").write_text(body, encoding="utf-8")
+        sessions.append([["simulate", "--config", str(tmp_path / f"{k}.cfg"), "--out"]
+                         for k in (0, 1)])
+        for traced, untraced in sessions:
+            assert traced != untraced and traced[-1] == untraced[-1] == "--out"
+            reports = []
+            for argv in (traced, untraced):
+                code = cli.main([*argv, str(tmp_path / "rounds.csv")])
+                reports.append((code, capsys.readouterr().out))
+            assert reports[0] == reports[1], traced
 
     def test_round_csv_round_trips(self, demo_config, tmp_path, capsys):
         sessions = [
@@ -787,8 +827,7 @@ class TestCliAttack:
         assert f"strategy={strategy}" in capsys.readouterr().out
 
     def test_pns_ignores_trace(self, capsys):
-        # attack writes no per-round CSV, so trace must not move its figures:
-        # on a lossy ring a traced session reads other photon counts
+        # attack writes no per-round CSV, so trace must not move its figures
         argv = ["attack", "pns", "--seed", "5", "--trials", "20000",
                 "--override", "receivers=5", "--override", "transmission=0.9"]
         assert cli.main(argv) == cli.EXIT_ACCEPT

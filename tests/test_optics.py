@@ -21,12 +21,12 @@ from sqss.optics import (
     VACUUM,
     _rec1_bounds,
     coherent_dark,
-    counted_dark,
+    dark_points,
     malus,
     rec1_measure,
     rotate,
 )
-from sqss.protocol import _key_angle, _polarizations, _run_round
+from sqss.protocol import _draw_trace, _key_angle, _polarizations, _run_round, run_session
 
 QT = math.pi / 4
 
@@ -35,6 +35,15 @@ def pulses(count, polarization, size=1):
     """``size`` identical pulses of ``count`` photons at one polarization:
     their counts and their polarizations."""
     return np.full(size, count), np.full(size, float(polarization))
+
+
+def counted_dark(count, q):
+    """Rec-1's dark table for pulses counted at ``count`` photons, each
+    reaching its splitter with probability ``q``: a class per distinct
+    count m, g_k = y_k^m (0^0 = 1: a pulse that brings no photon stays
+    dark). Returns the table and each pulse's column."""
+    counts, column = np.unique(count, return_inverse=True)
+    return np.power(dark_points(q), counts), column
 
 
 def circular_distance(a, b):
@@ -154,10 +163,10 @@ class TestBasis:
 
 class TestPulses:
     def test_negative_mean_rejected(self):
-        # the source draws Poisson(mu), which has no negative mean
+        # a Poisson pulse has no negative mean: the session refuses it
         config = SimConfig(mean_photons=-0.1, trace=True)
         with pytest.raises(ValueError):
-            _run_round(1, config, np.random.default_rng(0))
+            run_session(config, lambda table: None)
 
     def test_negative_count_rejected(self):
         # a photon count is never negative: thinning one raises
@@ -191,21 +200,24 @@ class TestPulses:
 
 
 class TestSampling:
-    """The source draws the photon number of each pulse."""
+    """The trace draws the photon number of each pulse behind its round."""
 
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
         config = SimConfig(mean_photons=0.0, trace=True)
         table = _run_round(100, config, rng)
+        _draw_trace(table, config, rng)
         assert not table.trace_photons.any()
         assert (table.rect == VACUUM).all() and (table.diag == VACUUM).all()
 
     def test_poisson_statistics(self):
-        # the traced count leaving the source
+        # the traced count leaving the source, over every cell Rec-1 reads
         rng = np.random.default_rng(123)
         n = 10**6
         config = SimConfig(receivers=1, mean_photons=3.0, trace=True)
-        counts = _run_round(n, config, rng).trace_photons[:, 0]
+        table = _run_round(n, config, rng)
+        _draw_trace(table, config, rng)
+        counts = table.trace_photons[:, 0]
         p0 = np.mean(counts == 0)
         sigma0 = math.sqrt(math.exp(-3.0) * (1 - math.exp(-3.0)) / n)
         assert abs(p0 - math.exp(-3.0)) < 3 * sigma0
@@ -448,12 +460,14 @@ class TestRec1JointLaw:
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.7, 0.35, 0.2, 0.1, 0.01, 1e-9])
     def test_one_photon_lights_one_detector_at_most(self, q):
         # cell = 4 * definite + 2 * orthogonal + aligned, so cells 3, 5, 6 and 7
-        # light two detectors or more, which one photon cannot: each step has
-        # no width below zero, and these none beyond one rounding step
-        width = np.diff(_rec1_bounds(counted_dark(np.array([1]), q)[0])[:, 0],
-                        prepend=0.0, append=1.0)
-        assert (width >= 0.0).all(), width
-        assert (width[[3, 5, 6, 7]] <= 2.0**-53).all(), width
+        # light two detectors or more, which the at most one photon Eve
+        # forwards when she keeps none (pns_dark's column 0) cannot: each
+        # step has no width below zero, and these none at all
+        for mean in [*10.0 ** np.arange(-300, 19, 3.7), 9.2e18]:
+            dark = pns_dark(mean, q, np.zeros(0, dtype=bool))[0]
+            width = np.diff(_rec1_bounds(dark)[:, 0], prepend=0.0, append=1.0)
+            assert (width >= 0.0).all(), (mean, width)
+            assert (width[[3, 5, 6, 7]] == 0.0).all(), (mean, width)
 
     @given(
         st.integers(0, 2**62),

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from session_records import recorded
+from test_optics import counted_dark
 
 from sqss import protocol
 from sqss.adversary import EveSummary
@@ -18,7 +19,6 @@ from sqss.optics import (
     AMBIGUOUS,
     QUARTER_TURN,
     VACUUM,
-    counted_dark,
     rec1_measure,
 )
 from sqss.protocol import (
@@ -26,6 +26,7 @@ from sqss.protocol import (
     VerdictKind,
     _decode,
     _draw_secrets,
+    _draw_trace,
     _fft_length,
     _key_angle,
     _polarizations,
@@ -54,8 +55,8 @@ CONVENTIONAL_TABLE = [
 
 
 class ZeroRng:
-    """Stand-in whose uniform draws are always zero and whose Poisson draws
-    are always 5; every other draw comes from a seeded generator."""
+    """Stand-in whose uniform draws are always zero; every other draw comes
+    from a seeded generator."""
 
     def __init__(self):
         self.rng = np.random.default_rng(0)
@@ -65,10 +66,6 @@ class ZeroRng:
 
     def random(self, size):
         return np.zeros(size)
-
-    def poisson(self, lam, size):
-        self.lam = lam
-        return np.full(size, 5)
 
 
 def engine_rounds(size, rng, records=False, **fields):
@@ -156,12 +153,8 @@ class TestCooperativeDecode:
 
 class TestSenderOps:
     def test_prepare_with_theta_forced_to_zero(self):
-        rng = ZeroRng()
-        table = engine_rounds(1, rng, records=True, receivers=1, mean_photons=6.0, trace=True)
+        table = engine_rounds(1, ZeroRng(), records=True, receivers=1, mean_photons=6.0)
         assert table.theta.tolist() == [0.0]
-        # the count is one Poisson draw at the configured mean
-        assert rng.lam == 6.0
-        assert table.trace_photons[:, 0].tolist() == [5]
 
     def test_theta_uniform_on_half_circle(self):
         rng = np.random.default_rng(8)
@@ -203,6 +196,7 @@ class TestSenderOps:
         n_trials = 20000
         cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, trace=True)
         table = _run_round(n_trials, cfg, rng)
+        _draw_trace(table, cfg, rng)
         stage = table.trace_stages.index
         offered = table.trace_photons[:, stage("rec1_forward")].sum()
         kept = table.trace_photons[:, stage("alice_encoded")].sum()
@@ -212,7 +206,7 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        table = engine_rounds(1, np.random.default_rng(4), records=True, receivers=1, trace=True)
+        table = engine_rounds(1, np.random.default_rng(4), records=True, receivers=1)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + s[0] * QUARTER_TURN
@@ -227,7 +221,7 @@ class TestReceiverOps:
 
     def test_backward_removes_only_the_hide_angle(self):
         # bit 0 in family 1 encodes the zero angle, so all that returns is s
-        table = engine_rounds(1, np.random.default_rng(6), records=True, receivers=1, trace=True)
+        table = engine_rounds(1, np.random.default_rng(6), records=True, receivers=1)
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
         assert circular_distance(back, encoded - phi[0]) <= 1e-12
@@ -247,11 +241,11 @@ class TestRec1Measure:
 
     def test_arm_vacuum_frequency(self):
         # Each arm of a Poisson pulse sees a Poisson count with half the final
-        # mean: the counted path, on a lossless ring
+        # mean, on a lossless ring
         rng = np.random.default_rng(14)
         mu_final = 2.0
         n = 100000
-        rect = engine_rounds(n, rng, receivers=1, mean_photons=mu_final, trace=True).rect
+        rect = engine_rounds(n, rng, receivers=1, mean_photons=mu_final).rect
         vacuums = np.count_nonzero(rect == VACUUM)
         expected = math.exp(-mu_final / 2.0)
         sigma = math.sqrt(expected * (1 - expected) / n)
@@ -962,18 +956,19 @@ class TestBoundedResources:
         assert abs(wide - narrow) <= 0.1 * narrow, f"{narrow:.0f} vs {wide:.0f} bytes per round"
 
     def test_traced_chunk_memory_per_cell(self):
-        # A traced chunk writes each stage straight into its trace column,
-        # with no second copy of the trace, and its secrets are drawn behind
-        # it as a session does: config.MAX_RECEIVERS rests on it.
+        # A traced chunk's trace writes each stage straight into its column,
+        # with no second copy of the trace, and its secrets and trace are
+        # drawn behind it as a session does: config.MAX_RECEIVERS rests on it.
         rounds, receivers = 16_384, 10
         cfg = SimConfig(receivers=receivers, transmission=0.5, adversary="impersonate",
                         trace=True)
         rng = np.random.default_rng(82)
-        _run_round(rounds, cfg, rng)  # warm-up: first-call allocations are not the chunk's
+        _draw_trace(_run_round(rounds, cfg, rng), cfg, rng)  # warm-up: first-call allocations
         tracemalloc.start()
         try:
             table = _run_round(rounds, cfg, rng)
             _draw_secrets(table, receivers, rng)
+            _draw_trace(table, cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

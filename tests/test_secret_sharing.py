@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 from scipy import stats
 from session_records import recorded
+from test_optics import counted_dark
 
 from sqss.adversary import pns_dark
 from sqss.config import SimConfig
-from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark, counted_dark
+from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark
 from sqss.protocol import RoundTable, _decode, _key_angle, sift
 
 

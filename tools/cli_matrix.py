@@ -107,6 +107,9 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
     "trace_impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
                                     "rounds=2000", trace=True), ABORT),
     "trace_tag": (_simulate("adversary=tag", "bs_ratio=0.5", "rounds=500", trace=True), ACCEPT),
+    # the trace's sampler at the far end of the means: every photon reaches a detector
+    "trace_pns_bright": (_simulate("mu=1e15", "adversary=pns", "pns_channel=3", "rounds=500",
+                                   trace=True), ACCEPT),
     "attack_pns": (["attack", "pns", "--seed", "5", "--trials", "20000", "--out"], ACCEPT),
     "attack_tag": (["attack", "tag", "--seed", "5", "--override", "bs_ratio=0.5",
                     "--trials", "20000", "--out"], ACCEPT),
