@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a full session and report statistics")
     common(p_sim)
     p_sim.add_argument("--trace", action="store_true",
-                       help="record per-hop pulse snapshots in the --out CSV")
+                       help="record each stage's photon count in the --out CSV")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_curve = sub.add_parser("curve", help="tabulate the closed-form error-rate curve")

@@ -18,12 +18,14 @@ clicks the aligned detector with probability p = cos^2(theta - beta)
 photon this way, from one uniform draw against p
 (``adversary.ml_single_photon_estimator``).
 
-Rec-1 reads both arms of its 50:50 splitter in one step
+Rec-1 reads both arms of its 50:50 splitter from one uniform per pulse
 (``rec1_measure``): at the whole quarter turns it receives, ``MALUS``
-gives each of its four detectors a fixed share of the photons, so one
-uniform per pulse reads their joint law from a table of four dark
-probabilities per class of light, with no draw of the split or of the
-last loss in front of Rec-1.
+gives each of its four detectors a fixed share of the photons, so the
+uniform reads their joint law from a table of four dark probabilities
+per class of light, with no draw of the split or of the last loss in
+front of Rec-1. The definite arm alone, which sifting keeps unless an
+impersonator turned the pulse by an odd quarter turn, reads from the
+same uniform with one comparison (``rec1_definite``).
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
 
 
 def rec1_measure(
-    arrived: np.ndarray, dark: np.ndarray, column: np.ndarray, rng: np.random.Generator
+    arrived: np.ndarray, dark: np.ndarray, column: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split 50:50 and measure one arm per basis; returns both arms' outcome codes.
 
@@ -127,11 +129,22 @@ def rec1_measure(
     of the photons reaching the splitter the four detectors take 2, 0, 1
     and 1, so the law needs only g_k. Its eight cells, {definite dark,
     lit} x {other arm dark, aligned only, orthogonal only, both}, end at
-    the bounds of ``_rec1_bounds``; one uniform per pulse picks a cell.
+    the bounds of ``_rec1_bounds``; each pulse's uniform ``u`` picks a
+    cell by counting the bounds at or below it.
     """
-    u = rng.random(len(arrived))
     cell = arrived * 8
-    for bound in _rec1_bounds(dark):  # the cell counts the bounds at or below u
+    for bound in _rec1_bounds(dark):
         cell += u >= bound.take(column)
     rect, diag = np.take(_REC1_CODES, cell, axis=1)
     return rect, diag
+
+
+def rec1_definite(
+    arrived: np.ndarray, dark: np.ndarray, column: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The definite arm's code (``rec1_measure``) from the same uniforms:
+    ``arrived`` where its detector is lit, ``VACUUM`` elsewhere. It is lit
+    in cells 4 to 7, where ``u`` is at or above bound 3, the running
+    maximum of g2, so the one comparison matches the ranking bit for bit."""
+    lit = u >= _rec1_bounds(dark)[3].take(column)
+    return VACUUM + (arrived - VACUUM) * lit  # np.where is several times slower here

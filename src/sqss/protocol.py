@@ -41,10 +41,14 @@ the ring's last), drawn from a stream of her own; the records read the
 rest, drawn after hers from another, so they never move her draws.
 
 No photon count is drawn: Eve's PNS hop reads her event from one uniform
-(``adversary.pns_intercept``), and Rec-1 both arms at once from the law of
-what reaches its splitter (``optics.rec1_measure``). The trace is drawn
-behind each chunk from the records' stream, given what the physics read
-(``_draw_trace``), so it moves no other draw.
+(``adversary.pns_intercept``), and Rec-1 draws one uniform per round
+against the law of what reaches its splitter (``_rec1_dark``). Sifting
+reads only the arm it keeps from it: the definite one with one comparison
+(``optics.rec1_definite``), or, under impersonation, where Eve's offset
+can make it the split one, both arms (``optics.rec1_measure``). The
+records rank both arms from the same uniforms behind the chunk, and the
+trace is drawn behind it from the records' stream, given what Rec-1 read
+(``_draw_trace``), so neither moves another draw.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from .optics import (
     QUARTER_TURN,
     VACUUM,
     coherent_dark,
+    rec1_definite,
     rec1_measure,
     rotate,
 )
@@ -109,9 +114,12 @@ class RoundTable:
     0..3. ``theta``, ``phis`` and ``shuffles``, drawn behind it, are None
     unless Eve's stored photons (``pns``) or the records read them; without
     records, ``phis`` and ``shuffles`` hold only the receivers Eve passed.
-    The arms hold detector outcome codes (``optics``); sifting fills in
-    ``sifted``, the chosen arm's code, and decoding ``decoded``, the
-    consensus key angle or -1. With ``trace`` the records also get each
+    ``rec1_uniform`` is Rec-1's uniform per round, kept until it is read
+    (None after). Sifting fills in ``sifted``, the code of the arm it
+    keeps, and decoding ``decoded``, the consensus key angle or -1. Both
+    arms' detector outcome codes (``optics``), ``rect`` and ``diag``, are
+    ranked from the same uniforms behind the chunk: they are None unless
+    the records read them. With ``trace`` the records also get each
     round's photon count after each of ``trace_stages``, drawn behind the
     chunk (``_draw_trace``); its polarization there is the ledger's fold.
     """
@@ -122,6 +130,7 @@ class RoundTable:
     theta: np.ndarray | None = None
     phis: np.ndarray | None = None  # (rounds, receivers)
     shuffles: np.ndarray | None = None  # (rounds, receivers), quarter turns
+    rec1_uniform: np.ndarray | None = None
     rect: np.ndarray | None = None
     diag: np.ndarray | None = None
     eve_event: np.ndarray | None = None  # photon stored, tag survived or USD success
@@ -218,17 +227,27 @@ def _polarizations(table: RoundTable) -> Iterator[np.ndarray]:
     return accumulate(turns(), rotate, initial=table.theta)
 
 
-def sift(table: RoundTable) -> np.ndarray:
-    """Select the basis-matching arm per round and drop unusable rounds.
+def sift(table: RoundTable, dark: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Read the basis-matching arm per round and drop unusable rounds.
 
     The actual basis of the measured angle follows from the announced
-    family j and the parity of the round's ``shuffle_sum``. Rounds whose
-    selected arm reported vacuum or conflicting clicks are discarded. Stores the selected arm's outcome in
-    ``table.sifted`` (the measured angle of a kept round) and returns the
-    indices of the kept rounds.
+    family j and the parity of the round's ``shuffle_sum``. Rec-1's
+    definite arm has the basis of the angle it receives, which differs
+    only by Eve's offset under impersonation: without one the matching arm
+    is the definite one, read from each round's ``rec1_uniform`` in Rec-1's
+    law (``dark`` and ``column``) with one comparison. An odd offset makes
+    it the split one, so a table with offsets ranks both arms. Rounds whose
+    matching arm reported vacuum or conflicting clicks are discarded.
+    Stores that arm's outcome in ``table.sifted`` (the measured angle of
+    a kept round) and returns the indices of the kept rounds.
     """
-    parity = (table.basis_choice - 1 + table.shuffle_sum) & 1
-    table.sifted = np.where(parity == 0, table.rect, table.diag)
+    arrived, u = _arrived(table), table.rec1_uniform
+    if table.eve_offset is None:
+        table.sifted = rec1_definite(arrived, dark, column, u)
+    else:
+        even = ((table.basis_choice - 1 + table.shuffle_sum) & 1) == 0
+        rect, diag = rec1_measure(arrived, dark, column, u)
+        table.sifted = diag + (rect - diag) * even  # np.where is several times slower here
     return np.flatnonzero(table.sifted < VACUUM)
 
 
@@ -382,10 +401,10 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     One value on Z4 per round gives Alice's bit and basis, two fair bits;
     another gives the shuffles' sum S, the only secret the light carries to
     Rec-1, sifting and the decode (S is uniform on Z4 like each shuffle).
-    Eve's tag or USD event follows; under impersonation her guess offset is
-    the ``eve_offset`` column. Rec-1 then reads the law of its light,
-    drawing no count: Eve's reading under ``pns`` (``_light``), else the
-    coherent pulse.
+    Eve's tag, USD or PNS event follows; under impersonation her guess
+    offset is the ``eve_offset`` column. Rec-1 then draws one uniform per
+    round (``rec1_uniform``) and no count: sifting reads it against the
+    law of its light (``_rec1_dark``).
     """
     z4 = rng.integers(4, size=(2, size), dtype=np.int8)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
@@ -402,14 +421,20 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, t)
         counts = rng.poisson(usd_mean, size)
         table.eve_offset, table.eve_event = adv.impersonate_rounds(counts, rng)
-    _, _, hop, mean, q = _light(config)
-    if hop:  # Eve's reading, and Rec-1 the share q of what she forwards
+    elif config.adversary == "pns":  # Eve's reading of the pulse on her hop
+        _, _, _, mean, _ = _light(config)
         table.eve_event = adv.pns_intercept(mean, size, rng)
-        dark, column = adv.pns_dark(mean, q, table.eve_event)
-    else:  # the coherent pulse
-        dark, column = coherent_dark(mean * q)
-    table.rect, table.diag = rec1_measure(_arrived(table), dark, column, rng)
+    table.rec1_uniform = rng.random(size)
     return table
+
+
+def _rec1_dark(light: tuple, eve_event: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The law Rec-1 reads its uniforms against (``optics.rec1_measure``) on
+    a ring of this ``_light``: its dark table and each round's column. Under
+    ``pns`` Rec-1 gets the share q of what Eve forwards after her reading
+    (her ``eve_event``), else the coherent pulse."""
+    _, _, hop, mean, q = light
+    return adv.pns_dark(mean, q, eve_event) if hop else coherent_dark(mean * q)
 
 
 def _truncated_exp(rate, u: np.ndarray) -> np.ndarray:
@@ -439,7 +464,8 @@ def _time_left(rate: np.ndarray, lit: np.ndarray, rng: np.random.Generator) -> n
 def _draw_trace(table: RoundTable, config: SimConfig, rng: np.random.Generator) -> None:
     """Draw each round's photon count after every stage (``trace_photons``)
     behind the chunk, from its exact law given Eve's event and the detectors
-    Rec-1 lit, which take 1/2, 1/4 and 1/4 of the photons at its splitter.
+    Rec-1 lit (its ranked arms, ``rect`` and ``diag``), which take 1/2, 1/4
+    and 1/4 of the photons at its splitter.
     Photons are routed independently (Poisson splitting): a lit detector holds
     a zero-truncated Poisson count, a dark one none, each loss is Poisson.
     Eve's count n >= 2 forwards the photons after her first over the time s
@@ -549,7 +575,8 @@ def run_session(
     for retry. Every draw comes from ``config.seed``.
 
     ``records``, if given, is called with each finished chunk in round
-    order: sifted, cut at the target, decoded, scored, with its secrets and,
+    order: sifted, with both of Rec-1's arms ranked from the uniforms
+    sifting read, cut at the target, decoded, scored, with its secrets and,
     with ``trace``, its photon counts. No chunk is kept. The secrets are
     drawn behind each chunk's physics (``_draw_secrets``), from streams of
     their own, only where something reads them. Under ``pns`` Eve measures
@@ -569,7 +596,8 @@ def run_session(
     target = config.target_key_bits
     # Sifting keeps a round when the selected arm, which holds half of
     # the photons reaching Rec-1, is not empty. No attack raises that rate.
-    mu_final = config.mean_photons * math.prod(share for _, share in _route(config))
+    light = _light(config)
+    mu_final = config.mean_photons * math.prod(light[1])  # every share on the route
     keep_rate = -math.expm1(-mu_final / 2.0)
     reachable = MAX_ROUNDS * keep_rate
     if target > reachable:
@@ -604,7 +632,11 @@ def run_session(
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
         chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng)
-        kept = sift(chunk)
+        dark, column = _rec1_dark(light, chunk.eve_event)
+        kept = sift(chunk, dark, column)
+        if records is not None:  # both arms, ranked from the uniforms sifting read
+            chunk.rect, chunk.diag = rec1_measure(_arrived(chunk), dark, column, chunk.rec1_uniform)
+        chunk.rec1_uniform = None  # read: gone before Eve's estimator and the decode
         if target and len(kept) >= target - kept_count:
             # The simulator sees sift status before the parties learn it at
             # the basis announcement. Rounds are i.i.d., so cutting the

@@ -66,7 +66,8 @@ def counted_walk(config: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # the last stage is Rec-1's, so every photon it holds reaches the splitter
     arrived = rng.integers(4, size=ROUNDS)
     counts, column = np.unique(count, return_inverse=True)
-    rect, diag = rec1_measure(arrived, np.power(dark_points(1.0), counts), column, rng)
+    u = rng.random(ROUNDS)
+    rect, diag = rec1_measure(arrived, np.power(dark_points(1.0), counts), column, u)
     return np.column_stack(stages), rec1_classes(rect, diag, arrived, stored)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from session_records import recorded
+from session_records import ranked, recorded
 from test_engine_agreement import _poisson
 
 from sqss.adversary import pns_dark
@@ -205,7 +205,7 @@ class TestSampling:
     def test_vacuum_pulse_never_clicks(self):
         rng = np.random.default_rng(0)
         config = SimConfig(mean_photons=0.0, trace=True)
-        table = _run_round(100, config, rng)
+        table = ranked(_run_round(100, config, rng), config)
         _draw_trace(table, config, rng)
         assert not table.trace_photons.any()
         assert (table.rect == VACUUM).all() and (table.diag == VACUUM).all()
@@ -215,7 +215,7 @@ class TestSampling:
         rng = np.random.default_rng(123)
         n = 10**6
         config = SimConfig(receivers=1, mean_photons=3.0, trace=True)
-        table = _run_round(n, config, rng)
+        table = ranked(_run_round(n, config, rng), config)
         _draw_trace(table, config, rng)
         counts = table.trace_photons[:, 0]
         p0 = np.mean(counts == 0)
@@ -359,7 +359,8 @@ class TestCoherentMeasure:
         n = 100_000
         m = mean / 2
         for q in range(4):
-            arms = dict(zip((RECTILINEAR, DIAGONAL), rec1_measure(np.full(n, q), *coherent_dark(mean), rng)))
+            arms = rec1_measure(np.full(n, q), *coherent_dark(mean), rng.random(n))
+            arms = dict(zip((RECTILINEAR, DIAGONAL), arms))
             for basis, out in arms.items():
                 p = math.cos((q - basis) * QT) ** 2
                 vacuum = math.exp(-m)
@@ -444,7 +445,8 @@ class TestRec1JointLaw:
     def engine_histogram(self, seed, dark, column):
         rng = np.random.default_rng(seed)
         arrived = rng.integers(4, size=self.ROUNDS, dtype=np.int8)
-        return joint_histogram(*rec1_measure(arrived, dark, column, rng), arrived)
+        u = rng.random(self.ROUNDS)
+        return joint_histogram(*rec1_measure(arrived, dark, column, u), arrived)
 
     @pytest.mark.parametrize("q", [1.0, 0.35, 0.01])
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 20])
@@ -486,7 +488,7 @@ class TestRec1JointLaw:
         for dark, column in (counted_dark(np.full(64, m), q), coherent_dark(mean),
                              pns_dark(mean, q, stored)):
             assert np.isfinite(dark).all() and ((0.0 <= dark) & (dark <= 1.0)).all()
-            rect, diag = rec1_measure(angle, dark, column, rng)
+            rect, diag = rec1_measure(angle, dark, column, rng.random(64))
             definite, other = (rect, diag) if arrived % 2 == 0 else (diag, rect)
             assert np.isin(definite, (arrived, VACUUM)).all()
             assert np.isin(other, ((arrived + 1) % 4, (arrived + 3) % 4, VACUUM, AMBIGUOUS)).all()
@@ -522,6 +524,7 @@ class TestPnsReadingJointLaw:
     ], ids=["n5_t09_channel1", "n1_t09_channel3", "mu005"])
     def test_reading_follows_the_photons(self, config):
         table = _run_round(self.ENGINE_ROUNDS, config, np.random.default_rng(5000))
+        ranked(table, config)
         assert table.trace_photons is None
         arrived = (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum) & 3
         cell = ((table.rect.astype(np.int64) * 6 + table.diag) * 4 + arrived) * 2 + table.eve_event

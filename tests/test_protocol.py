@@ -9,16 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from session_records import recorded
+from session_records import ranked, recorded
 from test_optics import counted_dark
 
 from sqss import protocol
 from sqss.adversary import EveSummary
 from sqss.config import MAX_RECEIVERS, ConfigError, SimConfig
 from sqss.optics import (
+    _REC1_CODES,
     AMBIGUOUS,
     QUARTER_TURN,
     VACUUM,
+    _rec1_bounds,
+    coherent_dark,
+    rec1_definite,
     rec1_measure,
 )
 from sqss.protocol import (
@@ -71,11 +75,13 @@ class ZeroRng:
 def engine_rounds(size, rng, records=False, **fields):
     """``size`` rounds of the round engine on a ring of these config fields;
     with ``records``, theta and each phi_i and s_i drawn behind them, as a
-    session does (here from the same ``rng``)."""
+    session does (here from the same ``rng``), and both of Rec-1's arms
+    ranked from its uniforms."""
     config = SimConfig(**fields)
     table = _run_round(size, config, rng)
     if records:
         _draw_secrets(table, config.receivers, rng)
+        ranked(table, config)
     return table
 
 
@@ -195,7 +201,7 @@ class TestSenderOps:
         rng = np.random.default_rng(0)
         n_trials = 20000
         cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, trace=True)
-        table = _run_round(n_trials, cfg, rng)
+        table = ranked(_run_round(n_trials, cfg, rng), cfg)
         _draw_trace(table, cfg, rng)
         stage = table.trace_stages.index
         offered = table.trace_photons[:, stage("rec1_forward")].sum()
@@ -231,12 +237,12 @@ class TestReceiverOps:
 class TestRec1Measure:
     def test_aligned_rect_arm_is_deterministic(self):
         rng = np.random.default_rng(12)
-        rect, diag = rec1_measure(np.array([2]), *counted_dark(np.array([400]), 1.0), rng)
+        rect, diag = rec1_measure(np.array([2]), *counted_dark(np.array([400]), 1.0), rng.random(1))
         assert rect.tolist() == [2]
 
     def test_vacuum_pulse_gives_vacuum_arms(self):
         rng = np.random.default_rng(13)
-        rect, diag = rec1_measure(np.array([0]), *counted_dark(np.array([0]), 1.0), rng)
+        rect, diag = rec1_measure(np.array([0]), *counted_dark(np.array([0]), 1.0), rng.random(1))
         assert rect.tolist() == diag.tolist() == [VACUUM]
 
     def test_arm_vacuum_frequency(self):
@@ -245,7 +251,7 @@ class TestRec1Measure:
         rng = np.random.default_rng(14)
         mu_final = 2.0
         n = 100000
-        rect = engine_rounds(n, rng, receivers=1, mean_photons=mu_final).rect
+        rect = engine_rounds(n, rng, records=True, receivers=1, mean_photons=mu_final).rect
         vacuums = np.count_nonzero(rect == VACUUM)
         expected = math.exp(-mu_final / 2.0)
         sigma = math.sqrt(expected * (1 - expected) / n)
@@ -260,23 +266,35 @@ class TestRec1Measure:
     def test_reads_the_traced_polarization_as_whole_quarter_turns(self, config, monkeypatch):
         # The engine gives Rec-1 the angle it receives in quarter turns, never
         # the float polarization the rotation ledger follows around the ring:
-        # the two must name the same angle on every round.
+        # the two must name the same angle on every round. Sifting reads it,
+        # and the records rank both arms from it, each over the whole chunk.
         arrived = []
 
-        def spy(angle, dark, column, rng):
-            arrived.append(angle)
-            return rec1_measure(angle, dark, column, rng)
+        def spy(read):
+            return lambda angle, *law: arrived.append(angle) or read(angle, *law)
 
-        monkeypatch.setattr(protocol, "rec1_measure", spy)
+        monkeypatch.setattr(protocol, "rec1_definite", spy(rec1_definite))
+        monkeypatch.setattr(protocol, "rec1_measure", spy(rec1_measure))
         _, table = recorded(dataclasses.replace(config, trace=True))
         traced = dict(zip(table.trace_stages, _polarizations(table)))["rec1_backward"]
-        gap = (traced - np.concatenate(arrived) * QUARTER_TURN) % math.pi
-        assert len(gap) == config.rounds
-        assert np.minimum(gap, math.pi - gap).max() < 1e-9
+        assert len(arrived) == 2
+        for angle in arrived:
+            gap = (traced - angle * QUARTER_TURN) % math.pi
+            assert len(gap) == config.rounds
+            assert np.minimum(gap, math.pi - gap).max() < 1e-9
 
 
-def _make_table(shuffles, j, bit, rect, diag):
-    """A one-round table with the given secrets and arm outcome codes."""
+# Rec-1's law for the hand-built tables: a coherent pulse whose eight cells all have width
+_DARK = coherent_dark(3.0)
+
+
+def _make_table(shuffles, j, bit, rect, diag, offset=None):
+    """A one-round table with the given secrets (and Eve's guess offset) whose
+    Rec-1 uniform, ranked in ``_DARK``, reads the given arm outcome codes."""
+    arrived = (_key_angle(bit, j) + sum(shuffles) + (offset or 0)) & 3
+    (cell,) = [c for c in range(8) if tuple(_REC1_CODES[:, arrived * 8 + c]) == (rect, diag)]
+    bounds = np.concatenate(([0.0], _rec1_bounds(_DARK[0])[:, 0], [1.0]))
+    assert bounds[cell] < bounds[cell + 1]
     return RoundTable(
         theta=np.zeros(1),
         phis=np.zeros((1, len(shuffles))),
@@ -284,46 +302,54 @@ def _make_table(shuffles, j, bit, rect, diag):
         shuffle_sum=np.array([sum(shuffles)], dtype=np.int8),
         basis_choice=np.array([j], dtype=np.int8),
         bit=np.array([bit], dtype=np.int8),
-        rect=np.array([rect], dtype=np.int8),
-        diag=np.array([diag], dtype=np.int8),
+        rec1_uniform=np.array([(bounds[cell] + bounds[cell + 1]) / 2]),
+        eve_offset=None if offset is None else np.array([offset], dtype=np.int8),
     )
 
 
 class TestSift:
     def test_selects_the_arm_matching_the_actual_basis(self):
         # j=1 with an even shuffle sum keeps the rectilinear arm.
-        table = _make_table((0, 2), 1, 0, 0, VACUUM)
+        table = _make_table((0, 2), 1, 0, 2, VACUUM)
         assert table.sifted is None
-        kept = sift(table)
+        kept = sift(table, *_DARK)
         assert kept.tolist() == [0]
-        assert table.sifted.tolist() == [0]
-        assert table.rect.tolist() == [0]
+        assert table.sifted.tolist() == [2]
+        assert table.rect is None and table.diag is None  # no arm is left behind
 
     def test_odd_parity_selects_the_diagonal_arm(self):
         table = _make_table((1, 0), 1, 0, VACUUM, 1)
-        assert sift(table).tolist() == [0]
+        assert sift(table, *_DARK).tolist() == [0]
         assert table.sifted.tolist() == [1]
 
     def test_vacuum_on_selected_arm_discards(self):
         table = _make_table((0, 0), 1, 0, VACUUM, 1)
-        assert sift(table).tolist() == []
+        assert sift(table, *_DARK).tolist() == []
         assert table.sifted.tolist() == [VACUUM]
 
     def test_ambiguous_on_selected_arm_discards(self):
-        table = _make_table((0, 0), 1, 0, AMBIGUOUS, 1)
-        assert sift(table).tolist() == []
+        # only a split arm can be ambiguous: Eve's odd offset makes it the selected one
+        table = _make_table((0, 0), 1, 0, AMBIGUOUS, 1, offset=1)
+        assert sift(table, *_DARK).tolist() == []
         assert table.sifted.tolist() == [AMBIGUOUS]
 
     def test_unselected_arm_state_is_irrelevant(self):
         table = _make_table((0, 0), 1, 1, 2, AMBIGUOUS)
-        assert sift(table).tolist() == [0]
+        assert sift(table, *_DARK).tolist() == [0]
 
-    def test_wrapped_shuffle_sum_sifts_and_decodes(self):
+    def test_wrapped_shuffle_sum_sifts_and_decodes(self, monkeypatch):
         # At the receiver cap the shuffles' exact sum leaves int8's range.
         # The engine keeps it mod 4, and an int8 sum wrapped mod 256, a
         # multiple of 4, must sift and decode the same.
         cfg = SimConfig(receivers=MAX_RECEIVERS, rounds=2000, parity_block=0, seed=81,
                         trace=True)
+        read = []  # the one chunk as sifting got it, with its Rec-1 uniforms, and the law
+
+        def spy(chunk, *law):
+            read.append((dataclasses.replace(chunk), law))
+            return sift(chunk, *law)
+
+        monkeypatch.setattr(protocol, "sift", spy)
         res, table = recorded(cfg)
         exact = table.shuffles.sum(axis=1, dtype=np.int64)
         assert (exact > np.iinfo(np.int8).max).any()
@@ -331,9 +357,10 @@ class TestSift:
         assert res.qber == 0.0
         assert res.verdict.accepted
         kept = np.flatnonzero(table.sifted < VACUUM)
-        wrapped = dataclasses.replace(table, shuffle_sum=exact.astype(np.int8))
+        (chunk, law), = read
+        wrapped = dataclasses.replace(chunk, shuffle_sum=exact.astype(np.int8))
         assert (wrapped.shuffle_sum < 0).any()
-        assert np.array_equal(sift(wrapped), kept)
+        assert np.array_equal(sift(wrapped, *law), kept)
         assert np.array_equal(wrapped.sifted, table.sifted)
         assert np.array_equal(_decode(wrapped.sifted[kept], wrapped.shuffle_sum[kept]),
                               table.decoded[kept])
@@ -382,6 +409,29 @@ class TestRecords:
         assert stats.chisquare(pairs).pvalue > 1e-3
         assert 0.0 <= table.theta.min() and table.phis.max() < math.pi
 
+    @pytest.mark.parametrize("config", [
+        SimConfig(receivers=2, rounds=5000, seed=87),
+        SimConfig(receivers=MAX_RECEIVERS, rounds=2000, seed=87),
+        SimConfig(transmission=0.9, adversary="pns", pns_channel=1, rounds=5000, seed=87),
+        SimConfig(transmission=0.9, adversary="pns", pns_channel=3, rounds=5000, seed=87),
+        SimConfig(transmission=0.9, adversary="pns", pns_channel=4, rounds=5000, seed=87),
+        SimConfig(adversary="tag", bs_ratio=0.5, rounds=5000, seed=87),
+        SimConfig(transmission=0.5, adversary="impersonate", rounds=5000, seed=87),
+        SimConfig(receivers=3, dishonest_receiver=2, rounds=5000, seed=87),
+        SimConfig(receivers=5, transmission=0.9, adversary="pns", pns_channel=1,
+                  target_key_bits=3000, seed=87),
+    ], ids=["honest_n2", "honest_n150", "pns_c1", "pns_c3", "pns_c4", "tag_bs05",
+            "impersonate_t05", "dishonest_n3", "pns_key_bits"])
+    def test_sifted_arm_is_the_parity_arm_of_the_ranked_arms(self, config):
+        # Sifting reads one arm, the records rank both behind the chunk from
+        # the same uniforms: the arm sifting kept must be the basis-matching
+        # one of the ranked pair on every round, and the records move nothing.
+        result, table = recorded(config)
+        even = ((table.basis_choice - 1 + table.shuffle_sum) & 1) == 0
+        assert np.array_equal(table.sifted, np.where(even, table.rect, table.diag))
+        assert table.rec1_uniform is None
+        assert result == run_session(config)
+
     def test_records_leave_the_session_as_it_was(self, monkeypatch):
         sift, draw_secrets = protocol.sift, protocol._draw_secrets
         for config in (
@@ -400,7 +450,8 @@ class TestRecords:
                       rounds=70_000, seed=85),
         ):
             sums, drawn = [], []  # each chunk's shuffle sums, and its secret draws
-            monkeypatch.setattr(protocol, "sift", lambda t: sums.append(t.shuffle_sum) or sift(t))
+            monkeypatch.setattr(protocol, "sift",
+                                lambda t, *law: sums.append(t.shuffle_sum) or sift(t, *law))
             monkeypatch.setattr(protocol, "_draw_secrets",
                                 lambda *a: drawn.append(a) or draw_secrets(*a))
             plain = run_session(config)
@@ -963,10 +1014,12 @@ class TestBoundedResources:
         cfg = SimConfig(receivers=receivers, transmission=0.5, adversary="impersonate",
                         trace=True)
         rng = np.random.default_rng(82)
-        _draw_trace(_run_round(rounds, cfg, rng), cfg, rng)  # warm-up: first-call allocations
+        # warm-up: first-call allocations
+        _draw_trace(ranked(_run_round(rounds, cfg, rng), cfg), cfg, rng)
         tracemalloc.start()
         try:
             table = _run_round(rounds, cfg, rng)
+            ranked(table, cfg).rec1_uniform = None  # read: a session drops them
             _draw_secrets(table, receivers, rng)
             _draw_trace(table, cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]

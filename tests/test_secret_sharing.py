@@ -25,7 +25,7 @@ from test_optics import counted_dark
 
 from sqss.adversary import pns_dark
 from sqss.config import SimConfig
-from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark
+from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark, rec1_measure
 from sqss.protocol import RoundTable, _decode, _key_angle, sift
 
 
@@ -66,9 +66,16 @@ def test_exact_law_hides_the_bit_from_every_strict_coalition(receivers):
     shuffles = tuples[index]
     shuffle_sum = shuffles.sum(axis=1) & 3
     arrived = (_key_angle(bit, j) + shuffle_sum) & 3
-    rect, diag = _REC1_CODES[:, arrived * 8 + cell]
-    table = RoundTable(shuffle_sum.astype(np.int8), j, bit, rect=rect, diag=diag)
-    kept = sift(table)
+    # each round's Rec-1 uniform at the middle of its cell, in a law where
+    # every cell has width; the arms are ranked from it, as a session does
+    dark, column = DARK_TABLES["coherent"], np.zeros(1, dtype=np.intp)
+    edges = np.concatenate(([0.0], _rec1_bounds(dark)[:, 0], [1.0]))
+    assert (np.diff(edges) > 0.0).all()
+    u = (edges[cell] + edges[cell + 1]) / 2
+    rect, diag = rec1_measure(arrived, dark, column, u)
+    assert np.array_equal(np.array([rect, diag]), _REC1_CODES[:, arrived * 8 + cell])
+    table = RoundTable(shuffle_sum.astype(np.int8), j, bit, rec1_uniform=u)
+    kept = sift(table, dark, column)
     public = (j[kept] - 1) * 2 + (shuffle_sum[kept] & 1)
     for name, dark in DARK_TABLES.items():
         # the engine's cell code: a cell counts the bounds at or below a uniform

@@ -85,11 +85,17 @@ SCENARIOS: dict[str, tuple[list[str], int]] = {
                                 out=False), ABORT),
     "impersonate": (_simulate("adversary=impersonate", "transmission=0.5",
                               "rounds=2000"), ABORT),
+    # two chunks with no records: sifting reads the split arm of Eve's odd offsets in each
+    "impersonate_70k": (_simulate("adversary=impersonate", "transmission=0.5", "rounds=70000",
+                                  out=False), ABORT),
     "dishonest": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=2000"), DISHONEST),
     # two chunks: the liar's corruption of the first is drawn before the second's physics
     "dishonest_70k": (_simulate("receivers=3", "dishonest_receiver=2", "rounds=70000", out=False),
                       DISHONEST),
     "key_bits": (_simulate("key_bits=5000"), ACCEPT),
+    # the target cut on a session whose other arm is never ranked
+    "pns_c1_key_bits": (_simulate("adversary=pns", "pns_channel=1", "transmission=0.9",
+                                  "key_bits=3000", out=False), ACCEPT),
     "honest_n150": (_simulate("receivers=150", "rounds=500"), ACCEPT),
     "rounds_200k": (_simulate("rounds=200000", out=False), ACCEPT),
     # two chunks each: row indices and every record run on across the chunk boundary
