@@ -172,15 +172,18 @@ def impersonate_round(
 
 
 def impersonate_rounds(
-    counts: np.ndarray, rng: np.random.Generator
+    mean: float, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's USD event on a chunk of intercepted pulses with these photon counts.
+    """Eve's USD event on ``size`` intercepted pulses of Poisson ``mean``.
 
-    Returns Eve's guess offsets in quarter turns, as int8, and the mask of
-    rounds where her discrimination succeeded.
+    Her pulse is independent of the substitute she sends on, so its photon
+    count is a draw of its own. Returns Eve's guess offsets in quarter
+    turns, as int8 (0 where she succeeded, a uniform guess elsewhere), and
+    the mask of rounds where her discrimination succeeded.
     """
-    success = rng.random(len(counts)) < usd_success(counts)
-    return np.where(success, 0, rng.integers(4, size=len(counts))).astype(np.int8), success
+    counts = rng.poisson(mean, size)
+    success = rng.random(size) < usd_success(counts)
+    return (rng.integers(4, size=size) * ~success).astype(np.int8), success
 
 
 def ml_single_photon_estimator(

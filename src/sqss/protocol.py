@@ -414,13 +414,10 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     elif config.adversary == "impersonate":
         # Eve keeps Alice's encoded pulse and discriminates it, then
         # re-encodes her result onto the substitute pulse the receivers
-        # actually process. Her pulse is independent of the substitute,
-        # so its count is a draw of its own; in angle bookkeeping the
-        # substitute is the honest pulse shifted by her guess error.
-        t = config.hop_transmission()
-        usd_mean = adv.intercepted_mean(config.mean_photons, config.bs_ratio, t)
-        counts = rng.poisson(usd_mean, size)
-        table.eve_offset, table.eve_event = adv.impersonate_rounds(counts, rng)
+        # actually process; in angle bookkeeping the substitute is the
+        # honest pulse shifted by her guess error.
+        table.eve_offset, table.eve_event = adv.impersonate_rounds(adv.intercepted_mean(
+            config.mean_photons, config.bs_ratio, config.hop_transmission()), size, rng)
     elif config.adversary == "pns":  # Eve's reading of the pulse on her hop
         _, _, _, mean, _ = _light(config)
         table.eve_event = adv.pns_intercept(mean, size, rng)
@@ -476,8 +473,8 @@ def _draw_trace(table: RoundTable, config: SimConfig, rng: np.random.Generator) 
     stages by binomial thinning (``thin_batch``)."""
     steps, shares, hop, lam, q = _light(config)
     size = len(table)
-    arms = np.array([table.rect, table.diag])
-    definite, other = np.where(_arrived(table) & 1, arms[::-1], arms)
+    flip = (table.diag - table.rect) * (_arrived(table) & 1)  # np.where is slower on int8
+    definite, other = table.rect + flip, table.diag - flip
     stored = table.eve_event if hop else np.zeros(size, dtype=bool)
     lit = np.array([definite != VACUUM, other != VACUUM, other == AMBIGUOUS])
     lit = np.vstack((lit, stored & ~lit.any(axis=0)))  # her forwarded photons all lost

@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` finds each layer by the attribute names in its
 ``PATCHES`` and skips a name the package no longer has, so a renamed
 function silently turns its layer's metrics into None. CI's traced
-smoke run fails on that; this test fails first, on every Python.
+smoke runs (``tools/ci_checks.py``) fail on that; this test fails first,
+on every Python.
 """
 
 import importlib.util
@@ -11,26 +12,29 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-# The layers whose metrics CI's traced smoke runs require.
-REQUIRED = (
-    "protocol.round", "protocol.sift", "protocol.decode", "channel", "optics",
-    "protocol.reconcile", "protocol.toeplitz", "protocol.digest", "adversary.score",
-    "adversary.intercept", "adversary.usd",
-)
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("layer", REQUIRED)
+def required_layers():
+    """The layer of each metric CI's smoke runs require, less the tracer's roots,
+    which wrap no name of the package."""
+    smoke = load(ROOT / "tools" / "ci_checks.py").SMOKE
+    layers = dict.fromkeys(metric.rsplit(".", 1)[0] for present, nonzero in smoke.values()
+                           for metric in present + nonzero)
+    return [layer for layer in layers if layer not in load(TRACING).ROOTS.values()]
+
+
+@pytest.mark.parametrize("layer", required_layers())
 def test_every_required_layer_names_code_in_the_package(layer):
-    names = [(module, name) for module, name, patched, _ in load_tracing().PATCHES
+    names = [(module, name) for module, name, patched, _ in load(TRACING).PATCHES
              if patched == layer]
     assert names, f"{layer} is not a layer of the tracer"
     present = [f"{module.__name__}.{name}" for module, name in names
