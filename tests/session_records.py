@@ -1,13 +1,22 @@
-"""A session's records, joined into one table for the tests that read every round,
-and both of Rec-1's arms ranked behind a round as a session with records does."""
+"""The one helper module of the tests: a session's records joined into one
+table, and the small helpers more than one test module reads.
 
+A test that reads what a session records runs the real ``run_session``
+through ``recorded``, never a hand-built copy of its chunk pipeline. No
+test module imports another (``test_imports.py``).
+"""
+
+import importlib.util
+import math
+import random
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from sqss.config import SimConfig
-from sqss.optics import rec1_measure
-from sqss.protocol import RoundTable, SessionResult, _arrived, _light, _rec1_dark, run_session
+from sqss.optics import dark_points
+from sqss.protocol import RoundTable, SessionResult, run_session
 
 
 def recorded(config: SimConfig) -> tuple[SessionResult, RoundTable]:
@@ -21,9 +30,34 @@ def recorded(config: SimConfig) -> tuple[SessionResult, RoundTable]:
     return result, table
 
 
-def ranked(table: RoundTable, config: SimConfig) -> RoundTable:
-    """Fill in ``table``'s ``rect`` and ``diag`` from its own Rec-1 uniforms,
-    against the law of ``config``'s ring; returns the table."""
-    dark, column = _rec1_dark(_light(config), table.eve_event)
-    table.rect, table.diag = rec1_measure(_arrived(table), dark, column, table.rec1_uniform)
-    return table
+def counted_dark(count, q):
+    """Rec-1's dark table for pulses counted at ``count`` photons, each
+    reaching its splitter with probability ``q``: a class per distinct
+    count m, g_k = y_k^m (0^0 = 1: a pulse that brings no photon stays
+    dark). Returns the table and each pulse's column."""
+    counts, column = np.unique(count, return_inverse=True)
+    return np.power(dark_points(q), counts), column
+
+
+def circular_distance(a, b):
+    """Distance between two polarizations on the half-circle, which wraps at pi."""
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
+def _poisson(r: random.Random, lam: float) -> int:
+    """Knuth's method: count uniforms until their product drops below exp(-lam)."""
+    limit, k, product = math.exp(-lam), 0, r.random()
+    while product > limit:
+        k += 1
+        product *= r.random()
+    return k
+
+
+def load_script(path: Path):
+    """The script at ``path`` (under ``tools/`` or ``demos/``), imported as a
+    module named after its file."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -7,34 +7,27 @@ smoke runs (``tools/ci_checks.py``) fail on that; this test fails first,
 on every Python.
 """
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+from session_records import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def load(path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def required_layers():
     """The layer of each metric CI's smoke runs require, less the tracer's roots,
     which wrap no name of the package."""
-    smoke = load(ROOT / "tools" / "ci_checks.py").SMOKE
+    smoke = load_script(ROOT / "tools" / "ci_checks.py").SMOKE
     layers = dict.fromkeys(metric.rsplit(".", 1)[0] for present, nonzero in smoke.values()
                            for metric in present + nonzero)
-    return [layer for layer in layers if layer not in load(TRACING).ROOTS.values()]
+    return [layer for layer in layers if layer not in load_script(TRACING).ROOTS.values()]
 
 
 @pytest.mark.parametrize("layer", required_layers())
 def test_every_required_layer_names_code_in_the_package(layer):
-    names = [(module, name) for module, name, patched, _ in load(TRACING).PATCHES
+    names = [(module, name) for module, name, patched, _ in load_script(TRACING).PATCHES
              if patched == layer]
     assert names, f"{layer} is not a layer of the tracer"
     present = [f"{module.__name__}.{name}" for module, name in names

@@ -49,7 +49,7 @@ def test_negative_parameters_rejected():
         transmission(1.0, -0.2)
 
 
-def test_attenuate_scales_mean_only():
+def test_thinned_poisson_count_is_poisson():
     # Thinning a Poisson count leaves a Poisson count of mean mu * t:
     # the vacuum probability and the mean both follow the scaled mean.
     rng = np.random.default_rng(11)
@@ -61,7 +61,7 @@ def test_attenuate_scales_mean_only():
     assert abs(counts.mean() - 3.0) < 3 * math.sqrt(3.0 / n)
 
 
-def test_attenuate_is_multiplicative():
+def test_thin_batch_is_multiplicative():
     # Two hops of 0.7 lose photons exactly like one hop of 0.49.
     rng = np.random.default_rng(5)
     n = 10000
@@ -91,6 +91,30 @@ def test_thin_batch_statistics():
 def test_thin_batch_lossless_keeps_every_photon():
     rng = np.random.default_rng(0)
     assert thin_batch(pulses(7), 1.0, rng).tolist() == [7]
+
+
+def test_negative_count_rejected():
+    # a photon count is never negative: thinning one raises
+    with pytest.raises(ValueError):
+        thin_batch(np.array([2, -1]), 0.5, np.random.default_rng(0))
+
+
+@given(st.integers(0, 200), st.floats(min_value=0.0, max_value=1.0, allow_nan=False,
+                                      exclude_min=True))
+def test_split_conserves_photons(count, ratio):
+    # the first port never takes more than arrived, the other the rest
+    rng = np.random.default_rng(count + 1)
+    first = thin_batch(np.array([count]), ratio, rng)
+    assert 0 <= first[0] <= count
+
+
+def test_split_is_binomial():
+    rng = np.random.default_rng(42)
+    n_trials = 20000
+    kept = thin_batch(np.full(n_trials, 10), 0.3, rng).sum()
+    mean = kept / n_trials
+    sigma = math.sqrt(10 * 0.3 * 0.7 / n_trials)
+    assert abs(mean - 3.0) < 3 * sigma
 
 
 def test_equal_ring_shape():

@@ -3,23 +3,13 @@ rows say. Fed synthetic values and benchmark last lines, every row passes
 clean input and fails, naming the field, each value that misses. No row
 runs here: no benchmark and no 10^7-round session."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+from session_records import load_script
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "ci_checks.py"
-
-
-def load_checks():
-    spec = importlib.util.spec_from_file_location("ci_checks", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-CHECKS = load_checks()
+CHECKS = load_script(Path(__file__).resolve().parent.parent / "tools" / "ci_checks.py")
 REQUIRED = [(key, metric) for key, (present, nonzero) in CHECKS.SMOKE.items()
             for metric in present + nonzero]
 NONZERO = [(key, metric) for key, (_, nonzero) in CHECKS.SMOKE.items() for metric in nonzero]

@@ -1,21 +1,15 @@
 """The committed CLI matrix (``tools/cli_matrix.py``) runs, and every
 scenario exits with the code listed for it."""
 
-import importlib.util
 from pathlib import Path
+
+from session_records import load_script
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py"
 
 
-def load_matrix():
-    spec = importlib.util.spec_from_file_location("cli_matrix", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_scenario_exits_as_listed(tmp_path):
-    matrix = load_matrix()
+    matrix = load_script(SCRIPT)
     codes = matrix.run_matrix(tmp_path)
     assert codes == {name: code for name, (_, code) in matrix.SCENARIOS.items()}
     for name, (argv, code) in matrix.SCENARIOS.items():

@@ -7,13 +7,13 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from session_records import recorded
-from test_cli_matrix import load_matrix
+from session_records import load_script, recorded
 
 from sqss import analysis, cli, protocol
 from sqss.analysis import error_curve, p_error_closed_form
@@ -346,7 +346,7 @@ class TestCliSimulate:
 
     def test_trace_does_not_move_the_report(self, tmp_path, capsys):
         # every traced scenario of the CLI matrix prints the report of its untraced twin
-        matrix = load_matrix()
+        matrix = load_script(Path(__file__).resolve().parent.parent / "tools" / "cli_matrix.py")
         sessions = [(argv, [a for a in argv if a != "--trace"])
                     for name, (argv, _) in matrix.SCENARIOS.items() if name.startswith("trace_")]
         text = matrix.CONFIG_FILES["config_file"]

@@ -18,22 +18,13 @@ import random
 import numpy as np
 import pytest
 from scipy import stats
-from session_records import recorded
+from session_records import _poisson, recorded
 
 from sqss.adversary import intercepted_mean, usd_success
 from sqss.config import SimConfig
 from sqss.optics import AMBIGUOUS, QUARTER_TURN, VACUUM
 
 CATEGORIES = ("kept_correct", "kept_wrong", "vacuum", "ambiguous")
-
-
-def _poisson(r: random.Random, lam: float) -> int:
-    """Knuth's method: count uniforms until their product drops below exp(-lam)."""
-    limit, k, product = math.exp(-lam), 0, r.random()
-    while product > limit:
-        k += 1
-        product *= r.random()
-    return k
 
 
 def _binomial(r: random.Random, n: int, p: float) -> int:

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is read somewhere in the package.
+"""Every name a module of the package, the tests, the tools or the demos
+imports is used in that module; no test module imports another; and every
+private module-level name is read somewhere in the package.
 
 Deleting code tends to leave its imports and its private helpers behind;
 this catches both with the stdlib parser alone. ``__init__.py`` is
 skipped by the import check, since it imports names to re-export them.
+Helpers that more than one test module reads live in
+``tests/session_records.py``, so each has one copy.
 """
 
 import ast
@@ -11,9 +14,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sqss"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sqss"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SCRIPTS = TESTS + sorted(p for d in ("tools", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,9 +42,36 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: AMBIGUOUS", "line 2: np"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=[p.stem for p in MODULES]
+                         + [f"{p.parent.name}/{p.stem}" for p in SCRIPTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_test_modules(source: str) -> list[str]:
+    """Each dotted name ``source`` imports that lies in a ``test_*`` module."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in imported
+            if any(part.startswith("test_") for part in name.split("."))]
+
+
+def test_the_check_finds_an_import_of_a_test_module():
+    assert TESTS, f"no test modules found under {ROOT / 'tests'}"
+    source = ("import test_optics\nfrom test_engine_agreement import _poisson\n"
+              "from tests import test_protocol\nfrom session_records import recorded\n")
+    assert imported_test_modules(source) == [
+        "test_optics", "test_engine_agreement._poisson", "tests.test_protocol",
+    ]
+
+
+def test_no_test_module_imports_another():
+    imports = {p.name: imported_test_modules(p.read_text(encoding="utf-8")) for p in TESTS}
+    assert {name: found for name, found in imports.items() if found} == {}
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from session_records import ranked, recorded
-from test_optics import counted_dark
+from session_records import circular_distance, counted_dark, recorded
 
 from sqss import protocol
 from sqss.adversary import EveSummary
-from sqss.config import MAX_RECEIVERS, ConfigError, SimConfig
+from sqss.config import MAX_RECEIVERS, SimConfig
 from sqss.optics import (
     _REC1_CODES,
     AMBIGUOUS,
@@ -29,13 +28,9 @@ from sqss.protocol import (
     RoundTable,
     VerdictKind,
     _decode,
-    _draw_secrets,
-    _draw_trace,
     _fft_length,
     _key_angle,
     _polarizations,
-    _run_round,
-    decode_table,
     integrity_check,
     key_digest,
     parity_survivor_indices,
@@ -44,46 +39,6 @@ from sqss.protocol import (
     sift,
     toeplitz_compress,
 )
-
-# The conventional 4x4 tabulation of the two-receiver decode map, rows
-# and columns ordered (0, pi/2, pi/4, -pi/4) in quarter-turn notation.
-# It lists the difference the other way around (rec2 minus rec1), which
-# negates our entries: negation on the quarter-turn cycle swaps the two
-# diagonal angles and fixes the rectilinear ones.
-CONVENTIONAL_TABLE = [
-    [0, 2, 3, 1],
-    [2, 0, 1, 3],
-    [1, 3, 0, 2],
-    [3, 1, 2, 0],
-]
-
-
-class ZeroRng:
-    """Stand-in whose uniform draws are always zero; every other draw comes
-    from a seeded generator."""
-
-    def __init__(self):
-        self.rng = np.random.default_rng(0)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-    def random(self, size):
-        return np.zeros(size)
-
-
-def engine_rounds(size, rng, records=False, **fields):
-    """``size`` rounds of the round engine on a ring of these config fields;
-    with ``records``, theta and each phi_i and s_i drawn behind them, as a
-    session does (here from the same ``rng``), and both of Rec-1's arms
-    ranked from its uniforms."""
-    config = SimConfig(**fields)
-    table = _run_round(size, config, rng)
-    if records:
-        _draw_secrets(table, config.receivers, rng)
-        ranked(table, config)
-    return table
-
 
 def stages(theta, phis, shuffles, bit, basis):
     """One honest round's polarization after each stage, from the rotation
@@ -99,12 +54,6 @@ def stages(theta, phis, shuffles, bit, basis):
         diag=np.zeros(1, dtype=np.int8),
     )
     return [float(p[0]) for p in _polarizations(table)]
-
-
-def circular_distance(a, b):
-    """Distance between two polarizations on the half-circle, which wraps at pi."""
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)
 
 
 class TestEncodeMap:
@@ -143,28 +92,10 @@ class TestCooperativeDecode:
         rec1_decision = (measured - shuffles[0]) % 4 if shuffles else measured
         assert _decode(rec1_decision, sum(shuffles[1:])) == k_turns
 
-    def test_table_is_a_latin_square(self):
-        table = decode_table()
-        for row in table:
-            assert sorted(row) == [0, 1, 2, 3]
-        for col in range(4):
-            assert sorted(table[r][col] for r in range(4)) == [0, 1, 2, 3]
-
-    def test_table_matches_conventional_tabulation_up_to_sign(self):
-        table = decode_table()
-        for r in range(4):
-            for c in range(4):
-                assert table[r][c] == (-CONVENTIONAL_TABLE[r][c]) % 4
-
 
 class TestSenderOps:
-    def test_prepare_with_theta_forced_to_zero(self):
-        table = engine_rounds(1, ZeroRng(), records=True, receivers=1, mean_photons=6.0)
-        assert table.theta.tolist() == [0.0]
-
     def test_theta_uniform_on_half_circle(self):
-        rng = np.random.default_rng(8)
-        thetas = engine_rounds(100000, rng, records=True).theta
+        thetas = recorded(SimConfig(rounds=100000, parity_block=0, seed=8))[1].theta
         result = stats.kstest(thetas / math.pi, "uniform")
         assert result.pvalue > 0.01
 
@@ -176,16 +107,15 @@ class TestSenderOps:
 
     def test_encode_applies_full_state_rotation(self):
         # Incoming theta + sum(phi_i + s_i) must leave as k + sum(phi_i + s_i).
-        basis = engine_rounds(1, np.random.default_rng(3)).basis_choice
+        basis = recorded(SimConfig(rounds=1, parity_block=0, seed=3))[1].basis_choice
         incoming, out = stages(0.4, [1.234], [3], 1, int(basis[0]))[1:3]
         assert circular_distance(incoming, 0.4 + 1.234 + 3 * QUARTER_TURN) <= 1e-12
         expected = _key_angle(1, int(basis[0])) * QUARTER_TURN + 1.234 + 3 * QUARTER_TURN
         assert circular_distance(out, expected) <= 1e-12
 
     def test_basis_family_choice_is_balanced(self):
-        rng = np.random.default_rng(9)
         n = 100000
-        table = engine_rounds(n, rng)
+        _, table = recorded(SimConfig(rounds=n, parity_block=0, seed=9))
         basis = table.basis_choice
         ones = int(np.count_nonzero(basis == 1))
         assert set(basis.tolist()) == {1, 2}
@@ -198,11 +128,10 @@ class TestSenderOps:
         # Each photon leaves the storage splitter with the transmitted ratio:
         # on a lossless ring, the traced count behind the encoder against the
         # count that reached Alice.
-        rng = np.random.default_rng(0)
         n_trials = 20000
-        cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, trace=True)
-        table = ranked(_run_round(n_trials, cfg, rng), cfg)
-        _draw_trace(table, cfg, rng)
+        cfg = SimConfig(receivers=1, mean_photons=6.0, bs_ratio=0.5, rounds=n_trials,
+                        parity_block=0, seed=0, trace=True)
+        _, table = recorded(cfg)
         stage = table.trace_stages.index
         offered = table.trace_photons[:, stage("rec1_forward")].sum()
         kept = table.trace_photons[:, stage("alice_encoded")].sum()
@@ -212,22 +141,22 @@ class TestSenderOps:
 
 class TestReceiverOps:
     def test_forward_adds_hide_and_shuffle(self):
-        table = engine_rounds(1, np.random.default_rng(4), records=True, receivers=1)
+        _, table = recorded(SimConfig(receivers=1, rounds=1, parity_block=0, seed=4))
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         out = stages(0.5, phi, s, 0, 1)[1]
         expected = 0.5 + phi[0] + s[0] * QUARTER_TURN
         assert circular_distance(out, expected) <= 1e-12
 
     def test_shuffles_uniform_over_four_values(self):
-        rng = np.random.default_rng(10)
-        shuffles = engine_rounds(100000, rng, records=True, receivers=1).shuffles[:, 0]
+        cfg = SimConfig(receivers=1, rounds=100000, parity_block=0, seed=10)
+        shuffles = recorded(cfg)[1].shuffles[:, 0]
         counts = np.bincount(shuffles, minlength=4)
         assert len(counts) == 4
         assert stats.chisquare(counts).pvalue > 0.01
 
     def test_backward_removes_only_the_hide_angle(self):
         # bit 0 in family 1 encodes the zero angle, so all that returns is s
-        table = engine_rounds(1, np.random.default_rng(6), records=True, receivers=1)
+        _, table = recorded(SimConfig(receivers=1, rounds=1, parity_block=0, seed=6))
         phi, s = table.phis[:, 0], table.shuffles[:, 0]
         encoded, back = stages(0.2, phi, s, 0, 1)[-2:]
         assert circular_distance(back, encoded - phi[0]) <= 1e-12
@@ -248,10 +177,10 @@ class TestRec1Measure:
     def test_arm_vacuum_frequency(self):
         # Each arm of a Poisson pulse sees a Poisson count with half the final
         # mean, on a lossless ring
-        rng = np.random.default_rng(14)
         mu_final = 2.0
         n = 100000
-        rect = engine_rounds(n, rng, records=True, receivers=1, mean_photons=mu_final).rect
+        cfg = SimConfig(receivers=1, mean_photons=mu_final, rounds=n, parity_block=0, seed=14)
+        rect = recorded(cfg)[1].rect
         vacuums = np.count_nonzero(rect == VACUUM)
         expected = math.exp(-mu_final / 2.0)
         sigma = math.sqrt(expected * (1 - expected) / n)
@@ -290,7 +219,7 @@ _DARK = coherent_dark(3.0)
 
 def _make_table(shuffles, j, bit, rect, diag, offset=None):
     """A one-round table with the given secrets (and Eve's guess offset) whose
-    Rec-1 uniform, ranked in ``_DARK``, reads the given arm outcome codes."""
+    Rec-1 uniform, read against ``_DARK``, gives the given arm outcome codes."""
     arrived = (_key_angle(bit, j) + sum(shuffles) + (offset or 0)) & 3
     (cell,) = [c for c in range(8) if tuple(_REC1_CODES[:, arrived * 8 + c]) == (rect, diag)]
     bounds = np.concatenate(([0.0], _rec1_bounds(_DARK[0])[:, 0], [1.0]))
@@ -484,9 +413,11 @@ class TestToeplitz:
         return out
 
     def test_matches_explicit_matrix_multiply(self):
+        # the transforms run at n - 1 = 7, 16 and 63 points padded to powers
+        # of two, and at 18 = 2 * 3^2; n = 5 hashes by the identity block alone
         rng = np.random.default_rng(55)
         for seed in (0, 1, 99):
-            for n, out_len in [(8, 4), (17, 8), (64, 32), (5, 5)]:
+            for n, out_len in [(8, 4), (17, 8), (64, 32), (5, 5), (19, 8)]:
                 bits = [int(b) for b in rng.integers(0, 2, size=n)]
                 assert toeplitz_compress(bits, out_len, seed).tolist() == self._reference_hash(
                     bits, out_len, seed
@@ -540,8 +471,10 @@ class TestToeplitz:
             toeplitz_compress([1, 0], 3, 0)
 
     def test_fft_path_agrees_with_the_matrix(self):
-        # Inputs this large take the FFT route; it must produce the very
-        # same GF(2) map as the explicit matrix.
+        # Every key hashes through one FFT convolution; 5000 bits transform
+        # at _fft_length(4999) = 5184 = 2^6 * 3^4 points, a 3-smooth length
+        # that is no power of two, and give the very same GF(2) map as the
+        # explicit matrix.
         rng = np.random.default_rng(3)
         bits = [int(b) for b in rng.integers(0, 2, size=5000)]
         out_len = 2500
@@ -1009,23 +942,20 @@ class TestBoundedResources:
     def test_traced_chunk_memory_per_cell(self):
         # A traced chunk's trace writes each stage straight into its column,
         # with no second copy of the trace, and its secrets and trace are
-        # drawn behind it as a session does: config.MAX_RECEIVERS rests on it.
+        # drawn behind it: config.MAX_RECEIVERS rests on it. One chunk of a
+        # session with records that keeps none of them.
         rounds, receivers = 16_384, 10
         cfg = SimConfig(receivers=receivers, transmission=0.5, adversary="impersonate",
-                        trace=True)
-        rng = np.random.default_rng(82)
-        # warm-up: first-call allocations
-        _draw_trace(ranked(_run_round(rounds, cfg, rng), cfg), cfg, rng)
+                        rounds=rounds, parity_block=0, seed=82, trace=True)
+        shapes = []
+        run_session(cfg, lambda t: None)  # warm-up: first-call allocations
         tracemalloc.start()
         try:
-            table = _run_round(rounds, cfg, rng)
-            ranked(table, cfg).rec1_uniform = None  # read: a session drops them
-            _draw_secrets(table, receivers, rng)
-            _draw_trace(table, cfg, rng)
+            run_session(cfg, lambda t: shapes.append(t.trace_photons.shape))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.trace_photons.shape == (rounds, 2 * receivers + 3)
+        assert shapes == [(rounds, 2 * receivers + 3)]
         cell = peak / (rounds * receivers)
         assert cell < 64, f"{cell:.1f} bytes per round x receiver cell"
 

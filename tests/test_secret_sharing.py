@@ -20,8 +20,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from scipy import stats
-from session_records import recorded
-from test_optics import counted_dark
+from session_records import counted_dark, recorded
 
 from sqss.adversary import pns_dark
 from sqss.config import SimConfig
