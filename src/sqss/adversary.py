@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import dark_points, malus
+from .optics import dark_points, malus, uniform_z4
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,12 +178,13 @@ def impersonate_rounds(
 
     Her pulse is independent of the substitute she sends on, so its photon
     count is a draw of its own. Returns Eve's guess offsets in quarter
-    turns, as int8 (0 where she succeeded, a uniform guess elsewhere), and
-    the mask of rounds where her discrimination succeeded.
+    turns, as int8 (0 where she succeeded, a uniform guess on Z4 from
+    ``optics.uniform_z4`` elsewhere), and the mask of rounds where her
+    discrimination succeeded.
     """
     counts = rng.poisson(mean, size)
     success = rng.random(size) < usd_success(counts)
-    return (rng.integers(4, size=size) * ~success).astype(np.int8), success
+    return uniform_z4(size, rng) * ~success, success
 
 
 def ml_single_photon_estimator(

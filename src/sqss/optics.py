@@ -49,6 +49,19 @@ VACUUM = 4
 AMBIGUOUS = 5
 
 
+def uniform_z4(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Independent uniform values on Z4, as int8 0..3, of ``shape``.
+
+    Each value is the low two bits of one byte of the generator's raw
+    64-bit words, ceil(count / 8) of them, read as little-endian bytes so
+    that every host gives the same values; a value's low bit alone is a
+    fair bit. This is several times faster than ``rng.integers``.
+    """
+    count = math.prod(shape) if isinstance(shape, tuple) else shape
+    words = rng.bit_generator.random_raw(-(-count // 8))
+    return (np.asarray(words, "<u8").view(np.int8)[:count] & 3).reshape(shape)
+
+
 def rotate(polarization: np.ndarray, delta: np.ndarray | float) -> np.ndarray:
     """Turn each polarization by ``delta`` (one angle, or one per pulse),
     reduced into [0, pi)."""

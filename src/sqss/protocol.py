@@ -74,6 +74,7 @@ from .optics import (
     rec1_definite,
     rec1_measure,
     rotate,
+    uniform_z4,
 )
 
 # Fraction of surviving bits kept by privacy amplification; public constant.
@@ -267,11 +268,13 @@ def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarr
     keys hashed by the same matrix. With m = ``out_len``, a key x = (x1, x2)
     of head x1 (m bits) and tail x2 (n - m bits) hashes to x1 xor T x2,
     where T is the m x (n - m) Toeplitz matrix drawn from n - 1 seeded bits
-    (Hayashi and Tsurumaru, IEEE Trans. Inf. Theory 62(4), 2016). Distinct
-    keys collide with probability 2**-m over the seed: keys that differ
-    only in the head never collide, and for any nonzero tail T x2 is
-    uniform (Mansour, Nisan and Tiwari, STOC 1990). T x2 is a slice of the
-    FFT convolution of T's diagonal with each tail.
+    (Hayashi and Tsurumaru, IEEE Trans. Inf. Theory 62(4), 2016). Bit i is
+    the low bit of byte i of ``default_rng(hash_seed)``'s raw 64-bit words
+    read little-endian (``optics.uniform_z4``), so the hash is the same on
+    every host. Distinct keys collide with probability 2**-m over the
+    seed: keys that differ only in the head never collide, and for any
+    nonzero tail T x2 is uniform (Mansour, Nisan and Tiwari, STOC 1990).
+    T x2 is a slice of the FFT convolution of T's diagonal with each tail.
     """
     x = np.asarray(bits, dtype=np.uint8)
     n = len(x)
@@ -280,7 +283,7 @@ def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarr
     head, tail = x[:out_len], x[out_len:]
     if out_len in (0, n):  # the empty key, or the identity block alone
         return head.copy()
-    diag = np.random.default_rng(hash_seed).integers(0, 2, size=n - 1, dtype=np.uint8)
+    diag = uniform_z4(n - 1, np.random.default_rng(hash_seed)) & 1
     # a circular convolution of n - 1 points leaves the wanted outputs free of wrap-around
     size = _fft_length(n - 1)
     spectrum = np.fft.rfft(tail.T, size)
@@ -294,8 +297,9 @@ def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int)
 
     The keys are cut into consecutive blocks of ``block_size`` bits, the
     last one possibly shorter. Returns the ascending indices (``np.intp``)
-    of every bit whose block holds an even number of disagreements. The
-    temporaries take 1 byte per bit.
+    of every bit whose block holds an even number of disagreements; equal
+    keys return every index before any block is reduced. The temporaries
+    take 1 byte per bit.
     """
     n = len(key_a)
     if n != len(key_b):
@@ -305,6 +309,8 @@ def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int)
     width = min(block_size, n) or 1  # a block longer than the keys is the whole key
     flips = np.zeros((-(-n // width), width), dtype=bool)  # a zero-padded tail flips nothing
     np.not_equal(key_a, key_b, out=flips.reshape(-1)[:n])
+    if not flips.any():  # equal keys keep every block
+        return np.arange(n, dtype=np.intp)
     kept = ~np.logical_xor.reduce(flips, axis=1)
     return np.flatnonzero(np.repeat(kept, width)[:n])
 
@@ -401,12 +407,13 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     One value on Z4 per round gives Alice's bit and basis, two fair bits;
     another gives the shuffles' sum S, the only secret the light carries to
     Rec-1, sifting and the decode (S is uniform on Z4 like each shuffle).
+    Both rows come from one ``optics.uniform_z4`` draw.
     Eve's tag, USD or PNS event follows; under impersonation her guess
     offset is the ``eve_offset`` column. Rec-1 then draws one uniform per
     round (``rec1_uniform``) and no count: sifting reads it against the
     law of its light (``_rec1_dark``).
     """
-    z4 = rng.integers(4, size=(2, size), dtype=np.int8)
+    z4 = uniform_z4((2, size), rng)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
     table = RoundTable(z4[1], basis, bit)
     if config.adversary == "tag":
@@ -509,10 +516,10 @@ def _draw_secrets(
 
     Theta and the phi_i are independent of everything else: uniforms on
     [0, pi). N independent uniform shuffles conditioned on their sum S
-    are any N - 1 of them i.i.d. uniform on Z4 and the last one completing
-    the sum mod 4. So shuffles drawn short of receiver N are free, and a
-    draw that reaches it completes the sum with the first shuffle it draws:
-    s_1 when it draws them all.
+    are any N - 1 of them i.i.d. uniform on Z4 (``optics.uniform_z4``)
+    and the last one completing the sum mod 4. So shuffles drawn short of
+    receiver N are free, and a draw that reaches it completes the sum with
+    the first shuffle it draws: s_1 when it draws them all.
     """
     size, start = len(table), 0 if table.phis is None else table.phis.shape[1]
     width = (receivers if upto is None else upto) - start
@@ -520,7 +527,7 @@ def _draw_secrets(
         table.theta = rng.random(size) * math.pi
     phis = rng.random((width, size))
     phis *= math.pi
-    shuffles = rng.integers(4, size=(width, size), dtype=np.int8)
+    shuffles = uniform_z4((width, size), rng)
     if start:  # behind the receivers drawn before
         phis, shuffles = np.vstack((table.phis.T, phis)), np.vstack((table.shuffles.T, shuffles))
     if width and start + width == receivers:  # the first shuffle drawn here completes the sum

@@ -13,6 +13,7 @@ from sqss.adversary import (
     USD_SATURATION,
     eve_mean_photons,
     impersonate_round,
+    impersonate_rounds,
     intercepted_mean,
     ml_single_photon_estimator,
     pns_dark,
@@ -59,6 +60,16 @@ class TestUsdSuccess:
         assert usd_success(10**9) == math.nextafter(1.0, 0.0)
         with pytest.raises(ValueError):
             usd_success(np.array([3, -1]))
+
+
+class TestImpersonateRounds:
+    def test_offsets_are_int8_and_zero_where_eve_succeeded(self):
+        # a bright pulse makes both outcomes common; every guess is on Z4
+        offsets, success = impersonate_rounds(6.0, 20_000, np.random.default_rng(14))
+        assert offsets.dtype == np.int8 and offsets.shape == success.shape == (20_000,)
+        assert 0 < success.mean() < 1
+        assert not offsets[success].any()
+        assert set(offsets[~success].tolist()) == {0, 1, 2, 3}
 
 
 class TestEveMeanPhotons:

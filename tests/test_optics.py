@@ -24,6 +24,7 @@ from sqss.optics import (
     malus,
     rec1_measure,
     rotate,
+    uniform_z4,
 )
 from sqss.protocol import _key_angle, _polarizations, run_session
 
@@ -116,6 +117,35 @@ class TestBeamSplit:
             thin_batch(count, -0.01, rng)
         with pytest.raises(ValueError):
             thin_batch(count, 1.01, rng)
+
+
+class TestUniformZ4:
+    """Fair Z4 values from the generator's raw words, the same on every host."""
+
+    @staticmethod
+    def decoded(seed, count):
+        # the low two bits of each byte of the raw words, little-endian, in pure Python
+        words = np.random.default_rng(seed).bit_generator.random_raw(-(-count // 8))
+        return [byte & 3 for word in words for byte in int(word).to_bytes(8, "little")][:count]
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 4271])
+    def test_matches_a_pure_python_decode(self, count):
+        values = uniform_z4(count, np.random.default_rng(31))
+        assert values.dtype == np.int8 and values.shape == (count,)
+        assert values.tolist() == self.decoded(31, count)
+
+    def test_shape_is_filled_row_by_row(self):
+        values = uniform_z4((2, 4271), np.random.default_rng(32))
+        assert values.dtype == np.int8 and values.shape == (2, 4271)
+        assert values.reshape(-1).tolist() == self.decoded(32, 2 * 4271)
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 4271])
+    def test_advances_the_generator_by_the_words_read(self, count):
+        rng = np.random.default_rng(33)
+        uniform_z4(count, rng)
+        expected = np.random.default_rng(33).bit_generator
+        expected.advance(-(-count // 8))
+        assert rng.bit_generator.state == expected.state
 
 
 class TestSampling:

@@ -401,10 +401,12 @@ class TestRecords:
 class TestToeplitz:
     def _reference_hash(self, bits, out_len, seed):
         # Independent route: materialize the matrix [I | T] row by row, T's
-        # entries from the same seeded diagonal sequence, and multiply over GF(2).
+        # diagonal bit i the low bit of byte i of the seeded generator's raw
+        # words read little-endian, and multiply over GF(2).
         n = len(bits)
         tail = n - out_len
-        diag = np.random.default_rng(seed).integers(0, 2, size=n - 1, dtype=np.uint8)
+        words = np.random.default_rng(seed).bit_generator.random_raw(-(-(n - 1) // 8))
+        diag = [byte & 1 for word in words for byte in int(word).to_bytes(8, "little")]
         out = []
         for i in range(out_len):
             row = [int(k == i) for k in range(out_len)]
@@ -541,6 +543,23 @@ class TestReconcile:
         key_b[11] = 1
         survivors = parity_survivor_indices(key_a, key_b, 8)
         assert survivors.tolist() == list(range(0, 8)) + list(range(16, 32))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 4000])
+    def test_equal_keys_keep_every_index(self, n):
+        key = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+        for block in (1, 8, n + 1):
+            survivors = parity_survivor_indices(key, key.copy(), block)
+            assert survivors.dtype == np.intp
+            assert survivors.tolist() == list(range(n))
+
+    @pytest.mark.parametrize("n, block", [(29, 8), (9, 8), (4000, 7), (9, 20)])
+    def test_one_flip_in_the_ragged_last_block_drops_it(self, n, block):
+        # the padded tail flips nothing, so the one flip decides that block alone
+        key_a = np.zeros(n, dtype=np.uint8)
+        key_b = key_a.copy()
+        key_b[-1] = 1
+        last = min(block, n) * ((n - 1) // min(block, n))
+        assert parity_survivor_indices(key_a, key_b, block).tolist() == list(range(last))
 
     def test_parity_example(self):
         assert parity_survivor_indices([0, 1, 1, 0], [0, 1, 0, 0], 2).tolist() == [0, 1]
