@@ -187,21 +187,6 @@ def load_config(path: str | Path) -> SimConfig:
     return parse_config(text)
 
 
-def serialize_config(config: SimConfig) -> str:
-    """Render a SimConfig back to key=value text (round-trips through parse)."""
-    lines = []
-    for key, (attr, kind) in _KEYS.items():
-        value = getattr(config, attr)
-        if value is None:
-            continue
-        if kind is bool:
-            value = "true" if value else "false"
-        elif kind is float:
-            value = repr(float(value))
-        lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
-
-
 def apply_overrides(config: SimConfig, overrides: list[str]) -> SimConfig:
     """Apply ``key=value`` override strings on top of a copy of ``config``;
     the last of a repeated key wins."""

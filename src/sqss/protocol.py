@@ -42,8 +42,10 @@ rest, drawn after hers from another, so they never move her draws.
 
 No photon count is drawn: Eve's PNS hop reads her event from one uniform
 (``adversary.pns_intercept``), and Rec-1 draws one uniform per round
-against the law of what reaches its splitter (``_rec1_dark``). Sifting
-reads only the arm it keeps from it: the definite one with one comparison
+against the law of what reaches its splitter: the coherent pulse of mean
+lambda q (``optics.coherent_dark``), or under ``pns`` the share q of what
+Eve forwards (``adversary.pns_dark``). Sifting reads only the arm it
+keeps from it: the definite one with one comparison
 (``optics.rec1_definite``), or, under impersonation, where Eve's offset
 can make it the split one, both arms (``optics.rec1_measure``). The
 records rank both arms from the same uniforms behind the chunk, and the
@@ -115,14 +117,15 @@ class RoundTable:
     0..3. ``theta``, ``phis`` and ``shuffles``, drawn behind it, are None
     unless Eve's stored photons (``pns``) or the records read them; without
     records, ``phis`` and ``shuffles`` hold only the receivers Eve passed.
-    ``rec1_uniform`` is Rec-1's uniform per round, kept until it is read
-    (None after). Sifting fills in ``sifted``, the code of the arm it
-    keeps, and decoding ``decoded``, the consensus key angle or -1. Both
-    arms' detector outcome codes (``optics``), ``rect`` and ``diag``, are
-    ranked from the same uniforms behind the chunk: they are None unless
-    the records read them. With ``trace`` the records also get each
-    round's photon count after each of ``trace_stages``, drawn behind the
-    chunk (``_draw_trace``); its polarization there is the ledger's fold.
+    ``rec1_uniform`` is Rec-1's uniform per round, kept past sifting only
+    for the records to rank (None in the table they get). Sifting fills in
+    ``sifted``, the code of the arm it keeps, and decoding ``decoded``,
+    the consensus key angle or -1. Both arms' detector outcome codes
+    (``optics``), ``rect`` and ``diag``, are ranked from the same uniforms
+    behind the chunk: they are None unless the records read them. With
+    ``trace`` the records also get each round's photon count after each of
+    ``trace_stages``, drawn behind the chunk (``_draw_trace``); its
+    polarization there is the ledger's fold.
     """
 
     shuffle_sum: np.ndarray  # int8
@@ -411,7 +414,7 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
     Eve's tag, USD or PNS event follows; under impersonation her guess
     offset is the ``eve_offset`` column. Rec-1 then draws one uniform per
     round (``rec1_uniform``) and no count: sifting reads it against the
-    law of its light (``_rec1_dark``).
+    law of the light at Rec-1's splitter.
     """
     z4 = uniform_z4((2, size), rng)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
@@ -430,15 +433,6 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         table.eve_event = adv.pns_intercept(mean, size, rng)
     table.rec1_uniform = rng.random(size)
     return table
-
-
-def _rec1_dark(light: tuple, eve_event: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The law Rec-1 reads its uniforms against (``optics.rec1_measure``) on
-    a ring of this ``_light``: its dark table and each round's column. Under
-    ``pns`` Rec-1 gets the share q of what Eve forwards after her reading
-    (her ``eve_event``), else the coherent pulse."""
-    _, _, hop, mean, q = light
-    return adv.pns_dark(mean, q, eve_event) if hop else coherent_dark(mean * q)
 
 
 def _truncated_exp(rate, u: np.ndarray) -> np.ndarray:
@@ -579,8 +573,8 @@ def run_session(
     for retry. Every draw comes from ``config.seed``.
 
     ``records``, if given, is called with each finished chunk in round
-    order: sifted, with both of Rec-1's arms ranked from the uniforms
-    sifting read, cut at the target, decoded, scored, with its secrets and,
+    order: sifted, cut at the target, decoded and scored, then with both of
+    Rec-1's arms ranked from the uniforms sifting read, its secrets and,
     with ``trace``, its photon counts. No chunk is kept. The secrets are
     drawn behind each chunk's physics (``_draw_secrets``), from streams of
     their own, only where something reads them. Under ``pns`` Eve measures
@@ -598,11 +592,10 @@ def run_session(
     config.validate()
     n = config.receivers
     target = config.target_key_bits
-    # Sifting keeps a round when the selected arm, which holds half of
-    # the photons reaching Rec-1, is not empty. No attack raises that rate.
-    light = _light(config)
-    mu_final = config.mean_photons * math.prod(light[1])  # every share on the route
-    keep_rate = -math.expm1(-mu_final / 2.0)
+    # Sifting keeps a round when the selected arm, which holds half of the
+    # lam * q photons reaching Rec-1, is not empty. No attack raises that rate.
+    _, _, hop, lam, q = _light(config)
+    keep_rate = -math.expm1(-lam * q / 2.0)
     reachable = MAX_ROUNDS * keep_rate
     if target > reachable:
         raise ConfigError(
@@ -611,8 +604,7 @@ def run_session(
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
     rng = np.random.default_rng(config.seed)
-    pns = config.adversary == "pns"
-    if pns:  # Eve's fold on hop c reads theta and the first c - 1 receivers' turns
+    if hop:  # Eve's fold on hop c reads theta and the first c - 1 receivers' turns
         eve_reads = min(config.pns_channel - 1, n)
         eve_secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _EVE_SEED_SALT]))
     if records is not None:
@@ -636,31 +628,32 @@ def run_session(
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
         chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng)
-        dark, column = _rec1_dark(light, chunk.eve_event)
+        dark, column = adv.pns_dark(lam, q, chunk.eve_event) if hop else coherent_dark(lam * q)
         kept = sift(chunk, dark, column)
-        if records is not None:  # both arms, ranked from the uniforms sifting read
-            chunk.rect, chunk.diag = rec1_measure(_arrived(chunk), dark, column, chunk.rec1_uniform)
-        chunk.rec1_uniform = None  # read: gone before Eve's estimator and the decode
+        if records is None:  # read: gone before Eve's estimator and the decode
+            chunk.rec1_uniform = None
         if target and len(kept) >= target - kept_count:
             # The simulator sees sift status before the parties learn it at
             # the basis announcement. Rounds are i.i.d., so cutting the
             # chunk where the target is reached is the same as stopping there.
             kept = kept[: target - kept_count]
             chunk = chunk.rows(0, kept[-1] + 1)
-        if pns:  # Eve measures her stored photons at the polarization on her hop
+        if hop:  # Eve measures her stored photons at the polarization on her hop
             _draw_secrets(chunk, n, eve_secrets, eve_reads)
             chunk.eve_guess = adv.ml_single_photon_estimator(
                 chunk.eve_event, next(islice(_polarizations(chunk), config.pns_channel - 1, None)),
                 chunk.basis_choice, rng,
             )
-        if records is not None:
-            _draw_secrets(chunk, n, secrets)
-            if config.trace:
-                _draw_trace(chunk, config, secrets)
         key_rows.append(_decode_phase(chunk, kept, config.dishonest_receiver, rng))
         if config.adversary != "none":
             eve_counts += _score_eve(config.adversary, chunk, kept)
-        if records is not None:
+        if records is not None:  # both arms, ranked from the uniforms sifting read
+            chunk.rect, chunk.diag = rec1_measure(
+                _arrived(chunk), dark, column[: len(chunk)], chunk.rec1_uniform)
+            _draw_secrets(chunk, n, secrets)
+            if config.trace:
+                _draw_trace(chunk, config, secrets)
+            chunk.rec1_uniform = None  # read
             records(chunk)
         executed += len(chunk)
         kept_count += len(kept)

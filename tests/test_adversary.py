@@ -23,7 +23,7 @@ from sqss.adversary import (
 )
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
-from sqss.optics import QUARTER_TURN, dark_points
+from sqss.optics import AMBIGUOUS, QUARTER_TURN, dark_points
 from sqss.protocol import run_session
 
 
@@ -343,6 +343,69 @@ class TestImpersonation:
     def test_intercepted_hop_is_the_first_backward_hop(self):
         # Eve catches the pulse behind Alice's splitter and one hop of loss
         assert intercepted_mean(6.0, 0.5, 0.8) == 6.0 * 0.5 * 0.8
+
+
+def usd_mean_success(m):
+    """README's P_E: the Poisson average, at mean m, of Eve's discrimination
+    success 1 - 2^(-floor((n-1)/2)) on n >= 1 photons (none on vacuum)."""
+    return sum(math.exp(n * math.log(m) - m - math.lgamma(n + 1)) * (1.0 - 2.0 ** -((n - 1) // 2))
+               for n in range(1, int(m + 20 * math.sqrt(m)) + 60))
+
+
+def impersonated_sifted_law(mu, t, bs, n):
+    """(P_E, the sifted QBER, the rate of ambiguous sifted rounds) of a ring
+    under impersonation. Eve intercepts mu*bs*t photons on average, and
+    receiver 1 gets mu_f = mu*bs*t^(2N+1). A failed guess is off by 0, 1, 2
+    or 3 quarter turns alike. Off by 2 it flips the bit; off by an odd number
+    it puts the pulse in the other basis, so the sifted arm is the split one,
+    which errs half the time and is kept only when exactly one of its two
+    detectors clicks: K_s = 2 e^(-mu_f/4) (1 - e^(-mu_f/4)), against
+    K_d = 1 - e^(-mu_f/2) for the definite arm. With P_F = 1 - P_E:
+    QBER = P_F (K_d + K_s)/4 / [P_E K_d + P_F (K_d + K_s)/2], and both of
+    the split arm's detectors click, an ambiguous sifted round, at the rate
+    P_F/2 (1 - e^(-mu_f/4))^2."""
+    p_e, mu_f = usd_mean_success(mu * bs * t), mu * bs * t ** (2 * n + 1)
+    p_f, k_d = 1.0 - p_e, -math.expm1(-mu_f / 2)
+    k_s = 2.0 * math.exp(-mu_f / 4) * -math.expm1(-mu_f / 4)
+    qber = p_f * (k_d + k_s) / 4 / (p_e * k_d + p_f * (k_d + k_s) / 2)
+    return p_e, qber, p_f / 2 * math.expm1(-mu_f / 4) ** 2
+
+
+class TestImpersonationAsTheReceiversSeeIt:
+    def test_the_sifted_qber_is_below_the_papers_rate_at_its_working_point(self):
+        # (1 - P_E)/2 is the error rate over all rounds before sifting;
+        # ambiguous discards drop her wrong-basis rounds more often
+        p_e, qber, _ = impersonated_sifted_law(6.0, 1.0, 1.0, 2)
+        assert (1.0 - p_e) / 2 == pytest.approx(0.14600, abs=5e-6)
+        assert qber == pytest.approx(0.10982, abs=5e-6)
+
+    @pytest.mark.parametrize("mu,t,bs,n,seed", [
+        (6.0, 1.0, 1.0, 2, 3611),
+        (20.0, 0.9, 0.5, 3, 3612),
+        (6.0, 0.5, 1.0, 2, 3613),
+        (0.5, 1.0, 1.0, 2, 3614),
+    ])
+    def test_session_matches_the_sifted_law(self, mu, t, bs, n, seed):
+        rounds = 200_000
+        config = SimConfig(receivers=n, mean_photons=mu, transmission=t, bs_ratio=bs,
+                           adversary="impersonate", rounds=rounds, parity_block=0, seed=seed)
+        result, table = recorded(config)
+        _, qber, ambiguous = impersonated_sifted_law(mu, t, bs, n)
+        kept = result.kept_rounds
+        assert abs(result.qber - qber) < 3 * math.sqrt(qber * (1 - qber) / kept), (result.qber, qber)
+        seen = np.count_nonzero(table.sifted == AMBIGUOUS) / rounds
+        assert abs(seen - ambiguous) < 3 * math.sqrt(ambiguous * (1 - ambiguous) / rounds)
+
+    @pytest.mark.parametrize("seed", [3621, 3622, 3623])
+    @pytest.mark.parametrize("attack", ["none", "pns", "tag"])
+    def test_no_sifted_round_is_ambiguous_without_an_impersonator(self, attack, seed):
+        # without a guess offset the sifted arm is the definite one, whose
+        # photons all reach one detector; the split arm is often ambiguous
+        config = SimConfig(receivers=3, mean_photons=40.0, transmission=0.95, adversary=attack,
+                           rounds=20_000, parity_block=0, seed=seed)
+        _, table = recorded(config)
+        assert np.count_nonzero(table.sifted == AMBIGUOUS) == 0
+        assert np.count_nonzero((table.rect == AMBIGUOUS) | (table.diag == AMBIGUOUS)) > 0
 
 
 class TestMlEstimator:

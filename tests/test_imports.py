@@ -1,18 +1,24 @@
 """Every name a module of the package, the tests, the tools or the demos
-imports is used in that module; no test module imports another; and every
-private module-level name is read somewhere in the package.
+imports is used in that module; no test module imports another; every
+private module-level name is read somewhere in the package; and every
+public name or method of the package is exported or read outside the
+tests.
 
-Deleting code tends to leave its imports and its private helpers behind;
-this catches both with the stdlib parser alone. ``__init__.py`` is
-skipped by the import check, since it imports names to re-export them.
-Helpers that more than one test module reads live in
-``tests/session_records.py``, so each has one copy.
+Deleting code tends to leave its imports, its private helpers and the
+public names only its tests read behind; this catches them with the
+stdlib parser alone. ``__init__.py`` is skipped by the import check,
+since it imports names to re-export them. Helpers that more than one
+test module reads live in ``tests/session_records.py``, so each has one
+copy.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+import sqss
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sqss"
@@ -20,6 +26,8 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 SCRIPTS = TESTS + sorted(p for d in ("tools", "demos") for p in (ROOT / d).glob("*.py"))
+# what reads the package besides itself: the scripts, the benchmark and README's examples
+READERS = sorted(p for d in ("tools", "demos", "perfbench") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,32 +82,58 @@ def test_no_test_module_imports_another():
     assert {name: found for name, found in imports.items() if found} == {}
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level names with one leading underscore that no module of
-    ``sources`` (module name -> source) reads, by name, as an attribute or
-    through an import."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
+def read_names(trees) -> set[str]:
+    """Every name the parsed ``trees`` read: by name, as an attribute,
+    through an import, or as a string that is one (``getattr``)."""
     read = set()
-    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
-    unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            unread += [f"{module} line {node.lineno}: {name}" for name in names
-                       if name.startswith("_") and not name.startswith("__") and name not in read]
-    return unread
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def defined_names(tree) -> list[tuple[int, str, str]]:
+    """(line, name, shown as) of each name ``tree`` defines at module level
+    and of each method of its classes, shown as ``Class.method``."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [(f.lineno, f.name, f"{node.name}.{f.name}") for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+    return defined
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level names with one leading underscore that no module of
+    ``sources`` (module name -> source) reads (``read_names``)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names(trees.values())
+    return [f"{module} line {line}: {name}" for module, tree in trees.items()
+            for line, name, shown in defined_names(tree)
+            if name == shown and name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
+def unread_public_names(sources: dict[str, str], readers: list[str], exported) -> list[str]:
+    """Public module-level names and public methods of ``sources`` (module
+    name -> source) that neither those modules nor the ``readers`` (more
+    sources) read, leaving out the ``exported`` names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = read_names([*trees.values(), *map(ast.parse, readers)])
+    return [f"{module} line {line}: {shown}" for module, tree in trees.items()
+            for line, name, shown in defined_names(tree)
+            if not name.startswith("_") and name not in read and name not in exported]
 
 
 def test_the_check_finds_an_unread_private_name():
@@ -114,3 +148,23 @@ def test_the_check_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unread_private_names(sources) == []
+
+
+def test_the_check_finds_an_unread_public_name():
+    sample = ("LIMIT = 1\nSPARE = 2\nNAMED = 3\ndef helper():\n    return LIMIT\n"
+              "def shown(): pass\nclass Box:\n    def used(self): pass\n"
+              "    def spare(self): pass\n    def _private(self): pass\n")
+    reader = "from sample import helper\nBox().used()\ngetattr(sample, 'NAMED')\n"
+    assert unread_public_names({"sample": sample}, [reader], {"shown"}) == [
+        "sample line 2: SPARE", "sample line 9: Box.spare",
+    ]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a name only tests read is a test helper, and belongs with them
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert READERS and examples
+    readers = [p.read_text(encoding="utf-8") for p in READERS] + examples
+    assert unread_public_names(sources, readers, set(sqss.__all__)) == []

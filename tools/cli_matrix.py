@@ -12,11 +12,13 @@ checkouts run into two directories compare with ``diff -r``: the same
 seed and configuration must give byte-identical output. Exits 1 when a
 scenario's exit code is not the one listed for it.
 
-To compare a change with its parent commit, check the parent out beside
+To compare a change with its parent commit, export the parent beside
 it and run each checkout's own copy of this script, on its own ``src``,
-into its own directory::
+into its own directory. ``git archive`` writes nothing under ``.git``,
+so a run that is killed leaves no worktree registered there
+(``tools/bench_pairs.py`` exports its reference the same way)::
 
-    git worktree add ../parent <parent-commit>
+    mkdir ../parent && git archive <parent-commit> | tar -x -C ../parent
     (cd ../parent && PYTHONPATH=src python tools/cli_matrix.py /tmp/matrix-parent)
     PYTHONPATH=src python tools/cli_matrix.py /tmp/matrix-change
     diff -r /tmp/matrix-parent /tmp/matrix-change
