@@ -157,7 +157,8 @@ def rec1_definite(
 ) -> np.ndarray:
     """The definite arm's code (``rec1_measure``) from the same uniforms:
     ``arrived`` where its detector is lit, ``VACUUM`` elsewhere. It is lit
-    in cells 4 to 7, where ``u`` is at or above bound 3, the running
-    maximum of g2, so the one comparison matches the ranking bit for bit."""
-    lit = u >= _rec1_bounds(dark)[3].take(column)
+    in cells 4 to 7, where ``u`` is at or above ``_rec1_bounds``' bound 3,
+    max(g4, g3, 2g3 - g4, g2), so one comparison matches the ranking bit for bit."""
+    g2, g3, g4 = dark[1:]
+    lit = u >= np.maximum(np.maximum(g4, g3), np.maximum(2 * g3 - g4, g2)).take(column)
     return VACUUM + (arrived - VACUUM) * lit  # np.where is several times slower here

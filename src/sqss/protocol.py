@@ -37,8 +37,9 @@ theta, a phi_i or a single s_i, so ``run_session`` draws them behind
 each chunk, from their exact law given S (``_draw_secrets``), only where
 something reads them. The photons Eve stores on hop c (``pns``) read
 theta and the first c - 1 receivers' secrets (every receiver's past
-the ring's last), drawn from a stream of her own; the records read the
-rest, drawn after hers from another, so they never move her draws.
+the ring's last), drawn like every draw of the session from its one
+generator; the records read the others, drawn from a stream of their
+own, so they never move a draw of the session.
 
 No photon count is drawn: Eve's PNS hop reads her event from one uniform
 (``adversary.pns_intercept``), and Rec-1 draws one uniform per round
@@ -81,12 +82,8 @@ from .optics import (
 
 # Fraction of surviving bits kept by privacy amplification; public constant.
 PA_COMPRESSION = 0.5
-# Public salt separating the privacy-amplification seed from the session seed.
-_PA_SEED_SALT = 0x9E3779B97F4A7C15
-# Public salt separating the stream of the parties' private secrets from the physics.
+# Public salt separating the records' stream of the parties' secrets from the physics.
 _SECRETS_SEED_SALT = 0x7265636F726473
-# Public salt of the stream of the secrets Eve's PNS hop reads, apart from the records'.
-_EVE_SEED_SALT = 0x657665
 
 # Rounds simulated per chunk: bounds the engine's working memory.
 _CHUNK_ROUNDS = 1 << 16
@@ -115,8 +112,8 @@ class RoundTable:
 
     ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter turns
     0..3. ``theta``, ``phis`` and ``shuffles``, drawn behind it, are None
-    unless Eve's stored photons (``pns``) or the records read them; without
-    records, ``phis`` and ``shuffles`` hold only the receivers Eve passed.
+    unless Eve (``pns``, from the session's draws) or the records read them;
+    without records, ``phis`` and ``shuffles`` end at the receivers Eve passed.
     ``rec1_uniform`` is Rec-1's uniform per round, kept past sifting only
     for the records to rank (None in the table they get). Sifting fills in
     ``sifted``, the code of the arm it keeps, and decoding ``decoded``,
@@ -264,20 +261,23 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def toeplitz_compress(bits: ArrayLike, out_len: int, hash_seed: int) -> np.ndarray:
+def toeplitz_compress(
+    bits: ArrayLike, out_len: int, hash_seed: int | np.random.Generator
+) -> np.ndarray:
     """2-universal compression by the modified Toeplitz family [I | T] over GF(2).
 
     ``bits`` is one key of n bits, or an (n, keys) array whose columns are
     keys hashed by the same matrix. With m = ``out_len``, a key x = (x1, x2)
     of head x1 (m bits) and tail x2 (n - m bits) hashes to x1 xor T x2,
-    where T is the m x (n - m) Toeplitz matrix drawn from n - 1 seeded bits
+    where T is the m x (n - m) Toeplitz matrix drawn from n - 1 public bits
     (Hayashi and Tsurumaru, IEEE Trans. Inf. Theory 62(4), 2016). Bit i is
-    the low bit of byte i of ``default_rng(hash_seed)``'s raw 64-bit words
-    read little-endian (``optics.uniform_z4``), so the hash is the same on
-    every host. Distinct keys collide with probability 2**-m over the
-    seed: keys that differ only in the head never collide, and for any
-    nonzero tail T x2 is uniform (Mansour, Nisan and Tiwari, STOC 1990).
-    T x2 is a slice of the FFT convolution of T's diagonal with each tail.
+    the low bit of byte i of the next ceil((n - 1) / 8) raw 64-bit words of
+    ``default_rng(hash_seed)``, a generator itself if given one, read
+    little-endian on every host (``optics.uniform_z4``); m = 0 or n draws
+    none. Distinct keys collide with probability 2**-m over T: keys that
+    differ only in the head never collide, and for any nonzero tail T x2 is
+    uniform (Mansour, Nisan and Tiwari, STOC 1990). T x2 is a slice of the
+    FFT convolution of T's diagonal with each tail.
     """
     x = np.asarray(bits, dtype=np.uint8)
     n = len(x)
@@ -318,15 +318,17 @@ def parity_survivor_indices(key_a: ArrayLike, key_b: ArrayLike, block_size: int)
     return np.flatnonzero(np.repeat(kept, width)[:n])
 
 
-def reconcile_and_amplify(keys: ArrayLike, block_size: int, hash_seed: int = 0) -> np.ndarray:
+def reconcile_and_amplify(
+    keys: ArrayLike, block_size: int, hash_seed: int | np.random.Generator = 0
+) -> np.ndarray:
     """Block-parity reconciliation followed by Toeplitz privacy amplification.
 
     ``keys`` holds one key per row. Blocks whose public parities disagree
     between rows 0 and 1 are discarded; the surviving positions of every
-    row are compressed to half length by one shared, publicly seeded
-    2-universal hash. When every block survives, ``keys`` is hashed as it
-    is, with no copy. Returns the compressed rows, which are empty when
-    too few bits survive to produce any key at all.
+    row are compressed to half length by one shared, public 2-universal
+    hash drawn from ``hash_seed`` (``toeplitz_compress``). When every block
+    survives, ``keys`` is hashed as it is, with no copy. Returns the
+    compressed rows, empty when too few bits survive to give any key.
     """
     keys = np.asarray(keys, dtype=np.uint8)
     survivors = parity_survivor_indices(keys[0], keys[1], block_size)
@@ -404,17 +406,17 @@ def _arrived(table: RoundTable) -> np.ndarray:
     return (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum + offset) & 3
 
 
-def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundTable:
+def _run_round(size: int, config: SimConfig, rng: np.random.Generator, mean: float) -> RoundTable:
     """Simulate ``size`` independent rounds at once into one table.
 
     One value on Z4 per round gives Alice's bit and basis, two fair bits;
     another gives the shuffles' sum S, the only secret the light carries to
     Rec-1, sifting and the decode (S is uniform on Z4 like each shuffle).
     Both rows come from one ``optics.uniform_z4`` draw.
-    Eve's tag, USD or PNS event follows; under impersonation her guess
-    offset is the ``eve_offset`` column. Rec-1 then draws one uniform per
-    round (``rec1_uniform``) and no count: sifting reads it against the
-    law of the light at Rec-1's splitter.
+    Eve's tag, USD or PNS event (on pulses of ``mean`` photons) follows;
+    under impersonation her guess offset is the ``eve_offset`` column.
+    Rec-1 then draws one uniform per round (``rec1_uniform``) and no count:
+    sifting reads it against the law of the light at Rec-1's splitter.
     """
     z4 = uniform_z4((2, size), rng)
     bit, basis = z4[0] & 1, (z4[0] >> 1) + 1
@@ -429,7 +431,6 @@ def _run_round(size: int, config: SimConfig, rng: np.random.Generator) -> RoundT
         table.eve_offset, table.eve_event = adv.impersonate_rounds(adv.intercepted_mean(
             config.mean_photons, config.bs_ratio, config.hop_transmission()), size, rng)
     elif config.adversary == "pns":  # Eve's reading of the pulse on her hop
-        _, _, _, mean, _ = _light(config)
         table.eve_event = adv.pns_intercept(mean, size, rng)
     table.rec1_uniform = rng.random(size)
     return table
@@ -506,7 +507,8 @@ def _draw_secrets(
 ) -> None:
     """Fill in the secrets behind the table's shuffle sums that are not drawn
     yet, up to receiver ``upto`` (all ``receivers`` by default): theta, then
-    each phi_i and s_i in receiver order, from their exact law given those sums.
+    each phi_i and s_i in receiver order, from their exact law given those
+    sums, from ``rng``: the session's generator for Eve, else the records' stream.
 
     Theta and the phi_i are independent of everything else: uniforms on
     [0, pi). N independent uniform shuffles conditioned on their sum S
@@ -570,18 +572,18 @@ def run_session(
     cooperatively and scores Eve on each chunk as it comes, keeping only
     its key rows and Eve's counts. Then it optionally reconciles and
     compresses, and cross-checks key digests; an empty final key aborts
-    for retry. Every draw comes from ``config.seed``.
+    for retry. Every draw comes from one generator, seeded by ``config.seed``.
 
     ``records``, if given, is called with each finished chunk in round
     order: sifted, cut at the target, decoded and scored, then with both of
     Rec-1's arms ranked from the uniforms sifting read, its secrets and,
     with ``trace``, its photon counts. No chunk is kept. The secrets are
-    drawn behind each chunk's physics (``_draw_secrets``), from streams of
-    their own, only where something reads them. Under ``pns`` Eve measures
-    her stored photons on hop c at the ledger's polarization there, which
-    reads theta and the first min(c - 1, N) receivers' secrets: those are
-    drawn from her stream. ``records`` then read every secret, the rest
-    drawn from theirs, so records move no other draw.
+    drawn behind each chunk's physics (``_draw_secrets``), only where
+    something reads them. Under ``pns`` Eve measures her stored photons on
+    hop c at the ledger's polarization there, which reads theta and the
+    first min(c - 1, N) receivers' secrets, drawn from the session's
+    generator. ``records`` then read every secret, the rest and the trace
+    drawn from a stream of their own, so records move no other draw.
 
     When ``target_key_bits`` is positive, rounds repeat until that many
     sifted bits exist; otherwise exactly ``rounds`` rounds run. A target
@@ -604,9 +606,6 @@ def run_session(
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
     rng = np.random.default_rng(config.seed)
-    if hop:  # Eve's fold on hop c reads theta and the first c - 1 receivers' turns
-        eve_reads = min(config.pns_channel - 1, n)
-        eve_secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _EVE_SEED_SALT]))
     if records is not None:
         secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
 
@@ -627,7 +626,7 @@ def run_session(
             rest = target - kept_count
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
-        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng)
+        chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng, lam)
         dark, column = adv.pns_dark(lam, q, chunk.eve_event) if hop else coherent_dark(lam * q)
         kept = sift(chunk, dark, column)
         if records is None:  # read: gone before Eve's estimator and the decode
@@ -639,7 +638,7 @@ def run_session(
             kept = kept[: target - kept_count]
             chunk = chunk.rows(0, kept[-1] + 1)
         if hop:  # Eve measures her stored photons at the polarization on her hop
-            _draw_secrets(chunk, n, eve_secrets, eve_reads)
+            _draw_secrets(chunk, n, rng, min(config.pns_channel - 1, n))
             chunk.eve_guess = adv.ml_single_photon_estimator(
                 chunk.eve_event, next(islice(_polarizations(chunk), config.pns_channel - 1, None)),
                 chunk.basis_choice, rng,
@@ -663,8 +662,7 @@ def run_session(
     discard_fraction = 1.0 - kept_count / executed
 
     if config.parity_block > 0:
-        pa_seed = (config.seed ^ _PA_SEED_SALT) & 0xFFFFFFFFFFFFFFFF
-        keys = reconcile_and_amplify(keys, config.parity_block, pa_seed)
+        keys = reconcile_and_amplify(keys, config.parity_block, rng)
     held = [2 if i == config.dishonest_receiver else 1 for i in range(1, n + 1)]  # their rows
     finals = [row.tobytes() for row in keys]
     if not finals[0]:  # no key to share, whatever emptied it

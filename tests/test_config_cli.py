@@ -144,7 +144,7 @@ class TestValidation:
         # from (an impersonator on a lossless ring counts the whole pulse)
         def draw_source(mu):
             config = SimConfig(receivers=1, mean_photons=mu, adversary="impersonate")
-            _run_round(1, config, np.random.default_rng(0))
+            _run_round(1, config, np.random.default_rng(0), mu)
 
         SimConfig(mean_photons=_MAX_MEAN_PHOTONS).validate()
         draw_source(_MAX_MEAN_PHOTONS)

@@ -22,6 +22,7 @@ from sqss.optics import (
     _rec1_bounds,
     coherent_dark,
     malus,
+    rec1_definite,
     rec1_measure,
     rotate,
     uniform_z4,
@@ -349,6 +350,32 @@ class TestRec1JointLaw:
             definite, other = (rect, diag) if arrived % 2 == 0 else (diag, rect)
             assert np.isin(definite, (arrived, VACUUM)).all()
             assert np.isin(other, ((arrived + 1) % 4, (arrived + 3) % 4, VACUUM, AMBIGUOUS)).all()
+
+
+class TestRec1Definite:
+    """The definite arm read alone, with one comparison, is the ranking's
+    definite arm bit for bit: at every bound, one ulp either side, and where
+    the g_k underflow to 0 (a coherent mean of 2,000 underflows g2 to g4,
+    1e4 all four)."""
+
+    @staticmethod
+    def assert_matches_the_ranking(dark, column):
+        bounds = _rec1_bounds(dark)[:, column]
+        u = np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0), [0.0]])
+        arrived = np.repeat(np.arange(4, dtype=np.int8), len(u))
+        u, columns = np.tile(u, 4), np.full(4 * len(u), column)
+        rect, diag = rec1_measure(arrived, dark, columns, u)
+        definite = np.where(arrived % 2 == 0, rect, diag)
+        assert rec1_definite(arrived, dark, columns, u).tolist() == definite.tolist()
+
+    @pytest.mark.parametrize("mean", [1e-9, 0.5, 3.0, 6.0, 40.0, 2000.0, 1e4])
+    def test_coherent_pulse(self, mean):
+        self.assert_matches_the_ranking(coherent_dark(mean)[0], 0)
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["kept_none", "kept_one"])
+    @pytest.mark.parametrize("mean, q", [(0.2, 1.0), (5.4, 0.9), (6.0, 0.35), (1e4, 0.9)])
+    def test_pns_reading(self, mean, q, column):
+        self.assert_matches_the_ranking(pns_dark(mean, q, np.zeros(0, dtype=bool))[0], column)
 
 
 class TestPnsReadingJointLaw:

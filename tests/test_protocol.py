@@ -377,6 +377,12 @@ class TestRecords:
             # and Eve's second chunk follows the first chunk's records
             SimConfig(receivers=5, transmission=0.9, adversary="pns", pns_channel=3,
                       rounds=70_000, seed=85),
+            # Eve's draw reaches the last receiver, so it completes the shuffle sum
+            SimConfig(receivers=1, transmission=0.9, adversary="pns", pns_channel=3,
+                      rounds=5000, seed=85),
+            # Eve's draw on a chunk cut at the target
+            SimConfig(receivers=5, transmission=0.9, adversary="pns", pns_channel=4,
+                      target_key_bits=3000, seed=85),
         ):
             sums, drawn = [], []  # each chunk's shuffle sums, and its secret draws
             monkeypatch.setattr(protocol, "sift",
@@ -395,7 +401,16 @@ class TestRecords:
             assert with_records.receiver_final_keys == plain.receiver_final_keys, config
             assert with_records.verdict == plain.verdict, config
             assert with_records.eve_summary == plain.eve_summary, config
-            assert table.shuffle_sum.tolist() == np.concatenate(sums).tolist(), config
+            # a chunk cut at the target is recorded up to the cut
+            assert len(table) == plain.rounds_executed, config
+            assert table.shuffle_sum.tolist() == np.concatenate(sums)[: len(table)].tolist(), config
+
+
+def advanced(seed, words):
+    """The bit generator of ``default_rng(seed)`` advanced by ``words`` raw words."""
+    expected = np.random.default_rng(seed).bit_generator
+    expected.advance(words)
+    return expected
 
 
 class TestToeplitz:
@@ -472,6 +487,19 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             toeplitz_compress([1, 0], 3, 0)
 
+    @pytest.mark.parametrize("n, out_len", [(2, 1), (9, 4), (10, 5), (17, 8), (4001, 2000),
+                                            (3, 0), (3, 3)])
+    def test_a_generator_advances_by_the_words_read(self, n, out_len):
+        # a session hands its own generator over: the diagonal reads
+        # ceil((n - 1) / 8) raw words of it, and nothing when T is empty,
+        # the same hash as the seed that built the generator
+        bits = np.random.default_rng(61).integers(0, 2, size=n, dtype=np.uint8)
+        rng = np.random.default_rng(62)
+        out = toeplitz_compress(bits, out_len, rng)
+        words = -(-(n - 1) // 8) if 0 < out_len < n else 0
+        assert rng.bit_generator.state == advanced(62, words).state
+        assert out.tolist() == toeplitz_compress(bits, out_len, 62).tolist()
+
     def test_fft_path_agrees_with_the_matrix(self):
         # Every key hashes through one FFT convolution; 5000 bits transform
         # at _fft_length(4999) = 5184 = 2^6 * 3^4 points, a 3-smooth length
@@ -513,6 +541,22 @@ class TestToeplitz:
 
 
 class TestReconcile:
+    @pytest.mark.parametrize("length, flips", [(4000, 0), (4000, 3), (33, 1), (2, 0), (1, 0),
+                                               (9, 1)])
+    def test_a_generator_advances_by_the_hash_words(self, length, flips):
+        # n survivors hash to n // 2 bits through ceil((n - 1) / 8) raw words,
+        # none when no tail is left, the same hash as the generator's seed
+        rng = np.random.default_rng(63)
+        a = rng.integers(0, 2, size=length, dtype=np.uint8)
+        b = a.copy()
+        b[rng.choice(length, flips, replace=False)] ^= 1
+        n = len(parity_survivor_indices(a, b, 8))
+        rng = np.random.default_rng(64)
+        out = reconcile_and_amplify([a, b], 8, rng)
+        words = -(-(n - 1) // 8) if 0 < n // 2 < n else 0
+        assert rng.bit_generator.state == advanced(64, words).state
+        assert out.tolist() == reconcile_and_amplify([a, b], 8, 64).tolist()
+
     def test_identical_keys_keep_everything(self):
         key = [1, 0, 1, 1, 0, 0, 1, 0] * 4
         assert parity_survivor_indices(key, list(key), 8).tolist() == list(range(32))
