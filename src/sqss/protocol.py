@@ -31,7 +31,7 @@ each folds the ledger itself.
 A round (``_run_round``) is its physics: the bit, the basis, the shuffle
 sum S mod 4 (uniform on Z4 like each shuffle, the only secret that
 reaches Rec-1, sifting and the decode), Eve's events and the light,
-walked along the route (``_route``): the hops and party stages in travel
+walked along the route (``_light``): the hops and party stages in travel
 order, each with the share of photons it passes on. No light depends on
 theta, a phi_i or a single s_i, so ``run_session`` draws them behind
 each chunk, from their exact law given S (``_draw_secrets``), only where
@@ -60,6 +60,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Sequence
 
@@ -113,11 +114,12 @@ class RoundTable:
     ``shuffle_sum`` is each round's sum of shuffles mod 4, in quarter turns
     0..3. ``theta``, ``phis`` and ``shuffles``, drawn behind it, are None
     unless Eve (``pns``, from the session's draws) or the records read them;
-    without records, ``phis`` and ``shuffles`` end at the receivers Eve passed.
-    ``rec1_uniform`` is Rec-1's uniform per round, kept past sifting only
-    for the records to rank (None in the table they get). Sifting fills in
-    ``sifted``, the code of the arm it keeps, and decoding ``decoded``,
-    the consensus key angle or -1. Both arms' detector outcome codes
+    without records, ``phis`` and ``shuffles`` end at the receivers Eve passed
+    (None where she passed none). ``rec1_uniform`` is Rec-1's uniform per
+    round, kept past sifting only for the records to rank (None in the table
+    they get). Sifting fills in ``sifted``, the code of the arm it keeps. Only
+    for the records, ``decoded`` holds each round's consensus key angle, or -1
+    where sifting dropped it. Both arms' detector outcome codes
     (``optics``), ``rect`` and ``diag``, are ranked from the same uniforms
     behind the chunk: they are None unless the records read them. With
     ``trace`` the records also get each round's photon count after each of
@@ -147,8 +149,12 @@ class RoundTable:
 
     def rows(self, start: int, stop: int) -> RoundTable:
         """The table of rounds ``start`` to ``stop - 1``, viewing this one's arrays."""
-        columns = (getattr(self, f.name) for f in fields(self))
+        columns = (getattr(self, name) for name in _TABLE_FIELDS)
         return RoundTable(*(c[start:stop] if isinstance(c, np.ndarray) else c for c in columns))
+
+
+# RoundTable's field names in order, read once rather than on every cut
+_TABLE_FIELDS = tuple(field.name for field in fields(RoundTable))
 
 
 @dataclass(slots=True)
@@ -212,11 +218,12 @@ def _polarizations(table: RoundTable) -> Iterator[np.ndarray]:
     the fold of the parties' rotations: phi_i + s_i into each receiver,
     k - theta at Alice, Eve's guess ``eve_offset`` under impersonation,
     then -phi_i back through each receiver. The fold is lazy:
-    a reader that stops early computes no later rotation.
+    a reader that stops early computes no later rotation, and one that
+    reads theta alone needs no receiver's secrets.
     """
-    n = table.phis.shape[1]
 
     def turns() -> Iterator[np.ndarray]:
+        n = table.phis.shape[1]
         for i in range(n):
             yield table.phis[:, i] + table.shuffles[:, i] * QUARTER_TURN
         yield _key_angle(table.bit, table.basis_choice) * QUARTER_TURN - table.theta
@@ -252,8 +259,10 @@ def sift(table: RoundTable, dark: np.ndarray, column: np.ndarray) -> np.ndarray:
     return np.flatnonzero(table.sifted < VACUUM)
 
 
+@lru_cache(maxsize=256)
 def _fft_length(m: int) -> int:
-    """The smallest 2**a * 3**b >= m, a length numpy's FFT transforms quickly."""
+    """The smallest 2**a * 3**b >= m, a length numpy's FFT transforms quickly;
+    computed once per m."""
     best, power3 = 1 << (m - 1).bit_length(), 3
     while power3 < best:
         best = min(best, power3 << (-(-m // power3) - 1).bit_length())
@@ -323,24 +332,30 @@ def reconcile_and_amplify(
 ) -> np.ndarray:
     """Block-parity reconciliation followed by Toeplitz privacy amplification.
 
-    ``keys`` holds one key per row. Blocks whose public parities disagree
-    between rows 0 and 1 are discarded; the surviving positions of every
-    row are compressed to half length by one shared, public 2-universal
-    hash drawn from ``hash_seed`` (``toeplitz_compress``). When every block
-    survives, ``keys`` is hashed as it is, with no copy. Returns the
-    compressed rows, empty when too few bits survive to give any key.
+    ``keys`` holds one key per row, and its distinct rows are found first:
+    one matrix maps equal rows to equal outputs, so each is hashed once.
+    Blocks whose public parities disagree between rows 0 and 1 are
+    discarded; where those rows are equal no block disagrees, and no
+    parity is computed. The surviving positions of every distinct row are
+    compressed to half length by one shared, public 2-universal hash drawn
+    from ``hash_seed`` (``toeplitz_compress``); when every block survives,
+    no column is gathered. Returns the compressed rows, one per row of
+    ``keys``, empty when too few bits survive to give any key.
     """
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     keys = np.asarray(keys, dtype=np.uint8)
-    survivors = parity_survivor_indices(keys[0], keys[1], block_size)
-    rows = keys if len(survivors) == keys.shape[1] else np.take(keys, survivors, axis=1)
-    del survivors  # the indices go before the hash's peak
-    out_len = int(rows.shape[1] * PA_COMPRESSION)
-    # one matrix maps equal rows to equal outputs, so each distinct row is hashed once
     slots: dict[bytes, int] = {}
-    slot = [slots.setdefault(row.tobytes(), len(slots)) for row in rows]
-    distinct = rows[[slot.index(s) for s in range(len(slots))]]
-    del rows  # the gathered rows go before the hash's peak
-    return toeplitz_compress(distinct.T, out_len, hash_seed).T[slot]
+    slot = [slots.setdefault(row.tobytes(), len(slots)) for row in keys]
+    rows = keys[[slot.index(s) for s in range(len(slots))]]
+    del slots  # the rows' bytes go before the hash's peak
+    if slot[1] != slot[0]:  # equal keys have no disagreeing block
+        survivors = parity_survivor_indices(keys[0], keys[1], block_size)
+        if len(survivors) < keys.shape[1]:
+            rows = np.take(rows, survivors, axis=1)
+        del survivors  # the indices go before the hash's peak
+    out_len = int(rows.shape[1] * PA_COMPRESSION)
+    return toeplitz_compress(rows.T, out_len, hash_seed).T[slot]
 
 
 # Maps each byte b to b + ord("0") mod 256: a bit to its ASCII digit.
@@ -374,36 +389,49 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
     return Verdict(VerdictKind.ABORT_RETRY)
 
 
-def _route(config: SimConfig) -> list[tuple[int | str, float]]:
-    """The pulse's path in travel order: each hop (its number) and each party
-    stage (its trace name), with the share of its photons each passes on."""
-    n, t = config.receivers, config.hop_transmission()
+def _light(config: SimConfig) -> tuple[tuple, tuple, int, float, float]:
+    """The route's steps and shares, the steps up to Eve's PNS hop (0 without
+    her), the mean photon number there and the share q of it that reaches
+    Rec-1: a law of the ring and the attack, never of the seed, computed once
+    per receivers, hop transmission, ``bs_ratio``, attack and mean."""
+    return _ring_light(config.receivers, config.hop_transmission(), config.bs_ratio,
+                       config.adversary == "impersonate",
+                       config.pns_channel if config.adversary == "pns" else 0,
+                       config.mean_photons)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _ring_light(
+    n: int, t: float, bs_ratio: float, impersonate: bool, tapped: int, mean: float
+) -> tuple[tuple, tuple, int, float, float]:
+    """``_light`` for N receivers, hops of transmission t and Eve's PNS tap on
+    hop ``tapped`` (0 for none). The route is the pulse's path in travel
+    order: each hop (its number) and each party stage (its trace name), with
+    the share of its photons each passes on."""
     route: list[tuple[int | str, float]] = [("alice_out", 1.0)]
     for i in range(1, n + 1):
         route += [(i, t), (f"rec{i}_forward", 1.0)]
     # only the transmitted part of her storage splitter leaves Alice's box,
     # behind hop N+1 and any tap on it
-    route += [(n + 1, t), ("alice_encoded", config.bs_ratio)]
-    if config.adversary == "impersonate":
+    route += [(n + 1, t), ("alice_encoded", bs_ratio)]
+    if impersonate:
         route.append(("eve_reencoded", 1.0))
     for i in range(n, 0, -1):
         route += [(2 * n + 2 - i, t), (f"rec{i}_backward", 1.0)]
-    return route
-
-
-def _light(config: SimConfig) -> tuple[tuple, tuple, int, float, float]:
-    """The route's steps and shares, the steps up to Eve's PNS hop (0 without
-    her), the mean photon number there and the share q of it that reaches Rec-1."""
-    steps, shares = zip(*_route(config))
-    hop = steps.index(config.pns_channel) + 1 if config.adversary == "pns" else 0
-    lam = config.mean_photons * math.prod(shares[:hop])
+    steps, shares = zip(*route)
+    hop = steps.index(tapped) + 1 if tapped else 0
+    lam = mean * math.prod(shares[:hop])
     return steps, shares, hop, lam, math.prod(shares[hop:])
 
 
 def _arrived(table: RoundTable) -> np.ndarray:
     """Rec-1's angle in quarter turns: key angle + shuffles + Eve's offset."""
-    offset = 0 if table.eve_offset is None else table.eve_offset
-    return (_key_angle(table.bit, table.basis_choice) + table.shuffle_sum + offset) & 3
+    arrived = _key_angle(table.bit, table.basis_choice)
+    arrived += table.shuffle_sum
+    if table.eve_offset is not None:
+        arrived += table.eve_offset
+    arrived &= 3
+    return arrived
 
 
 def _run_round(size: int, config: SimConfig, rng: np.random.Generator, mean: float) -> RoundTable:
@@ -521,12 +549,14 @@ def _draw_secrets(
     width = (receivers if upto is None else upto) - start
     if table.theta is None:
         table.theta = rng.random(size) * math.pi
+    if not width:  # no receiver's secrets left to draw
+        return
     phis = rng.random((width, size))
     phis *= math.pi
     shuffles = uniform_z4((width, size), rng)
     if start:  # behind the receivers drawn before
         phis, shuffles = np.vstack((table.phis.T, phis)), np.vstack((table.shuffles.T, shuffles))
-    if width and start + width == receivers:  # the first shuffle drawn here completes the sum
+    if start + width == receivers:  # the first shuffle drawn here completes the sum
         shuffles[start] = 0
         shuffles[start] = (table.shuffle_sum - shuffles.sum(axis=0, dtype=np.int8)) & 3
     table.phis, table.shuffles = phis.T, shuffles.T
@@ -534,16 +564,17 @@ def _draw_secrets(
 
 def _decode_phase(
     table: RoundTable, kept: np.ndarray, dishonest: int, rng: np.random.Generator
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exchange decision angles and decode the ``kept`` rounds against their
     ``shuffle_sum``; a dishonest receiver (1-based, 0 for none) corrupts
     its report.
 
-    Returns each distinct key of the chunk once, as uint8 rows over the
-    kept rounds: Alice's sifted bits, the public (consensus) decode and,
-    with a liar, the liar's own decode. A liar announces a corrupted angle
-    but uses its true one, so only the victims end up with a wrong key:
-    every other receiver holds the public one.
+    Returns the chunk's keys, as uint8 rows over the kept rounds: Alice's
+    sifted bits, the public (consensus) decode and, with a liar, the liar's
+    own decode; and the consensus key angle of each kept round, which only
+    the records read (``RoundTable.decoded``). A liar announces a corrupted
+    angle but uses its true one, so only the victims end up with a wrong
+    key: every other receiver holds the public one.
     """
     measured, shuffle_sum = table.sifted[kept], table.shuffle_sum[kept]
     consensus = true_decode = _decode(measured, shuffle_sum)
@@ -552,14 +583,12 @@ def _decode_phase(
         # (measured - s_1), which decodes as a lowered shuffle sum
         corruption = rng.integers(1, 4, size=len(kept))
         consensus = _decode(measured, shuffle_sum + (-corruption if dishonest == 1 else corruption))
-    table.decoded = np.full(len(table), -1, dtype=np.int8)
-    table.decoded[kept] = consensus
     keys = np.empty((3 if dishonest else 2, len(kept)), dtype=np.uint8)
     keys[0] = table.bit[kept]
     keys[1] = consensus // 2
     if dishonest:
         keys[2] = true_decode // 2
-    return keys
+    return keys, consensus
 
 
 def run_session(
@@ -643,10 +672,13 @@ def run_session(
                 chunk.eve_event, next(islice(_polarizations(chunk), config.pns_channel - 1, None)),
                 chunk.basis_choice, rng,
             )
-        key_rows.append(_decode_phase(chunk, kept, config.dishonest_receiver, rng))
+        keys, consensus = _decode_phase(chunk, kept, config.dishonest_receiver, rng)
+        key_rows.append(keys)
         if config.adversary != "none":
             eve_counts += _score_eve(config.adversary, chunk, kept)
         if records is not None:  # both arms, ranked from the uniforms sifting read
+            chunk.decoded = np.full(len(chunk), -1, dtype=np.int8)
+            chunk.decoded[kept] = consensus
             chunk.rect, chunk.diag = rec1_measure(
                 _arrived(chunk), dark, column[: len(chunk)], chunk.rec1_uniform)
             _draw_secrets(chunk, n, secrets)
@@ -656,8 +688,8 @@ def run_session(
             records(chunk)
         executed += len(chunk)
         kept_count += len(kept)
-    keys = np.hstack(key_rows)
-    del key_rows, chunk, kept  # gone before reconciliation reaches its peak
+    keys = key_rows[0] if len(key_rows) == 1 else np.hstack(key_rows)
+    del key_rows, chunk, kept, consensus  # gone before reconciliation reaches its peak
     qber = np.count_nonzero(keys[0] != keys[1]) / kept_count if kept_count else 0.0
     discard_fraction = 1.0 - kept_count / executed
 
@@ -667,9 +699,9 @@ def run_session(
     finals = [row.tobytes() for row in keys]
     if not finals[0]:  # no key to share, whatever emptied it
         verdict = Verdict(VerdictKind.ABORT_RETRY)
-    else:
-        digests = [key_digest(key) for key in finals]
-        verdict = integrity_check(digests[0], [digests[row] for row in held])
+    else:  # each distinct key digested once: on an honest ring Alice's is the public one
+        digests = {key: key_digest(key) for key in dict.fromkeys(finals)}
+        verdict = integrity_check(digests[finals[0]], [digests[finals[row]] for row in held])
 
     return SessionResult(
         rounds_executed=executed,

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from session_records import circular_distance, counted_dark, recorded
 
-from sqss import protocol
-from sqss.adversary import EveSummary
+from sqss import adversary, optics, protocol
+from sqss.adversary import EveSummary, pns_dark
 from sqss.config import MAX_RECEIVERS, SimConfig
 from sqss.optics import (
     _REC1_CODES,
@@ -295,6 +295,25 @@ class TestSift:
                               table.decoded[kept])
 
 
+class TestRoundTable:
+    def test_rows_slices_every_array_field(self):
+        # each array field holds values of its own, so a column sliced into
+        # the wrong field shows; the stage names pass through as they are
+        names = [f.name for f in dataclasses.fields(RoundTable) if f.name != "trace_stages"]
+        stages = ("alice_out", "rec1_backward")
+        table = RoundTable(**{name: 1000 * i + np.arange(20).reshape(10, 2)
+                              for i, name in enumerate(names)}, trace_stages=stages)
+        cut = table.rows(3, 8)
+        assert len(cut) == 5
+        for name in names:
+            column = getattr(cut, name)
+            assert column.tolist() == getattr(table, name)[3:8].tolist(), name
+            assert np.shares_memory(column, getattr(table, name)), name
+        assert cut.trace_stages is stages
+        # a field the session never filled stays None
+        assert RoundTable(table.shuffle_sum, table.basis_choice, table.bit).rows(0, 1).theta is None
+
+
 class TestRecords:
     """A session that draws only the shuffle sum fills in the rest on demand."""
 
@@ -557,6 +576,31 @@ class TestReconcile:
         assert rng.bit_generator.state == advanced(64, words).state
         assert out.tolist() == reconcile_and_amplify([a, b], 8, 64).tolist()
 
+    @pytest.mark.parametrize("differ, liar", [(False, False), (True, False), (False, True),
+                                              (True, True)])
+    def test_equal_rows_hash_like_the_parity_survivors(self, differ, liar):
+        # equal rows 0 and 1 skip the parity pass, which would keep every
+        # bit: on either path every row hashes its parity survivors, from
+        # ceil((n - 1) / 8) raw words for n survivors
+        rng = np.random.default_rng(65)
+        a = rng.integers(0, 2, size=1001, dtype=np.uint8)
+        b = a.copy()
+        b[500] ^= differ  # one disagreeing block
+        keys = [a, b] + [rng.integers(0, 2, size=1001, dtype=np.uint8)] * liar
+        survivors = parity_survivor_indices(a, b, 8)
+        n = len(survivors)
+        assert n == (993 if differ else 1001)
+        generator = np.random.default_rng(66)
+        out = reconcile_and_amplify(keys, 8, generator)
+        assert generator.bit_generator.state == advanced(66, -(-(n - 1) // 8)).state
+        by_hand = [toeplitz_compress(row[survivors], n // 2, 66).tolist() for row in keys]
+        assert [row.tolist() for row in out] == by_hand
+
+    def test_block_size_is_checked_on_equal_keys_too(self):
+        key = [1, 0, 1, 1]
+        with pytest.raises(ValueError):
+            reconcile_and_amplify([key, key], 0)
+
     def test_identical_keys_keep_everything(self):
         key = [1, 0, 1, 1, 0, 0, 1, 0] * 4
         assert parity_survivor_indices(key, list(key), 8).tolist() == list(range(32))
@@ -812,6 +856,23 @@ class TestRunSession:
         assert abs(res.discard_fraction - expected) < 3 * sigma
         assert res.qber == 0.0
 
+    @pytest.mark.parametrize("config", [
+        SimConfig(receivers=3, rounds=2000, seed=57),
+        SimConfig(receivers=3, rounds=2000, parity_block=0, seed=57),
+        SimConfig(receivers=3, transmission=0.9, adversary="pns", rounds=2000, seed=57),
+        SimConfig(receivers=3, rounds=2000, seed=57, dishonest_receiver=2),
+        SimConfig(receivers=3, rounds=2000, parity_block=0, seed=57, dishonest_receiver=2),
+    ], ids=["honest", "honest_unreconciled", "pns", "liar", "liar_unreconciled"])
+    def test_each_distinct_final_key_is_digested_once(self, config, monkeypatch):
+        digested = []
+        monkeypatch.setattr(protocol, "key_digest",
+                            lambda key: digested.append(key) or key_digest(key))
+        res = run_session(config)
+        distinct = {res.alice_final_key, *res.receiver_final_keys}
+        # the liar keeps Alice's key and hands the others the public one
+        assert len(distinct) == (2 if config.dishonest_receiver else 1)
+        assert sorted(digested) == sorted(distinct)
+
     def test_determinism(self):
         cfg = SimConfig(receivers=3, mean_photons=5.0, transmission=0.8,
                         rounds=300, parity_block=8, seed=99)
@@ -917,6 +978,52 @@ class TestRunSession:
         else:  # a USD success reads the bit
             expected = EveSummary("impersonate", rounds, events, events)
         assert plain.eve_summary == with_records.eve_summary == expected
+
+
+def clear_cached_laws() -> int:
+    """Forget every law cached from an earlier configuration; returns how
+    many caches there were."""
+    caches = {value for module in (adversary, optics, protocol)
+              for value in vars(module).values() if hasattr(value, "cache_clear")}
+    for cache in caches:
+        cache.cache_clear()
+    return len(caches)
+
+
+class TestConfigurationLaws:
+    def test_sessions_follow_their_own_configuration(self):
+        # each configuration's first session runs on cleared caches; later
+        # ones follow a session of another configuration, whose laws
+        # (Rec-1's table and bound, Eve's skim, the light, the FFT length)
+        # must not leak into theirs
+        base = SimConfig(receivers=3, transmission=0.9, adversary="pns", pns_channel=1,
+                         rounds=2000, seed=58)
+        configs = [
+            base,
+            dataclasses.replace(base, mean_photons=3.0),
+            dataclasses.replace(base, transmission=0.8),
+            dataclasses.replace(base, bs_ratio=0.5),
+            dataclasses.replace(base, pns_channel=3),
+            dataclasses.replace(base, receivers=4),
+            dataclasses.replace(base, adversary="none"),
+            dataclasses.replace(base, adversary="none", mean_photons=3.0),
+        ]
+        first = []
+        for config in configs:
+            assert clear_cached_laws() >= 6
+            first.append(run_session(config))
+        # every field changes the session, so a law read from another shows
+        assert all(a != b for i, a in enumerate(first) for b in first[i + 1:])
+        for _ in range(2):
+            for config, result in zip(configs, first):
+                assert run_session(config) == result, config
+
+    def test_cached_tables_are_read_only(self):
+        tables = (*coherent_dark(3.0), pns_dark(5.4, 0.35, np.zeros(2, dtype=bool))[0],
+                  optics._definite_bound((0.6,), (0.5,), (0.45,)))
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestBoundedResources:
