@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .optics import dark_points, malus, read_only, uniform_z4
+from .optics import dark_points, malus, uniform_z4
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,13 +81,12 @@ USD_RUNS = tuple(map(range, _RUN_STARTS, _RUN_STARTS[1:] + [USD_SATURATION + 1])
 _SKIM_SERIES = [1.0 / math.factorial(n + 2) for n in reversed(range(30))]
 
 
-@lru_cache(maxsize=64, typed=True)
 def _skim_weight(x: float) -> float:
     """P2(x) / x^2, where P2(x) = 1 - e^-x (1 + x) is the probability that
-    a Poisson pulse of mean x holds two or more photons, computed once per
-    x. Below x = 2 it sums the series e^-x (1/2! + x/3! + x^2/4! + ...),
-    with no cancellation at small x; from 2 on, the closed form stays finite
-    at any mean the config takes."""
+    a Poisson pulse of mean x holds two or more photons. Below x = 2 it
+    sums the series e^-x (1/2! + x/3! + x^2/4! + ...), with no cancellation
+    at small x; from 2 on, the closed form stays finite at any mean the
+    config takes."""
     if x >= 2.0:
         return (-math.expm1(-x) - x * math.exp(-x)) / (x * x)
     series = 0.0
@@ -121,20 +119,13 @@ def pns_dark(mean: float, share: float, stored: np.ndarray) -> tuple[np.ndarray,
     1 - kd with d = q mean / (4 (1 + mean)) rounded to a multiple of 2^-53,
     so that every cell that needs two photons is empty, and
     e^(-mean (1 - y)) P2(mean y) / (y P2(mean)), which is 0 at y = 0.
-    Returns the table, read-only and computed once per mean and share, and
-    each pulse's column, read from ``stored``.
+    Returns the table and each pulse's column, read from ``stored``.
     """
-    return _pns_table(mean, share), stored.view(np.int8)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _pns_table(mean: float, share: float) -> np.ndarray:
-    """The dark table of ``pns_dark``."""
     weight = _skim_weight(mean)
     d = round(share * mean / (4.0 * (1.0 + mean)) * 2**53) / 2**53
     table = [[1.0 - k * d, y * math.exp(-mean * (1.0 - y)) * _skim_weight(mean * y) / weight]
              for k, y in enumerate(dark_points(share).ravel().tolist(), start=1)]
-    return read_only(np.array(table))
+    return np.array(table), stored.view(np.int8)
 
 
 def tag_attack_rounds(size: int, bs_ratio: float, rng: np.random.Generator) -> np.ndarray:

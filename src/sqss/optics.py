@@ -31,7 +31,6 @@ same uniform with one comparison (``rec1_definite``).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -105,19 +104,10 @@ def dark_points(share: float) -> np.ndarray:
     return 1.0 - np.arange(1, 5)[:, None] * share / 4
 
 
-def read_only(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only: a cached law hands every caller the same one."""
-    array.flags.writeable = False
-    return array
-
-
-@lru_cache(maxsize=64, typed=True)
 def coherent_dark(mean: float) -> tuple[np.ndarray, np.ndarray]:
     """Rec-1's dark table for the coherent pulse, of ``mean`` photons at its
-    splitter: one class, g_k = e^(-k mean/4); returns it and its one column,
-    both read-only and computed once per mean."""
-    table = np.array([[math.exp(-k * mean / 4)] for k in range(1, 5)])
-    return read_only(table), read_only(np.zeros(1, np.intp))
+    splitter: one class, g_k = e^(-k mean/4); returns it and its one column."""
+    return np.array([[math.exp(-k * mean / 4)] for k in range(1, 5)]), np.zeros(1, np.intp)
 
 
 def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
@@ -168,15 +158,7 @@ def rec1_definite(
     """The definite arm's code (``rec1_measure``) from the same uniforms:
     ``arrived`` where its detector is lit, ``VACUUM`` elsewhere. It is lit
     in cells 4 to 7, where ``u`` is at or above ``_rec1_bounds``' bound 3,
-    so one comparison matches the ranking bit for bit. The bound is a law
-    of the table alone, computed once per table's g2, g3 and g4
-    (``_definite_bound``)."""
-    lit = u >= _definite_bound(*map(tuple, dark[1:].tolist())).take(column)
+    max(g4, g3, 2g3 - g4, g2), so one comparison matches the ranking bit for bit."""
+    g2, g3, g4 = dark[1:]
+    lit = u >= np.maximum(np.maximum(g4, g3), np.maximum(2 * g3 - g4, g2)).take(column)
     return VACUUM + (arrived - VACUUM) * lit  # np.where is several times slower here
-
-
-@lru_cache(maxsize=64)
-def _definite_bound(g2: tuple, g3: tuple, g4: tuple) -> np.ndarray:
-    """max(g4, g3, 2g3 - g4, g2) for each class of a dark table, read-only."""
-    g2, g3, g4 = np.array(g2), np.array(g3), np.array(g4)
-    return read_only(np.maximum(np.maximum(g4, g3), np.maximum(2 * g3 - g4, g2)))

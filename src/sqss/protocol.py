@@ -31,7 +31,7 @@ each folds the ledger itself.
 A round (``_run_round``) is its physics: the bit, the basis, the shuffle
 sum S mod 4 (uniform on Z4 like each shuffle, the only secret that
 reaches Rec-1, sifting and the decode), Eve's events and the light,
-walked along the route (``_light``): the hops and party stages in travel
+walked along the route (``_route``): the hops and party stages in travel
 order, each with the share of photons it passes on. No light depends on
 theta, a phi_i or a single s_i, so ``run_session`` draws them behind
 each chunk, from their exact law given S (``_draw_secrets``), only where
@@ -60,7 +60,6 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Sequence
 
@@ -259,10 +258,8 @@ def sift(table: RoundTable, dark: np.ndarray, column: np.ndarray) -> np.ndarray:
     return np.flatnonzero(table.sifted < VACUUM)
 
 
-@lru_cache(maxsize=256)
 def _fft_length(m: int) -> int:
-    """The smallest 2**a * 3**b >= m, a length numpy's FFT transforms quickly;
-    computed once per m."""
+    """The smallest 2**a * 3**b >= m, a length numpy's FFT transforms quickly."""
     best, power3 = 1 << (m - 1).bit_length(), 3
     while power3 < best:
         best = min(best, power3 << (-(-m // power3) - 1).bit_length())
@@ -389,38 +386,29 @@ def integrity_check(alice_hash: str, receiver_hashes: Sequence[str]) -> Verdict:
     return Verdict(VerdictKind.ABORT_RETRY)
 
 
-def _light(config: SimConfig) -> tuple[tuple, tuple, int, float, float]:
-    """The route's steps and shares, the steps up to Eve's PNS hop (0 without
-    her), the mean photon number there and the share q of it that reaches
-    Rec-1: a law of the ring and the attack, never of the seed, computed once
-    per receivers, hop transmission, ``bs_ratio``, attack and mean."""
-    return _ring_light(config.receivers, config.hop_transmission(), config.bs_ratio,
-                       config.adversary == "impersonate",
-                       config.pns_channel if config.adversary == "pns" else 0,
-                       config.mean_photons)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _ring_light(
-    n: int, t: float, bs_ratio: float, impersonate: bool, tapped: int, mean: float
-) -> tuple[tuple, tuple, int, float, float]:
-    """``_light`` for N receivers, hops of transmission t and Eve's PNS tap on
-    hop ``tapped`` (0 for none). The route is the pulse's path in travel
-    order: each hop (its number) and each party stage (its trace name), with
-    the share of its photons each passes on."""
+def _route(config: SimConfig) -> list[tuple[int | str, float]]:
+    """The pulse's path in travel order: each hop (its number) and each party
+    stage (its trace name), with the share of its photons each passes on."""
+    n, t = config.receivers, config.hop_transmission()
     route: list[tuple[int | str, float]] = [("alice_out", 1.0)]
     for i in range(1, n + 1):
         route += [(i, t), (f"rec{i}_forward", 1.0)]
     # only the transmitted part of her storage splitter leaves Alice's box,
     # behind hop N+1 and any tap on it
-    route += [(n + 1, t), ("alice_encoded", bs_ratio)]
-    if impersonate:
+    route += [(n + 1, t), ("alice_encoded", config.bs_ratio)]
+    if config.adversary == "impersonate":
         route.append(("eve_reencoded", 1.0))
     for i in range(n, 0, -1):
         route += [(2 * n + 2 - i, t), (f"rec{i}_backward", 1.0)]
-    steps, shares = zip(*route)
-    hop = steps.index(tapped) + 1 if tapped else 0
-    lam = mean * math.prod(shares[:hop])
+    return route
+
+
+def _light(config: SimConfig) -> tuple[tuple, tuple, int, float, float]:
+    """The route's steps and shares, the steps up to Eve's PNS hop (0 without
+    her), the mean photon number there and the share q of it that reaches Rec-1."""
+    steps, shares = zip(*_route(config))
+    hop = steps.index(config.pns_channel) + 1 if config.adversary == "pns" else 0
+    lam = config.mean_photons * math.prod(shares[:hop])
     return steps, shares, hop, lam, math.prod(shares[hop:])
 
 

@@ -22,13 +22,3 @@ def test_every_scenario_exits_as_listed(tmp_path):
     none_kept = (tmp_path / "attack_tag_none_kept.txt").read_text()
     assert "trials=0\n" in none_kept
     assert "sifted_bit_recovery_rate=nan\n" in none_kept and "std_error=nan\n" in none_kept
-
-
-def test_reverse_runs_the_scenarios_last_first(tmp_path, monkeypatch):
-    # CI diffs a run in reverse order against one in the listed order, so
-    # an output that depends on an earlier scenario's session shows
-    matrix = load_script(SCRIPT)
-    monkeypatch.setattr(matrix, "main", lambda argv: 0)
-    assert list(matrix.run_matrix(tmp_path / "listed")) == list(matrix.SCENARIOS)
-    assert list(matrix.run_matrix(tmp_path / "reverse", reverse=True)) == list(
-        reversed(matrix.SCENARIOS))

@@ -22,7 +22,7 @@ from session_records import recorded
 
 from sqss.config import SimConfig
 from sqss.optics import AMBIGUOUS, VACUUM, dark_points, rec1_measure
-from sqss.protocol import _key_angle, _light, run_session
+from sqss.protocol import _key_angle, _route, run_session
 
 ROUNDS = 200_000
 
@@ -56,7 +56,7 @@ def counted_walk(config: SimConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
     count = rng.poisson(config.mean_photons, ROUNDS)
     stored = np.zeros(ROUNDS, dtype=np.int64)
     stages = []
-    for step, share in zip(*_light(config)[:2]):
+    for step, share in _route(config):
         count = rng.binomial(count, share)
         if config.adversary == "pns" and step == config.pns_channel:
             stored = (count >= 2).astype(np.int64)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from session_records import circular_distance, counted_dark, recorded
 
-from sqss import adversary, optics, protocol
-from sqss.adversary import EveSummary, pns_dark
+from sqss import protocol
+from sqss.adversary import EveSummary
 from sqss.config import MAX_RECEIVERS, SimConfig
 from sqss.optics import (
     _REC1_CODES,
@@ -978,52 +978,6 @@ class TestRunSession:
         else:  # a USD success reads the bit
             expected = EveSummary("impersonate", rounds, events, events)
         assert plain.eve_summary == with_records.eve_summary == expected
-
-
-def clear_cached_laws() -> int:
-    """Forget every law cached from an earlier configuration; returns how
-    many caches there were."""
-    caches = {value for module in (adversary, optics, protocol)
-              for value in vars(module).values() if hasattr(value, "cache_clear")}
-    for cache in caches:
-        cache.cache_clear()
-    return len(caches)
-
-
-class TestConfigurationLaws:
-    def test_sessions_follow_their_own_configuration(self):
-        # each configuration's first session runs on cleared caches; later
-        # ones follow a session of another configuration, whose laws
-        # (Rec-1's table and bound, Eve's skim, the light, the FFT length)
-        # must not leak into theirs
-        base = SimConfig(receivers=3, transmission=0.9, adversary="pns", pns_channel=1,
-                         rounds=2000, seed=58)
-        configs = [
-            base,
-            dataclasses.replace(base, mean_photons=3.0),
-            dataclasses.replace(base, transmission=0.8),
-            dataclasses.replace(base, bs_ratio=0.5),
-            dataclasses.replace(base, pns_channel=3),
-            dataclasses.replace(base, receivers=4),
-            dataclasses.replace(base, adversary="none"),
-            dataclasses.replace(base, adversary="none", mean_photons=3.0),
-        ]
-        first = []
-        for config in configs:
-            assert clear_cached_laws() >= 6
-            first.append(run_session(config))
-        # every field changes the session, so a law read from another shows
-        assert all(a != b for i, a in enumerate(first) for b in first[i + 1:])
-        for _ in range(2):
-            for config, result in zip(configs, first):
-                assert run_session(config) == result, config
-
-    def test_cached_tables_are_read_only(self):
-        tables = (*coherent_dark(3.0), pns_dark(5.4, 0.35, np.zeros(2, dtype=bool))[0],
-                  optics._definite_bound((0.6,), (0.5,), (0.45,)))
-        for table in tables:
-            with pytest.raises(ValueError):
-                table[0] = 0
 
 
 class TestBoundedResources:

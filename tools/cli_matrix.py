@@ -1,21 +1,16 @@
 """Run a fixed matrix of ``sqss`` command lines and write every output to a directory.
 
-Usage: ``PYTHONPATH=<checkout>/src python tools/cli_matrix.py [--reverse] OUTDIR``
+Usage: ``PYTHONPATH=<checkout>/src python tools/cli_matrix.py OUTDIR``
 
-Each scenario runs in-process through ``sqss.cli.main``, in the listed
-order or, with ``--reverse``, last first, and leaves
+Each scenario runs in-process through ``sqss.cli.main`` and leaves
 ``OUTDIR/<name>.txt``, its stdout and stderr followed by its exit code,
 plus ``OUTDIR/<name>.csv`` where the scenario writes ``--out``. A
 scenario listed in ``CONFIG_FILES`` first writes its file to
 ``OUTDIR/<name>.cfg`` and reads it with ``--config``. The
 ``sqss`` package is whichever one ``PYTHONPATH`` puts first, so two
 checkouts run into two directories compare with ``diff -r``: the same
-seed and configuration must give byte-identical output. Every scenario
-runs in one process, after the ones before it: a run in reverse order
-diffs clean against one in the listed order only if no output depends on
-what an earlier session left behind, such as a cached law of another
-configuration. Exits 1 when a scenario's exit code is not the one listed
-for it.
+seed and configuration must give byte-identical output. Exits 1 when a
+scenario's exit code is not the one listed for it.
 
 To compare a change with its parent commit, export the parent beside
 it and run each checkout's own copy of this script, on its own ``src``,
@@ -157,12 +152,11 @@ CONFIG_FILES: dict[str, str] = {
 }
 
 
-def run_matrix(outdir: Path, reverse: bool = False) -> dict[str, int]:
-    """Run every scenario into ``outdir``, last first if ``reverse``; returns
-    each scenario's exit code."""
+def run_matrix(outdir: Path) -> dict[str, int]:
+    """Run every scenario into ``outdir``; returns each scenario's exit code."""
     outdir.mkdir(parents=True, exist_ok=True)
     codes = {}
-    for name, (argv, _) in reversed(SCENARIOS.items()) if reverse else SCENARIOS.items():
+    for name, (argv, _) in SCENARIOS.items():
         if name in CONFIG_FILES:
             config = outdir / f"{name}.cfg"
             config.write_text(CONFIG_FILES[name], encoding="utf-8")
@@ -178,11 +172,9 @@ def run_matrix(outdir: Path, reverse: bool = False) -> dict[str, int]:
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    reverse = args[:1] == ["--reverse"]
-    if len(args) != 1 + reverse:
+    if len(sys.argv) != 2:
         sys.exit(__doc__.strip().splitlines()[2])
-    codes = run_matrix(Path(args[-1]), reverse)
+    codes = run_matrix(Path(sys.argv[1]))
     wrong = {name: code for name, code in codes.items() if code != SCENARIOS[name][1]}
     for name, code in codes.items():
         print(f"{name}: exit {code}" + (" (unexpected)" if name in wrong else ""))
