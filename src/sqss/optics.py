@@ -16,7 +16,9 @@ theta meets a polarizing beam splitter aligned with basis angle beta and
 clicks the aligned detector with probability p = cos^2(theta - beta)
 (``malus``), otherwise the orthogonal one. Eve reads her one stored
 photon this way, from one uniform draw against p
-(``adversary.ml_single_photon_estimator``).
+(``adversary.ml_single_photon_estimator``): p is taken in float32, and
+``malus`` re-reads in float64 the few rounds whose uniform lies too
+close to it for float32 to tell, so every read is the float64 read.
 
 Rec-1 reads both arms of its 50:50 splitter from one uniform per pulse
 (``rec1_measure``): at the whole quarter turns it receives, ``MALUS``
@@ -25,7 +27,9 @@ uniform reads their joint law from a table of four dark probabilities
 per class of light, with no draw of the split or of the last loss in
 front of Rec-1. The definite arm alone, which sifting keeps unless an
 impersonator turned the pulse by an odd quarter turn, reads from the
-same uniform with one comparison (``rec1_definite``).
+same uniform with one comparison against one bound per class
+(``rec1_definite``). A session builds the table and the bounds once
+(``rec1_law``).
 """
 
 from __future__ import annotations
@@ -97,17 +101,19 @@ def _rec1_codes() -> np.ndarray:
 _REC1_CODES = _rec1_codes()
 
 
-def dark_points(share: float) -> np.ndarray:
-    """The column of y_k = 1 - kq/4, k = 1..4, for photons that each reach
-    Rec-1's splitter with probability ``share`` (q): g_k is the generating
-    function of the photons sent on toward the splitter, taken at y_k."""
-    return 1.0 - np.arange(1, 5)[:, None] * share / 4
-
-
-def coherent_dark(mean: float) -> tuple[np.ndarray, np.ndarray]:
+def coherent_dark(mean: float) -> list[list[float]]:
     """Rec-1's dark table for the coherent pulse, of ``mean`` photons at its
-    splitter: one class, g_k = e^(-k mean/4); returns it and its one column."""
-    return np.array([[math.exp(-k * mean / 4)] for k in range(1, 5)]), np.zeros(1, np.intp)
+    splitter, in Python floats: one class, g_k = e^(-k mean/4)."""
+    return [[math.exp(-k * mean / 4)] for k in range(1, 5)]
+
+
+def rec1_law(dark: list[list[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Rec-1's law from its dark table in Python floats (``coherent_dark``,
+    ``adversary.pns_dark``): the table as an array, for ``rec1_measure``,
+    and the definite arm's bound per class of light, for ``rec1_definite``:
+    max(g4, g3, 2g3 - g4, g2), bound 3 of ``_rec1_bounds`` bit for bit."""
+    bound = [max(g4, g3, 2 * g3 - g4, g2) for _, g2, g3, g4 in zip(*dark)]
+    return np.array(dark), np.array(bound)
 
 
 def _rec1_bounds(dark: np.ndarray) -> np.ndarray:
@@ -153,12 +159,12 @@ def rec1_measure(
 
 
 def rec1_definite(
-    arrived: np.ndarray, dark: np.ndarray, column: np.ndarray, u: np.ndarray
+    arrived: np.ndarray, bound: np.ndarray, column: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """The definite arm's code (``rec1_measure``) from the same uniforms:
     ``arrived`` where its detector is lit, ``VACUUM`` elsewhere. It is lit
     in cells 4 to 7, where ``u`` is at or above ``_rec1_bounds``' bound 3,
-    max(g4, g3, 2g3 - g4, g2), so one comparison matches the ranking bit for bit."""
-    g2, g3, g4 = dark[1:]
-    lit = u >= np.maximum(np.maximum(g4, g3), np.maximum(2 * g3 - g4, g2)).take(column)
+    max(g4, g3, 2g3 - g4, g2), given per class of light in ``bound``
+    (``rec1_law``), so one comparison matches the ranking bit for bit."""
+    lit = u >= bound.take(column)
     return VACUUM + (arrived - VACUUM) * lit  # np.where is several times slower here

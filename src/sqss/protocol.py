@@ -45,10 +45,11 @@ No photon count is drawn: Eve's PNS hop reads her event from one uniform
 (``adversary.pns_intercept``), and Rec-1 draws one uniform per round
 against the law of what reaches its splitter: the coherent pulse of mean
 lambda q (``optics.coherent_dark``), or under ``pns`` the share q of what
-Eve forwards (``adversary.pns_dark``). Sifting reads only the arm it
-keeps from it: the definite one with one comparison
-(``optics.rec1_definite``), or, under impersonation, where Eve's offset
-can make it the split one, both arms (``optics.rec1_measure``). The
+Eve forwards (``adversary.pns_dark``), a law a session builds once
+(``optics.rec1_law``). Sifting reads only the arm it keeps from it: the
+definite one with one comparison (``optics.rec1_definite``), or, under
+impersonation, where Eve's offset can make it the split one, both arms
+(``optics.rec1_measure``). The
 records rank both arms from the same uniforms behind the chunk, and the
 trace is drawn behind it from the records' stream, given what Rec-1 read
 (``_draw_trace``), so neither moves another draw.
@@ -75,6 +76,7 @@ from .optics import (
     VACUUM,
     coherent_dark,
     rec1_definite,
+    rec1_law,
     rec1_measure,
     rotate,
     uniform_z4,
@@ -234,23 +236,24 @@ def _polarizations(table: RoundTable) -> Iterator[np.ndarray]:
     return accumulate(turns(), rotate, initial=table.theta)
 
 
-def sift(table: RoundTable, dark: np.ndarray, column: np.ndarray) -> np.ndarray:
+def sift(table: RoundTable, dark: np.ndarray, bound: np.ndarray, column: np.ndarray) -> np.ndarray:
     """Read the basis-matching arm per round and drop unusable rounds.
 
     The actual basis of the measured angle follows from the announced
     family j and the parity of the round's ``shuffle_sum``. Rec-1's
     definite arm has the basis of the angle it receives, which differs
     only by Eve's offset under impersonation: without one the matching arm
-    is the definite one, read from each round's ``rec1_uniform`` in Rec-1's
-    law (``dark`` and ``column``) with one comparison. An odd offset makes
-    it the split one, so a table with offsets ranks both arms. Rounds whose
+    is the definite one, read from each round's ``rec1_uniform`` with one
+    comparison against its class's ``bound`` (``optics.rec1_law``), the
+    class given by ``column``. An odd offset makes it the split one, so a
+    table with offsets ranks both arms from the ``dark`` table. Rounds whose
     matching arm reported vacuum or conflicting clicks are discarded.
     Stores that arm's outcome in ``table.sifted`` (the measured angle of
     a kept round) and returns the indices of the kept rounds.
     """
     arrived, u = _arrived(table), table.rec1_uniform
     if table.eve_offset is None:
-        table.sifted = rec1_definite(arrived, dark, column, u)
+        table.sifted = rec1_definite(arrived, bound, column, u)
     else:
         even = ((table.basis_choice - 1 + table.shuffle_sum) & 1) == 0
         rect, diag = rec1_measure(arrived, dark, column, u)
@@ -403,13 +406,17 @@ def _route(config: SimConfig) -> list[tuple[int | str, float]]:
     return route
 
 
-def _light(config: SimConfig) -> tuple[tuple, tuple, int, float, float]:
-    """The route's steps and shares, the steps up to Eve's PNS hop (0 without
-    her), the mean photon number there and the share q of it that reaches Rec-1."""
-    steps, shares = zip(*_route(config))
-    hop = steps.index(config.pns_channel) + 1 if config.adversary == "pns" else 0
-    lam = config.mean_photons * math.prod(shares[:hop])
-    return steps, shares, hop, lam, math.prod(shares[hop:])
+def _light(config: SimConfig) -> tuple[int, float, float]:
+    """The route's steps up to and with Eve's PNS hop c, 2c (0 without her),
+    the mean photon number there and the share q of it that reaches Rec-1:
+    the products of ``_route``'s shares before and behind her, taken in the
+    same order over the only ones that can be below 1, the hops' and Alice's
+    splitter's."""
+    n, t = config.receivers, config.hop_transmission()
+    shares = [t] * (n + 1) + [config.bs_ratio] + [t] * n
+    c = config.pns_channel if config.adversary == "pns" else 0
+    head = c + (c > n + 1)  # her hop's share and every one before it
+    return 2 * c, config.mean_photons * math.prod(shares[:head]), math.prod(shares[head:])
 
 
 def _arrived(table: RoundTable) -> np.ndarray:
@@ -489,7 +496,8 @@ def _draw_trace(table: RoundTable, config: SimConfig, rng: np.random.Generator) 
     counts the photons at the splitter (before her hop, n) plus those lost
     behind it, each pool of lost photons split over the stretches between
     stages by binomial thinning (``thin_batch``)."""
-    steps, shares, hop, lam, q = _light(config)
+    steps, shares = zip(*_route(config))
+    hop, lam, q = _light(config)
     size = len(table)
     flip = (table.diag - table.rect) * (_arrived(table) & 1)  # np.where is slower on int8
     definite, other = table.rect + flip, table.diag - flip
@@ -590,6 +598,9 @@ def run_session(
     its key rows and Eve's counts. Then it optionally reconciles and
     compresses, and cross-checks key digests; an empty final key aborts
     for retry. Every draw comes from one generator, seeded by ``config.seed``.
+    Rec-1's law depends on the configuration alone, so it is built once,
+    before the first chunk (``optics.rec1_law``); under ``pns`` Eve's events
+    give each round its class of light.
 
     ``records``, if given, is called with each finished chunk in round
     order: sifted, cut at the target, decoded and scored, then with both of
@@ -613,7 +624,7 @@ def run_session(
     target = config.target_key_bits
     # Sifting keeps a round when the selected arm, which holds half of the
     # lam * q photons reaching Rec-1, is not empty. No attack raises that rate.
-    _, _, hop, lam, q = _light(config)
+    hop, lam, q = _light(config)
     keep_rate = -math.expm1(-lam * q / 2.0)
     reachable = MAX_ROUNDS * keep_rate
     if target > reachable:
@@ -622,6 +633,9 @@ def run_session(
             f"{target} sifted bits need more than {MAX_ROUNDS} rounds"
             f" at the expected keep rate (about {reachable:.3g} bits reachable)",
         )
+    # Rec-1's law, one class of light unless Eve's events split it in two
+    dark, bound = rec1_law(adv.pns_dark(lam, q) if hop else coherent_dark(lam * q))
+    column = np.zeros(1, np.intp)
     rng = np.random.default_rng(config.seed)
     if records is not None:
         secrets = np.random.default_rng(np.random.SeedSequence([config.seed, _SECRETS_SEED_SALT]))
@@ -644,8 +658,9 @@ def run_session(
             size = math.ceil((rest + 4.0 * math.sqrt(rest * (1.0 - keep_rate))) / keep_rate)
             size = min(size, MAX_ROUNDS - executed)
         chunk = _run_round(min(size, _CHUNK_ROUNDS), config, rng, lam)
-        dark, column = adv.pns_dark(lam, q, chunk.eve_event) if hop else coherent_dark(lam * q)
-        kept = sift(chunk, dark, column)
+        if hop:
+            column = chunk.eve_event.view(np.int8)
+        kept = sift(chunk, dark, bound, column)
         if records is None:  # read: gone before Eve's estimator and the decode
             chunk.rec1_uniform = None
         if target and len(kept) >= target - kept_count:
@@ -677,7 +692,7 @@ def run_session(
         executed += len(chunk)
         kept_count += len(kept)
     keys = key_rows[0] if len(key_rows) == 1 else np.hstack(key_rows)
-    del key_rows, chunk, kept, consensus  # gone before reconciliation reaches its peak
+    del key_rows, chunk, kept, consensus, dark, bound, column  # gone before reconciliation peaks
     qber = np.count_nonzero(keys[0] != keys[1]) / kept_count if kept_count else 0.0
     discard_fraction = 1.0 - kept_count / executed
 

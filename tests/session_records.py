@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from sqss.config import SimConfig
-from sqss.optics import dark_points
 from sqss.protocol import RoundTable, SessionResult, run_session
 
 
@@ -28,6 +27,13 @@ def recorded(config: SimConfig) -> tuple[SessionResult, RoundTable]:
     table = RoundTable(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else c[0]
                          for c in columns))
     return result, table
+
+
+def dark_points(share: float) -> np.ndarray:
+    """The column of y_k = 1 - kq/4, k = 1..4, for photons that each reach
+    Rec-1's splitter with probability ``share`` (q): g_k is the generating
+    function of the photons sent on toward the splitter, taken at y_k."""
+    return 1.0 - np.arange(1, 5)[:, None] * share / 4
 
 
 def counted_dark(count, q):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from session_records import recorded
+from session_records import dark_points, recorded
 
 from sqss import adversary
 from sqss.adversary import (
@@ -23,7 +23,7 @@ from sqss.adversary import (
 )
 from sqss.analysis import monte_carlo_p_error
 from sqss.config import SimConfig
-from sqss.optics import AMBIGUOUS, QUARTER_TURN, dark_points
+from sqss.optics import AMBIGUOUS, QUARTER_TURN, malus
 from sqss.protocol import run_session
 
 
@@ -158,8 +158,7 @@ class TestPnsDark:
     @pytest.mark.parametrize("q", [1.0, 0.35, 1e-9])
     @pytest.mark.parametrize("mean", [1e-12, 1e-6, 1e-3, 0.5, 5.4, 50.0, 1e6, 9.2e18])
     def test_matches_mpmath(self, mean, q):
-        dark, column = pns_dark(mean, q, np.array([False, True]))
-        assert column.tolist() == [0, 1]
+        dark = np.array(pns_dark(mean, q))
         with mpmath.workdps(80):
             for k, y in enumerate(dark_points(q).ravel().tolist()):
                 for stored in (0, 1):
@@ -408,7 +407,92 @@ class TestImpersonationAsTheReceiversSeeIt:
         assert np.count_nonzero((table.rect == AMBIGUOUS) | (table.diag == AMBIGUOUS)) > 0
 
 
+class StubGenerator:
+    """Hands out the given uniforms in order, where ``Generator.random`` would draw them."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        drawn, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return drawn.copy()
+
+
+def float64_guesses(stored, polarization, basis_choice, u):
+    """Eve's guesses read against Malus' p in float64, coded here: bit 1 where
+    u >= cos^2(theta - (j - 1) pi/4) on a stored photon, u >= 1/2 elsewhere."""
+    p = np.cos(polarization - (basis_choice - 1) * (math.pi / 4)) ** 2
+    return u >= np.where(stored, p, 0.5)
+
+
+# polarizations at the basis angles and the top of [0, pi)
+SPECIAL_POLARIZATIONS = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, np.nextafter(math.pi, 0)]
+
+
 class TestMlEstimator:
+    @staticmethod
+    def reread_rounds(monkeypatch):
+        """The rounds of each float64 re-read the estimator makes, from here on."""
+        rounds = []
+
+        def spy(polarization, aligned):
+            rounds.append(len(polarization))
+            return malus(polarization, aligned)
+
+        monkeypatch.setattr(adversary, "malus", spy)
+        return rounds
+
+    def test_screened_read_is_the_float64_read_on_random_rounds(self, monkeypatch):
+        # 10^7 rounds, about 300 of them within 2^-16 of p, so re-read
+        reread = self.reread_rounds(monkeypatch)
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            n = 10**6
+            stored = rng.random(n) < 0.9
+            polarization = rng.random(n) * math.pi
+            basis = rng.integers(1, 3, n, dtype=np.int8)
+            u = rng.random(n)
+            guesses = ml_single_photon_estimator(stored, polarization, basis, StubGenerator(u))
+            assert np.array_equal(guesses, float64_guesses(stored, polarization, basis, u))
+        assert sum(reread) > 0
+
+    def test_screened_read_is_the_float64_read_at_the_edges(self, monkeypatch):
+        # u exactly at the float64 p, one ulp either side, and at p +- 2^-16
+        # and one ulp either side of those: every polarization in both bases,
+        # with a stored photon and without (p = 1/2)
+        reread = self.reread_rounds(monkeypatch)
+        angles = np.concatenate([SPECIAL_POLARIZATIONS, np.random.default_rng(35).random(200) * math.pi])
+        polarization, basis, stored = (a.ravel() for a in np.meshgrid(
+            angles, np.array([1, 2], dtype=np.int8), [False, True], indexing="ij"))
+        p = np.where(stored, np.cos(polarization - (basis - 1) * (math.pi / 4)) ** 2, 0.5)
+        edges = [p, np.nextafter(p, -1.0), np.nextafter(p, 2.0)]
+        for centre in (p - 2.0**-16, p + 2.0**-16):
+            edges += [centre, np.nextafter(centre, -1.0), np.nextafter(centre, 2.0)]
+        u, times = np.concatenate(edges), len(edges)
+        guesses = ml_single_photon_estimator(
+            np.tile(stored, times), np.tile(polarization, times), np.tile(basis, times),
+            StubGenerator(u))
+        assert guesses.tolist() == (u >= np.tile(p, times)).tolist()
+        at, below = guesses.reshape(times, -1)[:2]
+        assert at.all() and not below.any()
+        assert sum(reread) >= 3 * len(p)
+
+    def test_float32_p_stays_far_inside_the_screen(self):
+        # the float32 read is exact only while float32's p stays well inside
+        # the screen of float64's: a numpy whose float32 cos is coarser fails here
+        polarization = np.concatenate([
+            np.linspace(0.0, math.pi, 500_000, endpoint=False),
+            np.random.default_rng(36).random(500_000) * math.pi,
+            SPECIAL_POLARIZATIONS,
+        ])
+        assert adversary._FLOAT32_SCREEN == 2.0**-16
+        for aligned in (0, 1):
+            aligned = np.full(len(polarization), aligned, dtype=np.int8)
+            p32 = adversary._malus_float32(polarization, aligned)
+            assert p32.dtype == np.float32
+            gap = np.abs(p32 - malus(polarization, aligned)).max()
+            assert gap < adversary._FLOAT32_SCREEN / 16, gap
+
     def test_no_photon_is_a_coin(self):
         rng = np.random.default_rng(30)
         n = 20000

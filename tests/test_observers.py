@@ -18,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
-from session_records import recorded
+from session_records import dark_points, recorded
 
 from sqss.config import SimConfig
-from sqss.optics import AMBIGUOUS, VACUUM, dark_points, rec1_measure
+from sqss.optics import AMBIGUOUS, VACUUM, rec1_measure
 from sqss.protocol import _key_angle, _route, run_session
 
 ROUNDS = 200_000

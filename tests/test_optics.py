@@ -23,6 +23,7 @@ from sqss.optics import (
     coherent_dark,
     malus,
     rec1_definite,
+    rec1_law,
     rec1_measure,
     rotate,
     uniform_z4,
@@ -30,6 +31,18 @@ from sqss.optics import (
 from sqss.protocol import _key_angle, _polarizations, run_session
 
 QT = math.pi / 4
+
+
+def coherent(mean):
+    """Rec-1's law for the coherent pulse as a session reads it: the dark
+    table and its one column."""
+    return np.array(coherent_dark(mean)), np.zeros(1, np.intp)
+
+
+def pns_reading(mean, q, stored):
+    """Rec-1's law after Eve's reading as a session reads it: the dark
+    table and each pulse's column, her event."""
+    return np.array(pns_dark(mean, q)), stored.view(np.int8)
 
 
 def turned(radians, start=0.0):
@@ -215,7 +228,7 @@ class TestCoherentMeasure:
         n = 100_000
         m = mean / 2
         for q in range(4):
-            arms = rec1_measure(np.full(n, q), *coherent_dark(mean), rng.random(n))
+            arms = rec1_measure(np.full(n, q), *coherent(mean), rng.random(n))
             arms = dict(zip((RECTILINEAR, DIAGONAL), arms))
             for basis, out in arms.items():
                 p = math.cos((q - basis) * QT) ** 2
@@ -314,7 +327,7 @@ class TestRec1JointLaw:
 
     @pytest.mark.parametrize("mean", [0.5, 3.0, 6.0])
     def test_coherent_pulse(self, mean):
-        engine = self.engine_histogram(4000, *coherent_dark(mean))
+        engine = self.engine_histogram(4000, *coherent(mean))
         assert_one_law(engine, reference_histogram(4000, 1.0, lambda r: _poisson(r, mean)))
 
     @pytest.mark.parametrize("q", [1.0, 0.9, 0.7, 0.35, 0.2, 0.1, 0.01, 1e-9])
@@ -324,7 +337,7 @@ class TestRec1JointLaw:
         # forwards when she keeps none (pns_dark's column 0) cannot: each
         # step has no width below zero, and these none at all
         for mean in [*10.0 ** np.arange(-300, 19, 3.7), 9.2e18]:
-            dark = pns_dark(mean, q, np.zeros(0, dtype=bool))[0]
+            dark = np.array(pns_dark(mean, q))
             width = np.diff(_rec1_bounds(dark)[:, 0], prepend=0.0, append=1.0)
             assert (width >= 0.0).all(), (mean, width)
             assert (width[[3, 5, 6, 7]] == 0.0).all(), (mean, width)
@@ -343,8 +356,8 @@ class TestRec1JointLaw:
         rng = np.random.default_rng(m % 1000)
         angle = np.full(64, arrived, dtype=np.int8)
         stored = np.arange(64) % 2 == 1
-        for dark, column in (counted_dark(np.full(64, m), q), coherent_dark(mean),
-                             pns_dark(mean, q, stored)):
+        for dark, column in (counted_dark(np.full(64, m), q), coherent(mean),
+                             pns_reading(mean, q, stored)):
             assert np.isfinite(dark).all() and ((0.0 <= dark) & (dark <= 1.0)).all()
             rect, diag = rec1_measure(angle, dark, column, rng.random(64))
             definite, other = (rect, diag) if arrived % 2 == 0 else (diag, rect)
@@ -359,23 +372,24 @@ class TestRec1Definite:
     1e4 all four)."""
 
     @staticmethod
-    def assert_matches_the_ranking(dark, column):
+    def assert_matches_the_ranking(table, column):
+        dark, bound = rec1_law(table)
         bounds = _rec1_bounds(dark)[:, column]
         u = np.concatenate([bounds, np.nextafter(bounds, -1.0), np.nextafter(bounds, 2.0), [0.0]])
         arrived = np.repeat(np.arange(4, dtype=np.int8), len(u))
         u, columns = np.tile(u, 4), np.full(4 * len(u), column)
         rect, diag = rec1_measure(arrived, dark, columns, u)
         definite = np.where(arrived % 2 == 0, rect, diag)
-        assert rec1_definite(arrived, dark, columns, u).tolist() == definite.tolist()
+        assert rec1_definite(arrived, bound, columns, u).tolist() == definite.tolist()
 
     @pytest.mark.parametrize("mean", [1e-9, 0.5, 3.0, 6.0, 40.0, 2000.0, 1e4])
     def test_coherent_pulse(self, mean):
-        self.assert_matches_the_ranking(coherent_dark(mean)[0], 0)
+        self.assert_matches_the_ranking(coherent_dark(mean), 0)
 
     @pytest.mark.parametrize("column", [0, 1], ids=["kept_none", "kept_one"])
     @pytest.mark.parametrize("mean, q", [(0.2, 1.0), (5.4, 0.9), (6.0, 0.35), (1e4, 0.9)])
     def test_pns_reading(self, mean, q, column):
-        self.assert_matches_the_ranking(pns_dark(mean, q, np.zeros(0, dtype=bool))[0], column)
+        self.assert_matches_the_ranking(pns_dark(mean, q), column)
 
 
 class TestPnsReadingJointLaw:

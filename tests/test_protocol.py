@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from sqss.optics import (
     _rec1_bounds,
     coherent_dark,
     rec1_definite,
+    rec1_law,
     rec1_measure,
 )
 from sqss.protocol import (
@@ -30,7 +32,9 @@ from sqss.protocol import (
     _decode,
     _fft_length,
     _key_angle,
+    _light,
     _polarizations,
+    _route,
     integrity_check,
     key_digest,
     parity_survivor_indices,
@@ -214,7 +218,7 @@ class TestRec1Measure:
 
 
 # Rec-1's law for the hand-built tables: a coherent pulse whose eight cells all have width
-_DARK = coherent_dark(3.0)
+_DARK = (*rec1_law(coherent_dark(3.0)), np.zeros(1, np.intp))
 
 
 def _make_table(shuffles, j, bit, rect, diag, offset=None):
@@ -797,6 +801,45 @@ class TestIntegrity:
 
 
 class TestRunSession:
+    @pytest.mark.parametrize("config", [
+        SimConfig(receivers=1, transmission=0.9, adversary="pns", pns_channel=3, rounds=5000,
+                  seed=47),
+        SimConfig(receivers=2, rounds=5000, seed=48),
+    ], ids=["pns_n1_channel3", "honest_n2"])
+    def test_rec1_law_is_built_once_per_session(self, config, monkeypatch):
+        # the law depends on the configuration alone: a session of three
+        # chunks builds it before the first and sifts every chunk with it,
+        # each under pns in the classes of that chunk's events
+        monkeypatch.setattr(protocol, "_CHUNK_ROUNDS", 2048)
+        built, read = [], []
+        monkeypatch.setattr(protocol, "rec1_law", lambda dark: built.append(dark) or rec1_law(dark))
+        monkeypatch.setattr(protocol, "sift",
+                            lambda chunk, *law: read.append((chunk, law)) or sift(chunk, *law))
+        run_session(config)
+        assert len(built) == 1 and len(read) == 3
+        (_, (dark, bound, _)), *rest = read
+        for _, law in rest:
+            assert law[0] is dark and law[1] is bound
+        for chunk, (_, _, column) in read:
+            if config.adversary == "pns":
+                assert np.array_equal(column, chunk.eve_event)
+            else:
+                assert column.tolist() == [0]
+
+    @pytest.mark.parametrize("adversary", ["none", "pns", "impersonate"])
+    def test_light_is_the_products_along_the_route(self, adversary):
+        # _light multiplies the shares of the hops and Alice's splitter alone,
+        # in travel order: bit for bit the products over the whole route
+        for n, channel, t, bs in itertools.product((1, 2, 5), (1, 3, 4), (0.9, 0.37), (1.0, 0.6)):
+            if adversary == "pns" and channel > 2 * n + 1:
+                continue
+            config = SimConfig(receivers=n, transmission=t, bs_ratio=bs, mean_photons=5.5,
+                               adversary=adversary, pns_channel=channel)
+            steps, shares = zip(*_route(config))
+            hop = steps.index(channel) + 1 if adversary == "pns" else 0
+            expected = hop, 5.5 * math.prod(shares[:hop]), math.prod(shares[hop:])
+            assert _light(config) == expected, (n, channel, t, bs)
+
     def test_honest_lossless_two_receivers(self):
         cfg = SimConfig(receivers=2, mean_photons=6.0, rounds=1000, parity_block=8, seed=42)
         res = run_session(cfg)

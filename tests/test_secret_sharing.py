@@ -24,7 +24,7 @@ from session_records import counted_dark, recorded
 
 from sqss.adversary import pns_dark
 from sqss.config import SimConfig
-from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark, rec1_measure
+from sqss.optics import _REC1_CODES, VACUUM, _rec1_bounds, coherent_dark, rec1_law, rec1_measure
 from sqss.protocol import RoundTable, _decode, _key_angle, sift
 
 
@@ -51,8 +51,8 @@ def joint_law(view, bit, weight):
 # photons, the coherent pulse, and both columns of Eve's reading
 DARK_TABLES = {
     "counted": counted_dark(np.array([1, 2, 5]), 0.35)[0],
-    "coherent": coherent_dark(3.0)[0],
-    "eve_reading": pns_dark(5.4, 0.35, np.zeros(0, dtype=bool))[0],
+    "coherent": np.array(coherent_dark(3.0)),
+    "eve_reading": np.array(pns_dark(5.4, 0.35)),
 }
 
 
@@ -67,14 +67,14 @@ def test_exact_law_hides_the_bit_from_every_strict_coalition(receivers):
     arrived = (_key_angle(bit, j) + shuffle_sum) & 3
     # each round's Rec-1 uniform at the middle of its cell, in a law where
     # every cell has width; the arms are ranked from it, as a session does
-    dark, column = DARK_TABLES["coherent"], np.zeros(1, dtype=np.intp)
+    (dark, bound), column = rec1_law(coherent_dark(3.0)), np.zeros(1, dtype=np.intp)
     edges = np.concatenate(([0.0], _rec1_bounds(dark)[:, 0], [1.0]))
     assert (np.diff(edges) > 0.0).all()
     u = (edges[cell] + edges[cell + 1]) / 2
     rect, diag = rec1_measure(arrived, dark, column, u)
     assert np.array_equal(np.array([rect, diag]), _REC1_CODES[:, arrived * 8 + cell])
     table = RoundTable(shuffle_sum.astype(np.int8), j, bit, rec1_uniform=u)
-    kept = sift(table, dark, column)
+    kept = sift(table, dark, bound, column)
     public = (j[kept] - 1) * 2 + (shuffle_sum[kept] & 1)
     for name, dark in DARK_TABLES.items():
         # the engine's cell code: a cell counts the bounds at or below a uniform

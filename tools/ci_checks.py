@@ -53,7 +53,7 @@ def csv(rounds: int) -> dict:
 BOUNDS = {
     # measured 447-461 MB and 1.5-2.6 s on a 2-vCPU host
     "honest 10^7": (session, {}, {"verdict": "accept"}, {"max_rss_mb": 600, "wall_s": 60}),
-    # measured 282-288 MB and 1.2-2.2 s on a 2-vCPU host
+    # measured 283-290 MB and 1.0-1.5 s on a 2-vCPU host; its 153 chunks build Rec-1's law once
     "pns 10^7": (session, dict(receivers=5, transmission=0.9, adversary="pns", pns_channel=1),
                  {"verdict": "accept"}, {"max_rss_mb": 380, "wall_s": 60}),
     # measured 70-73 MB and 1.0-1.4 s on a 2-vCPU host, a pool worker taking about 1 MB
